@@ -36,7 +36,14 @@ from .recordio import (
     write_path_csv,
     write_record,
 )
-from .trajectories import ensemble_average, replay_record, simulate_counting, simulate_homodyne
+from .trajectories import (
+    _expectation_series,
+    _grid,
+    ensemble_average,
+    replay_record,
+    simulate_counting,
+    simulate_homodyne,
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,12 +88,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
-def _expectations(matrices, observables, likelihoods=None):
-    if likelihoods is not None:
-        matrices = matrices / likelihoods[:, None, None]
-    return {name: np.einsum("tij,ji->t", matrices, x) for name, x in observables.items()}
-
-
 def _check_health(matrices, normalized: bool) -> None:
     health = path_health(matrices, normalized=normalized)
     if not health.positivity_ok:
@@ -112,7 +113,7 @@ def _cmd_simulate(args) -> int:
     write_path_csv(
         out / "path.csv",
         times,
-        _expectations(path, cfg.observables),
+        {name: _expectation_series(path, x) for name, x in cfg.observables.items()},
         extra_meta={"config_hash": cfg.config_hash, "seed": cfg.seed, "filter": "bks"},
     )
     _check_health(path, normalized=True)
@@ -131,15 +132,16 @@ def _cmd_filter(args) -> int:
     if abs(record.dt - cfg.dt) > 1e-12 * max(record.dt, cfg.dt):
         raise ValidationError(f"dt: record step {record.dt} != config step {cfg.dt}")
     run = replay_record(record, cfg.model(), cfg.rho0, kind=cfg.filter_kind, law=cfg.law())
+    matrices = run.normalized_matrices()
     out = _out_dir(args)
     write_path_csv(
         out / "path.csv",
         run.times,
-        _expectations(run.matrices, cfg.observables, run.likelihoods),
+        {name: _expectation_series(matrices, x) for name, x in cfg.observables.items()},
         likelihoods=run.likelihoods,
         extra_meta={"config_hash": cfg.config_hash, "seed": record.seed, "filter": run.kind},
     )
-    _check_health(run.normalized_matrices(), normalized=True)
+    _check_health(matrices, normalized=True)
     print(f"filter: wrote {out / 'path.csv'} ({run.kind}, {record.steps} steps)")
     return 0
 
@@ -167,14 +169,14 @@ def _cmd_ensemble(args) -> int:
 def _cmd_master(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     model = cfg.model()
-    steps = int(round(cfg.horizon / cfg.dt))
+    steps = _grid(cfg.horizon, cfg.dt)
     times = cfg.dt * np.arange(steps + 1)
     path = semigroup_path(cfg.rho0, model, times)
     out = _out_dir(args)
     write_master_csv(
         out / "master.csv",
         times,
-        _expectations(path, cfg.observables),
+        {name: _expectation_series(path, x) for name, x in cfg.observables.items()},
         extra_meta={"config_hash": cfg.config_hash},
     )
     print(f"master: wrote {out / 'master.csv'} ({steps} steps)")

@@ -23,6 +23,10 @@ Counting (jump) schemes, with dY in {0, 1}:
     normalized:    no jump: r <- r + (L'(r) - L r L* + rate r) dt,
                    jump:    r <- L r L* / rate,      rate = trace(L*L r).
 
+All four are written once, in `_kernel`; the public step functions
+validate, bind H, L, L*, L*L and the gain, and call it, as does the
+trajectory loop.
+
 Positivity is monitored, not enforced: Euler steps may transiently leave
 the state space, and projecting would mask convergence behavior.  Use
 `path_health` to audit a finished run.
@@ -47,6 +51,7 @@ from .errors import (
 from .operators import (
     HERMITICITY_TOL,
     SystemModel,
+    _channel_parts,
     as_operator,
     dag,
     hermiticity_defect,
@@ -115,12 +120,7 @@ class MeasurementScheme:
 
 
 _VACUUM = MeasurementScheme(HOMODYNE)
-
-
-def effective_channel(channel: np.ndarray, scheme: MeasurementScheme) -> np.ndarray:
-    if scheme.phase == 0.0:
-        return channel
-    return np.exp(1j * scheme.phase) * channel
+_COUNTING = MeasurementScheme(COUNTING)
 
 
 @dataclass(frozen=True)
@@ -178,6 +178,67 @@ def _diffusive_scheme(scheme: MeasurementScheme | None) -> MeasurementScheme:
     return scheme
 
 
+def _route(scheme: MeasurementScheme) -> str:
+    """The kind whose equations step `scheme`: kappa = 0 imperfect is homodyne."""
+    return HOMODYNE if scheme.kind == IMPERFECT and scheme.kappa == 0.0 else scheme.kind
+
+
+def _kernel(w, lw, jumped, dy, dt, h, grammian, kind, gain, normalized):
+    """One Euler step of any of the four filters on the raw matrix w, given
+    lw = L w and jumped = L w L* (which the caller may also need), H, L*L,
+    the gain and `_route`'s kind.  Returns the next matrix and the trace of
+    the unnormalized step (the likelihood of Zakai runs).  Seeded paths are
+    reproducible bit for bit, so the order of operations is fixed."""
+    counting = kind == COUNTING
+    if counting and normalized:
+        rate = float(jumped.trace().real)
+        if dy == 1.0:
+            if rate <= ZERO_RATE:
+                raise ZeroJumpRate(f"jump recorded while trace(L*L rho) = {rate:.3e}; inconsistent record")
+            return jumped / rate, rate
+    commutator = -1j * (h @ w - w @ h)
+    damping = 0.5 * (grammian @ w + w @ grammian)
+    if counting and normalized:
+        # no-jump drift: L'(r) - L r L* + rate r, with the dissipator's jump
+        # part cancelling the subtracted one
+        raw = w + (commutator - damping + rate * w) * dt
+    else:
+        drift = commutator + jumped - damping  # L'(w)
+        if counting:
+            raw = w + drift * dt + (jumped - w) * (dy - dt)
+        elif normalized and kind == HOMODYNE:
+            m = 2.0 * float(lw.trace().real)
+            raw = w + drift * dt + (lw + lw.conj().T - m * w) * (dy - m * dt)
+        else:
+            # unnormalized, and normalized imperfect by renormalizing it
+            raw = w + drift * dt + (gain * dy) * (lw + lw.conj().T)
+    tr = float(raw.trace().real)
+    if not normalized:
+        return raw, tr
+    if tr <= COLLAPSE_TRACE:
+        raise FilterCollapse(f"filter trace {tr:.3e} vanished; reduce dt")
+    return raw / tr, tr
+
+
+def _bound_step(state: FilterState, dY, dt: float, h, parts, scheme: MeasurementScheme, normalized: bool):
+    """Step state.matrix through the kernel with H and the channel parts
+    (L, L*, L*L) bound; normalized results keep the incoming likelihood."""
+    dy = float(dY)
+    if scheme.kind == COUNTING and dy not in (0.0, 1.0):
+        raise ValidationError(f"counting increment must be 0 or 1, got {dY!r}")
+    ch, chd, grammian = parts
+    w = state.matrix
+    lw = ch @ w
+    new, tr = _kernel(w, lw, lw @ chd, dy, dt, h, grammian, _route(scheme), scheme.gain, normalized)
+    return FilterState(new, normalized, state.likelihood if normalized else tr)
+
+
+def _model_step(state: FilterState, dY, model: SystemModel, dt: float, scheme: MeasurementScheme, normalized: bool):
+    dt = _require_dt(dt)
+    _require_model_state(state, model)
+    return _bound_step(state, dY, dt, model.hamiltonian, model.single_channel_parts(scheme.phase), scheme, normalized)
+
+
 def zakai_step_homodyne(
     state: FilterState, dY: float, model: SystemModel, dt: float, scheme: MeasurementScheme | None = None
 ) -> FilterState:
@@ -186,17 +247,7 @@ def zakai_step_homodyne(
     The state matrix is assumed Hermitian (a FilterState invariant); the
     increment is then Hermitian by construction.
     """
-    dt = _require_dt(dt)
-    _require_model_state(state, model)
-    scheme = _diffusive_scheme(scheme)
-    ch, chd, grammian = model.single_channel_parts(scheme.phase)
-    h = model.hamiltonian
-    w = state.matrix
-    lw = ch @ w
-    update = lw + lw.conj().T
-    drift = -1j * (h @ w - w @ h) + lw @ chd - 0.5 * (grammian @ w + w @ grammian)
-    new = w + drift * dt + (scheme.gain * float(dY)) * update
-    return FilterState(new, normalized=False, likelihood=float(new.trace().real))
+    return _model_step(state, dY, model, dt, _diffusive_scheme(scheme), False)
 
 
 def bks_step_homodyne(
@@ -208,8 +259,6 @@ def bks_step_homodyne(
     filter is obtained by renormalizing the gain-adjusted unnormalized step
     (see `diffusive_filter_step`).
     """
-    dt = _require_dt(dt)
-    _require_model_state(state, model)
     if not state.normalized:
         raise ValidationError("bks_step_homodyne requires a normalized state")
     scheme = _diffusive_scheme(scheme)
@@ -217,63 +266,20 @@ def bks_step_homodyne(
         raise ValidationError(
             "no closed normalized form for imperfect observation; use diffusive_filter_step"
         )
-    ch, chd, grammian = model.single_channel_parts(scheme.phase)
-    h = model.hamiltonian
-    r = state.matrix
-    lr = ch @ r
-    update = lr + lr.conj().T
-    m = 2.0 * float(lr.trace().real)
-    drift = -1j * (h @ r - r @ h) + lr @ chd - 0.5 * (grammian @ r + r @ grammian)
-    raw = r + drift * dt + (update - m * r) * (float(dY) - m * dt)
-    tr = float(raw.trace().real)
-    if tr <= COLLAPSE_TRACE:
-        raise FilterCollapse(f"filter trace {tr:.3e} vanished; reduce dt")
-    return FilterState(raw / tr, normalized=True, likelihood=state.likelihood)
+    return _model_step(state, dY, model, dt, scheme, True)
 
 
 def zakai_step_counting(state: FilterState, dY: float, model: SystemModel, dt: float) -> FilterState:
     """One Euler step of the unnormalized counting filter; dY in {0, 1}."""
-    dt = _require_dt(dt)
-    _require_model_state(state, model)
-    dy = float(dY)
-    if dy not in (0.0, 1.0):
-        raise ValidationError(f"counting increment must be 0 or 1, got {dY!r}")
-    ch, chd, grammian = model.single_channel_parts()
-    h = model.hamiltonian
-    w = state.matrix
-    jumped = (ch @ w) @ chd
-    drift = -1j * (h @ w - w @ h) + jumped - 0.5 * (grammian @ w + w @ grammian)
-    new = w + drift * dt + (jumped - w) * (dy - dt)
-    return FilterState(new, normalized=False, likelihood=float(new.trace().real))
+    return _model_step(state, dY, model, dt, _COUNTING, False)
 
 
 def bks_step_counting(state: FilterState, dY: float, model: SystemModel, dt: float) -> FilterState:
     """One step of the normalized counting filter: smooth no-jump drift, and
     the collapse r -> L r L*/rate on a registered count."""
-    dt = _require_dt(dt)
-    _require_model_state(state, model)
     if not state.normalized:
         raise ValidationError("bks_step_counting requires a normalized state")
-    dy = float(dY)
-    if dy not in (0.0, 1.0):
-        raise ValidationError(f"counting increment must be 0 or 1, got {dY!r}")
-    ch, chd, grammian = model.single_channel_parts()
-    h = model.hamiltonian
-    r = state.matrix
-    jumped = (ch @ r) @ chd
-    rate = float(jumped.trace().real)
-    if dy == 1.0:
-        if rate <= ZERO_RATE:
-            raise ZeroJumpRate(f"jump recorded while trace(L*L rho) = {rate:.3e}; inconsistent record")
-        return FilterState(jumped / rate, normalized=True, likelihood=state.likelihood)
-    # no-jump drift: L'(r) - L r L* + rate r, with the dissipator's jump part
-    # cancelling the subtracted one
-    drift = -1j * (h @ r - r @ h) - 0.5 * (grammian @ r + r @ grammian) + rate * r
-    raw = r + drift * dt
-    tr = float(raw.trace().real)
-    if tr <= COLLAPSE_TRACE:
-        raise FilterCollapse(f"filter trace {tr:.3e} vanished; reduce dt")
-    return FilterState(raw / tr, normalized=True, likelihood=state.likelihood)
+    return _model_step(state, dY, model, dt, _COUNTING, True)
 
 
 def normalize(state: FilterState) -> tuple[FilterState, float]:
@@ -292,13 +298,9 @@ def diffusive_filter_step(
     unnormalized step plus renormalization.  kappa = 0 takes the vacuum code
     path exactly."""
     scheme = _diffusive_scheme(scheme)
-    if scheme.kind == IMPERFECT and scheme.kappa == 0.0:
-        scheme = MeasurementScheme(HOMODYNE, 0.0, scheme.phase)
-    if scheme.kind == IMPERFECT:
-        stepped = zakai_step_homodyne(state, dY, model, dt, scheme)
-        out, _ = normalize(stepped)
-        return FilterState(out.matrix, normalized=True, likelihood=state.likelihood)
-    return bks_step_homodyne(state, dY, model, dt, scheme)
+    if _route(scheme) == HOMODYNE and not state.normalized:
+        raise ValidationError("bks_step_homodyne requires a normalized state")
+    return _model_step(state, dY, model, dt, scheme, True)
 
 
 def filter_step(
@@ -306,14 +308,7 @@ def filter_step(
 ) -> FilterState:
     """Scheme dispatch: one step of the filter matching `scheme` and the
     normalization of `state`."""
-    scheme = _VACUUM if scheme is None else scheme
-    if scheme.kind == COUNTING:
-        if state.normalized:
-            return bks_step_counting(state, dY, model, dt)
-        return zakai_step_counting(state, dY, model, dt)
-    if state.normalized:
-        return diffusive_filter_step(state, dY, model, dt, scheme)
-    return zakai_step_homodyne(state, dY, model, dt, scheme)
+    return _model_step(state, dY, model, dt, _VACUUM if scheme is None else scheme, state.normalized)
 
 
 # --- feedback -------------------------------------------------------------
@@ -435,6 +430,23 @@ class ControlLaw:
         return self.h0 + float(u) * self.h1, float(u)
 
 
+def _require_law_model(law: ControlLaw, model: SystemModel) -> None:
+    if law.h0.shape[0] != model.dim:
+        raise DimensionMismatch(f"control H0/H1 dim {law.h0.shape[0]} != model dim {model.dim}")
+
+
+def _law_terms(law: ControlLaw, t: float, prefix, model: SystemModel, phase: float):
+    """H_t and the channel parts (L_t, L_t*, L_t*L_t) for one step.  The
+    channel map is called once; without one the model's channel stands."""
+    h_t, _ = law.hamiltonian_at(t, prefix)
+    if law.channel_map is None:
+        return h_t, model.single_channel_parts(phase)
+    ch = as_operator(law.channel_map(t, prefix), "L_t")
+    if ch.shape[0] != model.dim:
+        raise DimensionMismatch(f"L_t dim {ch.shape[0]} != model dim {model.dim}")
+    return h_t, _channel_parts(ch, phase)
+
+
 def feedback_step(
     state: FilterState,
     dY: float,
@@ -453,6 +465,9 @@ def feedback_step(
     channel map) held fixed across the step.
     """
     dt = _require_dt(dt)
+    _require_model_state(state, model)
+    _require_law_model(law, model)
+    scheme = _VACUUM if scheme is None else scheme
     prefix = np.asarray(record_prefix, dtype=float).reshape(-1)
     if t is None:
         t = prefix.size * dt
@@ -461,12 +476,8 @@ def feedback_step(
         raise CausalityViolation(
             f"record prefix extends to {prefix.size * dt:.6g}, at or beyond the current time {t:.6g}"
         )
-    h_t, _ = law.hamiltonian_at(t, prefix)
-    channels = model.channels
-    if law.channel_map is not None:
-        channels = (as_operator(law.channel_map(t, prefix), "L_t"),)
-    frozen = SystemModel(h_t, channels)
-    return filter_step(state, dY, frozen, dt, scheme)
+    h_t, parts = _law_terms(law, t, prefix, model, scheme.phase)
+    return _bound_step(state, dY, dt, h_t, parts, scheme, state.normalized)
 
 
 # --- health monitoring ----------------------------------------------------

@@ -172,15 +172,21 @@ class SystemModel:
         key = float(phase)
         cache = self._derived
         if key not in cache:
-            if 0.0 not in cache:
-                ch = self.channel
-                chd = _frozen(dag(ch))
-                cache[0.0] = (ch, chd, _frozen(chd @ ch))
-            if key != 0.0:
-                base_ch, _, gram = cache[0.0]
-                rot = _frozen(np.exp(1j * key) * base_ch)
-                cache[key] = (rot, _frozen(dag(rot)), gram)
+            cache[key] = _channel_parts(self.channel, key)
         return cache[key]
+
+
+def _channel_parts(channel: np.ndarray, phase: float):
+    """(L, L*, L*L) for one validated channel, L rotated by exp(i phase);
+    read-only copies, so a time-dependent channel gets the same arithmetic
+    as a model's."""
+    ch = _frozen(channel)
+    chd = _frozen(dag(ch))
+    gram = _frozen(chd @ ch)
+    if phase != 0.0:
+        ch = _frozen(np.exp(1j * phase) * ch)
+        chd = _frozen(dag(ch))
+    return ch, chd, gram
 
 
 def _check_dim(x: np.ndarray, model: SystemModel, name: str) -> None:

@@ -11,6 +11,9 @@ This is statistically exact in the continuous-time limit because the
 innovations are Wiener (diffusive case) or compensated-counting
 martingales, and it avoids simulating the exponentially large field.
 
+Simulation, replay and ensembles run through one loop, `_integrate`, which
+validates once per run and steps with the filters' `_kernel`.
+
 Reproducibility: every trajectory's generator is numpy PCG64 keyed by a
 splitmix64-mixed seed, `derive_seed(base_seed, index)`, which is
 collision-free in the index.  Identical (seed, config) gives bit-identical
@@ -28,19 +31,13 @@ from .errors import DimensionMismatch, ValidationError
 from .filters import (
     COUNTING,
     ControlLaw,
-    FilterState,
     MeasurementScheme,
     PathHealth,
-    bks_step_counting,
-    dag,
-    diffusive_filter_step,
-    effective_channel,
-    feedback_step,
-    filter_step,
-    normalize,
+    _kernel,
+    _law_terms,
+    _require_law_model,
+    _route,
     path_health,
-    zakai_step_counting,
-    zakai_step_homodyne,
 )
 from .operators import DensityState, SystemModel, as_operator
 
@@ -117,18 +114,64 @@ def _grid(horizon: float, dt: float) -> int:
         raise ValidationError("T must be positive")
     if not np.isfinite(dt) or dt <= 0:
         raise ValidationError("dt must be positive")
-    steps = int(round(horizon / dt))
+    ratio = horizon / dt
+    steps = int(round(ratio))
     if steps < 1:
         raise ValidationError("grid must contain at least one step")
+    if abs(ratio - steps) > 1e-9 * ratio:
+        raise ValidationError(f"T = {horizon!r} is not a whole multiple of dt = {dt!r} (T/dt = {ratio:.12g})")
     return steps
 
 
-def _start_state(rho0, model: SystemModel) -> FilterState:
+def _expectation_series(matrices, x) -> np.ndarray:
+    """trace(m_t X) for every matrix m_t of a stack."""
+    return np.einsum("tij,ji->t", matrices, x)
+
+
+def _integrate(
+    model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, increments, law=None, normalized=True, noise=None
+):
+    """The one integration loop: step the filter from rho0 over `increments`.
+
+    With `noise`, each increment is sampled from the pre-step state first:
+    homodyne dY = trace((L + L*) rho) dt + noise[k], counting dY = 1 when
+    the uniform noise[k] < trace(L*L rho) dt.  Returns the path, shape
+    (steps+1, n, n), and for unnormalized runs the likelihoods.
+    """
     if not isinstance(rho0, DensityState):
         rho0 = DensityState(rho0)
     if rho0.dim != model.dim:
         raise DimensionMismatch(f"rho0 dim {rho0.dim} != model dim {model.dim}")
-    return FilterState.from_density(rho0)
+    phase = scheme.phase
+    if law is None:
+        h = model.hamiltonian
+        ch, chd, grammian = model.single_channel_parts(phase)
+    else:
+        _require_law_model(law, model)
+    kind, gain, counting = _route(scheme), scheme.gain, scheme.kind == COUNTING
+    steps = increments.size
+    n = model.dim
+    path = np.empty((steps + 1, n, n), dtype=complex)
+    w = path[0] = rho0.matrix
+    traces = np.ones(steps + 1)
+    for k in range(steps):
+        if law is not None:
+            h, (ch, chd, grammian) = _law_terms(law, k * dt, increments[:k], model, phase)
+        lw = ch @ w
+        jumped = lw @ chd
+        if noise is not None and counting:
+            rate = float(jumped.trace().real)
+            if rate * dt > MAX_JUMP_PROBABILITY:
+                raise ValidationError(
+                    f"dt: jump probability rate*dt = {rate * dt:.3g} exceeds {MAX_JUMP_PROBABILITY}; reduce dt"
+                )
+            increments[k] = 1.0 if noise[k] < rate * dt else 0.0
+        elif noise is not None:
+            increments[k] = 2.0 * float(lw.trace().real) * dt + noise[k]
+        w, tr = _kernel(w, lw, jumped, increments[k], dt, h, grammian, kind, gain, normalized)
+        path[k + 1] = w
+        traces[k + 1] = tr
+    return path, None if normalized else traces
 
 
 def simulate_homodyne(
@@ -148,29 +191,10 @@ def simulate_homodyne(
     if not scheme.is_diffusive:
         raise ValidationError("simulate_homodyne needs a homodyne or imperfect scheme")
     steps = _grid(horizon, dt)
-    state = _start_state(rho0, model)
-    n = model.dim
-    rng = np.random.default_rng(seed)
-    dw = rng.normal(0.0, math.sqrt(dt), size=steps)
+    dw = np.random.default_rng(seed).normal(0.0, math.sqrt(dt), size=steps)
     increments = np.empty(steps)
-    path = np.empty((steps + 1, n, n), dtype=complex)
-    path[0] = state.matrix
-    noise_scale = scheme.noise_scale
-    fixed_channel = model.single_channel_parts(scheme.phase)[0] if law is None or law.channel_map is None else None
-    for k in range(steps):
-        if law is None or law.channel_map is None:
-            ch = fixed_channel
-        else:
-            ch = effective_channel(as_operator(law.channel_map(k * dt, increments[:k]), "L_t"), scheme)
-        m = 2.0 * float((ch @ state.matrix).trace().real)
-        increments[k] = m * dt + noise_scale * dw[k]
-        if law is None:
-            state = diffusive_filter_step(state, increments[k], model, dt, scheme)
-        else:
-            state = feedback_step(state, increments[k], law, model, increments[:k], dt, scheme, t=k * dt)
-        path[k + 1] = state.matrix
-    record = ObservationRecord(scheme, dt, increments, seed=int(seed))
-    return record, path
+    path, _ = _integrate(model, rho0, scheme, dt, increments, law, noise=scheme.noise_scale * dw)
+    return ObservationRecord(scheme, dt, increments, seed=int(seed)), path
 
 
 def simulate_counting(
@@ -185,32 +209,10 @@ def simulate_counting(
     co-evolved normalized filter path."""
     scheme = MeasurementScheme.counting()
     steps = _grid(horizon, dt)
-    state = _start_state(rho0, model)
-    n = model.dim
-    rng = np.random.default_rng(seed)
-    uniforms = rng.random(size=steps)
+    uniforms = np.random.default_rng(seed).random(size=steps)
     increments = np.empty(steps)
-    path = np.empty((steps + 1, n, n), dtype=complex)
-    path[0] = state.matrix
-    fixed_channel = model.channel if law is None or law.channel_map is None else None
-    for k in range(steps):
-        if fixed_channel is not None:
-            ch = fixed_channel
-        else:
-            ch = as_operator(law.channel_map(k * dt, increments[:k]), "L_t")
-        rate = float(((ch @ state.matrix) @ dag(ch)).trace().real)
-        if rate * dt > MAX_JUMP_PROBABILITY:
-            raise ValidationError(
-                f"dt: jump probability rate*dt = {rate * dt:.3g} exceeds {MAX_JUMP_PROBABILITY}; reduce dt"
-            )
-        increments[k] = 1.0 if uniforms[k] < rate * dt else 0.0
-        if law is None:
-            state = bks_step_counting(state, increments[k], model, dt)
-        else:
-            state = feedback_step(state, increments[k], law, model, increments[:k], dt, scheme, t=k * dt)
-        path[k + 1] = state.matrix
-    record = ObservationRecord(scheme, dt, increments, seed=int(seed))
-    return record, path
+    path, _ = _integrate(model, rho0, scheme, dt, increments, law, noise=uniforms)
+    return ObservationRecord(scheme, dt, increments, seed=int(seed)), path
 
 
 @dataclass(frozen=True)
@@ -230,7 +232,7 @@ class FilterRun:
 
     def expectations(self, observable) -> np.ndarray:
         x = as_operator(observable, "observable")
-        return np.einsum("tij,ji->t", self.normalized_matrices(), x)
+        return _expectation_series(self.normalized_matrices(), x)
 
 
 def replay_record(
@@ -248,37 +250,10 @@ def replay_record(
     """
     if kind not in ("auto", "bks", "zakai"):
         raise ValidationError(f"unknown filter kind {kind!r} (expected auto, bks or zakai)")
-    steps = record.steps
-    n = model.dim
-    start = _start_state(rho0, model)
-    times = record.dt * np.arange(steps + 1)
-    matrices = np.empty((steps + 1, n, n), dtype=complex)
-    scheme = record.scheme
-    if kind == "zakai":
-        state = FilterState(start.matrix, normalized=False, likelihood=1.0)
-        likelihoods = np.empty(steps + 1)
-        matrices[0] = state.matrix
-        likelihoods[0] = 1.0
-        for k in range(steps):
-            if law is not None:
-                state = feedback_step(state, record.increments[k], law, model, record.increments[:k], record.dt, scheme, t=k * record.dt)
-            elif scheme.kind == COUNTING:
-                state = zakai_step_counting(state, record.increments[k], model, record.dt)
-            else:
-                state = zakai_step_homodyne(state, record.increments[k], model, record.dt, scheme)
-            matrices[k + 1] = state.matrix
-            likelihoods[k + 1] = state.likelihood
-        return FilterRun(times, matrices, "zakai", likelihoods)
-
-    state = start
-    matrices[0] = state.matrix
-    for k in range(steps):
-        if law is not None:
-            state = feedback_step(state, record.increments[k], law, model, record.increments[:k], record.dt, scheme, t=k * record.dt)
-        else:
-            state = filter_step(state, record.increments[k], model, record.dt, scheme)
-        matrices[k + 1] = state.matrix
-    return FilterRun(times, matrices, "bks", None)
+    times = record.dt * np.arange(record.steps + 1)
+    normalized = kind != "zakai"
+    matrices, likelihoods = _integrate(model, rho0, record.scheme, record.dt, record.increments, law, normalized)
+    return FilterRun(times, matrices, "bks" if normalized else "zakai", likelihoods)
 
 
 @dataclass(frozen=True)
@@ -345,7 +320,7 @@ def ensemble_average(
             worst_eig = min(worst_eig, member.min_eigenvalue)
             worst_trace = max(worst_trace, member.max_trace_defect)
         for name, x in obs.items():
-            vals = np.einsum("tij,ji->t", path, x)
+            vals = _expectation_series(path, x)
             sums[name] += vals
             sums_sq_re[name] += vals.real**2
             sums_sq_im[name] += vals.imag**2
@@ -445,7 +420,7 @@ def innovations_stats(records, paths, model: SystemModel) -> InnovationsReport:
     for rec in records:
         if rec.scheme != scheme:
             raise ValidationError("scheme mismatch across records")
-    ch = effective_channel(model.channel, scheme) if scheme.is_diffusive else model.channel
+    ch, chd, grammian = model.single_channel_parts(scheme.phase)
     terminal = np.empty(len(records))
     qv = np.empty(len(records))
     lag1 = np.empty(len(records))
@@ -455,9 +430,9 @@ def innovations_stats(records, paths, model: SystemModel) -> InnovationsReport:
             raise ValidationError(f"path {idx}: length {path.shape[0]} does not match record steps {rec.steps}")
         pre = path[:-1]
         if scheme.kind == COUNTING:
-            compensator = np.einsum("tij,ji->t", pre, dag(ch) @ ch).real
+            compensator = _expectation_series(pre, grammian).real
         else:
-            compensator = np.einsum("tij,ji->t", pre, ch).real + np.einsum("tij,ji->t", pre, dag(ch)).real
+            compensator = _expectation_series(pre, ch).real + _expectation_series(pre, chd).real
         innov = rec.increments - compensator * rec.dt
         terminal[idx] = innov.sum()
         qv[idx] = np.sum(innov**2)

@@ -212,6 +212,12 @@ class TestCliCommands:
         assert header == "t,re_z,im_z"
         assert len([l for l in lines if not l.startswith("#")]) == 502
 
+    def test_master_rejects_horizon_off_the_grid(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, qubit_config(T=1.0, dt=0.3))
+        assert run(["master", "--config", str(cfg_path), "--out", str(tmp_path / "m")]) == 1
+        err = capsys.readouterr().err
+        assert "T = 1.0" in err and "dt = 0.3" in err
+
     def test_ensemble_command(self, tmp_path):
         cfg_path = write_config(tmp_path, qubit_config(T=0.05, n_trajectories=3))
         out = tmp_path / "e"

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 import belfilt as bf
-from belfilt.filters import MeasurementScheme
+from belfilt.filters import (
+    ControlLaw,
+    FilterState,
+    MeasurementScheme,
+    feedback_step,
+    filter_step,
+    zakai_step_counting,
+    zakai_step_homodyne,
+)
 from belfilt.operators import (
     SIGMA_MINUS,
+    SIGMA_X,
     SIGMA_Z,
     DensityState,
     SystemModel,
@@ -101,6 +110,17 @@ class TestSimulateHomodyne:
         stderr = terminal.std(ddof=1) / np.sqrt(n)
         assert abs(terminal.mean() - want) <= 4 * stderr
 
+    def test_horizon_off_the_grid_rejected(self):
+        with pytest.raises(bf.ValidationError, match=r"T = 1\.0 .* dt = 0\.3"):
+            simulate_homodyne(DECAY, PLUS_MIXED, 1.0, 0.3, seed=1)
+
+    @pytest.mark.parametrize("horizon,dt", [(0.003, 1e-3), (0.3, 0.1)])
+    def test_horizon_within_rounding_of_the_grid(self, horizon, dt):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point
+        rec, path = simulate_homodyne(DECAY, PLUS_MIXED, horizon, dt, seed=1)
+        assert rec.steps == 3
+        assert path.shape == (4, 2, 2)
+
 
 class TestSimulateCounting:
     def test_zero_channel_counts_nothing(self):
@@ -165,6 +185,128 @@ class TestReplayKinds:
         series = run.expectations(SIGMA_Z)
         manual = np.einsum("tij,ji->t", path, SIGMA_Z.astype(complex))
         assert np.allclose(series, manual, atol=1e-14)
+
+
+def _counting_map(calls, bad_at=None, bad=None):
+    """Channel map 0.8 L, returning `bad` on call number `bad_at`."""
+
+    def channel_map(t, prefix):
+        calls.append(t)
+        if len(calls) - 1 == bad_at:
+            return bad
+        return 0.8 * SIGMA_MINUS
+
+    return channel_map
+
+
+def _run_with_law(route, law, steps=40, dt=1e-3):
+    if route == "homodyne":
+        return simulate_homodyne(DECAY, PLUS_MIXED, steps * dt, dt, seed=3, law=law)
+    if route == "counting":
+        return simulate_counting(DECAY, EXCITED_MIXED, steps * dt, dt, seed=3, law=law)
+    rng = np.random.default_rng(3)
+    rec = ObservationRecord(MeasurementScheme.homodyne(), dt, rng.normal(0.0, np.sqrt(dt), size=steps))
+    return replay_record(rec, DECAY, PLUS_MIXED, kind=route.split("-")[1], law=law)
+
+
+LAW_ROUTES = ["homodyne", "counting", "replay-bks", "replay-zakai"]
+
+
+class TestLawEvaluation:
+    @pytest.mark.parametrize("route", LAW_ROUTES)
+    def test_channel_map_called_once_per_step(self, route):
+        calls = []
+        law = ControlLaw(lambda t, prefix: 0.1, np.zeros((2, 2)), SIGMA_X, channel_map=_counting_map(calls))
+        _run_with_law(route, law, steps=40)
+        assert len(calls) == 40
+        assert calls == [k * 1e-3 for k in range(40)]
+
+    @pytest.mark.parametrize("route", LAW_ROUTES)
+    def test_law_dimension_checked_before_first_step(self, route):
+        controls = []
+
+        def control(t, prefix):
+            controls.append(t)
+            return 0.0
+
+        law = ControlLaw(control, np.zeros((3, 3)), np.eye(3))
+        with pytest.raises(bf.DimensionMismatch, match="H0"):
+            _run_with_law(route, law)
+        assert controls == []
+
+    @pytest.mark.parametrize("route", LAW_ROUTES)
+    @pytest.mark.parametrize(
+        "bad",
+        [np.array([[0.0, np.nan], [0.0, 0.0]]), np.zeros((3, 3)), np.zeros((2, 3))],
+        ids=["non-finite", "wrong-dim", "non-square"],
+    )
+    def test_bad_channel_raises_at_its_step(self, route, bad):
+        calls = []
+        law = ControlLaw(lambda t, prefix: 0.0, np.zeros((2, 2)), SIGMA_X, channel_map=_counting_map(calls, 7, bad))
+        with pytest.raises(bf.ValidationError, match="L_t"):
+            _run_with_law(route, law)
+        assert calls == [k * 1e-3 for k in range(8)]
+
+
+def _shared_kernel_cases():
+    schemes = {
+        "homodyne": MeasurementScheme.homodyne(),
+        "phase": MeasurementScheme.homodyne(0.7),
+        "imperfect": MeasurementScheme.imperfect(1.0, 0.3),
+        "counting": MeasurementScheme.counting(),
+    }
+    for name, scheme in schemes.items():
+        for dim in (2, 3):
+            for kind in ("bks", "zakai"):
+                for with_law in (False, True):
+                    label = f"{name}-n{dim}-{kind}" + ("-law" if with_law else "")
+                    yield pytest.param(scheme, dim, kind, with_law, id=label)
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize("scheme,dim,kind,with_law", list(_shared_kernel_cases()))
+    def test_public_steps_match_replay_bit_for_bit(self, scheme, dim, kind, with_law):
+        rng = np.random.default_rng(40 + dim)
+        model = random_model(dim, rng, scale=0.5)
+        rho0 = random_density(dim, rng).mix_with_identity(0.3)
+        law = None
+        if with_law:
+            base = model.channel
+            law = ControlLaw(
+                bf.compile_control_expression("0.3 * Y - ma(Y, 5) + 0.2 * t"),
+                model.hamiltonian,
+                bf.random_hermitian(dim, rng),
+                channel_map=lambda t, prefix: (1.0 + 0.1 * t) * base,
+            )
+        dt = 1e-3
+        if scheme.kind == "counting":
+            rec, path = simulate_counting(model, rho0, 0.2, dt, seed=dim, law=law)
+        else:
+            rec, path = simulate_homodyne(model, rho0, 0.2, dt, seed=dim, scheme=scheme, law=law)
+        run = replay_record(rec, model, rho0, kind=kind, law=law)
+
+        normalized = kind == "bks"
+        state = FilterState(np.array(rho0.matrix), normalized=normalized)
+        matrices = [state.matrix]
+        likelihoods = [state.likelihood]
+        for k, dy in enumerate(rec.increments):
+            if law is not None:
+                state = feedback_step(state, dy, law, model, rec.increments[:k], dt, scheme, t=k * dt)
+            elif normalized:
+                state = filter_step(state, dy, model, dt, scheme)
+            elif scheme.kind == "counting":
+                state = zakai_step_counting(state, dy, model, dt)
+            else:
+                state = zakai_step_homodyne(state, dy, model, dt, scheme)
+            matrices.append(state.matrix)
+            likelihoods.append(state.likelihood)
+
+        assert np.array_equal(run.matrices, np.array(matrices))
+        if normalized:
+            assert run.likelihoods is None
+            assert np.array_equal(run.matrices, path)
+        else:
+            assert np.array_equal(run.likelihoods, np.array(likelihoods))
 
 
 class TestEnsemble:
