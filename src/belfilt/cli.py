@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import NumericalFailure, PositivityBreach, ValidationError
-from .filters import COUNTING, path_health
+from .filters import COUNTING, PathHealth, path_health
 from .operators import semigroup_path
 from .recordio import (
     read_record,
@@ -88,8 +88,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
-def _check_health(matrices, normalized: bool) -> None:
-    health = path_health(matrices, normalized=normalized)
+def _check_health(health: PathHealth) -> None:
     if not health.positivity_ok:
         raise PositivityBreach(
             f"minimum filter eigenvalue {health.min_eigenvalue:.3e} fell below the -1e-6 monitoring floor"
@@ -116,7 +115,7 @@ def _cmd_simulate(args) -> int:
         {name: _expectation_series(path, x) for name, x in cfg.observables.items()},
         extra_meta={"config_hash": cfg.config_hash, "seed": cfg.seed, "filter": "bks"},
     )
-    _check_health(path, normalized=True)
+    _check_health(path_health(path, normalized=True))
     print(f"simulate: wrote {out / 'record.csv'} and {out / 'path.csv'} ({record.steps} steps)")
     return 0
 
@@ -141,7 +140,7 @@ def _cmd_filter(args) -> int:
         likelihoods=run.likelihoods,
         extra_meta={"config_hash": cfg.config_hash, "seed": record.seed, "filter": run.kind},
     )
-    _check_health(matrices, normalized=True)
+    _check_health(path_health(matrices, normalized=True))
     print(f"filter: wrote {out / 'path.csv'} ({run.kind}, {record.steps} steps)")
     return 0
 
@@ -159,7 +158,9 @@ def _cmd_ensemble(args) -> int:
         cfg.dt,
         cfg.rho0,
         law=cfg.law(),
+        collect_health=True,
     )
+    _check_health(summary.health)
     out = _out_dir(args)
     write_ensemble_csv(out / "ensemble.csv", summary, extra_meta={"config_hash": cfg.config_hash, "seed": cfg.seed})
     print(f"ensemble: wrote {out / 'ensemble.csv'} ({summary.n_trajectories} trajectories)")

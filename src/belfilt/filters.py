@@ -24,8 +24,8 @@ Counting (jump) schemes, with dY in {0, 1}:
                    jump:    r <- L r L* / rate,      rate = trace(L*L r).
 
 All four are written once, in `_kernel`; the public step functions
-validate, bind H, L, L*, L*L and the gain, and call it, as does the
-trajectory loop.
+validate, bind H, L, L*, L*L and the gain, and call it, as do the
+trajectory loops, which also step whole stacks of trajectories through it.
 
 Positivity is monitored, not enforced: Euler steps may transiently leave
 the state space, and projecting would mask convergence behavior.  Use
@@ -183,18 +183,51 @@ def _route(scheme: MeasurementScheme) -> str:
     return HOMODYNE if scheme.kind == IMPERFECT and scheme.kappa == 0.0 else scheme.kind
 
 
+def _real_trace(x):
+    """Real part of the trace: a float for one matrix, shape (B, 1, 1) for a
+    stack (B, n, n) so that it scales the rows it came from."""
+    if x.ndim == 2:
+        return float(x.trace().real)
+    return x.trace(axis1=1, axis2=2).real[:, None, None]
+
+
+def _refuse(bad, error, message, value):
+    """Raise error(message.format(value)) where `bad` holds.  For a stack,
+    `bad` and `value` are arrays with one entry per row: the first bad row's
+    value is reported and its index set as the error's `row` (None for one
+    matrix)."""
+    row = None
+    if isinstance(bad, np.ndarray):
+        if not bad.any():
+            return
+        row = int(np.argmax(bad.reshape(-1)))
+        value = value.reshape(-1)[row]
+    elif not bad:
+        return
+    exc = error(message.format(value))
+    exc.row = row
+    raise exc
+
+
 def _kernel(w, lw, jumped, dy, dt, h, grammian, kind, gain, normalized):
     """One Euler step of any of the four filters on the raw matrix w, given
     lw = L w and jumped = L w L* (which the caller may also need), H, L*L,
     the gain and `_route`'s kind.  Returns the next matrix and the trace of
-    the unnormalized step (the likelihood of Zakai runs).  Seeded paths are
-    reproducible bit for bit, so the order of operations is fixed."""
+    the unnormalized step (the likelihood of Zakai runs).
+
+    w may also be a stack (B, n, n) of independent rows, with dy of shape
+    (B, 1, 1); traces then come back as (B, 1, 1), a registered count
+    collapses only its own row, and an error names the failing row (see
+    `_refuse`).  Seeded paths are reproducible bit for bit, and a row of a
+    stack steps exactly as the single matrix would, so the order of
+    operations is fixed."""
     counting = kind == COUNTING
     if counting and normalized:
-        rate = float(jumped.trace().real)
-        if dy == 1.0:
-            if rate <= ZERO_RATE:
-                raise ZeroJumpRate(f"jump recorded while trace(L*L rho) = {rate:.3e}; inconsistent record")
+        rate = _real_trace(jumped)
+        jump = dy == 1.0
+        _refuse(jump & (rate <= ZERO_RATE), ZeroJumpRate,
+                "jump recorded while trace(L*L rho) = {:.3e}; inconsistent record", rate)
+        if w.ndim == 2 and jump:
             return jumped / rate, rate
     commutator = -1j * (h @ w - w @ h)
     damping = 0.5 * (grammian @ w + w @ grammian)
@@ -207,16 +240,18 @@ def _kernel(w, lw, jumped, dy, dt, h, grammian, kind, gain, normalized):
         if counting:
             raw = w + drift * dt + (jumped - w) * (dy - dt)
         elif normalized and kind == HOMODYNE:
-            m = 2.0 * float(lw.trace().real)
-            raw = w + drift * dt + (lw + lw.conj().T - m * w) * (dy - m * dt)
+            m = 2.0 * _real_trace(lw)
+            raw = w + drift * dt + (lw + lw.conj().swapaxes(-1, -2) - m * w) * (dy - m * dt)
         else:
             # unnormalized, and normalized imperfect by renormalizing it
-            raw = w + drift * dt + (gain * dy) * (lw + lw.conj().T)
-    tr = float(raw.trace().real)
+            raw = w + drift * dt + (gain * dy) * (lw + lw.conj().swapaxes(-1, -2))
+    tr = _real_trace(raw)
     if not normalized:
         return raw, tr
-    if tr <= COLLAPSE_TRACE:
-        raise FilterCollapse(f"filter trace {tr:.3e} vanished; reduce dt")
+    if counting and w.ndim > 2:
+        # rows with a registered count collapse to L r L* / rate
+        raw, tr = np.where(jump, jumped, raw), np.where(jump, rate, tr)
+    _refuse(tr <= COLLAPSE_TRACE, FilterCollapse, "filter trace {:.3e} vanished; reduce dt", tr)
     return raw / tr, tr
 
 

@@ -11,8 +11,13 @@ This is statistically exact in the continuous-time limit because the
 innovations are Wiener (diffusive case) or compensated-counting
 martingales, and it avoids simulating the exponentially large field.
 
-Simulation, replay and ensembles run through one loop, `_integrate`, which
-validates once per run and steps with the filters' `_kernel`.
+Simulation and replay run through one loop, `_integrate`, which validates
+once per run and steps one matrix with the filters' `_kernel`.  Ensembles
+step their trajectories together instead: `_integrate_stack` advances a
+block of them as one (B, n, n) stack through the same kernel, one Python
+iteration per time step for the whole block, with every trajectory still
+drawing its own noise.  Ensembles with a control law step one trajectory at
+a time through `_integrate`, since each law sees its own record.
 
 Reproducibility: every trajectory's generator is numpy PCG64 keyed by a
 splitmix64-mixed seed, `derive_seed(base_seed, index)`, which is
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, NumericalFailure, ValidationError
 from .filters import (
     COUNTING,
     ControlLaw,
@@ -35,6 +40,8 @@ from .filters import (
     PathHealth,
     _kernel,
     _law_terms,
+    _real_trace,
+    _refuse,
     _require_law_model,
     _route,
     path_health,
@@ -43,6 +50,10 @@ from .operators import DensityState, SystemModel, as_operator
 
 GENERATOR_NAME = f"pcg64-splitmix64/numpy-{np.__version__}"
 MAX_JUMP_PROBABILITY = 0.1
+# Byte budget of the path stack (B, steps+1, n, n) of one block of ensemble
+# trajectories stepped together.  Past a few dozen rows a block gains little
+# speed, so the budget is kept small: it bounds the ensemble's extra memory.
+ENSEMBLE_BLOCK_BYTES = 2 * 2**20
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -128,20 +139,58 @@ def _expectation_series(matrices, x) -> np.ndarray:
     return np.einsum("tij,ji->t", matrices, x)
 
 
-def _integrate(
-    model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, increments, law=None, normalized=True, noise=None
-):
-    """The one integration loop: step the filter from rho0 over `increments`.
-
-    With `noise`, each increment is sampled from the pre-step state first:
-    homodyne dY = trace((L + L*) rho) dt + noise[k], counting dY = 1 when
-    the uniform noise[k] < trace(L*L rho) dt.  Returns the path, shape
-    (steps+1, n, n), and for unnormalized runs the likelihoods.
-    """
+def _initial_matrix(rho0, model: SystemModel) -> np.ndarray:
     if not isinstance(rho0, DensityState):
         rho0 = DensityState(rho0)
     if rho0.dim != model.dim:
         raise DimensionMismatch(f"rho0 dim {rho0.dim} != model dim {model.dim}")
+    return rho0.matrix
+
+
+def _noise(scheme: MeasurementScheme, seed: int, steps: int, dt: float) -> np.ndarray:
+    """One trajectory's noise, drawn up front from its own generator: scaled
+    Wiener increments for diffusive schemes, uniforms for counting."""
+    rng = np.random.default_rng(seed)
+    if scheme.kind == COUNTING:
+        return rng.random(size=steps)
+    return scheme.noise_scale * rng.normal(0.0, math.sqrt(dt), size=steps)
+
+
+def _sample(lw, jumped, noise, dt: float, counting: bool):
+    """The increment drawn from the pre-step state (or from each row of a
+    stack): homodyne dY = trace((L + L*) rho) dt + noise, counting dY = 1
+    when the uniform noise < trace(L*L rho) dt."""
+    if not counting:
+        return 2.0 * _real_trace(lw) * dt + noise
+    p = _real_trace(jumped) * dt
+    _refuse(p > MAX_JUMP_PROBABILITY, ValidationError,
+            f"dt: jump probability rate*dt = {{:.3g}} exceeds {MAX_JUMP_PROBABILITY}; reduce dt", p)
+    return 1.0 * (noise < p)
+
+
+def _at(step: int, trajectory: int | None) -> str:
+    return f"step {step}" if trajectory is None else f"trajectory {trajectory}, step {step}"
+
+
+def _integrate(
+    model: SystemModel,
+    rho0,
+    scheme: MeasurementScheme,
+    dt: float,
+    increments,
+    law=None,
+    normalized=True,
+    noise=None,
+    trajectory=None,
+):
+    """The single-trajectory loop: step the filter from rho0 over `increments`.
+
+    With `noise`, each increment is sampled from the pre-step state first
+    (see `_sample`).  Returns the path, shape (steps+1, n, n), and for
+    unnormalized runs the likelihoods.  A step that fails raises its error
+    type naming the step (and `trajectory`, when given).
+    """
+    w = _initial_matrix(rho0, model)
     phase = scheme.phase
     if law is None:
         h = model.hamiltonian
@@ -152,26 +201,54 @@ def _integrate(
     steps = increments.size
     n = model.dim
     path = np.empty((steps + 1, n, n), dtype=complex)
-    w = path[0] = rho0.matrix
+    path[0] = w
     traces = np.ones(steps + 1)
     for k in range(steps):
         if law is not None:
             h, (ch, chd, grammian) = _law_terms(law, k * dt, increments[:k], model, phase)
         lw = ch @ w
         jumped = lw @ chd
-        if noise is not None and counting:
-            rate = float(jumped.trace().real)
-            if rate * dt > MAX_JUMP_PROBABILITY:
-                raise ValidationError(
-                    f"dt: jump probability rate*dt = {rate * dt:.3g} exceeds {MAX_JUMP_PROBABILITY}; reduce dt"
-                )
-            increments[k] = 1.0 if noise[k] < rate * dt else 0.0
-        elif noise is not None:
-            increments[k] = 2.0 * float(lw.trace().real) * dt + noise[k]
-        w, tr = _kernel(w, lw, jumped, increments[k], dt, h, grammian, kind, gain, normalized)
+        try:
+            # Python floats: numpy scalar arithmetic costs microseconds a step
+            if noise is not None:
+                increments[k] = _sample(lw, jumped, float(noise[k]), dt, counting)
+            w, tr = _kernel(w, lw, jumped, float(increments[k]), dt, h, grammian, kind, gain, normalized)
+        except (ValidationError, NumericalFailure) as exc:
+            raise type(exc)(f"{_at(k, trajectory)}: {exc}") from None
         path[k + 1] = w
         traces[k + 1] = tr
     return path, None if normalized else traces
+
+
+def _integrate_stack(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, noise, first: int = 0):
+    """Simulate a block of trajectories together, without a control law.
+
+    Row i of `noise`, shape (B, steps), is the noise of trajectory first + i.
+    The block steps as one (B, n, n) stack through the filters' kernel with
+    H, L, L* and L*L bound once; row i of the returned paths, shape
+    (B, steps+1, n, n), equals the path `_integrate` gives for noise[i] bit
+    for bit.  A failing row raises its error type naming the trajectory and
+    the step.
+    """
+    rows, steps = noise.shape
+    n = model.dim
+    h = model.hamiltonian
+    ch, chd, grammian = model.single_channel_parts(scheme.phase)
+    kind, gain, counting = _route(scheme), scheme.gain, scheme.kind == COUNTING
+    paths = np.empty((rows, steps + 1, n, n), dtype=complex)
+    paths[:, 0] = _initial_matrix(rho0, model)
+    w = paths[:, 0]
+    noise = noise[:, :, None, None]
+    for k in range(steps):
+        lw = ch @ w
+        jumped = lw @ chd
+        try:
+            dy = _sample(lw, jumped, noise[:, k], dt, counting)
+            w, _ = _kernel(w, lw, jumped, dy, dt, h, grammian, kind, gain, True)
+        except (ValidationError, NumericalFailure) as exc:
+            raise type(exc)(f"{_at(k, first + exc.row)}: {exc}") from None
+        paths[:, k + 1] = w
+    return paths
 
 
 def simulate_homodyne(
@@ -191,9 +268,8 @@ def simulate_homodyne(
     if not scheme.is_diffusive:
         raise ValidationError("simulate_homodyne needs a homodyne or imperfect scheme")
     steps = _grid(horizon, dt)
-    dw = np.random.default_rng(seed).normal(0.0, math.sqrt(dt), size=steps)
     increments = np.empty(steps)
-    path, _ = _integrate(model, rho0, scheme, dt, increments, law, noise=scheme.noise_scale * dw)
+    path, _ = _integrate(model, rho0, scheme, dt, increments, law, noise=_noise(scheme, seed, steps, dt))
     return ObservationRecord(scheme, dt, increments, seed=int(seed)), path
 
 
@@ -209,9 +285,8 @@ def simulate_counting(
     co-evolved normalized filter path."""
     scheme = MeasurementScheme.counting()
     steps = _grid(horizon, dt)
-    uniforms = np.random.default_rng(seed).random(size=steps)
     increments = np.empty(steps)
-    path, _ = _integrate(model, rho0, scheme, dt, increments, law, noise=uniforms)
+    path, _ = _integrate(model, rho0, scheme, dt, increments, law, noise=_noise(scheme, seed, steps, dt))
     return ObservationRecord(scheme, dt, increments, seed=int(seed)), path
 
 
@@ -280,6 +355,28 @@ class EnsembleSummary:
         return self.stderrs_re[name]
 
 
+def _ensemble_paths(model, rho0, scheme, n_trajectories, seed, steps, dt, law):
+    """The ensemble's filter paths in index order, as stacks (B, steps+1, n, n).
+
+    Without a law, blocks of trajectories whose path stack fits in
+    ENSEMBLE_BLOCK_BYTES step together; with one, each trajectory's law
+    sees its own record, so trajectories step one at a time.
+    """
+
+    def noise(i):
+        return _noise(scheme, derive_seed(seed, i), steps, dt)
+
+    if law is not None:
+        for i in range(n_trajectories):
+            path, _ = _integrate(model, rho0, scheme, dt, np.empty(steps), law, noise=noise(i), trajectory=i)
+            yield path[None]
+        return
+    size = max(1, ENSEMBLE_BLOCK_BYTES // ((steps + 1) * model.dim**2 * 16))
+    for first in range(0, n_trajectories, size):
+        rows = range(first, min(first + size, n_trajectories))
+        yield _integrate_stack(model, rho0, scheme, dt, np.stack([noise(i) for i in rows]), first)
+
+
 def ensemble_average(
     model: SystemModel,
     scheme: MeasurementScheme,
@@ -294,12 +391,17 @@ def ensemble_average(
 ) -> EnsembleSummary:
     """Mean and standard error of trace(rho_t X) over an ensemble.
 
-    Trajectory i uses the generator seeded with derive_seed(seed, i);
-    reduction runs in index order, so results are reproducible.
+    Trajectory i uses the generator seeded with derive_seed(seed, i), as
+    `simulate_homodyne` or `simulate_counting` would, and follows the same
+    path they give; reduction runs in index order, so results are
+    reproducible.
     """
     if n_trajectories < 1:
         raise ValidationError("n_trajectories must be at least 1")
     obs = {name: as_operator(x, f"observable {name!r}") for name, x in observables.items()}
+    for name, x in obs.items():
+        if x.shape[0] != model.dim:
+            raise DimensionMismatch(f"observable {name!r} dim {x.shape[0]} != model dim {model.dim}")
     steps = _grid(horizon, dt)
     times = dt * np.arange(steps + 1)
     sums = {name: np.zeros(steps + 1, dtype=complex) for name in obs}
@@ -308,22 +410,19 @@ def ensemble_average(
     worst_herm = 0.0
     worst_eig = np.inf
     worst_trace = 0.0
-    for i in range(n_trajectories):
-        sub_seed = derive_seed(seed, i)
-        if scheme.kind == COUNTING:
-            _, path = simulate_counting(model, rho0, horizon, dt, sub_seed, law=law)
-        else:
-            _, path = simulate_homodyne(model, rho0, horizon, dt, sub_seed, scheme=scheme, law=law)
-        if collect_health:
-            member = path_health(path, normalized=True)
-            worst_herm = max(worst_herm, member.max_hermiticity_defect)
-            worst_eig = min(worst_eig, member.min_eigenvalue)
-            worst_trace = max(worst_trace, member.max_trace_defect)
-        for name, x in obs.items():
-            vals = _expectation_series(path, x)
-            sums[name] += vals
-            sums_sq_re[name] += vals.real**2
-            sums_sq_im[name] += vals.imag**2
+    for block in _ensemble_paths(model, rho0, scheme, n_trajectories, seed, steps, dt, law):
+        for path in block:
+            if collect_health:
+                member = path_health(path, normalized=True)
+                worst_herm = max(worst_herm, member.max_hermiticity_defect)
+                worst_eig = min(worst_eig, member.min_eigenvalue)
+                worst_trace = max(worst_trace, member.max_trace_defect)
+            for name, x in obs.items():
+                vals = _expectation_series(path, x)
+                sums[name] += vals
+                sums_sq_re[name] += vals.real**2
+                sums_sq_im[name] += vals.imag**2
+        del path, block  # free this stack before the next one is stepped
     means = {}
     stderrs_re = {}
     stderrs_im = {}

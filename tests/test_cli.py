@@ -226,6 +226,20 @@ class TestCliCommands:
         assert "mean_re_z" in text
         assert "# n_trajectories: 3" in text
 
+    def test_ensemble_health_breach_exits_two(self, tmp_path, capsys):
+        # a pure state under strong homodyne monitoring at a coarse step:
+        # Euler leaves the state space and the ensemble's health gate fails
+        cfg = qubit_config(
+            channels=[[[0, 1, 3.0, 0.0]]],
+            rho0=[[0, 0, 0.5, 0.0], [0, 1, 0.5, 0.0], [1, 0, 0.5, 0.0], [1, 1, 0.5, 0.0]],
+            dt=1e-2,
+            n_trajectories=4,
+        )
+        out = tmp_path / "e"
+        assert run(["ensemble", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert "minimum filter eigenvalue" in capsys.readouterr().err
+        assert not (out / "ensemble.csv").exists()
+
     def test_seed_override(self, tmp_path):
         cfg_path = write_config(tmp_path, qubit_config())
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

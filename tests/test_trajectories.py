@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import belfilt as bf
+from belfilt import trajectories
 from belfilt.filters import (
     ControlLaw,
+    _kernel,
     FilterState,
     MeasurementScheme,
     feedback_step,
@@ -371,6 +373,182 @@ class TestEnsemble:
         want = np.einsum("tij,ji->t", reference, x.astype(complex)).real
         gaps = np.abs(summary.means["x"].real - want)
         assert np.all(gaps <= 4.0 * summary.stderrs_re["x"] + 1e-12)
+
+
+def _serial_ensemble(model, scheme, observables, n, seed, horizon, dt, rho0, law=None, collect_health=False):
+    """Reference ensemble: one simulate_* run per trajectory, sums in index order."""
+    steps = int(round(horizon / dt))
+    sums = {name: np.zeros(steps + 1, dtype=complex) for name in observables}
+    sq_re = {name: np.zeros(steps + 1) for name in observables}
+    sq_im = {name: np.zeros(steps + 1) for name in observables}
+    herm, eig, trace = 0.0, np.inf, 0.0
+    for i in range(n):
+        if scheme.kind == "counting":
+            _, path = simulate_counting(model, rho0, horizon, dt, derive_seed(seed, i), law=law)
+        else:
+            _, path = simulate_homodyne(model, rho0, horizon, dt, derive_seed(seed, i), scheme=scheme, law=law)
+        if collect_health:
+            member = bf.path_health(path, normalized=True)
+            herm = max(herm, member.max_hermiticity_defect)
+            eig = min(eig, member.min_eigenvalue)
+            trace = max(trace, member.max_trace_defect)
+        for name, x in observables.items():
+            vals = np.einsum("tij,ji->t", path, np.asarray(x, dtype=complex))
+            sums[name] += vals
+            sq_re[name] += vals.real**2
+            sq_im[name] += vals.imag**2
+    means = {name: sums[name] / n for name in observables}
+    stderrs_re, stderrs_im = {}, {}
+    for name, mean in means.items():
+        if n > 1:
+            stderrs_re[name] = np.sqrt(np.maximum(sq_re[name] - n * mean.real**2, 0.0) / (n - 1) / n)
+            stderrs_im[name] = np.sqrt(np.maximum(sq_im[name] - n * mean.imag**2, 0.0) / (n - 1) / n)
+        else:
+            stderrs_re[name] = stderrs_im[name] = np.zeros(steps + 1)
+    health = bf.PathHealth(herm, eig, trace, True) if collect_health else None
+    return means, stderrs_re, stderrs_im, health
+
+
+def _assert_summary_equal(summary, reference, n, scheme, horizon, dt):
+    means, stderrs_re, stderrs_im, health = reference
+    assert np.array_equal(summary.times, dt * np.arange(int(round(horizon / dt)) + 1))
+    assert summary.n_trajectories == n
+    assert summary.scheme == scheme
+    for got, want in ((summary.means, means), (summary.stderrs_re, stderrs_re), (summary.stderrs_im, stderrs_im)):
+        assert got.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
+    assert summary.health == health
+
+
+def _random_ensemble_case(dim, seed):
+    rng = np.random.default_rng(seed)
+    model = random_model(dim, rng, scale=0.5)
+    rho0 = random_density(dim, rng).mix_with_identity(0.3)
+    observables = {
+        "x": bf.random_hermitian(dim, rng),
+        "y": rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
+    }
+    return model, rho0, observables
+
+
+STACK_SCHEMES = {
+    "homodyne-phase": MeasurementScheme.homodyne(0.7),
+    "imperfect": MeasurementScheme.imperfect(1.5),
+    "counting": MeasurementScheme.counting(),
+}
+
+
+class TestStackedEnsemble:
+    """The ensemble steps its trajectories as one stack; every summary field
+    must equal the serial loop's bit for bit."""
+
+    @pytest.mark.parametrize("collect_health", [False, True], ids=["plain", "health"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("name", list(STACK_SCHEMES))
+    def test_stacked_equals_serial(self, name, dim, collect_health):
+        scheme = STACK_SCHEMES[name]
+        model, rho0, observables = _random_ensemble_case(dim, 70 + dim)
+        args = (model, scheme, observables, 12, 19 + dim, 0.3, 1e-3, rho0)
+        summary = ensemble_average(*args, collect_health=collect_health)
+        reference = _serial_ensemble(*args, collect_health=collect_health)
+        _assert_summary_equal(summary, reference, 12, scheme, 0.3, 1e-3)
+
+    @pytest.mark.parametrize("name", list(STACK_SCHEMES))
+    def test_blocks_equal_serial(self, name, monkeypatch):
+        # a budget of 3 paths per block: blocks of 3, 3, 3 and 1 trajectories
+        steps = 150
+        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", 3 * (steps + 1) * 4 * 16 + 5)
+        scheme = STACK_SCHEMES[name]
+        model, rho0, observables = _random_ensemble_case(2, 90)
+        blocks = []
+        real_stack = trajectories._integrate_stack
+        monkeypatch.setattr(
+            trajectories, "_integrate_stack", lambda *a: blocks.append(len(a[4])) or real_stack(*a)
+        )
+        args = (model, scheme, observables, 10, 23, steps * 1e-3, 1e-3, rho0)
+        summary = ensemble_average(*args, collect_health=True)
+        assert blocks == [3, 3, 3, 1]
+        _assert_summary_equal(summary, _serial_ensemble(*args, collect_health=True), 10, scheme, steps * 1e-3, 1e-3)
+
+    def test_law_ensemble_equals_serial(self):
+        model, rho0, observables = _random_ensemble_case(2, 91)
+        law = ControlLaw.from_expression("0.3 * Y - ma(Y, 5)", model.hamiltonian, SIGMA_X)
+        scheme = MeasurementScheme.homodyne()
+        args = (model, scheme, observables, 4, 29, 0.1, 1e-3, rho0)
+        summary = ensemble_average(*args, law=law, collect_health=True)
+        _assert_summary_equal(summary, _serial_ensemble(*args, law=law, collect_health=True), 4, scheme, 0.1, 1e-3)
+
+    def test_single_trajectory_is_the_simulated_path(self):
+        summary = ensemble_average(DECAY, MeasurementScheme.homodyne(), {"z": SIGMA_Z}, 1, 77, 0.2, 1e-3, PLUS_MIXED)
+        _, path = simulate_homodyne(DECAY, PLUS_MIXED, 0.2, 1e-3, seed=derive_seed(77, 0))
+        assert np.array_equal(summary.means["z"], np.einsum("tij,ji->t", path, SIGMA_Z.astype(complex)))
+        noise = trajectories._noise(MeasurementScheme.homodyne(), derive_seed(77, 0), 200, 1e-3)
+        paths = trajectories._integrate_stack(DECAY, PLUS_MIXED, MeasurementScheme.homodyne(), 1e-3, noise[None])
+        assert paths.shape == (1,) + path.shape
+        assert np.array_equal(paths[0], path)
+
+    def test_observable_dimension_checked_before_any_step(self, monkeypatch):
+        drawn = []
+        real_noise = trajectories._noise
+        monkeypatch.setattr(trajectories, "_noise", lambda *a: drawn.append(a) or real_noise(*a))
+        with pytest.raises(bf.DimensionMismatch, match="observable 'big'"):
+            ensemble_average(
+                DECAY, MeasurementScheme.homodyne(), {"z": SIGMA_Z, "big": np.eye(3)}, 4, 1, 0.1, 1e-3, PLUS_MIXED
+            )
+        assert drawn == []
+
+
+# Three levels: a count from |0> (rate 1) lands in |1>, whose rate 400 puts
+# rate * dt = 4 over the jump-probability bound at dt = 1e-2.
+LADDER = SystemModel(np.zeros((3, 3)), (np.array([[0, 0, 0], [1.0, 0, 0], [0, 20.0, 0]]),))
+GROUND3 = DensityState.from_vector([1.0, 0.0, 0.0])
+
+
+class TestErrorsNameTheirStep:
+    def test_jump_bound_names_step_in_simulate_counting(self):
+        # the bound fails on the step after the first count; every step
+        # before it runs
+        with pytest.raises(bf.ValidationError, match=r"^step \d+: dt: jump probability rate\*dt = 4 ") as info:
+            simulate_counting(LADDER, GROUND3, 5.0, 1e-2, seed=4)
+        step = int(info.value.args[0].split(":")[0].split()[1])
+        rec, _ = simulate_counting(LADDER, GROUND3, step * 1e-2, 1e-2, seed=4)
+        assert rec.increments.sum() == 1.0 and rec.increments[-1] == 1.0
+
+    def test_jump_bound_names_trajectory_and_step_in_ensemble(self, monkeypatch):
+        # trajectory 6 (row 2 of the second block of 4) counts at step 3; the
+        # bound then fails at step 4
+        noise = np.ones((10, 8))
+        noise[6, 3] = 0.0
+        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", 4 * 9 * 9 * 16)
+        monkeypatch.setattr(trajectories, "_noise", lambda scheme, seed, steps, dt: noise[order.index(seed)])
+        order = [derive_seed(5, i) for i in range(10)]
+        with pytest.raises(bf.ValidationError, match=r"^trajectory 6, step 4: dt: jump probability rate\*dt = 4 "):
+            ensemble_average(LADDER, MeasurementScheme.counting(), {}, 10, 5, 8e-2, 1e-2, GROUND3)
+        with pytest.raises(bf.ValidationError, match=r"^step 4: dt: jump probability rate\*dt = 4 "):
+            trajectories._integrate(
+                LADDER, GROUND3, MeasurementScheme.counting(), 1e-2, np.empty(8), noise=noise[6]
+            )
+
+    def test_collapse_names_trajectory_and_step_in_ensemble(self):
+        # a huge negative increment on trajectory 3 at step 5 drives the
+        # renormalized imperfect trace below zero
+        scheme = MeasurementScheme.imperfect(1.5)
+        noise = np.zeros((4, 10))
+        noise[3, 5] = -1e3
+        with pytest.raises(bf.FilterCollapse, match=r"^trajectory 3, step 5: filter trace -.* vanished"):
+            trajectories._integrate_stack(DECAY, PLUS_MIXED, scheme, 1e-3, noise)
+        with pytest.raises(bf.FilterCollapse, match=r"^trajectory 3, step 5: filter trace -.* vanished"):
+            trajectories._integrate(DECAY, PLUS_MIXED, scheme, 1e-3, np.empty(10), noise=noise[3], trajectory=3)
+
+    def test_stacked_kernel_names_zero_rate_row(self):
+        w = np.stack([EXCITED_MIXED.matrix, np.diag([1.0, 0.0]).astype(complex), EXCITED_MIXED.matrix])
+        ch = SIGMA_MINUS.astype(complex)
+        lw = ch @ w
+        dy = np.array([0.0, 1.0, 1.0])[:, None, None]
+        with pytest.raises(bf.ZeroJumpRate, match="jump recorded while") as info:
+            _kernel(w, lw, lw @ ch.conj().T, dy, 1e-3, np.zeros((2, 2)), ch.conj().T @ ch, "counting", 1.0, True)
+        assert info.value.row == 1
 
 
 class TestInnovations:
