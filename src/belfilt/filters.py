@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import ast
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -247,6 +248,9 @@ def _kernel(w, lw, jumped, dy, dt, h, grammian, kind, gain, normalized):
             raw = w + drift * dt + (gain * dy) * (lw + lw.conj().swapaxes(-1, -2))
     tr = _real_trace(raw)
     if not normalized:
+        # the likelihood must stay a positive finite number; NaN fails `tr != tr`
+        _refuse((tr <= 0.0) | (tr == math.inf) | (tr != tr), FilterCollapse,
+                "unnormalized filter trace {:.3e} is not positive and finite", tr)
         return raw, tr
     if counting and w.ndim > 2:
         # rows with a registered count collapse to L r L* / rate
@@ -384,49 +388,118 @@ def _validate_expr(node: ast.AST, expression: str) -> None:
     )
 
 
+def _compile_node(node: ast.AST, expression: str):
+    """A closure f(t, sums, m) evaluating one validated node, where sums[:m]
+    are the cumulative sums of a record prefix of length m.  Arithmetic runs
+    on Python floats, left operand first, as the grammar reads."""
+    if isinstance(node, ast.BinOp):
+        a, b = _compile_node(node.left, expression), _compile_node(node.right, expression)
+        op = type(node.op)
+        if op is ast.Add:
+            return lambda t, sums, m: a(t, sums, m) + b(t, sums, m)
+        if op is ast.Sub:
+            return lambda t, sums, m: a(t, sums, m) - b(t, sums, m)
+        if op is ast.Mult:
+            return lambda t, sums, m: a(t, sums, m) * b(t, sums, m)
+
+        def divide(t, sums, m):
+            num, den = a(t, sums, m), b(t, sums, m)
+            if den == 0.0:
+                raise ValidationError(f"control expression {expression!r}: division by zero")
+            return num / den
+
+        return divide
+    if isinstance(node, ast.UnaryOp):
+        f = _compile_node(node.operand, expression)
+        return f if isinstance(node.op, ast.UAdd) else lambda t, sums, m: -f(t, sums, m)
+    if isinstance(node, ast.Constant):
+        value = float(node.value)
+        return lambda t, sums, m: value
+    if isinstance(node, ast.Name):
+        if node.id == "t":
+            return lambda t, sums, m: t
+        return lambda t, sums, m: float(sums[m - 1]) if m else 0.0
+    # validated: ma(Y, window)
+    window = node.args[1].value
+
+    def moving_average(t, sums, m):
+        if m == 0:
+            return 0.0
+        start = max(m - window, 0)
+        # the sum and the division np.mean does, without its dispatch
+        return float(np.add.reduce(sums[start:m])) / (m - start)
+
+    return moving_average
+
+
+class _RunningSums(threading.local):
+    """One thread's copy of the last record prefix a control law was given,
+    and its cumulative sums.
+
+    A closed loop calls its law with a prefix one entry longer each step, so
+    `cumulative` keeps the leading entries that match the copy bit for bit
+    and sums only the rest; a prefix that shrinks, diverges or was edited in
+    place is still summed correctly from its first differing entry.  Being
+    thread-local, the memo is never shared between concurrent callers.
+    """
+
+    def __init__(self):
+        self.record = np.empty(0, dtype=np.int64)  # the prefix's bits
+        self.sums = np.empty(0)
+        self.size = 0
+
+    def cumulative(self, prefix: np.ndarray) -> np.ndarray:
+        """A buffer whose first prefix.size entries equal np.cumsum(prefix)
+        bit for bit; it stays valid until this thread's next call."""
+        m = prefix.size
+        k = min(m, self.size)
+        # bitwise, so that -0.0 and 0.0 (which sum differently) never match
+        bits = prefix.view(np.int64)
+        differs = bits[:k] != self.record[:k]
+        same = k
+        if k:
+            first = int(differs.argmax())  # 0 when no entry differs
+            if differs[first]:
+                same = first
+        if same == m:
+            return self.sums
+        if m > self.record.size:
+            capacity = max(m, 2 * self.record.size)
+            record, sums = np.empty(capacity, dtype=np.int64), np.empty(capacity)
+            record[:same], sums[:same] = self.record[:same], self.sums[:same]
+            self.record, self.sums = record, sums
+        self.record[same:m] = bits[same:]
+        tail = self.sums[same:m]
+        # as np.cumsum does, the first entry is copied, not added to 0.0
+        tail[0] = self.sums[same - 1] + prefix[same] if same else prefix[0]
+        if tail.size > 1:
+            tail[1:] = prefix[same + 1 :]
+            np.cumsum(tail, out=tail)
+        self.size = m
+        return self.sums
+
+
 def compile_control_expression(expression: str) -> Callable[[float, np.ndarray], float]:
     """Compile the minimal control grammar over t, cumulative Y, and the
-    trailing moving average ma(Y, window) into a callable u(t, prefix)."""
+    trailing moving average ma(Y, window) into a callable u(t, prefix).
+
+    The expression is turned into closures once.  Each call reuses the
+    cumulative sums of the previous call's prefix (per thread) wherever the
+    new prefix matches it, so a prefix grown by one entry costs one add and
+    a bitwise compare, not a fresh cumulative sum; u stays a pure function
+    of (t, prefix)."""
     try:
         tree = ast.parse(expression.strip(), mode="eval")
     except SyntaxError as exc:
         raise ValidationError(f"control expression {expression!r}: {exc}") from exc
     _validate_expr(tree, expression)
-
-    def _eval(node, t, cum):
-        if isinstance(node, ast.Expression):
-            return _eval(node.body, t, cum)
-        if isinstance(node, ast.BinOp):
-            a = _eval(node.left, t, cum)
-            b = _eval(node.right, t, cum)
-            if isinstance(node.op, ast.Add):
-                return a + b
-            if isinstance(node.op, ast.Sub):
-                return a - b
-            if isinstance(node.op, ast.Mult):
-                return a * b
-            if b == 0.0:
-                raise ValidationError(f"control expression {expression!r}: division by zero")
-            return a / b
-        if isinstance(node, ast.UnaryOp):
-            val = _eval(node.operand, t, cum)
-            return val if isinstance(node.op, ast.UAdd) else -val
-        if isinstance(node, ast.Constant):
-            return float(node.value)
-        if isinstance(node, ast.Name):
-            if node.id == "t":
-                return t
-            return float(cum[-1]) if cum.size else 0.0
-        # validated above: ma(Y, window)
-        window = node.args[1].value
-        if cum.size == 0:
-            return 0.0
-        return float(np.mean(cum[-window:]))
+    body = _compile_node(tree.body, expression)
+    reads_record = any(isinstance(node, ast.Name) and node.id == "Y" for node in ast.walk(tree))
+    memo = _RunningSums()
 
     def control(t: float, prefix) -> float:
         arr = np.asarray(prefix, dtype=float).reshape(-1)
-        cum = np.cumsum(arr)
-        return float(_eval(tree.body, float(t), cum))
+        return float(body(float(t), memo.cumulative(arr) if reads_record else None, arr.size))
 
     return control
 

@@ -1,5 +1,7 @@
 """Test-side oracles kept independent of the library code paths they check."""
 
+import ast
+
 import numpy as np
 
 from belfilt.operators import dag
@@ -78,3 +80,43 @@ def commutant_element(projections, rng):
     dim = projections[0].shape[0]
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return sum(p @ m @ p for p in projections)
+
+
+def reference_control(expression):
+    """Evaluate a (valid) control expression the direct way: every call sums
+    the whole prefix with np.cumsum and walks the expression tree, with
+    ma(Y, w) taken by np.mean."""
+    tree = ast.parse(expression.strip(), mode="eval")
+
+    def evaluate(node, t, cum):
+        if isinstance(node, ast.BinOp):
+            a = evaluate(node.left, t, cum)
+            b = evaluate(node.right, t, cum)
+            if isinstance(node.op, ast.Add):
+                return a + b
+            if isinstance(node.op, ast.Sub):
+                return a - b
+            if isinstance(node.op, ast.Mult):
+                return a * b
+            if b == 0.0:
+                raise ZeroDivisionError(expression)
+            return a / b
+        if isinstance(node, ast.UnaryOp):
+            val = evaluate(node.operand, t, cum)
+            return val if isinstance(node.op, ast.UAdd) else -val
+        if isinstance(node, ast.Constant):
+            return float(node.value)
+        if isinstance(node, ast.Name):
+            if node.id == "t":
+                return t
+            return float(cum[-1]) if cum.size else 0.0
+        window = node.args[1].value
+        if cum.size == 0:
+            return 0.0
+        return float(np.mean(cum[-window:]))
+
+    def control(t, prefix):
+        cum = np.cumsum(np.asarray(prefix, dtype=float).reshape(-1))
+        return float(evaluate(tree.body, float(t), cum))
+
+    return control

@@ -1,6 +1,10 @@
 """Configuration, record persistence, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +300,18 @@ class TestCliCommands:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_zakai_trace_overflow_exits_two_without_path(self, tmp_path, capsys):
+        # increments of 1e200 overflow the unnormalized trace at step 1
+        cfg_path = write_config(tmp_path, qubit_config(filter_kind="zakai", T=0.003))
+        rec_path = tmp_path / "huge.csv"
+        write_record(ObservationRecord(MeasurementScheme.homodyne(), 1e-3, np.full(3, 1e200)), rec_path)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["filter", "--config", str(cfg_path), "--record", str(rec_path), "--out", str(out)])
+        assert code == 2
+        assert "numerical failure: step 1: unnormalized filter trace" in capsys.readouterr().err
+        assert not (out / "path.csv").exists()
+
     def test_counting_simulate_roundtrip(self, tmp_path):
         cfg = qubit_config(scheme="counting", T=0.5, rho0=[[0, 0, 0.2, 0.0], [1, 1, 0.8, 0.0]])
         cfg_path = write_config(tmp_path, cfg)
@@ -304,3 +320,28 @@ class TestCliCommands:
         rec = read_record(out / "record.csv")
         assert rec.scheme.kind == "counting"
         assert set(np.unique(rec.increments)) <= {0.0, 1.0}
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+class TestShippedDemos:
+    def _run(self, script, *args, cwd):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SCRIPTS.parent / "src"), env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS / script), *args],
+            cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        )
+
+    def test_feedback_rabi_demo_runs(self, tmp_path):
+        done = self._run("feedback_rabi_demo.py", "--horizon", "0.2", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+
+    def test_qubit_decay_demo_runs(self, tmp_path):
+        out = tmp_path / "decay"
+        done = self._run(
+            "qubit_decay_demo.py", "--horizon", "0.2", "--trajectories", "4", "--out", str(out), cwd=tmp_path
+        )
+        assert done.returncode == 0, done.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["master.csv", "path.csv", "record.csv"]

@@ -541,6 +541,34 @@ class TestErrorsNameTheirStep:
         with pytest.raises(bf.FilterCollapse, match=r"^trajectory 3, step 5: filter trace -.* vanished"):
             trajectories._integrate(DECAY, PLUS_MIXED, scheme, 1e-3, np.empty(10), noise=noise[3], trajectory=3)
 
+    @pytest.mark.parametrize(
+        "increment, step",
+        [
+            # the trace is 1 + 0.75 dY: 7.5e199 after step 0, then it overflows
+            (1e200, 1),
+            # -7.5e153 after step 0
+            (-1e154, 0),
+        ],
+    )
+    def test_zakai_trace_refused_at_its_step(self, increment, step):
+        rec = ObservationRecord(MeasurementScheme.homodyne(), 1e-3, np.full(3, increment))
+        refused = r"unnormalized filter trace \S+ is not positive and finite"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(bf.FilterCollapse, match=rf"^step {step}: {refused}"):
+                replay_record(rec, DECAY, PLUS_MIXED, kind="zakai")
+            state = FilterState(PLUS_MIXED.matrix, normalized=False)
+            for _ in range(step):
+                state = zakai_step_homodyne(state, increment, DECAY, 1e-3)
+            with pytest.raises(bf.FilterCollapse, match=f"^{refused}"):
+                zakai_step_homodyne(state, increment, DECAY, 1e-3)
+
+    def test_zakai_step_refuses_nan_trace(self):
+        state = FilterState(np.full((2, 2), np.nan, dtype=complex), normalized=False)
+        with pytest.raises(bf.FilterCollapse, match="unnormalized filter trace nan"):
+            zakai_step_homodyne(state, 0.01, DECAY, 1e-3)
+        with pytest.raises(bf.FilterCollapse, match="unnormalized filter trace nan"):
+            zakai_step_counting(state, 0.0, DECAY, 1e-3)
+
     def test_stacked_kernel_names_zero_rate_row(self):
         w = np.stack([EXCITED_MIXED.matrix, np.diag([1.0, 0.0]).astype(complex), EXCITED_MIXED.matrix])
         ch = SIGMA_MINUS.astype(complex)
