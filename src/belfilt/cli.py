@@ -106,6 +106,7 @@ def _cmd_simulate(args) -> int:
         record, path = simulate_counting(model, cfg.rho0, cfg.horizon, cfg.dt, cfg.seed, law=law)
     else:
         record, path = simulate_homodyne(model, cfg.rho0, cfg.horizon, cfg.dt, cfg.seed, scheme=cfg.scheme, law=law)
+    _check_health(path_health(path, normalized=True))
     out = _out_dir(args)
     write_record(record, out / "record.csv", config_hash=cfg.config_hash)
     times = cfg.dt * np.arange(record.steps + 1)
@@ -115,7 +116,6 @@ def _cmd_simulate(args) -> int:
         {name: _expectation_series(path, x) for name, x in cfg.observables.items()},
         extra_meta={"config_hash": cfg.config_hash, "seed": cfg.seed, "filter": "bks"},
     )
-    _check_health(path_health(path, normalized=True))
     print(f"simulate: wrote {out / 'record.csv'} and {out / 'path.csv'} ({record.steps} steps)")
     return 0
 
@@ -132,6 +132,7 @@ def _cmd_filter(args) -> int:
         raise ValidationError(f"dt: record step {record.dt} != config step {cfg.dt}")
     run = replay_record(record, cfg.model(), cfg.rho0, kind=cfg.filter_kind, law=cfg.law())
     matrices = run.normalized_matrices()
+    _check_health(path_health(matrices, normalized=True))
     out = _out_dir(args)
     write_path_csv(
         out / "path.csv",
@@ -140,7 +141,6 @@ def _cmd_filter(args) -> int:
         likelihoods=run.likelihoods,
         extra_meta={"config_hash": cfg.config_hash, "seed": record.seed, "filter": run.kind},
     )
-    _check_health(path_health(matrices, normalized=True))
     print(f"filter: wrote {out / 'path.csv'} ({run.kind}, {record.steps} steps)")
     return 0
 

@@ -24,8 +24,10 @@ Counting (jump) schemes, with dY in {0, 1}:
                    jump:    r <- L r L* / rate,      rate = trace(L*L r).
 
 All four are written once, in `_kernel`; the public step functions
-validate, bind H, L, L*, L*L and the gain, and call it, as do the
-trajectory loops, which also step whole stacks of trajectories through it.
+validate, bind H, L, L*, L*L and the gain, take the products of the step
+from one stacked product on each side (`_drift_terms`) and call it, as do
+the trajectory loops, which also step whole stacks of trajectories through
+it.
 
 Positivity is monitored, not enforced: Euler steps may transiently leave
 the state space, and projecting would mask convergence behavior.  Use
@@ -186,10 +188,39 @@ def _route(scheme: MeasurementScheme) -> str:
 
 def _real_trace(x):
     """Real part of the trace: a float for one matrix, shape (B, 1, 1) for a
-    stack (B, n, n) so that it scales the rows it came from."""
-    if x.ndim == 2:
+    stack (B, n, n) so that it scales the rows it came from.
+
+    One matrix is summed from scalar reads, in the order in which numpy's
+    pairwise summation adds a diagonal of up to 64 entries (in sequence up
+    to n = 3, from n = 4 in four running sums), so the float equals
+    float(x.trace().real) bit for bit at a fraction of its cost.  A NaN sum
+    is taken again by numpy, since which of two NaNs survives an add
+    depends on how the add was compiled."""
+    if x.ndim > 2:
+        return x.trace(axis1=1, axis2=2).real[:, None, None]
+    n = len(x)
+    if n == 2:
+        s = 0.0 + x.item(0).real + x.item(3).real
+    elif n > 64:
         return float(x.trace().real)
-    return x.trace(axis1=1, axis2=2).real[:, None, None]
+    elif n < 4:
+        s = 0.0
+        for v in x.diagonal().real.tolist():
+            s += v
+    else:
+        d = x.diagonal().real.tolist()
+        r0, r1, r2, r3 = d[:4]
+        tail = n - n % 4
+        for k in range(4, tail, 4):
+            r0 += d[k]
+            r1 += d[k + 1]
+            r2 += d[k + 2]
+            r3 += d[k + 3]
+        s = (r0 + r1) + (r2 + r3)
+        for v in d[tail:]:
+            s += v
+        s = 0.0 + s  # numpy adds the sum to a +0.0 start
+    return s if s == s else float(x.trace().real)
 
 
 def _refuse(bad, error, message, value):
@@ -210,11 +241,49 @@ def _refuse(bad, error, message, value):
     raise exc
 
 
-def _kernel(w, lw, jumped, dy, dt, h, grammian, kind, gain, normalized):
+# -i and 1/2, the factors of the commutator and damping terms
+_FACTORS = np.array([-1j, 0.5])[:, None, None]
+
+
+def _bind(h, parts, stacked=False):
+    """H and the channel parts (L, L*, L*L) bound for `_drift_terms`: the
+    left factors [L, H, L*L], the right factors [H, L*L] (a view of the
+    left ones), L* and the factors [-i, 1/2]; for a stack of states
+    (`stacked`), with a unit axis so that they broadcast over its rows."""
+    ch, chd, grammian = parts
+    ops, factors = np.array((ch, h, grammian)), _FACTORS
+    if stacked:
+        ops, factors = ops[:, None], factors[:, None]
+    return ops, ops[1:], chd, factors
+
+
+def _drift_terms(w, bound):
+    """L w, L w L*, -i(H w - w H) and (L*L w + w L*L)/2 for one matrix or a
+    stack, from one stacked product on each side of w.
+
+    Each matrix product is the BLAS call a separate product would make, and
+    the anticommutator is taken as L*L w - (-(w L*L)): negating the product,
+    not the factor, keeps even the sign of an exact zero, so every term has
+    the bits of the separate products and sums."""
+    ops, right_ops, chd, factors = bound
+    left = ops @ w  # L w, H w, L*L w
+    right = w @ right_ops  # w H, w L*L
+    anti = right[1]
+    np.negative(anti, out=anti)
+    terms = left[1:] - right
+    np.multiply(factors, terms, out=terms)
+    lw = left[0]
+    return lw, lw.dot(chd) if lw.ndim == 2 else lw @ chd, terms[0], terms[1]
+
+
+def _kernel(w, lw, jumped, dy, dt, commutator, damping, kind, gain, normalized, known=None, out=None):
     """One Euler step of any of the four filters on the raw matrix w, given
-    lw = L w and jumped = L w L* (which the caller may also need), H, L*L,
-    the gain and `_route`'s kind.  Returns the next matrix and the trace of
-    the unnormalized step (the likelihood of Zakai runs).
+    lw = L w, jumped = L w L*, commutator = -i[H, w] and damping =
+    {L*L, w}/2 (see `_drift_terms`), the gain and `_route`'s kind.  `known`
+    is the trace the caller may already hold: trace(L w) for diffusive
+    schemes, trace(L w L*) for counting.  Returns the next matrix, written
+    into `out` when given, and the trace of the unnormalized step (the
+    likelihood of Zakai runs).
 
     w may also be a stack (B, n, n) of independent rows, with dy of shape
     (B, 1, 1); traces then come back as (B, 1, 1), a registered count
@@ -224,15 +293,12 @@ def _kernel(w, lw, jumped, dy, dt, h, grammian, kind, gain, normalized):
     operations is fixed."""
     counting = kind == COUNTING
     if counting and normalized:
-        rate = _real_trace(jumped)
+        rate = _real_trace(jumped) if known is None else known
         jump = dy == 1.0
         _refuse(jump & (rate <= ZERO_RATE), ZeroJumpRate,
                 "jump recorded while trace(L*L rho) = {:.3e}; inconsistent record", rate)
         if w.ndim == 2 and jump:
-            return jumped / rate, rate
-    commutator = -1j * (h @ w - w @ h)
-    damping = 0.5 * (grammian @ w + w @ grammian)
-    if counting and normalized:
+            return np.divide(jumped, rate, out=out), rate
         # no-jump drift: L'(r) - L r L* + rate r, with the dissipator's jump
         # part cancelling the subtracted one
         raw = w + (commutator - damping + rate * w) * dt
@@ -241,7 +307,7 @@ def _kernel(w, lw, jumped, dy, dt, h, grammian, kind, gain, normalized):
         if counting:
             raw = w + drift * dt + (jumped - w) * (dy - dt)
         elif normalized and kind == HOMODYNE:
-            m = 2.0 * _real_trace(lw)
+            m = 2.0 * (_real_trace(lw) if known is None else known)
             raw = w + drift * dt + (lw + lw.conj().swapaxes(-1, -2) - m * w) * (dy - m * dt)
         else:
             # unnormalized, and normalized imperfect by renormalizing it
@@ -251,12 +317,15 @@ def _kernel(w, lw, jumped, dy, dt, h, grammian, kind, gain, normalized):
         # the likelihood must stay a positive finite number; NaN fails `tr != tr`
         _refuse((tr <= 0.0) | (tr == math.inf) | (tr != tr), FilterCollapse,
                 "unnormalized filter trace {:.3e} is not positive and finite", tr)
-        return raw, tr
+        if out is None:
+            return raw, tr
+        out[...] = raw
+        return out, tr
     if counting and w.ndim > 2:
         # rows with a registered count collapse to L r L* / rate
         raw, tr = np.where(jump, jumped, raw), np.where(jump, rate, tr)
     _refuse(tr <= COLLAPSE_TRACE, FilterCollapse, "filter trace {:.3e} vanished; reduce dt", tr)
-    return raw / tr, tr
+    return np.divide(raw, tr, out=out), tr
 
 
 def _bound_step(state: FilterState, dY, dt: float, h, parts, scheme: MeasurementScheme, normalized: bool):
@@ -265,10 +334,9 @@ def _bound_step(state: FilterState, dY, dt: float, h, parts, scheme: Measurement
     dy = float(dY)
     if scheme.kind == COUNTING and dy not in (0.0, 1.0):
         raise ValidationError(f"counting increment must be 0 or 1, got {dY!r}")
-    ch, chd, grammian = parts
     w = state.matrix
-    lw = ch @ w
-    new, tr = _kernel(w, lw, lw @ chd, dy, dt, h, grammian, _route(scheme), scheme.gain, normalized)
+    lw, jumped, commutator, damping = _drift_terms(w, _bind(h, parts))
+    new, tr = _kernel(w, lw, jumped, dy, dt, commutator, damping, _route(scheme), scheme.gain, normalized)
     return FilterState(new, normalized, state.likelihood if normalized else tr)
 
 

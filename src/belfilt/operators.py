@@ -270,12 +270,14 @@ def semigroup_path(rho0: DensityState, model: SystemModel, times) -> np.ndarray:
     uniform = ts[0] == 0.0 and ts.size > 1 and diffs.size > 0 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
     if uniform:
         step = expm(diffs[0] * adjoint_superoperator(model))
-        vec = rho0.matrix.reshape(-1).copy()
+        # propagate the vectorized state in place, then strip the roundoff
+        # skew of every point at once
+        vecs = out.reshape(ts.size, n * n)
+        vecs[0] = rho0.matrix.reshape(-1)
+        for before, after in zip(vecs, vecs[1:]):
+            np.matmul(step, before, out=after)
+        np.multiply(0.5, np.add(out, out.conj().swapaxes(1, 2), out=out), out=out)
         out[0] = rho0.matrix
-        for k in range(1, ts.size):
-            vec = step @ vec
-            m = vec.reshape(n, n)
-            out[k] = 0.5 * (m + dag(m))
     else:
         for k, t in enumerate(ts):
             out[k] = semigroup_evolve(rho0, model, t).matrix

@@ -38,6 +38,8 @@ from .filters import (
     ControlLaw,
     MeasurementScheme,
     PathHealth,
+    _bind,
+    _drift_terms,
     _kernel,
     _law_terms,
     _real_trace,
@@ -156,13 +158,14 @@ def _noise(scheme: MeasurementScheme, seed: int, steps: int, dt: float) -> np.nd
     return scheme.noise_scale * rng.normal(0.0, math.sqrt(dt), size=steps)
 
 
-def _sample(lw, jumped, noise, dt: float, counting: bool):
+def _sample(tr, noise, dt: float, counting: bool):
     """The increment drawn from the pre-step state (or from each row of a
-    stack): homodyne dY = trace((L + L*) rho) dt + noise, counting dY = 1
-    when the uniform noise < trace(L*L rho) dt."""
+    stack), given tr, the real trace of L rho (diffusive) or of L rho L*
+    (counting): homodyne dY = trace((L + L*) rho) dt + noise, counting
+    dY = 1 when the uniform noise < trace(L*L rho) dt."""
     if not counting:
-        return 2.0 * _real_trace(lw) * dt + noise
-    p = _real_trace(jumped) * dt
+        return 2.0 * tr * dt + noise
+    p = tr * dt
     _refuse(p > MAX_JUMP_PROBABILITY, ValidationError,
             f"dt: jump probability rate*dt = {{:.3g}} exceeds {MAX_JUMP_PROBABILITY}; reduce dt", p)
     return 1.0 * (noise < p)
@@ -186,15 +189,15 @@ def _integrate(
     """The single-trajectory loop: step the filter from rho0 over `increments`.
 
     With `noise`, each increment is sampled from the pre-step state first
-    (see `_sample`).  Returns the path, shape (steps+1, n, n), and for
-    unnormalized runs the likelihoods.  A step that fails raises its error
-    type naming the step (and `trajectory`, when given).
+    (see `_sample`) and written to `increments`.  Returns the path, shape
+    (steps+1, n, n), and for unnormalized runs the likelihoods.  A step that
+    fails raises its error type naming the step (and `trajectory`, when
+    given).
     """
     w = _initial_matrix(rho0, model)
     phase = scheme.phase
     if law is None:
-        h = model.hamiltonian
-        ch, chd, grammian = model.single_channel_parts(phase)
+        bound = _bind(model.hamiltonian, model.single_channel_parts(phase))
     else:
         _require_law_model(law, model)
     kind, gain, counting = _route(scheme), scheme.gain, scheme.kind == COUNTING
@@ -203,20 +206,23 @@ def _integrate(
     path = np.empty((steps + 1, n, n), dtype=complex)
     path[0] = w
     traces = np.ones(steps + 1)
-    for k in range(steps):
+    known = None
+    for k, out in enumerate(path[1:]):
         if law is not None:
-            h, (ch, chd, grammian) = _law_terms(law, k * dt, increments[:k], model, phase)
-        lw = ch @ w
-        jumped = lw @ chd
+            bound = _bind(*_law_terms(law, k * dt, increments[:k], model, phase))
+        lw, jumped, commutator, damping = _drift_terms(w, bound)
         try:
             # Python floats: numpy scalar arithmetic costs microseconds a step
-            if noise is not None:
-                increments[k] = _sample(lw, jumped, float(noise[k]), dt, counting)
-            w, tr = _kernel(w, lw, jumped, float(increments[k]), dt, h, grammian, kind, gain, normalized)
+            if noise is None:
+                dy = float(increments[k])
+            else:
+                known = _real_trace(jumped if counting else lw)
+                dy = increments[k] = _sample(known, float(noise[k]), dt, counting)
+            w, traces[k + 1] = _kernel(
+                w, lw, jumped, dy, dt, commutator, damping, kind, gain, normalized, known, out
+            )
         except (ValidationError, NumericalFailure) as exc:
             raise type(exc)(f"{_at(k, trajectory)}: {exc}") from None
-        path[k + 1] = w
-        traces[k + 1] = tr
     return path, None if normalized else traces
 
 
@@ -232,22 +238,20 @@ def _integrate_stack(model: SystemModel, rho0, scheme: MeasurementScheme, dt: fl
     """
     rows, steps = noise.shape
     n = model.dim
-    h = model.hamiltonian
-    ch, chd, grammian = model.single_channel_parts(scheme.phase)
+    bound = _bind(model.hamiltonian, model.single_channel_parts(scheme.phase), stacked=True)
     kind, gain, counting = _route(scheme), scheme.gain, scheme.kind == COUNTING
     paths = np.empty((rows, steps + 1, n, n), dtype=complex)
     paths[:, 0] = _initial_matrix(rho0, model)
     w = paths[:, 0]
     noise = noise[:, :, None, None]
     for k in range(steps):
-        lw = ch @ w
-        jumped = lw @ chd
+        lw, jumped, commutator, damping = _drift_terms(w, bound)
         try:
-            dy = _sample(lw, jumped, noise[:, k], dt, counting)
-            w, _ = _kernel(w, lw, jumped, dy, dt, h, grammian, kind, gain, True)
+            known = _real_trace(jumped if counting else lw)
+            dy = _sample(known, noise[:, k], dt, counting)
+            w, _ = _kernel(w, lw, jumped, dy, dt, commutator, damping, kind, gain, True, known, paths[:, k + 1])
         except (ValidationError, NumericalFailure) as exc:
             raise type(exc)(f"{_at(k, first + exc.row)}: {exc}") from None
-        paths[:, k + 1] = w
     return paths
 
 

@@ -120,3 +120,32 @@ def reference_control(expression):
         return float(evaluate(tree.body, float(t), cum))
 
     return control
+
+
+def reference_semigroup_path(rho0, model, times):
+    """exp(t L') rho0 at the given times, point by point: on a uniform grid
+    from 0, one propagator step and one Hermitian part per point; elsewhere
+    semigroup_evolve at each time."""
+    from scipy.linalg import expm
+
+    from belfilt.operators import DensityState, adjoint_superoperator, semigroup_evolve
+
+    if not isinstance(rho0, DensityState):
+        rho0 = DensityState(rho0)
+    ts = np.asarray(times, dtype=float)
+    n = model.dim
+    out = np.empty((ts.size, n, n), dtype=complex)
+    diffs = np.diff(ts)
+    uniform = ts[0] == 0.0 and ts.size > 1 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
+    if not uniform:
+        for k, t in enumerate(ts):
+            out[k] = semigroup_evolve(rho0, model, t).matrix
+        return out
+    step = expm(diffs[0] * adjoint_superoperator(model))
+    vec = rho0.matrix.reshape(-1).copy()
+    out[0] = rho0.matrix
+    for k in range(1, ts.size):
+        vec = step @ vec
+        m = vec.reshape(n, n)
+        out[k] = 0.5 * (m + dag(m))
+    return out

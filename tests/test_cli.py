@@ -244,6 +244,28 @@ class TestCliCommands:
         assert "minimum filter eigenvalue" in capsys.readouterr().err
         assert not (out / "ensemble.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "filter"])
+    def test_health_breach_exits_two_before_writing(self, tmp_path, capsys, command):
+        # the breach config of the ensemble test; its single trajectory for
+        # seed 2 leaves the state space
+        cfg = qubit_config(
+            channels=[[[0, 1, 3.0, 0.0]]],
+            rho0=[[0, 0, 0.5, 0.0], [0, 1, 0.5, 0.0], [1, 0, 0.5, 0.0], [1, 1, 0.5, 0.0]],
+            dt=1e-2,
+            seed=2,
+        )
+        cfg_path = write_config(tmp_path, cfg)
+        extra = []
+        if command == "filter":
+            loaded = load_config(cfg_path)
+            record, _ = bf.simulate_homodyne(loaded.model(), loaded.rho0, loaded.horizon, loaded.dt, loaded.seed)
+            write_record(record, tmp_path / "record.csv")
+            extra = ["--record", str(tmp_path / "record.csv")]
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg_path), *extra, "--out", str(out)]) == 2
+        assert "minimum filter eigenvalue" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_seed_override(self, tmp_path):
         cfg_path = write_config(tmp_path, qubit_config())
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -345,3 +367,16 @@ class TestShippedDemos:
         )
         assert done.returncode == 0, done.stderr
         assert sorted(p.name for p in out.iterdir()) == ["master.csv", "path.csv", "record.csv"]
+
+    def test_seeded_hashes_runs_and_repeats(self, tmp_path):
+        args = ("--dims", "2", "--seeds", "1", "--horizon", "0.1", "--trajectories", "2")
+        first = self._run("seeded_hashes.py", *args, cwd=tmp_path)
+        assert first.returncode == 0, first.stderr
+        lines = first.stdout.splitlines()
+        names = [line.split("  ", 1)[1] for line in lines]
+        assert len(set(names)) == len(names)
+        assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)
+        for name in ("simulate", "replay zakai", "law online", "ensemble stacked", "ensemble law"):
+            assert f"n2 seed1 decay-diag counting {name}" in names
+        assert "n2 seed1 random2 semigroup uniform" in names
+        assert self._run("seeded_hashes.py", *args, cwd=tmp_path).stdout == first.stdout

@@ -20,7 +20,7 @@ from belfilt.operators import (
     semigroup_evolve,
     semigroup_path,
 )
-from helpers import heisenberg_generator, hermitian_basis
+from helpers import heisenberg_generator, hermitian_basis, reference_semigroup_path
 
 I2 = np.eye(2, dtype=complex)
 
@@ -228,3 +228,29 @@ class TestSemigroup:
         path = semigroup_path(rho, model, times)
         for t, m in zip(times, path):
             assert np.allclose(m, semigroup_evolve(rho, model, t).matrix, atol=1e-10)
+
+
+class TestSemigroupPathBitForBit:
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_uniform_grid_equals_pointwise_steps(self, dim):
+        rng = np.random.default_rng(dim)
+        model = random_model(dim, rng)
+        rho = random_density(dim, rng)
+        times = 1e-3 * np.arange(501)
+        path = semigroup_path(rho, model, times)
+        assert np.array_equal(path, reference_semigroup_path(rho, model, times))
+        # the first point is rho0 itself, not its Hermitian part
+        assert path[0].tobytes() == rho.matrix.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_non_uniform_grid_equals_pointwise_evolution(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        model = random_model(dim, rng)
+        rho = random_density(dim, rng)
+        times = np.array([0.0, 0.1, 0.15, 0.4, 1.0])
+        assert np.array_equal(semigroup_path(rho, model, times), reference_semigroup_path(rho, model, times))
+
+    def test_single_point(self, rng):
+        model = random_model(2, rng)
+        rho = random_density(2, rng)
+        assert np.array_equal(semigroup_path(rho, model, [0.0]), reference_semigroup_path(rho, model, [0.0]))
