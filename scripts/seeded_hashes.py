@@ -16,6 +16,13 @@ with health, with and without the law; semigroup_path on a uniform and a
 non-uniform grid.  Dimension 2 adds the qubit-decay model (H = 0, L = sigma-)
 from a diagonal and from a coherent start.  A case that raises hashes its
 error type and message instead, so errors are compared too.
+
+The hashes broke once, by design, when the filter step moved to Liouville
+space (one product with a step matrix instead of separate n x n products):
+the summation order changed and outputs moved by about 1e-14.  A diff across
+that change is therefore not empty; tests/test_liouville_step.py holds the
+new step within 1e-12 of the old kernel (`reference_kernel` in
+tests/helpers.py) instead.  Compare checkouts on the same side of it.
 """
 
 from __future__ import annotations

@@ -3,31 +3,37 @@
 The filters propagate a matrix w_t whose pairing trace(w_t X) gives the
 conditional expectation functional; this is the trace dual of the
 operator-valued filtering equations, validated operationally by per-step
-duality tests rather than assumed.  Forward Euler is used throughout (the
-unnormalized equation is linear in w), with per-step renormalization for
-the normalized variants.
+duality tests rather than assumed.  Forward Euler is used throughout.
 
-Homodyne (diffusive) schemes, per step of size dt with record increment dY:
+Every scheme's step is linear in the matrix r it steps, given a few scalars.
+With r flattened row-major into vec(r) (the convention of
+`operators._liouville`), the raw step is
 
-    unnormalized:  w <- w + L'(w) dt + eta (L w + w L*) dY
-    normalized:    r <- r + L'(r) dt + (L r + r L* - m r)(dY - m dt),
-                   m = trace((L + L*) r), then renormalize
+    raw = a0 (A r - i dt [H, r]) + a1 X r + a2 r
 
-where eta = 1 in the vacuum and eta = 1/(1 + kappa^2) under imperfect
-observation with corruption strength kappa.  A quadrature phase phi enters
-only through L -> exp(i phi) L.
+where A = I + dt D, D being the channel's part L r L* - {L*L, r}/2 of the
+adjoint generator, and X = G (r -> L r + r L*) for homodyne (diffusive)
+records, X = J (r -> L r L*) for counting records (dY in {0, 1}):
 
-Counting (jump) schemes, with dY in {0, 1}:
+    scheme                              (a0, a1, a2)
+    normalized (BKS) homodyne           (1, c, -c m)    m = tr(G r), c = dY - m dt
+    unnormalized (Zakai) diffusive,
+      and normalized imperfect          (1, eta dY, 0)
+    unnormalized counting               (1, dY - dt, -(dY - dt))
+    normalized counting, no count       (1, -dt, rate dt)    rate = tr(J r)
+    normalized counting, count          (0, 1, 0)
 
-    unnormalized:  w <- w + L'(w) dt + (L w L* - w)(dY - dt)
-    normalized:    no jump: r <- r + (L'(r) - L r L* + rate r) dt,
-                   jump:    r <- L r L* / rate,      rate = trace(L*L r).
+with eta = 1 in the vacuum and eta = 1/(1 + kappa^2) under imperfect
+observation with corruption strength kappa; a quadrature phase phi enters
+only through L -> exp(i phi) L.  The normalized routes then divide by the
+trace (Kallianpur-Striebel); the unnormalized trace is the likelihood.
 
-All four are written once, in `_kernel`; the public step functions
-validate, bind H, L, L*, L*L and the gain, take the products of the step
-from one stacked product on each side (`_drift_terms`) and call it, as do
-the trajectory loops, which also step whole stacks of trajectories through
-it.
+One product vec(r) @ S with the step matrix S (`_step_matrix`, bound once
+per run) gives A r, X r, tr(A r), tr(X r) and tr(r), hence every scalar
+above and the raw trace; two n x n products give the commutator, whose
+Hamiltonian a control law changes every step.  `_kernel` steps one matrix
+or a stack of trajectories alike; the public step functions and the
+trajectory loops all call it.
 
 Positivity is monitored, not enforced: Euler steps may transiently leave
 the state space, and projecting would mask convergence behavior.  Use
@@ -55,6 +61,7 @@ from .operators import (
     HERMITICITY_TOL,
     SystemModel,
     _channel_parts,
+    _liouville,
     as_operator,
     dag,
     hermiticity_defect,
@@ -70,6 +77,7 @@ TRACE_MONITOR_TOL = 1e-9
 EIGENVALUE_MONITOR_FLOOR = -1e-6
 COLLAPSE_TRACE = 1e-300
 ZERO_RATE = 1e-14
+MAX_JUMP_PROBABILITY = 0.1
 
 
 @dataclass(frozen=True)
@@ -186,164 +194,155 @@ def _route(scheme: MeasurementScheme) -> str:
     return HOMODYNE if scheme.kind == IMPERFECT and scheme.kappa == 0.0 else scheme.kind
 
 
-def _real_trace(x):
-    """Real part of the trace: a float for one matrix, shape (B, 1, 1) for a
-    stack (B, n, n) so that it scales the rows it came from.
-
-    One matrix is summed from scalar reads, in the order in which numpy's
-    pairwise summation adds a diagonal of up to 64 entries (in sequence up
-    to n = 3, from n = 4 in four running sums), so the float equals
-    float(x.trace().real) bit for bit at a fraction of its cost.  A NaN sum
-    is taken again by numpy, since which of two NaNs survives an add
-    depends on how the add was compiled."""
-    if x.ndim > 2:
-        return x.trace(axis1=1, axis2=2).real[:, None, None]
-    n = len(x)
-    if n == 2:
-        s = 0.0 + x.item(0).real + x.item(3).real
-    elif n > 64:
-        return float(x.trace().real)
-    elif n < 4:
-        s = 0.0
-        for v in x.diagonal().real.tolist():
-            s += v
-    else:
-        d = x.diagonal().real.tolist()
-        r0, r1, r2, r3 = d[:4]
-        tail = n - n % 4
-        for k in range(4, tail, 4):
-            r0 += d[k]
-            r1 += d[k + 1]
-            r2 += d[k + 2]
-            r3 += d[k + 3]
-        s = (r0 + r1) + (r2 + r3)
-        for v in d[tail:]:
-            s += v
-        s = 0.0 + s  # numpy adds the sum to a +0.0 start
-    return s if s == s else float(x.trace().real)
-
-
-def _refuse(bad, error, message, value):
-    """Raise error(message.format(value)) where `bad` holds.  For a stack,
-    `bad` and `value` are arrays with one entry per row: the first bad row's
-    value is reported and its index set as the error's `row` (None for one
-    matrix)."""
+def _refuse(bad, error, message, *values):
+    """Raise error(message) where `bad` holds, `message` being a format
+    string for `values` or a function of them.  For a stack, `bad` and the
+    array values hold one entry per row: the first bad row's values are
+    reported and its index set as the error's `row` (None for one matrix)."""
     row = None
     if isinstance(bad, np.ndarray):
         if not bad.any():
             return
         row = int(np.argmax(bad.reshape(-1)))
-        value = value.reshape(-1)[row]
+        values = [v.reshape(-1)[row] if isinstance(v, np.ndarray) else v for v in values]
     elif not bad:
         return
-    exc = error(message.format(value))
+    exc = error(message(*values) if callable(message) else message.format(*values))
     exc.row = row
     raise exc
 
 
-# -i and 1/2, the factors of the commutator and damping terms
-_FACTORS = np.array([-1j, 0.5])[:, None, None]
+def _step_matrix(blocks, counting: bool, dt: float):
+    """S, the matrix of one Euler step on the row vec(r) (see `_kernel`),
+    from a channel's `operators._liouville` blocks (D, G, J): vec(r) @ S
+    holds tr(A r), tr(X r), tr(r), A r and X r, for A = I + dt D and
+    X = J when counting, G otherwise."""
+    dissipator, diffusive, jump = blocks
+    measured = jump if counting else diffusive
+    n = math.isqrt(len(measured))
+    a = np.eye(n * n) + dt * dissipator
+    traces = [a[:: n + 1].sum(0), measured[:: n + 1].sum(0), np.eye(n).reshape(-1)]
+    return np.vstack(traces + [a, measured]).T.copy()
 
 
-def _bind(h, parts, stacked=False):
-    """H and the channel parts (L, L*, L*L) bound for `_drift_terms`: the
-    left factors [L, H, L*L], the right factors [H, L*L] (a view of the
-    left ones), L* and the factors [-i, 1/2]; for a stack of states
-    (`stacked`), with a unit axis so that they broadcast over its rows."""
-    ch, chd, grammian = parts
-    ops, factors = np.array((ch, h, grammian)), _FACTORS
+def _model_matrix(model: SystemModel, phase: float, counting: bool, dt: float):
+    """The step matrix of `model`'s channel and -i dt H, built once and held
+    with the model until a call with another phase, scheme family or dt."""
+    key = (phase, counting, dt)
+    held = model._derived.get("step")
+    if held is None or held[0] != key:
+        s = _step_matrix(model._single_channel_blocks(phase), counting, dt)
+        held = model._derived["step"] = (key, s, -1j * dt * model.hamiltonian)
+    return held[1], held[2]
+
+
+# The table of (a0, a1, a2) (see the module docstring), by `_route`'s kind and
+# normalization, from the increment y, dt, the gain g and m = tr(X r): the
+# record's drift rate (diffusive) or the jump rate (counting).
+_COEFFICIENTS = {
+    (HOMODYNE, True): lambda y, dt, g, m: (1.0, (c := y - m * dt), -c * m),
+    (HOMODYNE, False): lambda y, dt, g, m: (1.0, g * y, 0.0),
+    (IMPERFECT, True): lambda y, dt, g, m: (1.0, g * y, 0.0),
+    (IMPERFECT, False): lambda y, dt, g, m: (1.0, g * y, 0.0),
+    (COUNTING, False): lambda y, dt, g, m: (1.0, y - dt, -(y - dt)),
+    # no count; a registered count takes _COUNT
+    (COUNTING, True): lambda y, dt, g, m: (1.0, -dt, m * dt),
+}
+_COUNT = (0.0, 1.0, 0.0)
+
+
+def _sample(m, noise, dt: float, counting: bool):
+    """The increment drawn from the pre-step state (or from each row of a
+    stack), given m = tr(X r): homodyne dY = trace((L + L*) rho) dt + noise,
+    counting dY = 1 when the uniform noise < trace(L*L rho) dt."""
+    if not counting:
+        return m * dt + noise
+    p = m * dt
+    _refuse(p > MAX_JUMP_PROBABILITY, ValidationError,
+            f"dt: jump probability rate*dt = {{:.3g}} exceeds {MAX_JUMP_PROBABILITY}; reduce dt", p)
+    return 1.0 * (noise < p)
+
+
+def _vanished(tr, dy, a0, trace_a, a1, m):
+    """Why a normalized trace vanished: the increment's term a1 tr(X r)
+    swamping the drift's a0 tr(A r) past what a double resolves is the
+    record's fault, not dt's."""
+    if abs(a1 * m) * np.finfo(float).eps > abs(a0 * trace_a):
+        return (f"record increment dY = {dy:.3e} swamps the filter's drift by more than"
+                f" 1/machine epsilon; trace {tr:.3e} lost to rounding")
+    return f"filter trace {tr:.3e} vanished; reduce dt"
+
+
+def _kernel(r, s, hs, dy, dt, kind, gain, normalized, noise=None, out=None):
+    """One Euler step of any of the filters on the rows r, shape (B, 1, n^2),
+    of vec(w) for B raw matrices w (B = 1 for one matrix), given the step
+    matrix s (`_step_matrix`) and hs = -i dt H.
+
+    The raw step a0 (A r - i dt [H, w]) + a1 X r + a2 r takes (a0, a1, a2)
+    from `_COEFFICIENTS`, and its trace is a0 tr(A r) + a1 tr(X r) + a2 tr(r),
+    the commutator being traceless.  With `noise`, dy is first drawn from the
+    pre-step state (`_sample`).  Returns the next rows (written into `out`
+    when given), the trace of the raw step (the likelihood of Zakai runs)
+    and dy.
+
+    One matrix takes Python float dy or noise, a stack arrays of shape
+    (B, 1, 1); a stack's traces come back in that shape, a registered count
+    collapses only its own row, and an error names the first failing row
+    (`_refuse`).  Each row is its own BLAS product and floats and arrays do
+    the same arithmetic, so a row of a stack steps exactly as one matrix."""
+    p = np.matmul(r, s)
+    stacked = isinstance(dy if noise is None else noise, np.ndarray)
     if stacked:
-        ops, factors = ops[:, None], factors[:, None]
-    return ops, ops[1:], chd, factors
-
-
-def _drift_terms(w, bound):
-    """L w, L w L*, -i(H w - w H) and (L*L w + w L*L)/2 for one matrix or a
-    stack, from one stacked product on each side of w.
-
-    Each matrix product is the BLAS call a separate product would make, and
-    the anticommutator is taken as L*L w - (-(w L*L)): negating the product,
-    not the factor, keeps even the sign of an exact zero, so every term has
-    the bits of the separate products and sums."""
-    ops, right_ops, chd, factors = bound
-    left = ops @ w  # L w, H w, L*L w
-    right = w @ right_ops  # w H, w L*L
-    anti = right[1]
-    np.negative(anti, out=anti)
-    terms = left[1:] - right
-    np.multiply(factors, terms, out=terms)
-    lw = left[0]
-    return lw, lw.dot(chd) if lw.ndim == 2 else lw @ chd, terms[0], terms[1]
-
-
-def _kernel(w, lw, jumped, dy, dt, commutator, damping, kind, gain, normalized, known=None, out=None):
-    """One Euler step of any of the four filters on the raw matrix w, given
-    lw = L w, jumped = L w L*, commutator = -i[H, w] and damping =
-    {L*L, w}/2 (see `_drift_terms`), the gain and `_route`'s kind.  `known`
-    is the trace the caller may already hold: trace(L w) for diffusive
-    schemes, trace(L w L*) for counting.  Returns the next matrix, written
-    into `out` when given, and the trace of the unnormalized step (the
-    likelihood of Zakai runs).
-
-    w may also be a stack (B, n, n) of independent rows, with dy of shape
-    (B, 1, 1); traces then come back as (B, 1, 1), a registered count
-    collapses only its own row, and an error names the failing row (see
-    `_refuse`).  Seeded paths are reproducible bit for bit, and a row of a
-    stack steps exactly as the single matrix would, so the order of
-    operations is fixed."""
-    counting = kind == COUNTING
-    if counting and normalized:
-        rate = _real_trace(jumped) if known is None else known
-        jump = dy == 1.0
-        _refuse(jump & (rate <= ZERO_RATE), ZeroJumpRate,
-                "jump recorded while trace(L*L rho) = {:.3e}; inconsistent record", rate)
-        if w.ndim == 2 and jump:
-            return np.divide(jumped, rate, out=out), rate
-        # no-jump drift: L'(r) - L r L* + rate r, with the dissipator's jump
-        # part cancelling the subtracted one
-        raw = w + (commutator - damping + rate * w) * dt
+        trace_a, m, trace_r = p[..., 0:1].real, p[..., 1:2].real, p[..., 2:3].real
     else:
-        drift = commutator + jumped - damping  # L'(w)
-        if counting:
-            raw = w + drift * dt + (jumped - w) * (dy - dt)
-        elif normalized and kind == HOMODYNE:
-            m = 2.0 * (_real_trace(lw) if known is None else known)
-            raw = w + drift * dt + (lw + lw.conj().swapaxes(-1, -2) - m * w) * (dy - m * dt)
-        else:
-            # unnormalized, and normalized imperfect by renormalizing it
-            raw = w + drift * dt + (gain * dy) * (lw + lw.conj().swapaxes(-1, -2))
-    tr = _real_trace(raw)
+        trace_a, m, trace_r = p.item(0).real, p.item(1).real, p.item(2).real
+    counting = kind == COUNTING
+    if noise is not None:
+        dy = _sample(m, noise, dt, counting)
+    a0, a1, a2 = _COEFFICIENTS[kind, normalized](dy, dt, gain, m)
+    if counting and normalized:
+        jump = dy == 1.0
+        _refuse(jump & (m <= ZERO_RATE), ZeroJumpRate,
+                "jump recorded while trace(L*L rho) = {:.3e}; inconsistent record", m)
+        if stacked:
+            a0, a1, a2 = (np.where(jump, c, a) for c, a in zip(_COUNT, (a0, a1, a2)))
+        elif jump:
+            a0, a1, a2 = _COUNT
+    n2 = r.shape[-1]
+    w = r.reshape(len(r), len(hs), -1)
+    drift = np.matmul(hs, w)
+    drift -= np.matmul(w, hs)
+    drift = drift.reshape(r.shape)
+    drift += p[..., 3 : 3 + n2]
+    raw = np.multiply(drift, a0, out=out)
+    raw += p[..., 3 + n2 :] * a1
+    raw += r * a2
+    tr = a0 * trace_a + a1 * m + a2 * trace_r
     if not normalized:
         # the likelihood must stay a positive finite number; NaN fails `tr != tr`
         _refuse((tr <= 0.0) | (tr == math.inf) | (tr != tr), FilterCollapse,
                 "unnormalized filter trace {:.3e} is not positive and finite", tr)
-        if out is None:
-            return raw, tr
-        out[...] = raw
-        return out, tr
-    if counting and w.ndim > 2:
-        # rows with a registered count collapse to L r L* / rate
-        raw, tr = np.where(jump, jumped, raw), np.where(jump, rate, tr)
-    _refuse(tr <= COLLAPSE_TRACE, FilterCollapse, "filter trace {:.3e} vanished; reduce dt", tr)
-    return np.divide(raw, tr, out=out), tr
+        return raw, tr, dy
+    _refuse(tr <= COLLAPSE_TRACE, FilterCollapse, _vanished, tr, dy, a0, trace_a, a1, m)
+    return np.divide(raw, tr, out=raw), tr, dy
 
 
-def _bound_step(state: FilterState, dY, dt: float, h, parts, scheme: MeasurementScheme, normalized: bool):
-    """Step state.matrix through the kernel with H and the channel parts
-    (L, L*, L*L) bound; normalized results keep the incoming likelihood."""
+def _apply(state: FilterState, dY, s, hs, dt: float, scheme: MeasurementScheme, normalized: bool):
+    """Step state.matrix through the kernel with the step matrix s and
+    hs = -i dt H; normalized results keep the incoming likelihood."""
     dy = float(dY)
     if scheme.kind == COUNTING and dy not in (0.0, 1.0):
         raise ValidationError(f"counting increment must be 0 or 1, got {dY!r}")
     w = state.matrix
-    lw, jumped, commutator, damping = _drift_terms(w, _bind(h, parts))
-    new, tr = _kernel(w, lw, jumped, dy, dt, commutator, damping, _route(scheme), scheme.gain, normalized)
-    return FilterState(new, normalized, state.likelihood if normalized else tr)
+    new, tr, _ = _kernel(w.reshape(1, 1, -1), s, hs, dy, dt, _route(scheme), scheme.gain, normalized)
+    return FilterState(new.reshape(w.shape), normalized, state.likelihood if normalized else tr)
 
 
 def _model_step(state: FilterState, dY, model: SystemModel, dt: float, scheme: MeasurementScheme, normalized: bool):
     dt = _require_dt(dt)
     _require_model_state(state, model)
-    return _bound_step(state, dY, dt, model.hamiltonian, model.single_channel_parts(scheme.phase), scheme, normalized)
+    s, hs = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
+    return _apply(state, dY, s, hs, dt, scheme, normalized)
 
 
 def zakai_step_homodyne(
@@ -611,16 +610,18 @@ def _require_law_model(law: ControlLaw, model: SystemModel) -> None:
         raise DimensionMismatch(f"control H0/H1 dim {law.h0.shape[0]} != model dim {model.dim}")
 
 
-def _law_terms(law: ControlLaw, t: float, prefix, model: SystemModel, phase: float):
-    """H_t and the channel parts (L_t, L_t*, L_t*L_t) for one step.  The
-    channel map is called once; without one the model's channel stands."""
+def _law_terms(law: ControlLaw, t: float, prefix, model: SystemModel, phase: float, counting: bool, dt: float):
+    """The step matrix and -i dt H_t of one step of a law run.  The channel
+    map is called once; without one the model's channel and its step matrix
+    stand."""
     h_t, _ = law.hamiltonian_at(t, prefix)
+    hs = -1j * dt * h_t
     if law.channel_map is None:
-        return h_t, model.single_channel_parts(phase)
+        return _model_matrix(model, phase, counting, dt)[0], hs
     ch = as_operator(law.channel_map(t, prefix), "L_t")
     if ch.shape[0] != model.dim:
         raise DimensionMismatch(f"L_t dim {ch.shape[0]} != model dim {model.dim}")
-    return h_t, _channel_parts(ch, phase)
+    return _step_matrix(_liouville(None, (_channel_parts(ch, phase),)), counting, dt), hs
 
 
 def feedback_step(
@@ -652,8 +653,8 @@ def feedback_step(
         raise CausalityViolation(
             f"record prefix extends to {prefix.size * dt:.6g}, at or beyond the current time {t:.6g}"
         )
-    h_t, parts = _law_terms(law, t, prefix, model, scheme.phase)
-    return _bound_step(state, dY, dt, h_t, parts, scheme, state.normalized)
+    s, hs = _law_terms(law, t, prefix, model, scheme.phase, scheme.kind == COUNTING, dt)
+    return _apply(state, dY, s, hs, dt, scheme, state.normalized)
 
 
 # --- health monitoring ----------------------------------------------------

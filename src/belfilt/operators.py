@@ -175,6 +175,15 @@ class SystemModel:
             cache[key] = _channel_parts(self.channel, key)
         return cache[key]
 
+    def _single_channel_blocks(self, phase: float = 0.0):
+        """`_liouville` of the single channel rotated by exp(i phase), without
+        H: its dissipator, G and J; memoized beside the channel parts."""
+        key = ("blocks", float(phase))
+        cache = self._derived
+        if key not in cache:
+            cache[key] = _liouville(None, (self.single_channel_parts(phase),))
+        return cache[key]
+
 
 def _channel_parts(channel: np.ndarray, phase: float):
     """(L, L*, L*L) for one validated channel, L rotated by exp(i phase);
@@ -223,16 +232,29 @@ def lindblad_adjoint(rho_like, model: SystemModel) -> np.ndarray:
     return out
 
 
+def _liouville(h, channels=()):
+    """Superoperator blocks, as n^2 x n^2 matrices acting on the row-major
+    vec(r), for which vec(a r b) = kron(a, b^T) vec(r).
+
+    Returns (D, G, J): D is the adjoint generator
+    -i(H r - r H) + sum_j (Lj r Lj* - {Lj*Lj, r}/2) of the Hamiltonian h
+    (None for none) and the channels, each given by its parts (L, L*, L*L);
+    G (r -> L r + r L*) and J (r -> L r L*) belong to the last channel.
+    This is the one place that knows the vec convention."""
+    n = len(channels[0][0]) if h is None else len(h)
+    eye = np.eye(n, dtype=complex)
+    d = 0.0 if h is None else -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    g = j = None
+    for ch, chd, grammian in channels:
+        j = np.kron(ch, chd.T)
+        g = np.kron(ch, eye) + np.kron(eye, chd.T)
+        d = d + j - 0.5 * (np.kron(grammian, eye) + np.kron(eye, grammian.T))
+    return d, g, j
+
+
 def adjoint_superoperator(model: SystemModel) -> np.ndarray:
     """Vectorized (row-major) matrix of the adjoint generator, n^2 x n^2."""
-    n = model.dim
-    eye = np.eye(n, dtype=complex)
-    h = model.hamiltonian
-    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for ch in model.channels:
-        grammian = dag(ch) @ ch
-        sup = sup + np.kron(ch, ch.conj()) - 0.5 * (np.kron(grammian, eye) + np.kron(eye, grammian.T))
-    return sup
+    return _liouville(model.hamiltonian, [(ch, dag(ch), dag(ch) @ ch) for ch in model.channels])[0]
 
 
 def semigroup_evolve(rho0: DensityState, model: SystemModel, t: float) -> DensityState:

@@ -35,15 +35,13 @@ import numpy as np
 from .errors import DimensionMismatch, NumericalFailure, ValidationError
 from .filters import (
     COUNTING,
+    MAX_JUMP_PROBABILITY,  # noqa: F401 (public here too, as the sampler's bound)
     ControlLaw,
     MeasurementScheme,
     PathHealth,
-    _bind,
-    _drift_terms,
     _kernel,
     _law_terms,
-    _real_trace,
-    _refuse,
+    _model_matrix,
     _require_law_model,
     _route,
     path_health,
@@ -51,7 +49,6 @@ from .filters import (
 from .operators import DensityState, SystemModel, as_operator
 
 GENERATOR_NAME = f"pcg64-splitmix64/numpy-{np.__version__}"
-MAX_JUMP_PROBABILITY = 0.1
 # Byte budget of the path stack (B, steps+1, n, n) of one block of ensemble
 # trajectories stepped together.  Past a few dozen rows a block gains little
 # speed, so the budget is kept small: it bounds the ensemble's extra memory.
@@ -158,19 +155,6 @@ def _noise(scheme: MeasurementScheme, seed: int, steps: int, dt: float) -> np.nd
     return scheme.noise_scale * rng.normal(0.0, math.sqrt(dt), size=steps)
 
 
-def _sample(tr, noise, dt: float, counting: bool):
-    """The increment drawn from the pre-step state (or from each row of a
-    stack), given tr, the real trace of L rho (diffusive) or of L rho L*
-    (counting): homodyne dY = trace((L + L*) rho) dt + noise, counting
-    dY = 1 when the uniform noise < trace(L*L rho) dt."""
-    if not counting:
-        return 2.0 * tr * dt + noise
-    p = tr * dt
-    _refuse(p > MAX_JUMP_PROBABILITY, ValidationError,
-            f"dt: jump probability rate*dt = {{:.3g}} exceeds {MAX_JUMP_PROBABILITY}; reduce dt", p)
-    return 1.0 * (noise < p)
-
-
 def _at(step: int, trajectory: int | None) -> str:
     return f"step {step}" if trajectory is None else f"trajectory {trajectory}, step {step}"
 
@@ -188,41 +172,35 @@ def _integrate(
 ):
     """The single-trajectory loop: step the filter from rho0 over `increments`.
 
-    With `noise`, each increment is sampled from the pre-step state first
-    (see `_sample`) and written to `increments`.  Returns the path, shape
+    With `noise`, each increment is drawn from the pre-step state first (see
+    `filters._sample`) and written to `increments`.  Returns the path, shape
     (steps+1, n, n), and for unnormalized runs the likelihoods.  A step that
     fails raises its error type naming the step (and `trajectory`, when
     given).
     """
     w = _initial_matrix(rho0, model)
-    phase = scheme.phase
+    phase, kind, gain, counting = scheme.phase, _route(scheme), scheme.gain, scheme.kind == COUNTING
     if law is None:
-        bound = _bind(model.hamiltonian, model.single_channel_parts(phase))
+        s, hs = _model_matrix(model, phase, counting, dt)
     else:
         _require_law_model(law, model)
-    kind, gain, counting = _route(scheme), scheme.gain, scheme.kind == COUNTING
     steps = increments.size
     n = model.dim
     path = np.empty((steps + 1, n, n), dtype=complex)
     path[0] = w
+    rows = path.reshape(steps + 1, 1, 1, n * n)
     traces = np.ones(steps + 1)
-    known = None
-    for k, out in enumerate(path[1:]):
+    for k in range(steps):
         if law is not None:
-            bound = _bind(*_law_terms(law, k * dt, increments[:k], model, phase))
-        lw, jumped, commutator, damping = _drift_terms(w, bound)
+            s, hs = _law_terms(law, k * dt, increments[:k], model, phase, counting, dt)
         try:
             # Python floats: numpy scalar arithmetic costs microseconds a step
-            if noise is None:
-                dy = float(increments[k])
-            else:
-                known = _real_trace(jumped if counting else lw)
-                dy = increments[k] = _sample(known, float(noise[k]), dt, counting)
-            w, traces[k + 1] = _kernel(
-                w, lw, jumped, dy, dt, commutator, damping, kind, gain, normalized, known, out
-            )
+            dy, draw = (float(increments[k]), None) if noise is None else (None, float(noise[k]))
+            _, traces[k + 1], dy = _kernel(rows[k], s, hs, dy, dt, kind, gain, normalized, draw, rows[k + 1])
         except (ValidationError, NumericalFailure) as exc:
             raise type(exc)(f"{_at(k, trajectory)}: {exc}") from None
+        if noise is not None:
+            increments[k] = dy
     return path, None if normalized else traces
 
 
@@ -231,25 +209,22 @@ def _integrate_stack(model: SystemModel, rho0, scheme: MeasurementScheme, dt: fl
 
     Row i of `noise`, shape (B, steps), is the noise of trajectory first + i.
     The block steps as one (B, n, n) stack through the filters' kernel with
-    H, L, L* and L*L bound once; row i of the returned paths, shape
+    the step matrix bound once; row i of the returned paths, shape
     (B, steps+1, n, n), equals the path `_integrate` gives for noise[i] bit
     for bit.  A failing row raises its error type naming the trajectory and
     the step.
     """
     rows, steps = noise.shape
     n = model.dim
-    bound = _bind(model.hamiltonian, model.single_channel_parts(scheme.phase), stacked=True)
-    kind, gain, counting = _route(scheme), scheme.gain, scheme.kind == COUNTING
+    s, hs = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
+    kind, gain = _route(scheme), scheme.gain
     paths = np.empty((rows, steps + 1, n, n), dtype=complex)
     paths[:, 0] = _initial_matrix(rho0, model)
-    w = paths[:, 0]
+    vecs = paths.reshape(rows, steps + 1, 1, n * n)
     noise = noise[:, :, None, None]
     for k in range(steps):
-        lw, jumped, commutator, damping = _drift_terms(w, bound)
         try:
-            known = _real_trace(jumped if counting else lw)
-            dy = _sample(known, noise[:, k], dt, counting)
-            w, _ = _kernel(w, lw, jumped, dy, dt, commutator, damping, kind, gain, True, known, paths[:, k + 1])
+            _kernel(vecs[:, k], s, hs, None, dt, kind, gain, True, noise[:, k], vecs[:, k + 1])
         except (ValidationError, NumericalFailure) as exc:
             raise type(exc)(f"{_at(k, first + exc.row)}: {exc}") from None
     return paths

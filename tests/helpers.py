@@ -149,3 +149,129 @@ def reference_semigroup_path(rho0, model, times):
         m = vec.reshape(n, n)
         out[k] = 0.5 * (m + dag(m))
     return out
+
+
+# --- the filter kernel before the Liouville-space step ----------------------
+#
+# `reference_kernel` and the functions under it are the filters' step as it
+# stood before it became one product with a step matrix: separate n x n
+# products, four update formulas and a trace summed in numpy's order.
+# `reference_integrate` drives it as the single-trajectory loop did.
+
+
+def _reference_real_trace(x):
+    """Real part of the trace: a float for one matrix (summed in the order of
+    numpy's pairwise summation), shape (B, 1, 1) for a stack."""
+    if x.ndim > 2:
+        return x.trace(axis1=1, axis2=2).real[:, None, None]
+    n = len(x)
+    if n == 2:
+        s = 0.0 + x.item(0).real + x.item(3).real
+    elif n > 64:
+        return float(x.trace().real)
+    elif n < 4:
+        s = 0.0
+        for v in x.diagonal().real.tolist():
+            s += v
+    else:
+        d = x.diagonal().real.tolist()
+        r0, r1, r2, r3 = d[:4]
+        tail = n - n % 4
+        for k in range(4, tail, 4):
+            r0 += d[k]
+            r1 += d[k + 1]
+            r2 += d[k + 2]
+            r3 += d[k + 3]
+        s = (r0 + r1) + (r2 + r3)
+        for v in d[tail:]:
+            s += v
+        s = 0.0 + s
+    return s if s == s else float(x.trace().real)
+
+
+_REFERENCE_FACTORS = np.array([-1j, 0.5])[:, None, None]
+
+
+def _reference_bind(h, parts):
+    """The left factors [L, H, L*L], the right factors [H, L*L], L* and [-i, 1/2]."""
+    ch, chd, grammian = parts
+    ops = np.array((ch, h, grammian))
+    return ops, ops[1:], chd, _REFERENCE_FACTORS
+
+
+def _reference_drift_terms(w, bound):
+    """L w, L w L*, -i(H w - w H) and (L*L w + w L*L)/2."""
+    ops, right_ops, chd, factors = bound
+    left = ops @ w
+    right = w @ right_ops
+    anti = right[1]
+    np.negative(anti, out=anti)
+    terms = left[1:] - right
+    np.multiply(factors, terms, out=terms)
+    lw = left[0]
+    return lw, lw.dot(chd), terms[0], terms[1]
+
+
+def reference_kernel(w, lw, jumped, dy, dt, commutator, damping, kind, gain, normalized, known=None):
+    """One Euler step of one matrix w by the four update formulas; returns the
+    next matrix and the trace of the unnormalized step."""
+    from belfilt.errors import FilterCollapse, ZeroJumpRate
+    from belfilt.filters import COLLAPSE_TRACE, ZERO_RATE
+
+    counting = kind == "counting"
+    if counting and normalized:
+        rate = _reference_real_trace(jumped) if known is None else known
+        if dy == 1.0:
+            if rate <= ZERO_RATE:
+                raise ZeroJumpRate(f"jump recorded while trace(L*L rho) = {rate:.3e}; inconsistent record")
+            return jumped / rate, rate
+        raw = w + (commutator - damping + rate * w) * dt
+    else:
+        drift = commutator + jumped - damping
+        if counting:
+            raw = w + drift * dt + (jumped - w) * (dy - dt)
+        elif normalized and kind == "homodyne":
+            m = 2.0 * (_reference_real_trace(lw) if known is None else known)
+            raw = w + drift * dt + (lw + lw.conj().swapaxes(-1, -2) - m * w) * (dy - m * dt)
+        else:
+            raw = w + drift * dt + (gain * dy) * (lw + lw.conj().swapaxes(-1, -2))
+    tr = _reference_real_trace(raw)
+    if not normalized:
+        if not 0.0 < tr < np.inf:
+            raise FilterCollapse(f"unnormalized filter trace {tr:.3e} is not positive and finite")
+        return raw, tr
+    if tr <= COLLAPSE_TRACE:
+        raise FilterCollapse(f"filter trace {tr:.3e} vanished; reduce dt")
+    return raw / tr, tr
+
+
+def reference_integrate(model, rho0, scheme, dt, increments, law=None, normalized=True, noise=None):
+    """The single-trajectory loop over `reference_kernel`: replays
+    `increments`, or with `noise` draws each increment from the pre-step
+    state and writes it to `increments`.  Returns the path and, for
+    unnormalized runs, the likelihoods."""
+    from belfilt.filters import _route
+    from belfilt.operators import _channel_parts, as_operator
+
+    kind, gain, counting = _route(scheme), scheme.gain, scheme.kind == "counting"
+    w = np.array(rho0.matrix)
+    path, traces = [w], [1.0]
+    for k in range(increments.size):
+        t, prefix = k * dt, increments[:k]
+        if law is None:
+            h, parts = model.hamiltonian, model.single_channel_parts(scheme.phase)
+        else:
+            h, _ = law.hamiltonian_at(t, prefix)
+            parts = model.single_channel_parts(scheme.phase)
+            if law.channel_map is not None:
+                parts = _channel_parts(as_operator(law.channel_map(t, prefix), "L_t"), scheme.phase)
+        lw, jumped, commutator, damping = _reference_drift_terms(w, _reference_bind(h, parts))
+        if noise is None:
+            dy = float(increments[k])
+        else:
+            known = _reference_real_trace(jumped if counting else lw)
+            dy = increments[k] = 2.0 * known * dt + noise[k] if not counting else 1.0 * (noise[k] < known * dt)
+        w, tr = reference_kernel(w, lw, jumped, dy, dt, commutator, damping, kind, gain, normalized)
+        path.append(w)
+        traces.append(tr)
+    return np.array(path), None if normalized else np.array(traces)

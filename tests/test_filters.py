@@ -18,7 +18,6 @@ from belfilt.filters import (
     path_health,
     zakai_step_counting,
     zakai_step_homodyne,
-    _real_trace,
 )
 from belfilt.operators import (
     SIGMA_MINUS,
@@ -476,56 +475,3 @@ class TestPathHealth:
         health = path_health(off, normalized=True)
         assert not health.trace_ok
         assert path_health(off, normalized=False).ok
-
-
-class TestRealTrace:
-    """The scalar real trace of one matrix reproduces numpy's trace bit for bit."""
-
-    SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, np.int64(0x7FF8000000000123).view(np.float64),
-                         1e308, -1e308, 5e-324, 2.5])
-
-    @staticmethod
-    def _assert_bitwise(cases):
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = [_real_trace(x) for x in cases]
-            want = np.array([float(np.trace(x).real) for x in cases])
-        assert all(type(v) is float for v in got)
-        assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
-
-    @pytest.mark.parametrize("dim", range(1, 11))
-    def test_random_matrices(self, dim):
-        rng = np.random.default_rng(dim)
-        cases = [
-            rng.normal(size=(dim, dim)) * 10.0 ** rng.integers(-12, 13, size=(dim, dim))
-            + 1j * rng.normal(size=(dim, dim))
-            for _ in range(300)
-        ]
-        self._assert_bitwise(cases)
-
-    @pytest.mark.parametrize("dim", range(1, 11))
-    def test_signed_zero_diagonals(self, dim):
-        rng = np.random.default_rng(100 + dim)
-        cases = []
-        for diagonal in ([0.0] * dim, [-0.0] * dim, list(rng.choice([0.0, -0.0], size=dim))):
-            x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            x[np.diag_indices(dim)] = np.array(diagonal) + 1j * rng.normal(size=dim)
-            cases.append(x)
-        self._assert_bitwise(cases)
-
-    @pytest.mark.parametrize("dim", range(1, 11))
-    def test_inf_and_nan_entries(self, dim):
-        rng = np.random.default_rng(200 + dim)
-        cases = []
-        for _ in range(300):
-            x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            mask = rng.random(dim) < 0.5
-            x[np.diag_indices(dim)] = np.where(mask, rng.choice(self.SPECIALS, size=dim), x.diagonal().real)
-            x.imag[np.diag_indices(dim)] = rng.choice(self.SPECIALS, size=dim)
-            cases.append(x)
-        self._assert_bitwise(cases)
-
-    def test_strided_matrix(self):
-        # a row of a stack and a transposed view read the same diagonal
-        rng = np.random.default_rng(7)
-        stack = rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5))
-        self._assert_bitwise([stack[1], stack[2].T, stack[0, ::2, ::2]])

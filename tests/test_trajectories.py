@@ -1,5 +1,7 @@
 """Record sampling, seeding, ensembles and innovations."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -444,7 +446,7 @@ class TestStackedEnsemble:
     must equal the serial loop's bit for bit."""
 
     @pytest.mark.parametrize("collect_health", [False, True], ids=["plain", "health"])
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
     @pytest.mark.parametrize("name", list(STACK_SCHEMES))
     def test_stacked_equals_serial(self, name, dim, collect_health):
         scheme = STACK_SCHEMES[name]
@@ -453,6 +455,24 @@ class TestStackedEnsemble:
         summary = ensemble_average(*args, collect_health=collect_health)
         reference = _serial_ensemble(*args, collect_health=collect_health)
         _assert_summary_equal(summary, reference, 12, scheme, 0.3, 1e-3)
+
+    @pytest.mark.parametrize("name", list(STACK_SCHEMES))
+    def test_blocks_of_32_at_n8_equal_serial(self, name, monkeypatch):
+        # a row of a stack must not depend on the stack's size: one block of
+        # 32 and one of 1
+        steps, dim = 100, 8
+        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", 32 * (steps + 1) * dim**2 * 16)
+        blocks = []
+        real_stack = trajectories._integrate_stack
+        monkeypatch.setattr(
+            trajectories, "_integrate_stack", lambda *a: blocks.append(len(a[4])) or real_stack(*a)
+        )
+        scheme = STACK_SCHEMES[name]
+        model, rho0, observables = _random_ensemble_case(dim, 78)
+        args = (model, scheme, observables, 33, 27, steps * 1e-3, 1e-3, rho0)
+        summary = ensemble_average(*args)
+        assert blocks == [32, 1]
+        _assert_summary_equal(summary, _serial_ensemble(*args), 33, scheme, steps * 1e-3, 1e-3)
 
     @pytest.mark.parametrize("name", list(STACK_SCHEMES))
     def test_blocks_equal_serial(self, name, monkeypatch):
@@ -542,25 +562,41 @@ class TestErrorsNameTheirStep:
             trajectories._integrate(DECAY, PLUS_MIXED, scheme, 1e-3, np.empty(10), noise=noise[3], trajectory=3)
 
     @pytest.mark.parametrize(
-        "increment, step",
+        "kind, increment, step",
         [
             # the trace is 1 + 0.75 dY: 7.5e199 after step 0, then it overflows
-            (1e200, 1),
+            pytest.param("zakai", 1e200, 1, id="1e+200-1"),
             # -7.5e153 after step 0
-            (-1e154, 0),
+            pytest.param("zakai", -1e154, 0, id="-1e+154-0"),
+            # the normalized update is traceless: its diagonal, of the order
+            # of the increment, cancels and takes the trace with it
+            pytest.param("bks", 1e160, 0, id="bks-1e+160-0"),
+            pytest.param("bks", 1e200, 0, id="bks-1e+200-0"),
+            pytest.param("bks", -1e154, 0, id="bks--1e+154-0"),
         ],
     )
-    def test_zakai_trace_refused_at_its_step(self, increment, step):
+    def test_zakai_trace_refused_at_its_step(self, kind, increment, step):
         rec = ObservationRecord(MeasurementScheme.homodyne(), 1e-3, np.full(3, increment))
-        refused = r"unnormalized filter trace \S+ is not positive and finite"
+        if kind == "zakai":
+            refused = r"unnormalized filter trace \S+ is not positive and finite"
+        else:
+            refused = re.escape(f"record increment dY = {increment:.3e} swamps the filter's drift")
+        step_filter = zakai_step_homodyne if kind == "zakai" else bf.bks_step_homodyne
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(bf.FilterCollapse, match=rf"^step {step}: {refused}"):
-                replay_record(rec, DECAY, PLUS_MIXED, kind="zakai")
-            state = FilterState(PLUS_MIXED.matrix, normalized=False)
+                replay_record(rec, DECAY, PLUS_MIXED, kind=kind)
+            state = FilterState(PLUS_MIXED.matrix, normalized=kind == "bks")
             for _ in range(step):
-                state = zakai_step_homodyne(state, increment, DECAY, 1e-3)
+                state = step_filter(state, increment, DECAY, 1e-3)
             with pytest.raises(bf.FilterCollapse, match=f"^{refused}"):
-                zakai_step_homodyne(state, increment, DECAY, 1e-3)
+                step_filter(state, increment, DECAY, 1e-3)
+
+    def test_ordinary_collapse_still_blames_dt(self):
+        # a large but representable increment drives the imperfect trace
+        # below zero; its term is far inside 1/machine epsilon of the drift
+        rec = ObservationRecord(MeasurementScheme.imperfect(1.5), 1e-3, np.full(3, -10.0))
+        with pytest.raises(bf.FilterCollapse, match=r"^step 0: filter trace -\S+ vanished; reduce dt"):
+            replay_record(rec, DECAY, PLUS_MIXED, kind="bks")
 
     def test_zakai_step_refuses_nan_trace(self):
         state = FilterState(np.full((2, 2), np.nan, dtype=complex), normalized=False)
@@ -575,7 +611,7 @@ class TestErrorsNameTheirStep:
         lw = ch @ w
         dy = np.array([0.0, 1.0, 1.0])[:, None, None]
         with pytest.raises(bf.ZeroJumpRate, match="jump recorded while") as info:
-            _kernel(w, lw, lw @ ch.conj().T, dy, 1e-3, np.zeros((2, 2)), ch.conj().T @ ch, "counting", 1.0, True)
+            _kernel(w.reshape(3, 1, 4), *bf.filters._model_matrix(DECAY, 0.0, True, 1e-3), dy, 1e-3, "counting", 1.0, True)
         assert info.value.row == 1
 
 
