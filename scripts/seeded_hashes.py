@@ -17,18 +17,33 @@ non-uniform grid.  Dimension 2 adds the qubit-decay model (H = 0, L = sigma-)
 from a diagonal and from a coherent start.  A case that raises hashes its
 error type and message instead, so errors are compared too.
 
-The hashes broke once, by design, when the filter step moved to Liouville
-space (one product with a step matrix instead of separate n x n products):
-the summation order changed and outputs moved by about 1e-14.  A diff across
-that change is therefore not empty; tests/test_liouville_step.py holds the
-new step within 1e-12 of the old kernel (`reference_kernel` in
-tests/helpers.py) instead.  Compare checkouts on the same side of it.
+To see how far outputs moved rather than whether they did, save one
+checkout's outputs and compare the other's against them; each case then
+prints its largest deviation of filter matrices (and ensemble means), of
+likelihoods relative to their size, and of record increments:
+
+    PYTHONPATH=../old/src python3 scripts/seeded_hashes.py --save before
+    PYTHONPATH=src python3 scripts/seeded_hashes.py --against before
+
+The hashes broke twice, by design.  First when the filter step moved to
+Liouville space (one product with a step matrix instead of separate n x n
+products): the summation order changed and outputs moved by about 1e-14;
+tests/test_liouville_step.py holds the step within 1e-12 of the old kernel
+(`reference_kernel` in tests/helpers.py) instead.  Then when the
+Hamiltonian moved into the step matrix and the update became one product
+of the coefficients, divided by the trace, with the step's blocks: over
+the default cases, normalized paths and ensemble means moved by at most
+3.1e-15, unnormalized (Zakai) matrices by at most 2.5e-14, likelihoods by
+at most 8.1e-15 relative and homodyne increments by at most 5.6e-17, with
+no count moved.  A diff across either change is therefore not empty;
+compare checkouts on the same side of both, or use --against.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+from pathlib import Path
 
 import numpy as np
 
@@ -73,11 +88,11 @@ def digest(*parts) -> str:
 
 
 def attempt(run):
-    """(run(), None), or (None, the error it raised as hash parts)."""
+    """(run(), None), or (None, the error it raised as case parts)."""
     try:
         return run(), None
     except Exception as exc:  # noqa: BLE001 - an error is an outcome to compare
-        return None, (type(exc).__name__, str(exc))
+        return None, (("error", type(exc).__name__), ("error", str(exc)))
 
 
 def simulate(model, rho0, scheme, horizon, dt, seed, law=None):
@@ -98,12 +113,14 @@ def online_states(model, rho0, scheme, record, law, dt):
 
 
 def ensemble_parts(summary):
-    parts = [summary.times, summary.n_trajectories]
+    parts = [("times", summary.times), ("count", summary.n_trajectories)]
     for name in sorted(summary.means):
-        parts += [name, summary.means[name], summary.stderrs_re[name], summary.stderrs_im[name]]
+        parts += [("name", name), ("mean", summary.means[name]),
+                  ("stderr", summary.stderrs_re[name]), ("stderr", summary.stderrs_im[name])]
     health = summary.health
     if health is not None:
-        parts += [health.max_hermiticity_defect, health.min_eigenvalue, health.max_trace_defect]
+        parts += [("health", health.max_hermiticity_defect), ("health", health.min_eigenvalue),
+                  ("health", health.max_trace_defect)]
     return parts
 
 
@@ -124,8 +141,10 @@ def model_cases(dim: int, seed: int):
 
 
 def cases(dims, seeds, horizon, dt, trajectories):
-    """(name, hash parts) for every case; a case that raised is named with
-    its error type."""
+    """(name, parts) for every case, each part a pair (role, value): the
+    values are hashed in order, and the roles (record, path, likelihood,
+    mean, ...) say which values --against compares how.  A case that
+    raised has the parts (error, type) and (error, message)."""
     for dim in dims:
         for seed in seeds:
             for label, model, rho0, obs, h1 in model_cases(dim, seed):
@@ -133,24 +152,65 @@ def cases(dims, seeds, horizon, dt, trajectories):
                 for sname, scheme in SCHEMES.items():
                     tag = f"n{dim} seed{seed} {label} {sname}"
                     sampled, err = attempt(lambda: simulate(model, rho0, scheme, horizon, dt, seed))
-                    yield f"{tag} simulate", err or (sampled[0].increments, sampled[1])
+                    yield f"{tag} simulate", err or (("record", sampled[0].increments), ("path", sampled[1]))
                     for kind in () if err else ("bks", "zakai"):
                         replay, err = attempt(lambda: replay_record(sampled[0], model, rho0, kind=kind))
-                        yield f"{tag} replay {kind}", err or (replay.matrices, replay.likelihoods)
+                        yield f"{tag} replay {kind}", err or (("path", replay.matrices), ("likelihood", replay.likelihoods))
                     closed, err = attempt(lambda: simulate(model, rho0, scheme, horizon, dt, seed, law=law))
-                    yield f"{tag} law simulate", err or (closed[0].increments, closed[1])
+                    yield f"{tag} law simulate", err or (("record", closed[0].increments), ("path", closed[1]))
                     if not err:
                         states, err = attempt(lambda: online_states(model, rho0, scheme, closed[0], law, dt))
-                        yield f"{tag} law online", err or (states,)
+                        yield f"{tag} law online", err or (("path", states),)
                     for with_law in (False, True):
                         summary, err = attempt(lambda: ensemble_average(
                             model, scheme, obs, trajectories, seed, horizon / 2, dt, rho0,
                             law=law if with_law else None, collect_health=True))
                         yield f"{tag} ensemble {'law' if with_law else 'stacked'}", err or ensemble_parts(summary)
                 times = dt * np.arange(int(round(horizon / dt)) + 1)
-                yield f"n{dim} seed{seed} {label} semigroup uniform", (semigroup_path(rho0, model, times),)
+                yield f"n{dim} seed{seed} {label} semigroup uniform", (("path", semigroup_path(rho0, model, times)),)
                 uneven = np.concatenate(([0.0], np.cumsum(np.linspace(0.5, 1.5, 7) * dt * 10)))
-                yield f"n{dim} seed{seed} {label} semigroup uneven", (semigroup_path(rho0, model, uneven),)
+                yield f"n{dim} seed{seed} {label} semigroup uneven", (("path", semigroup_path(rho0, model, uneven)),)
+
+
+SAVED = "outputs.npz"
+# roles compared by --against: the largest absolute deviation of filter
+# matrices and ensemble means, of likelihoods relative to their size, and of
+# record increments (a moved count shows as 1)
+DEVIATIONS = {"path": ("path", "mean"), "likelihood": ("likelihood",), "record": ("record",)}
+
+
+def save(directory: Path, outcomes) -> None:
+    """Every case's values, keyed "<case>|<part index>", to directory/outputs.npz."""
+    directory.mkdir(parents=True, exist_ok=True)
+    arrays = {f"{name}|{i}": np.asarray(value) for name, parts in outcomes
+              for i, (_, value) in enumerate(parts) if value is not None}
+    np.savez(directory / SAVED, **arrays)
+
+
+def deviation(role: str, value, saved) -> float:
+    if role == "likelihood":
+        return float(np.max(np.abs(value - saved) / np.abs(saved), initial=0.0))
+    return float(np.max(np.abs(value - saved), initial=0.0))
+
+
+def compare(name: str, parts, saved) -> str:
+    """One line of --against: the case's largest deviations from `saved`."""
+    stored = [saved.get(f"{name}|{i}") for i in range(len(parts))]
+    if all(s is None for s in stored):
+        return f"{name}  missing from the saved outputs"
+    raised = [parts[0][0] == "error", stored[0] is not None and stored[0].dtype.kind == "U"]
+    if any(raised):
+        same = all(raised) and [str(v) for _, v in parts] == [str(s) for s in stored]
+        return f"{name}  {'same error' if same else 'raised on one side only, or another error'}"
+    worst = {}
+    for (role, value), old in zip(parts, stored):
+        column = next((c for c, roles in DEVIATIONS.items() if role in roles), None)
+        if column is None or value is None:
+            continue
+        if old is None or np.shape(value) != old.shape:
+            return f"{name}  {role} shapes differ"
+        worst[column] = max(worst.get(column, 0.0), deviation(role, value, old))
+    return name + "".join(f"  {c} {worst[c]:.1e}" for c in DEVIATIONS if c in worst)
 
 
 def main():
@@ -160,11 +220,23 @@ def main():
     parser.add_argument("--horizon", type=float, default=2.0)
     parser.add_argument("--dt", type=float, default=5e-3)
     parser.add_argument("--trajectories", type=int, default=6)
+    parser.add_argument("--save", type=Path, metavar="DIR", help=f"also write every case's outputs to DIR/{SAVED}")
+    parser.add_argument("--against", type=Path, metavar="DIR",
+                        help="print each case's largest deviations from the outputs saved in DIR, not hashes")
     args = parser.parse_args()
+    saved = dict(np.load(args.against / SAVED)) if args.against else None
+    outcomes = []
     with np.errstate(all="ignore"):
         for name, parts in cases(args.dims, args.seeds, args.horizon, args.dt, args.trajectories):
-            raised = f" (raised {parts[0]})" if isinstance(parts[0], str) else ""
-            print(f"{digest(*parts)}  {name}{raised}")
+            if args.save:
+                outcomes.append((name, parts))
+            if saved is not None:
+                print(compare(name, parts, saved))
+            else:
+                raised = f" (raised {parts[0][1]})" if parts[0][0] == "error" else ""
+                print(f"{digest(*(value for _, value in parts))}  {name}{raised}")
+    if args.save:
+        save(args.save, outcomes)
 
 
 if __name__ == "__main__":

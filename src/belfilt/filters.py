@@ -28,11 +28,14 @@ observation with corruption strength kappa; a quadrature phase phi enters
 only through L -> exp(i phi) L.  The normalized routes then divide by the
 trace (Kallianpur-Striebel); the unnormalized trace is the likelihood.
 
-One product vec(r) @ S with the step matrix S (`_step_matrix`, bound once
-per run) gives A r, X r, tr(A r), tr(X r) and tr(r), hence every scalar
-above and the raw trace; two n x n products give the commutator, whose
-Hamiltonian a control law changes every step.  `_kernel` steps one matrix
-or a stack of trajectories alike; the public step functions and the
+One product p = vec(r) @ S with the step matrix S (`_step_matrix`) holds
+tr(A r), tr(X r), tr(r), A' r, X r and r, for A' = A - i dt [H, .]: the
+three scalars give (a0, a1, a2) and the raw trace (the commutator is
+traceless), and a second product of the row (a0, a1, a2), divided by the
+trace on the normalized routes, with the last three blocks of p gives the
+next matrix.  S is bound once per run; a control law rewrites only its A'
+block from H_t each step (`_hamiltonian_writer`).  `_kernel` steps one
+matrix or a stack of trajectories alike; the public step functions and the
 trajectory loops all call it.
 
 Positivity is monitored, not enforced: Euler steps may transiently leave
@@ -43,6 +46,7 @@ the state space, and projecting would mask convergence behavior.  Use
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -212,27 +216,84 @@ def _refuse(bad, error, message, *values):
     raise exc
 
 
-def _step_matrix(blocks, counting: bool, dt: float):
+def _step_matrix(blocks, counting: bool, dt: float, h):
     """S, the matrix of one Euler step on the row vec(r) (see `_kernel`),
-    from a channel's `operators._liouville` blocks (D, G, J): vec(r) @ S
-    holds tr(A r), tr(X r), tr(r), A r and X r, for A = I + dt D and
-    X = J when counting, G otherwise."""
+    from a channel's `operators._liouville` blocks (D, G, J) and the
+    Hamiltonian h (None for none): vec(r) @ S holds tr(A r), tr(X r), tr(r),
+    A' r, X r and r, for A = I + dt D, A' = A - i dt [H, .] and X = J when
+    counting, G otherwise.  The commutator being traceless, the trace
+    columns are those of A."""
     dissipator, diffusive, jump = blocks
     measured = jump if counting else diffusive
-    n = math.isqrt(len(measured))
-    a = np.eye(n * n) + dt * dissipator
+    n2 = len(measured)
+    n = math.isqrt(n2)
+    a = np.eye(n2) + dt * dissipator
     traces = [a[:: n + 1].sum(0), measured[:: n + 1].sum(0), np.eye(n).reshape(-1)]
-    return np.vstack(traces + [a, measured]).T.copy()
+    s = np.vstack(traces + [a, measured, np.eye(n2)]).T.copy()
+    if h is not None:
+        _hamiltonian_writer(s)(h, dt)
+    return s
+
+
+@functools.lru_cache(maxsize=None)
+def _commutator_index(n: int):
+    """Where -i dt [H, .] enters the step matrix of an n x n filter.
+
+    S holds the map transposed on the row-major vec: its A' block entry
+    ((c, d), (a, b)) gains g[a n + c] [b = d] - g[d n + b] [a = c] for
+    g = [vec(-i dt H), 0].  Returns the flat positions in S of the 2n^3 - n^2
+    entries with b = d or a = c, and shape (2, that many) the indices into g
+    of their two terms, n^2 reading the zero."""
+    c, d, a, b = np.indices((n,) * 4).reshape(4, -1)
+    hit = (b == d) | (a == c)
+    c, d, a, b = c[hit], d[hit], a[hit], b[hit]
+    where = (c * n + d) * (3 + 3 * n * n) + 3 + a * n + b
+    terms = np.stack((np.where(b == d, a * n + c, n * n), np.where(a == c, d * n + b, n * n)))
+    where.setflags(write=False)
+    terms.setflags(write=False)
+    return where, terms
+
+
+def _hamiltonian_writer(s, drift=None):
+    """Bind the step matrix s and return write(h, dt), which makes its A'
+    columns A' = A - i dt [H, .] for the Hamiltonian h.  `drift` holds the
+    entries of A at the positions H reaches (`_commutator_index`), read from
+    s, its A' columns then holding A, when not given.  A write is two
+    gathers from g = [vec(-i dt H), 0], a difference, a sum with `drift` and
+    one scatter, into buffers bound once; no n^4 x n^2 map of H is held."""
+    n2 = len(s)
+    n = math.isqrt(n2)
+    where, terms = _commutator_index(n)
+    flat = s.reshape(-1)
+    if drift is None:
+        drift = flat[where]
+    g = np.zeros(n2 + 1, dtype=complex)
+    head = g[:n2].reshape(n, n)
+    pair = np.empty(terms.shape, dtype=complex)
+    left, right = pair
+
+    def write(h, dt: float) -> None:
+        np.multiply(h, -1j * dt, out=head)
+        g.take(terms, out=pair, mode="clip")  # in range; "clip" skips the checked, buffered path
+        np.subtract(left, right, out=left)
+        np.add(drift, left, out=left)
+        flat[where] = left
+
+    return write
 
 
 def _model_matrix(model: SystemModel, phase: float, counting: bool, dt: float):
-    """The step matrix of `model`'s channel and -i dt H, built once and held
-    with the model until a call with another phase, scheme family or dt."""
+    """The step matrix of `model`'s channel and Hamiltonian, and the entries
+    of A the Hamiltonian reaches (a control law's H_t is written over them,
+    see `_hamiltonian_writer`); built once and held with the model until a
+    call with another phase, scheme family or dt."""
     key = (phase, counting, dt)
     held = model._derived.get("step")
     if held is None or held[0] != key:
-        s = _step_matrix(model._single_channel_blocks(phase), counting, dt)
-        held = model._derived["step"] = (key, s, -1j * dt * model.hamiltonian)
+        s = _step_matrix(model._single_channel_blocks(phase), counting, dt, None)
+        drift = s.reshape(-1)[_commutator_index(model.dim)[0]]
+        _hamiltonian_writer(s, drift)(model.hamiltonian, dt)
+        held = model._derived["step"] = (key, s, drift)
     return held[1], held[2]
 
 
@@ -273,17 +334,19 @@ def _vanished(tr, dy, a0, trace_a, a1, m):
     return f"filter trace {tr:.3e} vanished; reduce dt"
 
 
-def _kernel(r, s, hs, dy, dt, kind, gain, normalized, noise=None, out=None):
+def _kernel(r, s, dy, dt, kind, gain, normalized, noise=None, out=None):
     """One Euler step of any of the filters on the rows r, shape (B, 1, n^2),
     of vec(w) for B raw matrices w (B = 1 for one matrix), given the step
-    matrix s (`_step_matrix`) and hs = -i dt H.
+    matrix s (`_step_matrix`).
 
-    The raw step a0 (A r - i dt [H, w]) + a1 X r + a2 r takes (a0, a1, a2)
-    from `_COEFFICIENTS`, and its trace is a0 tr(A r) + a1 tr(X r) + a2 tr(r),
-    the commutator being traceless.  With `noise`, dy is first drawn from the
-    pre-step state (`_sample`).  Returns the next rows (written into `out`
-    when given), the trace of the raw step (the likelihood of Zakai runs)
-    and dy.
+    p = r @ s holds the traces tr(A r), tr(X r), tr(r) and the blocks
+    A' r, X r, r.  The raw step a0 A' r + a1 X r + a2 r takes (a0, a1, a2)
+    from `_COEFFICIENTS`, and its trace is a0 tr(A r) + a1 tr(X r) + a2 tr(r).
+    With `noise`, dy is first drawn from the pre-step state (`_sample`).
+    The next rows are one product of the coefficient row, divided by the
+    trace on the normalized routes, with the blocks of p.  Returns them
+    (written into `out` when given), the trace of the raw step (the
+    likelihood of Zakai runs) and dy.
 
     One matrix takes Python float dy or noise, a stack arrays of shape
     (B, 1, 1); a stack's traces come back in that shape, a registered count
@@ -308,41 +371,39 @@ def _kernel(r, s, hs, dy, dt, kind, gain, normalized, noise=None, out=None):
             a0, a1, a2 = (np.where(jump, c, a) for c, a in zip(_COUNT, (a0, a1, a2)))
         elif jump:
             a0, a1, a2 = _COUNT
-    n2 = r.shape[-1]
-    w = r.reshape(len(r), len(hs), -1)
-    drift = np.matmul(hs, w)
-    drift -= np.matmul(w, hs)
-    drift = drift.reshape(r.shape)
-    drift += p[..., 3 : 3 + n2]
-    raw = np.multiply(drift, a0, out=out)
-    raw += p[..., 3 + n2 :] * a1
-    raw += r * a2
     tr = a0 * trace_a + a1 * m + a2 * trace_r
-    if not normalized:
+    if normalized:
+        _refuse(tr <= COLLAPSE_TRACE, FilterCollapse, _vanished, tr, dy, a0, trace_a, a1, m)
+    else:
         # the likelihood must stay a positive finite number; NaN fails `tr != tr`
         _refuse((tr <= 0.0) | (tr == math.inf) | (tr != tr), FilterCollapse,
                 "unnormalized filter trace {:.3e} is not positive and finite", tr)
-        return raw, tr, dy
-    _refuse(tr <= COLLAPSE_TRACE, FilterCollapse, _vanished, tr, dy, a0, trace_a, a1, m)
-    return np.divide(raw, tr, out=raw), tr, dy
+    if stacked:
+        coef = np.empty((len(r), 1, 3))
+        coef[..., 0:1], coef[..., 1:2], coef[..., 2:3] = a0, a1, a2
+        if normalized:
+            coef /= tr
+    else:
+        coef = np.array(((a0 / tr, a1 / tr, a2 / tr) if normalized else (a0, a1, a2),))
+    return np.matmul(coef, p[..., 3:].reshape(len(r), 3, -1), out=out), tr, dy
 
 
-def _apply(state: FilterState, dY, s, hs, dt: float, scheme: MeasurementScheme, normalized: bool):
-    """Step state.matrix through the kernel with the step matrix s and
-    hs = -i dt H; normalized results keep the incoming likelihood."""
+def _apply(state: FilterState, dY, s, dt: float, scheme: MeasurementScheme, normalized: bool):
+    """Step state.matrix through the kernel with the step matrix s; normalized
+    results keep the incoming likelihood."""
     dy = float(dY)
     if scheme.kind == COUNTING and dy not in (0.0, 1.0):
         raise ValidationError(f"counting increment must be 0 or 1, got {dY!r}")
     w = state.matrix
-    new, tr, _ = _kernel(w.reshape(1, 1, -1), s, hs, dy, dt, _route(scheme), scheme.gain, normalized)
+    new, tr, _ = _kernel(w.reshape(1, 1, -1), s, dy, dt, _route(scheme), scheme.gain, normalized)
     return FilterState(new.reshape(w.shape), normalized, state.likelihood if normalized else tr)
 
 
 def _model_step(state: FilterState, dY, model: SystemModel, dt: float, scheme: MeasurementScheme, normalized: bool):
     dt = _require_dt(dt)
     _require_model_state(state, model)
-    s, hs = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
-    return _apply(state, dY, s, hs, dt, scheme, normalized)
+    s, _ = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
+    return _apply(state, dY, s, dt, scheme, normalized)
 
 
 def zakai_step_homodyne(
@@ -599,10 +660,27 @@ class ControlLaw:
         return cls(compile_control_expression(expression), h0, h1)
 
     def hamiltonian_at(self, t: float, prefix) -> tuple[np.ndarray, float]:
+        """H_t = H0 + u H1 and u, for u = control(t, prefix) a finite real
+        number; a complex u with zero imaginary part counts as its real part."""
         u = self.control(float(t), prefix)
-        if not np.isfinite(u) or (isinstance(u, complex) and u.imag != 0):
+        if type(u) is not float:
+            u = _real_control(u, t)
+        if not math.isfinite(u):
             raise ValidationError(f"control law returned non-real value {u!r} at t = {t}")
-        return self.h0 + float(u) * self.h1, float(u)
+        return self.h0 + u * self.h1, u
+
+
+def _real_control(u, t: float) -> float:
+    """u as a Python float: its real part when its imaginary part is 0."""
+    try:
+        if isinstance(u, (str, bytes)):  # complex() would parse them
+            raise TypeError
+        z = complex(u)
+    except (TypeError, ValueError):
+        raise ValidationError(f"control law returned non-numeric value {u!r} at t = {t}") from None
+    if z.imag != 0.0:
+        raise ValidationError(f"control law returned non-real value {u!r} at t = {t}")
+    return z.real
 
 
 def _require_law_model(law: ControlLaw, model: SystemModel) -> None:
@@ -610,18 +688,31 @@ def _require_law_model(law: ControlLaw, model: SystemModel) -> None:
         raise DimensionMismatch(f"control H0/H1 dim {law.h0.shape[0]} != model dim {model.dim}")
 
 
-def _law_terms(law: ControlLaw, t: float, prefix, model: SystemModel, phase: float, counting: bool, dt: float):
-    """The step matrix and -i dt H_t of one step of a law run.  The channel
-    map is called once; without one the model's channel and its step matrix
-    stand."""
-    h_t, _ = law.hamiltonian_at(t, prefix)
-    hs = -1j * dt * h_t
+def _law_matrices(law: ControlLaw, model: SystemModel, phase: float, counting: bool, dt: float):
+    """The function (t, prefix) -> step matrix of one law run.  Without a
+    channel map the run holds one copy of the model's step matrix and each
+    call rewrites only its A' block from H_t (`_hamiltonian_writer`); with
+    one, each call maps the channel once and builds the step matrix
+    afresh."""
     if law.channel_map is None:
-        return _model_matrix(model, phase, counting, dt)[0], hs
-    ch = as_operator(law.channel_map(t, prefix), "L_t")
-    if ch.shape[0] != model.dim:
-        raise DimensionMismatch(f"L_t dim {ch.shape[0]} != model dim {model.dim}")
-    return _step_matrix(_liouville(None, (_channel_parts(ch, phase),)), counting, dt), hs
+        s, drift = _model_matrix(model, phase, counting, dt)
+        s = s.copy()
+        write = _hamiltonian_writer(s, drift)
+
+        def step(t, prefix):
+            write(law.hamiltonian_at(t, prefix)[0], dt)
+            return s
+
+        return step
+
+    def mapped(t, prefix):
+        h_t, _ = law.hamiltonian_at(t, prefix)
+        ch = as_operator(law.channel_map(t, prefix), "L_t")
+        if ch.shape[0] != model.dim:
+            raise DimensionMismatch(f"L_t dim {ch.shape[0]} != model dim {model.dim}")
+        return _step_matrix(_liouville(None, (_channel_parts(ch, phase),)), counting, dt, h_t)
+
+    return mapped
 
 
 def feedback_step(
@@ -653,8 +744,8 @@ def feedback_step(
         raise CausalityViolation(
             f"record prefix extends to {prefix.size * dt:.6g}, at or beyond the current time {t:.6g}"
         )
-    s, hs = _law_terms(law, t, prefix, model, scheme.phase, scheme.kind == COUNTING, dt)
-    return _apply(state, dY, s, hs, dt, scheme, state.normalized)
+    s = _law_matrices(law, model, scheme.phase, scheme.kind == COUNTING, dt)(t, prefix)
+    return _apply(state, dY, s, dt, scheme, state.normalized)
 
 
 # --- health monitoring ----------------------------------------------------

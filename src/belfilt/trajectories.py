@@ -40,7 +40,7 @@ from .filters import (
     MeasurementScheme,
     PathHealth,
     _kernel,
-    _law_terms,
+    _law_matrices,
     _model_matrix,
     _require_law_model,
     _route,
@@ -174,16 +174,17 @@ def _integrate(
 
     With `noise`, each increment is drawn from the pre-step state first (see
     `filters._sample`) and written to `increments`.  Returns the path, shape
-    (steps+1, n, n), and for unnormalized runs the likelihoods.  A step that
-    fails raises its error type naming the step (and `trajectory`, when
-    given).
+    (steps+1, n, n), and for unnormalized runs the likelihoods.  A step whose
+    filter, control law or channel map fails raises its error type naming
+    the step (and `trajectory`, when given).
     """
     w = _initial_matrix(rho0, model)
     phase, kind, gain, counting = scheme.phase, _route(scheme), scheme.gain, scheme.kind == COUNTING
     if law is None:
-        s, hs = _model_matrix(model, phase, counting, dt)
+        s, _ = _model_matrix(model, phase, counting, dt)
     else:
         _require_law_model(law, model)
+        law_matrix = _law_matrices(law, model, phase, counting, dt)
     steps = increments.size
     n = model.dim
     path = np.empty((steps + 1, n, n), dtype=complex)
@@ -191,12 +192,12 @@ def _integrate(
     rows = path.reshape(steps + 1, 1, 1, n * n)
     traces = np.ones(steps + 1)
     for k in range(steps):
-        if law is not None:
-            s, hs = _law_terms(law, k * dt, increments[:k], model, phase, counting, dt)
         try:
+            if law is not None:
+                s = law_matrix(k * dt, increments[:k])
             # Python floats: numpy scalar arithmetic costs microseconds a step
             dy, draw = (float(increments[k]), None) if noise is None else (None, float(noise[k]))
-            _, traces[k + 1], dy = _kernel(rows[k], s, hs, dy, dt, kind, gain, normalized, draw, rows[k + 1])
+            _, traces[k + 1], dy = _kernel(rows[k], s, dy, dt, kind, gain, normalized, draw, rows[k + 1])
         except (ValidationError, NumericalFailure) as exc:
             raise type(exc)(f"{_at(k, trajectory)}: {exc}") from None
         if noise is not None:
@@ -216,7 +217,7 @@ def _integrate_stack(model: SystemModel, rho0, scheme: MeasurementScheme, dt: fl
     """
     rows, steps = noise.shape
     n = model.dim
-    s, hs = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
+    s, _ = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
     kind, gain = _route(scheme), scheme.gain
     paths = np.empty((rows, steps + 1, n, n), dtype=complex)
     paths[:, 0] = _initial_matrix(rho0, model)
@@ -224,7 +225,7 @@ def _integrate_stack(model: SystemModel, rho0, scheme: MeasurementScheme, dt: fl
     noise = noise[:, :, None, None]
     for k in range(steps):
         try:
-            _kernel(vecs[:, k], s, hs, None, dt, kind, gain, True, noise[:, k], vecs[:, k + 1])
+            _kernel(vecs[:, k], s, None, dt, kind, gain, True, noise[:, k], vecs[:, k + 1])
         except (ValidationError, NumericalFailure) as exc:
             raise type(exc)(f"{_at(k, first + exc.row)}: {exc}") from None
     return paths

@@ -380,3 +380,16 @@ class TestShippedDemos:
             assert f"n2 seed1 decay-diag counting {name}" in names
         assert "n2 seed1 random2 semigroup uniform" in names
         assert self._run("seeded_hashes.py", *args, cwd=tmp_path).stdout == first.stdout
+
+    def test_seeded_hashes_compares_saved_outputs(self, tmp_path):
+        args = ("--dims", "2", "--seeds", "1", "--horizon", "0.1", "--trajectories", "2")
+        hashed = self._run("seeded_hashes.py", *args, "--save", "saved", cwd=tmp_path)
+        assert hashed.returncode == 0, hashed.stderr
+        compared = self._run("seeded_hashes.py", *args, "--against", "saved", cwd=tmp_path)
+        assert compared.returncode == 0, compared.stderr
+        # the same checkout: every case present, every deviation zero
+        columns = {line.split("  ")[0]: line.split("  ")[1:] for line in compared.stdout.splitlines()}
+        assert list(columns) == [line.split("  ", 1)[1] for line in hashed.stdout.splitlines()]
+        assert columns["n2 seed1 random2 homodyne replay zakai"] == ["path 0.0e+00", "likelihood 0.0e+00"]
+        assert columns["n2 seed1 decay-diag counting simulate"] == ["path 0.0e+00", "record 0.0e+00"]
+        assert all(parts and all(part.endswith(" 0.0e+00") for part in parts) for parts in columns.values())

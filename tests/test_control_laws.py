@@ -4,6 +4,7 @@ done per call, and the per-thread memo of cumulative sums."""
 import struct
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -200,3 +201,32 @@ class TestMemoIsolation:
         for want, fed_alternately, fed_in_thread in zip(expected, alternate, threaded):
             assert np.array_equal(np.array(fed_alternately).view(np.int64), want.view(np.int64))
             assert np.array_equal(fed_in_thread.view(np.int64), want.view(np.int64))
+
+
+class TestControlValues:
+    """`ControlLaw.hamiltonian_at` takes a real u of any numeric type and
+    refuses the rest with a ValidationError naming t and the value."""
+
+    def _law(self, value):
+        return ControlLaw(lambda t, prefix: value, 0.5 * SIGMA_Z, SIGMA_X)
+
+    @pytest.mark.parametrize("value", [1 + 0j, np.complex128(1 + 0j), np.float32(1.0), np.int64(1), 1])
+    def test_real_values_of_any_type_accepted(self, value):
+        law = self._law(value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h, u = law.hamiltonian_at(0.25, np.zeros(3))
+        assert type(u) is float and u == 1.0
+        assert np.array_equal(h, law.h0 + 1.0 * law.h1)
+
+    @pytest.mark.parametrize("value,shown", [(1 + 2j, r"\(1\+2j\)"), (np.complex128(1 - 1e-300j), r".*1e-300j.*"),
+                                             (np.nan, "nan"), (-np.inf, "-inf"), (complex(np.inf, 0), "inf")])
+    def test_complex_and_non_finite_refused(self, value, shown):
+        with pytest.raises(bf.ValidationError, match=rf"^control law returned non-real value {shown} at t = 0.25$"):
+            self._law(value).hamiltonian_at(0.25, np.zeros(3))
+
+    @pytest.mark.parametrize("value,shown", [(None, "None"), ("1", "'1'"), (b"1", "b'1'"),
+                                             (np.ones(2), r"array\(\[1., 1.\]\)"), ([1.0], r"\[1.0\]")])
+    def test_non_numeric_refused(self, value, shown):
+        with pytest.raises(bf.ValidationError, match=rf"^control law returned non-numeric value {shown} at t = 0.25$"):
+            self._law(value).hamiltonian_at(0.25, np.zeros(3))

@@ -151,3 +151,59 @@ def test_channel_map_rebuilds_every_step(monkeypatch):
     model, rho0, law = _case(2, "map")
     simulate_homodyne(model, rho0, 20 * DT, DT, seed=1, law=law)
     assert len(calls) == 20
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_constant_law_runs_match_static_model_bit_for_bit(dim):
+    """A law with constant u steps exactly as the model with H0 + u H1, over
+    whole simulations and replays: both write the Hamiltonian into S by
+    `_hamiltonian_writer` over the same channel part."""
+    model, rho0, _ = _case(dim, "none")
+    u = 0.7
+    law = ControlLaw(lambda t, prefix: u, model.hamiltonian, random_hermitian(dim, np.random.default_rng(dim)))
+    static = bf.SystemModel(law.h0 + u * law.h1, model.channels)
+    seed = derive_seed(dim, 11)
+    for name in ("homodyne", "counting"):
+        if name == "counting":
+            record, path = bf.simulate_counting(model, rho0, STEPS * DT, DT, seed, law=law)
+            plain, plain_path = bf.simulate_counting(static, rho0, STEPS * DT, DT, seed)
+            assert 0 < record.increments.sum()
+        else:
+            record, path = simulate_homodyne(model, rho0, STEPS * DT, DT, seed, law=law)
+            plain, plain_path = simulate_homodyne(static, rho0, STEPS * DT, DT, seed)
+        assert np.array_equal(record.increments, plain.increments)
+        assert np.array_equal(path, plain_path)
+        for kind in ("bks", "zakai"):
+            run = replay_record(record, model, rho0, kind=kind, law=law)
+            plain_run = replay_record(record, static, rho0, kind=kind)
+            assert np.array_equal(run.matrices, plain_run.matrices)
+            assert np.array_equal(run.likelihoods, plain_run.likelihoods)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5])
+@pytest.mark.parametrize("dt", [1e-3, 0.37, 2.0])
+def test_rewritten_block_is_the_hamiltonian_part_of_liouville(dim, dt):
+    """Over a step matrix of zeros, `_hamiltonian_writer` writes dt times the
+    Hamiltonian part of `operators._liouville` (S holds it transposed), and
+    the columns outside the block stay untouched."""
+    h = random_hermitian(dim, np.random.default_rng(70 + dim), scale=3.0)
+    n2 = dim * dim
+    s = np.zeros((n2, 3 + 3 * n2), dtype=complex)
+    filters._hamiltonian_writer(s)(h, dt)
+    expected = dt * operators._liouville(h)[0].T
+    assert np.max(np.abs(s[:, 3 : 3 + n2] - expected)) <= 1e-15 * np.linalg.norm(h, 2)
+    assert not s[:, :3].any() and not s[:, 3 + n2 :].any()
+
+
+def test_step_matrix_holds_every_block():
+    """vec(r) @ S against the blocks built from `_liouville` with H."""
+    model, rho0, _ = _case(3, "none")
+    dt = 0.01
+    r = rho0.matrix.reshape(-1)
+    d, g, j = operators._liouville(model.hamiltonian, (model.single_channel_parts(0.0),))
+    drift = np.eye(9) + dt * d
+    for counting, measured in ((False, g), (True, j)):
+        p = r @ filters._model_matrix(model, 0.0, counting, dt)[0]
+        expected = np.concatenate(([np.trace((drift @ r).reshape(3, 3)), np.trace((measured @ r).reshape(3, 3)), 1.0],
+                                   drift @ r, measured @ r, r))
+        assert np.max(np.abs(p - expected)) <= 1e-14

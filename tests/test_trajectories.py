@@ -251,6 +251,29 @@ class TestLawEvaluation:
             _run_with_law(route, law)
         assert calls == [k * 1e-3 for k in range(8)]
 
+    @pytest.mark.parametrize("route", LAW_ROUTES)
+    def test_law_errors_name_their_step(self, route):
+        def control(t, prefix):
+            return np.nan if prefix.size == 5 else 0.1
+
+        law = ControlLaw(control, np.zeros((2, 2)), SIGMA_X)
+        with pytest.raises(bf.ValidationError, match=r"^step 5: control law returned non-real value nan at t = 0.005$"):
+            _run_with_law(route, law)
+        law = ControlLaw(lambda t, prefix: 0.0, np.zeros((2, 2)), SIGMA_X,
+                         channel_map=_counting_map([], 7, np.zeros((3, 3))))
+        with pytest.raises(bf.DimensionMismatch, match=r"^step 7: L_t dim 3 != model dim 2$"):
+            _run_with_law(route, law)
+
+    @pytest.mark.parametrize("scheme", [MeasurementScheme.homodyne(), MeasurementScheme.counting()])
+    def test_ensemble_law_errors_name_their_trajectory(self, scheme):
+        law = ControlLaw(lambda t, prefix: 1j if prefix.size == 3 else 0.2, np.zeros((2, 2)), SIGMA_X)
+        with pytest.raises(bf.ValidationError, match=r"^trajectory 0, step 3: control law returned non-real value 1j"):
+            ensemble_average(DECAY, scheme, {"z": SIGMA_Z}, 3, 5, 0.01, 1e-3, PLUS_MIXED, law=law)
+        law = ControlLaw(lambda t, prefix: 0.0, np.zeros((2, 2)), SIGMA_X,
+                         channel_map=lambda t, prefix: np.full((2, 2), np.nan) if t > 0.0035 else SIGMA_MINUS)
+        with pytest.raises(bf.ValidationError, match=r"^trajectory 0, step 4: L_t: entries must be finite$"):
+            ensemble_average(DECAY, scheme, {"z": SIGMA_Z}, 3, 5, 0.01, 1e-3, PLUS_MIXED, law=law)
+
 
 def _shared_kernel_cases():
     schemes = {
@@ -611,7 +634,7 @@ class TestErrorsNameTheirStep:
         lw = ch @ w
         dy = np.array([0.0, 1.0, 1.0])[:, None, None]
         with pytest.raises(bf.ZeroJumpRate, match="jump recorded while") as info:
-            _kernel(w.reshape(3, 1, 4), *bf.filters._model_matrix(DECAY, 0.0, True, 1e-3), dy, 1e-3, "counting", 1.0, True)
+            _kernel(w.reshape(3, 1, 4), bf.filters._model_matrix(DECAY, 0.0, True, 1e-3)[0], dy, 1e-3, "counting", 1.0, True)
         assert info.value.row == 1
 
 
