@@ -15,12 +15,17 @@ same record fed online through feedback_step, every state hashed; ensembles
 with health, with and without the law; semigroup_path on a uniform and a
 non-uniform grid.  Dimension 2 adds the qubit-decay model (H = 0, L = sigma-)
 from a diagonal and from a coherent start.  A case that raises hashes its
-error type and message instead, so errors are compared too.
+error type and message instead, so errors are compared too.  Each run that
+succeeds also writes its CSV files through belfilt.recordio (record and path
+after a simulation, the path with likelihoods after a replay, the ensemble
+table, the master path of the uniform grid) and a "csv" case hashes their
+bytes, so the diff covers the byte-stable formats as well.
 
 To see how far outputs moved rather than whether they did, save one
 checkout's outputs and compare the other's against them; each case then
 prints its largest deviation of filter matrices (and ensemble means), of
-likelihoods relative to their size, and of record increments:
+likelihoods relative to their size and of record increments, and for CSV
+cases 1 if the bytes differ, 0 if not:
 
     PYTHONPATH=../old/src python3 scripts/seeded_hashes.py --save before
     PYTHONPATH=src python3 scripts/seeded_hashes.py --against before
@@ -43,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +71,7 @@ from belfilt import (
     simulate_homodyne,
 )
 from belfilt.operators import SIGMA_MINUS, SIGMA_X, SIGMA_Z
+from belfilt.recordio import write_ensemble_csv, write_master_csv, write_path_csv, write_record
 
 LAW = "0.2 * Y - 0.5 * ma(Y, 50)"
 SCHEMES = {
@@ -79,6 +86,8 @@ def digest(*parts) -> str:
     for part in parts:
         if part is None:
             h.update(b"none")
+        elif isinstance(part, bytes):
+            h.update(part)
         elif isinstance(part, np.ndarray):
             h.update(repr((part.dtype.str, part.shape)).encode())
             h.update(np.ascontiguousarray(part).tobytes())
@@ -112,6 +121,18 @@ def online_states(model, rho0, scheme, record, law, dt):
     return np.stack(states)
 
 
+def csv_bytes(directory: Path, write) -> bytes:
+    """The bytes write(path) puts in a file."""
+    target = directory / "table.csv"
+    write(target)
+    return target.read_bytes()
+
+
+def series(matrices, obs) -> dict:
+    """tr(rho X) along a path, for each named observable."""
+    return {name: np.einsum("kij,ji->k", matrices, x) for name, x in obs.items()}
+
+
 def ensemble_parts(summary):
     parts = [("times", summary.times), ("count", summary.n_trajectories)]
     for name in sorted(summary.means):
@@ -140,11 +161,12 @@ def model_cases(dim: int, seed: int):
         yield "decay-plus", decay, plus, obs, SIGMA_X
 
 
-def cases(dims, seeds, horizon, dt, trajectories):
+def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
     """(name, parts) for every case, each part a pair (role, value): the
     values are hashed in order, and the roles (record, path, likelihood,
-    mean, ...) say which values --against compares how.  A case that
-    raised has the parts (error, type) and (error, message)."""
+    mean, csv, ...) say which values --against compares how.  A case that
+    raised has the parts (error, type) and (error, message).  CSV files are
+    written to `scratch` and read back as bytes."""
     for dim in dims:
         for seed in seeds:
             for label, model, rho0, obs, h1 in model_cases(dim, seed):
@@ -153,9 +175,18 @@ def cases(dims, seeds, horizon, dt, trajectories):
                     tag = f"n{dim} seed{seed} {label} {sname}"
                     sampled, err = attempt(lambda: simulate(model, rho0, scheme, horizon, dt, seed))
                     yield f"{tag} simulate", err or (("record", sampled[0].increments), ("path", sampled[1]))
+                    if not err:
+                        times = dt * np.arange(sampled[1].shape[0])
+                        yield f"{tag} simulate csv", (
+                            ("csv", csv_bytes(scratch, lambda p: write_record(sampled[0], p, config_hash=tag))),
+                            ("csv", csv_bytes(scratch, lambda p: write_path_csv(p, times, series(sampled[1], obs)))))
                     for kind in () if err else ("bks", "zakai"):
                         replay, err = attempt(lambda: replay_record(sampled[0], model, rho0, kind=kind))
                         yield f"{tag} replay {kind}", err or (("path", replay.matrices), ("likelihood", replay.likelihoods))
+                        if not err:
+                            expectations = {name: replay.expectations(x) for name, x in obs.items()}
+                            yield f"{tag} replay {kind} csv", (("csv", csv_bytes(scratch, lambda p: write_path_csv(
+                                p, replay.times, expectations, likelihoods=replay.likelihoods))),)
                     closed, err = attempt(lambda: simulate(model, rho0, scheme, horizon, dt, seed, law=law))
                     yield f"{tag} law simulate", err or (("record", closed[0].increments), ("path", closed[1]))
                     if not err:
@@ -166,8 +197,14 @@ def cases(dims, seeds, horizon, dt, trajectories):
                             model, scheme, obs, trajectories, seed, horizon / 2, dt, rho0,
                             law=law if with_law else None, collect_health=True))
                         yield f"{tag} ensemble {'law' if with_law else 'stacked'}", err or ensemble_parts(summary)
+                        if not err:
+                            yield f"{tag} ensemble {'law' if with_law else 'stacked'} csv", (
+                                ("csv", csv_bytes(scratch, lambda p: write_ensemble_csv(p, summary, {"seed": seed}))),)
                 times = dt * np.arange(int(round(horizon / dt)) + 1)
-                yield f"n{dim} seed{seed} {label} semigroup uniform", (("path", semigroup_path(rho0, model, times)),)
+                master = semigroup_path(rho0, model, times)
+                yield f"n{dim} seed{seed} {label} semigroup uniform", (("path", master),)
+                yield f"n{dim} seed{seed} {label} semigroup uniform csv", (
+                    ("csv", csv_bytes(scratch, lambda p: write_master_csv(p, times, series(master, obs)))),)
                 uneven = np.concatenate(([0.0], np.cumsum(np.linspace(0.5, 1.5, 7) * dt * 10)))
                 yield f"n{dim} seed{seed} {label} semigroup uneven", (("path", semigroup_path(rho0, model, uneven)),)
 
@@ -175,8 +212,9 @@ def cases(dims, seeds, horizon, dt, trajectories):
 SAVED = "outputs.npz"
 # roles compared by --against: the largest absolute deviation of filter
 # matrices and ensemble means, of likelihoods relative to their size, and of
-# record increments (a moved count shows as 1)
-DEVIATIONS = {"path": ("path", "mean"), "likelihood": ("likelihood",), "record": ("record",)}
+# record increments (a moved count shows as 1); CSV bytes read 0 when equal, 1
+# when not
+DEVIATIONS = {"path": ("path", "mean"), "likelihood": ("likelihood",), "record": ("record",), "csv": ("csv",)}
 
 
 def save(directory: Path, outcomes) -> None:
@@ -188,6 +226,8 @@ def save(directory: Path, outcomes) -> None:
 
 
 def deviation(role: str, value, saved) -> float:
+    if role == "csv":
+        return float(value != saved.item())
     if role == "likelihood":
         return float(np.max(np.abs(value - saved) / np.abs(saved), initial=0.0))
     return float(np.max(np.abs(value - saved), initial=0.0))
@@ -226,8 +266,8 @@ def main():
     args = parser.parse_args()
     saved = dict(np.load(args.against / SAVED)) if args.against else None
     outcomes = []
-    with np.errstate(all="ignore"):
-        for name, parts in cases(args.dims, args.seeds, args.horizon, args.dt, args.trajectories):
+    with np.errstate(all="ignore"), tempfile.TemporaryDirectory() as scratch:
+        for name, parts in cases(args.dims, args.seeds, args.horizon, args.dt, args.trajectories, Path(scratch)):
             if args.save:
                 outcomes.append((name, parts))
             if saved is not None:

@@ -11,6 +11,7 @@ bytes.
 from __future__ import annotations
 
 import math
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -50,6 +51,20 @@ def _parse_metadata(lines):
     raise RecordFormatError("file contains no CSV header row")
 
 
+def _write_table(path, meta_lines, columns, data) -> None:
+    """Write the metadata lines, the header row `columns` and one row per
+    entry of the columns in `data`, every value with 17 significant digits.
+
+    The body is one `%` over a row template repeated once per row:
+    `'%.17g' % x` gives the bytes of `_fmt(x)`.
+    """
+    table = np.column_stack([np.asarray(column, dtype=float) for column in data])
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(meta_lines + [",".join(columns)]) + "\n")
+        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+
+
 def write_record(record: ObservationRecord, path, config_hash: str = "-") -> None:
     scheme = record.scheme
     lines = _metadata_lines(
@@ -64,12 +79,16 @@ def write_record(record: ObservationRecord, path, config_hash: str = "-") -> Non
             "steps": record.steps,
         },
     )
-    lines.append("t,dY")
-    times = record.times()
-    for t, dy in zip(times, record.increments):
-        lines.append(f"{_fmt(t)},{_fmt(dy)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, lines, ["t", "dY"], [record.times(), record.increments])
+
+
+def _first_refused(fields):
+    """Index of the first field float() refuses, and its error."""
+    for idx, field in enumerate(fields):
+        try:
+            float(field)
+        except ValueError as exc:
+            return idx, exc
 
 
 def read_record(path) -> ObservationRecord:
@@ -93,96 +112,85 @@ def read_record(path) -> ObservationRecord:
     except ValueError as exc:
         raise RecordFormatError(f"malformed metadata value: {exc}") from exc
     scheme = MeasurementScheme(meta["scheme"], kappa, phase)
-    rows = [line for line in lines[header_idx + 1 :] if line.strip()]
+    body = lines[header_idx + 1 :]
+    rows = list(filter(str.strip, body))
     if len(rows) != steps:
         raise RecordFormatError(f"declared steps = {steps} but found {len(rows)} data rows")
-    increments = np.empty(steps)
-    counting = scheme.kind == COUNTING
-    for k, row in enumerate(rows):
-        line_no = header_idx + 2 + k
-        parts = row.split(",")
-        if len(parts) != 2:
-            raise RecordFormatError("expected two columns t,dY", line=line_no)
-        try:
-            t_val = float(parts[0])
-            dy = float(parts[1])
-        except ValueError as exc:
-            raise RecordFormatError(f"non-numeric value: {exc}", line=line_no) from exc
-        if not math.isfinite(dy):
-            raise RecordFormatError("non-finite increment", line=line_no)
-        expected_t = (k + 1) * dt
-        if abs(t_val - expected_t) > 1e-6 * dt:
-            raise RecordFormatError(f"time column {t_val} does not match step grid value {expected_t}", line=line_no)
-        if counting and dy not in (0.0, 1.0):
-            raise RecordFormatError(f"counting increment {dy} is not 0 or 1", line=line_no)
-        increments[k] = dy
-    return ObservationRecord(scheme, dt, increments, seed=seed)
+
+    def line_of(k):
+        """The file line number of data row k (blank lines counted)."""
+        return header_idx + 2 + [i for i, line in enumerate(body) if line.strip()][k]
+
+    # Every row before `stop` holds two fields that float() accepts. Row
+    # `stop`, if there is one, has the wrong number of columns or, when
+    # `refused` is set, a field that float() refuses.
+    commas = np.fromiter(map(str.count, rows, repeat(",")), dtype=np.intp, count=steps)
+    wrong = np.flatnonzero(commas != 1)
+    stop = int(wrong[0]) if wrong.size else steps
+    refused = None
+    fields = ",".join(rows[:stop]).split(",") if stop else []
+    try:
+        values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
+    except ValueError:
+        idx, refused = _first_refused(fields)
+        stop = idx // 2
+        values = np.fromiter(map(float, fields[: 2 * stop]), dtype=float, count=2 * stop)
+    t, dy = values.reshape(stop, 2).T
+    off_grid = ~(np.abs(t - dt * np.arange(1, stop + 1)) <= 1e-6 * dt)
+    bad = ~np.isfinite(dy) | off_grid
+    if scheme.kind == COUNTING:
+        bad |= (dy != 0.0) & (dy != 1.0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not math.isfinite(dy[k]):
+            raise RecordFormatError("non-finite increment", line=line_of(k))
+        if off_grid[k]:
+            raise RecordFormatError(
+                f"time column {float(t[k])} does not match step grid value {(k + 1) * dt}", line=line_of(k)
+            )
+        raise RecordFormatError(f"counting increment {float(dy[k])} is not 0 or 1", line=line_of(k))
+    if refused is not None:
+        raise RecordFormatError(f"non-numeric value: {refused}", line=line_of(stop)) from refused
+    if stop < steps:
+        raise RecordFormatError("expected two columns t,dY", line=line_of(stop))
+    return ObservationRecord(scheme, dt, dy, seed=seed)
 
 
 def read_metadata(path) -> dict:
+    """The leading metadata block; reading stops at the header row."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    meta, _ = _parse_metadata(lines)
+        meta, _ = _parse_metadata(chain.from_iterable(map(str.splitlines, fh)))
     return meta
+
+
+def _expectation_table(times, expectations: dict) -> tuple:
+    """Columns t, re_<name>, im_<name> for each named expectation series."""
+    columns, data = ["t"], [times]
+    for name, values in expectations.items():
+        columns += [f"re_{name}", f"im_{name}"]
+        data += [np.real(values), np.imag(values)]
+    return columns, data
 
 
 def write_path_csv(path, times, expectations: dict, likelihoods=None, extra_meta=None) -> None:
     """Filter path: t, Re/Im of each named expectation, likelihood if given."""
-    names = list(expectations)
-    columns = ["t"]
-    for name in names:
-        columns.append(f"re_{name}")
-        columns.append(f"im_{name}")
+    columns, data = _expectation_table(times, expectations)
     if likelihoods is not None:
         columns.append("likelihood")
-    lines = _metadata_lines(PATH_FORMAT, dict(extra_meta or {}))
-    lines.append(",".join(columns))
-    for idx, t in enumerate(times):
-        row = [_fmt(t)]
-        for name in names:
-            val = expectations[name][idx]
-            row.append(_fmt(val.real))
-            row.append(_fmt(val.imag))
-        if likelihoods is not None:
-            row.append(_fmt(likelihoods[idx]))
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        data.append(likelihoods)
+    _write_table(path, _metadata_lines(PATH_FORMAT, dict(extra_meta or {})), columns, data)
 
 
 def write_ensemble_csv(path, summary, extra_meta=None) -> None:
-    names = list(summary.means)
-    columns = ["t"]
-    for name in names:
+    columns, data = ["t"], [summary.times]
+    for name, means in summary.means.items():
         columns += [f"mean_re_{name}", f"mean_im_{name}", f"stderr_re_{name}", f"stderr_im_{name}"]
+        data += [np.real(means), np.imag(means), summary.stderrs_re[name], summary.stderrs_im[name]]
     meta = {"n_trajectories": summary.n_trajectories}
     meta.update(extra_meta or {})
-    lines = _metadata_lines(ENSEMBLE_FORMAT, meta)
-    lines.append(",".join(columns))
-    for idx, t in enumerate(summary.times):
-        row = [_fmt(t)]
-        for name in names:
-            row.append(_fmt(summary.means[name][idx].real))
-            row.append(_fmt(summary.means[name][idx].imag))
-            row.append(_fmt(summary.stderrs_re[name][idx]))
-            row.append(_fmt(summary.stderrs_im[name][idx]))
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_table(path, _metadata_lines(ENSEMBLE_FORMAT, meta), columns, data)
 
 
 def write_master_csv(path, times, expectations: dict, extra_meta=None) -> None:
-    names = list(expectations)
-    columns = ["t"]
-    for name in names:
-        columns += [f"re_{name}", f"im_{name}"]
-    lines = _metadata_lines(MASTER_FORMAT, dict(extra_meta or {}))
-    lines.append(",".join(columns))
-    for idx, t in enumerate(times):
-        row = [_fmt(t)]
-        for name in names:
-            val = expectations[name][idx]
-            row += [_fmt(val.real), _fmt(val.imag)]
-        lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns, data = _expectation_table(times, expectations)
+    _write_table(path, _metadata_lines(MASTER_FORMAT, dict(extra_meta or {})), columns, data)

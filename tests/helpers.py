@@ -275,3 +275,156 @@ def reference_integrate(model, rho0, scheme, dt, increments, law=None, normalize
         path.append(w)
         traces.append(tr)
     return np.array(path), None if normalized else np.array(traces)
+
+
+# --- CSV I/O before one format call per table -------------------------------
+#
+# The writers and the reader as they stood when every row was formatted and
+# parsed by its own Python statements. The writers are the byte-level
+# reference for the table writers; the reader is the reference for every
+# refusal's type, message and line, except where it was wrong: it accepted a
+# NaN time column, and numbered rows as if blank lines were not there.
+
+
+def _reference_write_lines(path, lines):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def reference_write_record(record, path, config_hash="-"):
+    from belfilt.recordio import RECORD_FORMAT, _fmt, _metadata_lines
+
+    scheme = record.scheme
+    lines = _metadata_lines(
+        RECORD_FORMAT,
+        {
+            "config_hash": config_hash,
+            "seed": record.seed,
+            "scheme": scheme.kind,
+            "kappa": _fmt(scheme.kappa),
+            "phase": _fmt(scheme.phase),
+            "dt": _fmt(record.dt),
+            "steps": record.steps,
+        },
+    )
+    lines.append("t,dY")
+    for t, dy in zip(record.times(), record.increments):
+        lines.append(f"{_fmt(t)},{_fmt(dy)}")
+    _reference_write_lines(path, lines)
+
+
+def reference_read_record(path):
+    import math
+
+    from belfilt.errors import RecordFormatError
+    from belfilt.filters import COUNTING, MeasurementScheme
+    from belfilt.recordio import RECORD_FORMAT, _parse_metadata
+    from belfilt.trajectories import ObservationRecord
+
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    meta, header_idx = _parse_metadata(lines)
+    if meta.get("format") != RECORD_FORMAT:
+        raise RecordFormatError(f"not a record file (format {meta.get('format')!r})")
+    if lines[header_idx].strip() != "t,dY":
+        raise RecordFormatError("expected header 't,dY'", line=header_idx + 1)
+    for key in ("scheme", "dt", "steps", "seed", "kappa", "phase"):
+        if key not in meta:
+            raise RecordFormatError(f"missing metadata key {key!r}")
+    try:
+        dt = float(meta["dt"])
+        steps = int(meta["steps"])
+        seed = int(meta["seed"])
+        kappa = float(meta["kappa"])
+        phase = float(meta["phase"])
+    except ValueError as exc:
+        raise RecordFormatError(f"malformed metadata value: {exc}") from exc
+    scheme = MeasurementScheme(meta["scheme"], kappa, phase)
+    rows = [line for line in lines[header_idx + 1 :] if line.strip()]
+    if len(rows) != steps:
+        raise RecordFormatError(f"declared steps = {steps} but found {len(rows)} data rows")
+    increments = np.empty(steps)
+    counting = scheme.kind == COUNTING
+    for k, row in enumerate(rows):
+        line_no = header_idx + 2 + k
+        parts = row.split(",")
+        if len(parts) != 2:
+            raise RecordFormatError("expected two columns t,dY", line=line_no)
+        try:
+            t_val = float(parts[0])
+            dy = float(parts[1])
+        except ValueError as exc:
+            raise RecordFormatError(f"non-numeric value: {exc}", line=line_no) from exc
+        if not math.isfinite(dy):
+            raise RecordFormatError("non-finite increment", line=line_no)
+        expected_t = (k + 1) * dt
+        if abs(t_val - expected_t) > 1e-6 * dt:
+            raise RecordFormatError(f"time column {t_val} does not match step grid value {expected_t}", line=line_no)
+        if counting and dy not in (0.0, 1.0):
+            raise RecordFormatError(f"counting increment {dy} is not 0 or 1", line=line_no)
+        increments[k] = dy
+    return ObservationRecord(scheme, dt, increments, seed=seed)
+
+
+def reference_write_path_csv(path, times, expectations, likelihoods=None, extra_meta=None):
+    from belfilt.recordio import PATH_FORMAT, _fmt, _metadata_lines
+
+    names = list(expectations)
+    columns = ["t"]
+    for name in names:
+        columns.append(f"re_{name}")
+        columns.append(f"im_{name}")
+    if likelihoods is not None:
+        columns.append("likelihood")
+    lines = _metadata_lines(PATH_FORMAT, dict(extra_meta or {}))
+    lines.append(",".join(columns))
+    for idx, t in enumerate(times):
+        row = [_fmt(t)]
+        for name in names:
+            val = expectations[name][idx]
+            row.append(_fmt(val.real))
+            row.append(_fmt(val.imag))
+        if likelihoods is not None:
+            row.append(_fmt(likelihoods[idx]))
+        lines.append(",".join(row))
+    _reference_write_lines(path, lines)
+
+
+def reference_write_ensemble_csv(path, summary, extra_meta=None):
+    from belfilt.recordio import ENSEMBLE_FORMAT, _fmt, _metadata_lines
+
+    names = list(summary.means)
+    columns = ["t"]
+    for name in names:
+        columns += [f"mean_re_{name}", f"mean_im_{name}", f"stderr_re_{name}", f"stderr_im_{name}"]
+    meta = {"n_trajectories": summary.n_trajectories}
+    meta.update(extra_meta or {})
+    lines = _metadata_lines(ENSEMBLE_FORMAT, meta)
+    lines.append(",".join(columns))
+    for idx, t in enumerate(summary.times):
+        row = [_fmt(t)]
+        for name in names:
+            row.append(_fmt(summary.means[name][idx].real))
+            row.append(_fmt(summary.means[name][idx].imag))
+            row.append(_fmt(summary.stderrs_re[name][idx]))
+            row.append(_fmt(summary.stderrs_im[name][idx]))
+        lines.append(",".join(row))
+    _reference_write_lines(path, lines)
+
+
+def reference_write_master_csv(path, times, expectations, extra_meta=None):
+    from belfilt.recordio import MASTER_FORMAT, _fmt, _metadata_lines
+
+    names = list(expectations)
+    columns = ["t"]
+    for name in names:
+        columns += [f"re_{name}", f"im_{name}"]
+    lines = _metadata_lines(MASTER_FORMAT, dict(extra_meta or {}))
+    lines.append(",".join(columns))
+    for idx, t in enumerate(times):
+        row = [_fmt(t)]
+        for name in names:
+            val = expectations[name][idx]
+            row += [_fmt(val.real), _fmt(val.imag)]
+        lines.append(",".join(row))
+    _reference_write_lines(path, lines)

@@ -381,6 +381,25 @@ class TestShippedDemos:
         assert "n2 seed1 random2 semigroup uniform" in names
         assert self._run("seeded_hashes.py", *args, cwd=tmp_path).stdout == first.stdout
 
+    def test_seeded_hashes_covers_csv_bytes(self, tmp_path):
+        args = ("--dims", "2", "--seeds", "1", "--horizon", "0.1", "--trajectories", "2")
+        done = self._run("seeded_hashes.py", *args, "--save", "saved", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        names = [line.split("  ", 1)[1] for line in done.stdout.splitlines()]
+        for name in ("simulate", "replay bks", "replay zakai", "ensemble stacked", "ensemble law"):
+            assert f"n2 seed1 decay-plus imperfect {name} csv" in names
+        assert "n2 seed1 random2 semigroup uniform csv" in names
+        # a changed byte in a saved table reads 1
+        saved = dict(np.load(tmp_path / "saved" / "outputs.npz"))
+        key = "n2 seed1 random2 homodyne replay zakai csv|0"
+        saved[key] = np.asarray(saved[key].item().replace(b"likelihood", b"Likelihood"))
+        np.savez(tmp_path / "saved" / "outputs.npz", **saved)
+        compared = self._run("seeded_hashes.py", *args, "--against", "saved", cwd=tmp_path)
+        assert compared.returncode == 0, compared.stderr
+        lines = compared.stdout.splitlines()
+        assert "n2 seed1 random2 homodyne replay zakai csv  csv 1.0e+00" in lines
+        assert "n2 seed1 random2 homodyne replay bks csv  csv 0.0e+00" in lines
+
     def test_seeded_hashes_compares_saved_outputs(self, tmp_path):
         args = ("--dims", "2", "--seeds", "1", "--horizon", "0.1", "--trajectories", "2")
         hashed = self._run("seeded_hashes.py", *args, "--save", "saved", cwd=tmp_path)
