@@ -34,9 +34,11 @@ three scalars give (a0, a1, a2) and the raw trace (the commutator is
 traceless), and a second product of the row (a0, a1, a2), divided by the
 trace on the normalized routes, with the last three blocks of p gives the
 next matrix.  S is bound once per run; a control law rewrites only its A'
-block from H_t each step (`_hamiltonian_writer`).  `_kernel` steps one
-matrix or a stack of trajectories alike; the public step functions and the
-trajectory loops all call it.
+block from H_t each step (`_hamiltonian_writer`).  `_row_step` binds the
+step of one matrix once per run (once per call for the public step
+functions): two BLAS products and Python-float scalars a step.  `_kernel`
+steps a stack of trajectories with the same arithmetic on arrays, and a row
+of a stack steps exactly as one matrix.
 
 Positivity is monitored, not enforced: Euler steps may transiently leave
 the state space, and projecting would mask convergence behavior.  Use
@@ -310,6 +312,9 @@ _COEFFICIENTS = {
     (COUNTING, True): lambda y, dt, g, m: (1.0, -dt, m * dt),
 }
 _COUNT = (0.0, 1.0, 0.0)
+_JUMP_BOUND = f"dt: jump probability rate*dt = {{:.3g}} exceeds {MAX_JUMP_PROBABILITY}; reduce dt"
+_ZERO_RATE_JUMP = "jump recorded while trace(L*L rho) = {:.3e}; inconsistent record"
+_NOT_POSITIVE_FINITE = "unnormalized filter trace {:.3e} is not positive and finite"
 
 
 def _sample(m, noise, dt: float, counting: bool):
@@ -319,8 +324,7 @@ def _sample(m, noise, dt: float, counting: bool):
     if not counting:
         return m * dt + noise
     p = m * dt
-    _refuse(p > MAX_JUMP_PROBABILITY, ValidationError,
-            f"dt: jump probability rate*dt = {{:.3g}} exceeds {MAX_JUMP_PROBABILITY}; reduce dt", p)
+    _refuse(p > MAX_JUMP_PROBABILITY, ValidationError, _JUMP_BOUND, p)
     return 1.0 * (noise < p)
 
 
@@ -334,68 +338,104 @@ def _vanished(tr, dy, a0, trace_a, a1, m):
     return f"filter trace {tr:.3e} vanished; reduce dt"
 
 
+def _row_step(n: int, dt: float, kind: str, gain: float, normalized: bool):
+    """Bind one run's Euler step of one n x n matrix: the `_COEFFICIENTS`
+    entry of `kind` (`_route`'s) and `normalized`, the sampling and jump
+    flags, and buffers for the product and the coefficient row, so that
+    none is looked up or allocated per step.
+
+    Returns step(row, s, dy, draw, out) -> (trace, dy), which steps the row
+    vec(r), shape (n^2,), of one raw matrix r with the step matrix s
+    (`_step_matrix`; a law run passes each step's own).  p = row.dot(s)
+    holds the traces tr(A r), tr(X r), tr(r) and the blocks A' r, X r, r.
+    The raw step a0 A' r + a1 X r + a2 r takes (a0, a1, a2) from the table,
+    and its trace is a0 tr(A r) + a1 tr(X r) + a2 tr(r).  Given a float
+    `draw` (the noise) and dy None, dy is first drawn from the pre-step
+    state (`_sample`).  The next row, written into `out`, is one product of
+    the coefficient row, divided by the trace on the normalized routes, with
+    the blocks of p.  Returns the trace of the raw step (the likelihood of
+    Zakai runs) and dy.  Scalars are Python floats throughout, and the two
+    BLAS products give the bits of `_kernel`'s for each row of a stack."""
+    coefficients = _COEFFICIENTS[kind, normalized]
+    counting = kind == COUNTING
+    jumps = counting and normalized
+    coef = np.empty(3, dtype=complex)  # complex, so that the product casts nothing
+    p = np.empty(3 + 3 * n * n, dtype=complex)
+    traces, blocks = p[:3].real, p[3:].reshape(3, n * n)
+
+    def step(row, s, dy, draw, out):
+        row.dot(s, p)
+        trace_a, m, trace_r = traces.tolist()
+        if draw is not None:
+            dy = _sample(m, draw, dt, counting)
+        a0, a1, a2 = coefficients(dy, dt, gain, m)
+        if jumps and dy == 1.0:
+            if m <= ZERO_RATE:
+                _refuse(True, ZeroJumpRate, _ZERO_RATE_JUMP, m)
+            a0, a1, a2 = _COUNT
+        tr = a0 * trace_a + a1 * m + a2 * trace_r
+        if normalized:
+            if not tr > COLLAPSE_TRACE:  # NaN fails too
+                _refuse(True, FilterCollapse, _vanished, tr, dy, a0, trace_a, a1, m)
+            coef[0], coef[1], coef[2] = a0 / tr, a1 / tr, a2 / tr
+        else:
+            if not 0.0 < tr < math.inf:
+                _refuse(True, FilterCollapse, _NOT_POSITIVE_FINITE, tr)
+            coef[0], coef[1], coef[2] = a0, a1, a2
+        coef.dot(blocks, out)
+        return tr, dy
+
+    return step
+
+
 def _kernel(r, s, dy, dt, kind, gain, normalized, noise=None, out=None):
-    """One Euler step of any of the filters on the rows r, shape (B, 1, n^2),
-    of vec(w) for B raw matrices w (B = 1 for one matrix), given the step
-    matrix s (`_step_matrix`).
+    """One Euler step of the filters on a stack of B trajectories: the rows
+    r, shape (B, 1, n^2), of vec(w) for B raw matrices w, given the step
+    matrix s (`_step_matrix`) and dy or noise of shape (B, 1, 1).
 
-    p = r @ s holds the traces tr(A r), tr(X r), tr(r) and the blocks
-    A' r, X r, r.  The raw step a0 A' r + a1 X r + a2 r takes (a0, a1, a2)
-    from `_COEFFICIENTS`, and its trace is a0 tr(A r) + a1 tr(X r) + a2 tr(r).
-    With `noise`, dy is first drawn from the pre-step state (`_sample`).
-    The next rows are one product of the coefficient row, divided by the
-    trace on the normalized routes, with the blocks of p.  Returns them
-    (written into `out` when given), the trace of the raw step (the
-    likelihood of Zakai runs) and dy.
-
-    One matrix takes Python float dy or noise, a stack arrays of shape
-    (B, 1, 1); a stack's traces come back in that shape, a registered count
+    The arithmetic is `_row_step`'s on arrays: p = r @ s, the coefficients
+    from `_COEFFICIENTS`, the same checks, and the next rows as one product
+    of the coefficient rows, divided by the trace on the normalized routes,
+    with the blocks of p.  Returns them (written into `out` when given), the
+    traces of the raw steps, shape (B, 1, 1), and dy.  A registered count
     collapses only its own row, and an error names the first failing row
-    (`_refuse`).  Each row is its own BLAS product and floats and arrays do
-    the same arithmetic, so a row of a stack steps exactly as one matrix."""
+    (`_refuse`).  Each row is its own BLAS product, so a row of a stack
+    steps exactly as one matrix."""
     p = np.matmul(r, s)
-    stacked = isinstance(dy if noise is None else noise, np.ndarray)
-    if stacked:
-        trace_a, m, trace_r = p[..., 0:1].real, p[..., 1:2].real, p[..., 2:3].real
-    else:
-        trace_a, m, trace_r = p.item(0).real, p.item(1).real, p.item(2).real
+    trace_a, m, trace_r = p[..., 0:1].real, p[..., 1:2].real, p[..., 2:3].real
     counting = kind == COUNTING
     if noise is not None:
         dy = _sample(m, noise, dt, counting)
     a0, a1, a2 = _COEFFICIENTS[kind, normalized](dy, dt, gain, m)
     if counting and normalized:
         jump = dy == 1.0
-        _refuse(jump & (m <= ZERO_RATE), ZeroJumpRate,
-                "jump recorded while trace(L*L rho) = {:.3e}; inconsistent record", m)
-        if stacked:
-            a0, a1, a2 = (np.where(jump, c, a) for c, a in zip(_COUNT, (a0, a1, a2)))
-        elif jump:
-            a0, a1, a2 = _COUNT
+        _refuse(jump & (m <= ZERO_RATE), ZeroJumpRate, _ZERO_RATE_JUMP, m)
+        a0, a1, a2 = (np.where(jump, c, a) for c, a in zip(_COUNT, (a0, a1, a2)))
     tr = a0 * trace_a + a1 * m + a2 * trace_r
     if normalized:
-        _refuse(tr <= COLLAPSE_TRACE, FilterCollapse, _vanished, tr, dy, a0, trace_a, a1, m)
+        _refuse(~(tr > COLLAPSE_TRACE), FilterCollapse, _vanished, tr, dy, a0, trace_a, a1, m)
     else:
-        # the likelihood must stay a positive finite number; NaN fails `tr != tr`
-        _refuse((tr <= 0.0) | (tr == math.inf) | (tr != tr), FilterCollapse,
-                "unnormalized filter trace {:.3e} is not positive and finite", tr)
-    if stacked:
-        coef = np.empty((len(r), 1, 3))
-        coef[..., 0:1], coef[..., 1:2], coef[..., 2:3] = a0, a1, a2
-        if normalized:
-            coef /= tr
-    else:
-        coef = np.array(((a0 / tr, a1 / tr, a2 / tr) if normalized else (a0, a1, a2),))
+        _refuse(~((tr > 0.0) & (tr < math.inf)), FilterCollapse, _NOT_POSITIVE_FINITE, tr)
+    coef = np.empty((len(r), 1, 3))
+    coef[..., 0:1], coef[..., 1:2], coef[..., 2:3] = a0, a1, a2
+    if normalized:
+        coef /= tr
     return np.matmul(coef, p[..., 3:].reshape(len(r), 3, -1), out=out), tr, dy
 
 
 def _apply(state: FilterState, dY, s, dt: float, scheme: MeasurementScheme, normalized: bool):
-    """Step state.matrix through the kernel with the step matrix s; normalized
-    results keep the incoming likelihood."""
-    dy = float(dY)
+    """Step state.matrix once (`_row_step`) with the step matrix s, for dY a
+    finite real number; normalized results keep the incoming likelihood."""
+    if isinstance(dY, float) and math.isfinite(dY):
+        dy = float(dY)
+    else:
+        dy = _finite_real(dY, "increment dY: {}")
     if scheme.kind == COUNTING and dy not in (0.0, 1.0):
         raise ValidationError(f"counting increment must be 0 or 1, got {dY!r}")
     w = state.matrix
-    new, tr, _ = _kernel(w.reshape(1, 1, -1), s, dy, dt, _route(scheme), scheme.gain, normalized)
+    new = np.empty(w.size, dtype=complex)
+    step = _row_step(len(w), dt, _route(scheme), scheme.gain, normalized)
+    tr, _ = step(w.reshape(-1), s, dy, None, new)
     return FilterState(new.reshape(w.shape), normalized, state.likelihood if normalized else tr)
 
 
@@ -452,6 +492,8 @@ def bks_step_counting(state: FilterState, dY: float, model: SystemModel, dt: flo
 def normalize(state: FilterState) -> tuple[FilterState, float]:
     """Split w into its normalized part and its trace (the record likelihood)."""
     tr = state.trace_real()
+    if not math.isfinite(tr):
+        raise FilterCollapse(f"filter trace {tr:.3e} is not finite")
     if tr <= COLLAPSE_TRACE:
         raise FilterCollapse(f"filter trace {tr:.3e} vanished; step size too large")
     return FilterState(state.matrix / tr, normalized=True, likelihood=tr), tr
@@ -663,23 +705,25 @@ class ControlLaw:
         """H_t = H0 + u H1 and u, for u = control(t, prefix) a finite real
         number; a complex u with zero imaginary part counts as its real part."""
         u = self.control(float(t), prefix)
-        if type(u) is not float:
-            u = _real_control(u, t)
-        if not math.isfinite(u):
-            raise ValidationError(f"control law returned non-real value {u!r} at t = {t}")
+        if type(u) is not float or not math.isfinite(u):
+            u = _finite_real(u, f"control law returned {{}} at t = {t}")
         return self.h0 + u * self.h1, u
 
 
-def _real_control(u, t: float) -> float:
-    """u as a Python float: its real part when its imaginary part is 0."""
+def _finite_real(value, message: str) -> float:
+    """value as a finite Python float: its real part when its imaginary part
+    is 0.  Otherwise ValidationError(message), its {} filled with what the
+    value is not: "non-numeric value ..." or "non-real value ..."."""
     try:
-        if isinstance(u, (str, bytes)):  # complex() would parse them
+        if isinstance(value, (str, bytes)):  # complex() would parse them
             raise TypeError
-        z = complex(u)
+        z = complex(value)
     except (TypeError, ValueError):
-        raise ValidationError(f"control law returned non-numeric value {u!r} at t = {t}") from None
+        raise ValidationError(message.format(f"non-numeric value {value!r}")) from None
     if z.imag != 0.0:
-        raise ValidationError(f"control law returned non-real value {u!r} at t = {t}")
+        raise ValidationError(message.format(f"non-real value {value!r}"))
+    if not math.isfinite(z.real):
+        raise ValidationError(message.format(f"non-real value {z.real!r}"))
     return z.real
 
 

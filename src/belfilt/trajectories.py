@@ -12,12 +12,14 @@ innovations are Wiener (diffusive case) or compensated-counting
 martingales, and it avoids simulating the exponentially large field.
 
 Simulation and replay run through one loop, `_integrate`, which validates
-once per run and steps one matrix with the filters' `_kernel`.  Ensembles
-step their trajectories together instead: `_integrate_stack` advances a
-block of them as one (B, n, n) stack through the same kernel, one Python
-iteration per time step for the whole block, with every trajectory still
-drawing its own noise.  Ensembles with a control law step one trajectory at
-a time through `_integrate`, since each law sees its own record.
+and binds the filters' single-matrix step (`_row_step`) once per run.
+Ensembles step their trajectories together instead: `_integrate_stack`
+advances a block of them as one (B, n, n) stack through the filters'
+stacked `_kernel`, one Python iteration per time step for the whole block,
+with every trajectory still drawing its own noise and stepping exactly as
+`_integrate` would step it.  Ensembles with a control law step one
+trajectory at a time through `_integrate`, since each law sees its own
+record.
 
 Reproducibility: every trajectory's generator is numpy PCG64 keyed by a
 splitmix64-mixed seed, `derive_seed(base_seed, index)`, which is
@@ -44,6 +46,7 @@ from .filters import (
     _model_matrix,
     _require_law_model,
     _route,
+    _row_step,
     path_health,
 )
 from .operators import DensityState, SystemModel, as_operator
@@ -187,17 +190,19 @@ def _integrate(
         law_matrix = _law_matrices(law, model, phase, counting, dt)
     steps = increments.size
     n = model.dim
+    step = _row_step(n, dt, kind, gain, normalized)
     path = np.empty((steps + 1, n, n), dtype=complex)
     path[0] = w
-    rows = path.reshape(steps + 1, 1, 1, n * n)
+    rows = path.reshape(steps + 1, n * n)
     traces = np.ones(steps + 1)
+    # Python floats: numpy scalar arithmetic costs microseconds a step
+    given = increments.tolist() if noise is None else [None] * steps
+    draws = [None] * steps if noise is None else noise.tolist()
     for k in range(steps):
         try:
             if law is not None:
                 s = law_matrix(k * dt, increments[:k])
-            # Python floats: numpy scalar arithmetic costs microseconds a step
-            dy, draw = (float(increments[k]), None) if noise is None else (None, float(noise[k]))
-            _, traces[k + 1], dy = _kernel(rows[k], s, dy, dt, kind, gain, normalized, draw, rows[k + 1])
+            traces[k + 1], dy = step(rows[k], s, given[k], draws[k], rows[k + 1])
         except (ValidationError, NumericalFailure) as exc:
             raise type(exc)(f"{_at(k, trajectory)}: {exc}") from None
         if noise is not None:

@@ -275,6 +275,60 @@ class TestNormalize:
             normalize(FilterState(np.zeros((2, 2)), False))
 
 
+_PUBLIC_STEPS = {
+    "bks_step_homodyne": lambda state, dy: bks_step_homodyne(state, dy, DECAY, 1e-3),
+    "zakai_step_homodyne": lambda state, dy: zakai_step_homodyne(state, dy, DECAY, 1e-3),
+    "bks_step_counting": lambda state, dy: bks_step_counting(state, dy, DECAY, 1e-3),
+    "zakai_step_counting": lambda state, dy: zakai_step_counting(state, dy, DECAY, 1e-3),
+    "diffusive_filter_step": lambda state, dy: diffusive_filter_step(
+        state, dy, DECAY, 1e-3, MeasurementScheme.imperfect(1.0)),
+    "filter_step": lambda state, dy: bf.filter_step(state, dy, DECAY, 1e-3),
+    "feedback_step": lambda state, dy: feedback_step(
+        state, dy, ControlLaw.from_expression("0.5 * Y", np.zeros((2, 2)), SIGMA_X), DECAY, [0.1], 1e-3),
+}
+
+
+class TestNonFiniteInputsRefused:
+    """No step returns a NaN state in silence: an increment that is not a
+    finite real number is refused before the step, and a normalized trace
+    that is NaN or infinite raises."""
+
+    @pytest.mark.parametrize("value,shown", [(np.nan, "non-real value nan"), (np.inf, "non-real value inf"),
+                                             (-np.inf, "non-real value -inf"), (1j, r"non-real value 1j"),
+                                             ("0.01", "non-numeric value '0.01'"), (None, "non-numeric value None")])
+    @pytest.mark.parametrize("entry", list(_PUBLIC_STEPS))
+    def test_increment_must_be_finite_real(self, entry, value, shown):
+        state = FilterState(np.diag([0.5, 0.5]).astype(complex), normalized=True)
+        with pytest.raises(bf.ValidationError, match=rf"^increment dY: {shown}$"):
+            _PUBLIC_STEPS[entry](state, value)
+
+    @pytest.mark.parametrize("value", [0.25, np.float64(0.25), np.float32(0.25), 1, np.int64(1), 1 + 0j])
+    def test_real_increments_of_any_type_step_alike(self, value):
+        state = FilterState(np.diag([0.5, 0.5]).astype(complex), normalized=True)
+        expected = bks_step_homodyne(state, complex(value).real, DECAY, 1e-3)
+        assert np.array_equal(bks_step_homodyne(state, value, DECAY, 1e-3).matrix, expected.matrix)
+
+    @pytest.mark.parametrize("entry", ["bks_step_homodyne", "diffusive_filter_step", "filter_step", "feedback_step"])
+    @pytest.mark.parametrize("fill", [np.nan, np.inf])
+    def test_normalized_step_of_non_finite_state_collapses(self, entry, fill):
+        state = FilterState(np.full((2, 2), fill, dtype=complex), normalized=True)
+        with np.errstate(invalid="ignore"), pytest.raises(bf.FilterCollapse, match=r"^filter trace nan vanished"):
+            _PUBLIC_STEPS[entry](state, 0.01)
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+    def test_normalize_refuses_non_finite_trace(self, fill):
+        with pytest.raises(bf.FilterCollapse, match=rf"^filter trace {fill:.3e} is not finite$"):
+            normalize(FilterState(np.diag([fill, 0.5]).astype(complex), False))
+
+    def test_stacked_step_names_nan_row(self):
+        w = np.stack([np.diag([0.5, 0.5]), np.full((2, 2), np.nan), np.diag([0.5, 0.5])]).astype(complex)
+        s, _ = bf.filters._model_matrix(DECAY, 0.0, False, 1e-3)
+        dy = np.full((3, 1, 1), 0.01)
+        with np.errstate(invalid="ignore"), pytest.raises(bf.FilterCollapse, match=r"^filter trace nan vanished") as info:
+            bf.filters._kernel(w.reshape(3, 1, 4), s, dy, 1e-3, "homodyne", 1.0, True)
+        assert info.value.row == 1
+
+
 class TestControlExpressions:
     def test_constant(self):
         u = compile_control_expression("1.5")

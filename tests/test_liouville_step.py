@@ -144,6 +144,42 @@ def test_law_run_builds_the_step_matrix_once(monkeypatch):
         assert np.array_equal(state.matrix, path[-1])
 
 
+def test_runs_bind_the_row_step_once(monkeypatch):
+    """Simulation, replay and law runs bind one single-matrix step
+    (`filters._row_step`) per run, none per step."""
+    binds = []
+    real = filters._row_step
+    monkeypatch.setattr(trajectories, "_row_step", lambda *args: binds.append(args) or real(*args))
+    model, rho0, law = _case(2, "expression")
+    for steps in (5, 200):
+        record, _ = simulate_homodyne(model, rho0, steps * DT, DT, seed=5)
+        for run in (
+            lambda: simulate_homodyne(model, rho0, steps * DT, DT, seed=4),
+            lambda: bf.simulate_counting(model, rho0, steps * DT, DT, seed=4),
+            lambda: replay_record(record, model, rho0, kind="bks"),
+            lambda: replay_record(record, model, rho0, kind="zakai"),
+            lambda: simulate_homodyne(model, rho0, steps * DT, DT, seed=4, law=law),
+            lambda: replay_record(record, model, rho0, kind="bks", law=law),
+        ):
+            binds.clear()
+            run()
+            assert len(binds) == 1
+
+
+def test_single_matrix_runs_call_no_matmul(monkeypatch):
+    """A single-matrix step makes its two products with `ndarray.dot`; the
+    (B, 1, n^2) `np.matmul` is the stacked kernel's alone."""
+    calls = []
+    real = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    model, rho0, _ = _case(2, "none")
+    record, _ = simulate_homodyne(model, rho0, STEPS * DT, DT, seed=4)
+    replay_record(record, model, rho0, kind="bks")
+    assert calls == []
+    trajectories._integrate_stack(model, rho0, MeasurementScheme.homodyne(), DT, np.zeros((2, STEPS)))
+    assert len(calls) == 2 * STEPS
+
+
 def test_channel_map_rebuilds_every_step(monkeypatch):
     calls = []
     real = filters._step_matrix
