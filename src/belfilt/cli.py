@@ -8,11 +8,12 @@ Subcommands:
     master     unconditional semigroup reference expectations
     verify     run the built-in property suites
 
-Common flags: --config <path>, --record <path>, --out <dir>,
---seed <u64> (overrides the config), --trajectories <N>.
-The environment variable BELFILT_OUT overrides the default output
-directory.  Exit codes: 0 success, 1 configuration or validation error,
-2 numerical failure (filter collapse or positivity breach).
+Flags: --config <path> and --out <dir> for every command but verify;
+--record <path> for filter; --seed <u64> (overrides the config) for
+simulate and ensemble; --trajectories <N> for ensemble.  The environment
+variable BELFILT_OUT overrides the default output directory.  Exit codes:
+0 success, 1 usage, configuration or validation error, 2 numerical failure
+(filter collapse or positivity breach).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, load_config
+from .config import RunConfig, _require_seed, load_config
 from .errors import NumericalFailure, PositivityBreach, ValidationError
 from .filters import COUNTING, PathHealth, path_health
 from .operators import semigroup_path
@@ -46,26 +47,37 @@ from .trajectories import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ValidationError, so that
+    they exit 1 like any other invalid input (argparse itself exits 2)."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="belfilt",
         description="Quantum trajectory simulation and Belavkin filtering.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, record=False, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON run configuration")
+    def add_command(name, help, record=False):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", required=True, help="JSON run configuration")
         if record:
             p.add_argument("--record", required=True, help="observation record CSV")
         p.add_argument("--out", default=None, help="output directory (default: BELFILT_OUT or '.')")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--trajectories", type=int, default=None, help="override n_trajectories")
+        return p
 
-    add_common(sub.add_parser("simulate", help="sample a record plus filter path"))
-    add_common(sub.add_parser("filter", help="replay a record through a filter"), record=True)
-    add_common(sub.add_parser("ensemble", help="ensemble statistics over trajectories"))
-    add_common(sub.add_parser("master", help="semigroup reference expectations"))
+    simulate = add_command("simulate", "sample a record plus filter path")
+    add_command("filter", "replay a record through a filter", record=True)
+    ensemble = add_command("ensemble", "ensemble statistics over trajectories")
+    add_command("master", "semigroup reference expectations")
     sub.add_parser("verify", help="run the property suites")
+    for p in (simulate, ensemble):
+        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+    ensemble.add_argument("--trajectories", type=int, default=None, help="override n_trajectories")
     return parser
 
 
@@ -77,10 +89,8 @@ def _out_dir(args) -> Path:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ValidationError("seed: must be nonnegative")
-        cfg = replace(cfg, seed=args.seed)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=_require_seed(args.seed))
     if getattr(args, "trajectories", None) is not None:
         if args.trajectories < 1:
             raise ValidationError("trajectories: must be at least 1")
@@ -121,7 +131,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_filter(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     cfg.require_single_channel()
     record = read_record(args.record)
     if record.scheme != cfg.scheme:
@@ -168,7 +178,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_master(args) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+    cfg = load_config(args.config)
     model = cfg.model()
     steps = _grid(cfg.horizon, cfg.dt)
     times = cfg.dt * np.arange(steps + 1)
@@ -185,9 +195,8 @@ def _cmd_master(args) -> int:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "filter":

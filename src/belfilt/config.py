@@ -133,6 +133,14 @@ def _require_number(raw: dict, key: str, default=None, positive=False, integer=F
     return val
 
 
+def _require_seed(seed: int) -> int:
+    """seed, when it is an unsigned 64-bit integer, the range `derive_seed`
+    mixes without folding two seeds into one."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed: must be an unsigned 64-bit integer (0 <= seed < 2**64), got {seed}")
+    return seed
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ValidationError("config: top level must be an object")
@@ -143,9 +151,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     dim = _require_number(raw, "dim", positive=True, integer=True)
     dt = float(_require_number(raw, "dt", positive=True))
     horizon = float(_require_number(raw, "T", positive=True))
-    seed = _require_number(raw, "seed", default=0, integer=True)
-    if seed < 0:
-        raise ValidationError("seed: must be a nonnegative integer")
+    seed = _require_seed(_require_number(raw, "seed", default=0, integer=True))
     n_traj = _require_number(raw, "n_trajectories", default=1, positive=True, integer=True)
 
     if "hamiltonian" not in raw:

@@ -36,9 +36,11 @@ trace on the normalized routes, with the last three blocks of p gives the
 next matrix.  S is bound once per run; a control law rewrites only its A'
 block from H_t each step (`_hamiltonian_writer`).  `_row_step` binds the
 step of one matrix once per run (once per call for the public step
-functions): two BLAS products and Python-float scalars a step.  `_kernel`
-steps a stack of trajectories with the same arithmetic on arrays, and a row
-of a stack steps exactly as one matrix.
+functions), fed one float a step: the increment dy, or the noise dy is
+drawn from when the run samples its record.  Each step is two BLAS
+products and Python-float scalars.  `_kernel` steps a stack of sampled
+trajectories on the normalized route with the same arithmetic on arrays,
+and a row of a stack steps exactly as one matrix.
 
 Positivity is monitored, not enforced: Euler steps may transiently leave
 the state space, and projecting would mask convergence behavior.  Use
@@ -329,33 +331,37 @@ def _sample(m, noise, dt: float, counting: bool):
 
 
 def _vanished(tr, dy, a0, trace_a, a1, m):
-    """Why a normalized trace vanished: the increment's term a1 tr(X r)
-    swamping the drift's a0 tr(A r) past what a double resolves is the
-    record's fault, not dt's."""
+    """Why a normalized trace fell to COLLAPSE_TRACE or below: a trace that
+    is not finite came from a state that was not; the increment's term
+    a1 tr(X r) swamping the drift's a0 tr(A r) past what a double resolves
+    is the record's fault, not dt's."""
+    if not math.isfinite(tr):
+        return f"filter trace {tr:.3e} is not finite"
     if abs(a1 * m) * np.finfo(float).eps > abs(a0 * trace_a):
         return (f"record increment dY = {dy:.3e} swamps the filter's drift by more than"
                 f" 1/machine epsilon; trace {tr:.3e} lost to rounding")
     return f"filter trace {tr:.3e} vanished; reduce dt"
 
 
-def _row_step(n: int, dt: float, kind: str, gain: float, normalized: bool):
+def _row_step(n: int, dt: float, kind: str, gain: float, normalized: bool, sampling: bool):
     """Bind one run's Euler step of one n x n matrix: the `_COEFFICIENTS`
-    entry of `kind` (`_route`'s) and `normalized`, the sampling and jump
-    flags, and buffers for the product and the coefficient row, so that
-    none is looked up or allocated per step.
+    entry of `kind` (`_route`'s) and `normalized`, where dy comes from
+    (`sampling`), the jump flag, and buffers for the product and the
+    coefficient row, so that none is looked up or allocated per step.
 
-    Returns step(row, s, dy, draw, out) -> (trace, dy), which steps the row
+    Returns step(row, s, value, out) -> (trace, dy), which steps the row
     vec(r), shape (n^2,), of one raw matrix r with the step matrix s
     (`_step_matrix`; a law run passes each step's own).  p = row.dot(s)
     holds the traces tr(A r), tr(X r), tr(r) and the blocks A' r, X r, r.
-    The raw step a0 A' r + a1 X r + a2 r takes (a0, a1, a2) from the table,
-    and its trace is a0 tr(A r) + a1 tr(X r) + a2 tr(r).  Given a float
-    `draw` (the noise) and dy None, dy is first drawn from the pre-step
-    state (`_sample`).  The next row, written into `out`, is one product of
-    the coefficient row, divided by the trace on the normalized routes, with
-    the blocks of p.  Returns the trace of the raw step (the likelihood of
-    Zakai runs) and dy.  Scalars are Python floats throughout, and the two
-    BLAS products give the bits of `_kernel`'s for each row of a stack."""
+    `value` is the increment dy, or with `sampling` the noise from which dy
+    is drawn given the pre-step state (`_sample`).  The raw step
+    a0 A' r + a1 X r + a2 r takes (a0, a1, a2) from the table, and its trace
+    is a0 tr(A r) + a1 tr(X r) + a2 tr(r).  The next row, written into
+    `out`, is one product of the coefficient row, divided by the trace on
+    the normalized routes, with the blocks of p.  Returns the trace of the
+    raw step (the likelihood of Zakai runs) and dy.  Scalars are Python
+    floats throughout, and the two BLAS products give the bits of
+    `_kernel`'s for each row of a stack."""
     coefficients = _COEFFICIENTS[kind, normalized]
     counting = kind == COUNTING
     jumps = counting and normalized
@@ -363,11 +369,10 @@ def _row_step(n: int, dt: float, kind: str, gain: float, normalized: bool):
     p = np.empty(3 + 3 * n * n, dtype=complex)
     traces, blocks = p[:3].real, p[3:].reshape(3, n * n)
 
-    def step(row, s, dy, draw, out):
+    def step(row, s, value, out):
         row.dot(s, p)
         trace_a, m, trace_r = traces.tolist()
-        if draw is not None:
-            dy = _sample(m, draw, dt, counting)
+        dy = _sample(m, value, dt, counting) if sampling else value
         a0, a1, a2 = coefficients(dy, dt, gain, m)
         if jumps and dy == 1.0:
             if m <= ZERO_RATE:
@@ -388,39 +393,33 @@ def _row_step(n: int, dt: float, kind: str, gain: float, normalized: bool):
     return step
 
 
-def _kernel(r, s, dy, dt, kind, gain, normalized, noise=None, out=None):
-    """One Euler step of the filters on a stack of B trajectories: the rows
-    r, shape (B, 1, n^2), of vec(w) for B raw matrices w, given the step
-    matrix s (`_step_matrix`) and dy or noise of shape (B, 1, 1).
+def _kernel(r, s, noise, dt, kind, gain, out):
+    """One normalized Euler step of a stack of B sampled trajectories: the
+    rows r, shape (B, 1, n^2), of vec(w) for B raw matrices w, given the
+    step matrix s (`_step_matrix`) and the noise, shape (B, 1, 1), from
+    which each row draws its dy (`_sample`).
 
     The arithmetic is `_row_step`'s on arrays: p = r @ s, the coefficients
-    from `_COEFFICIENTS`, the same checks, and the next rows as one product
-    of the coefficient rows, divided by the trace on the normalized routes,
-    with the blocks of p.  Returns them (written into `out` when given), the
-    traces of the raw steps, shape (B, 1, 1), and dy.  A registered count
-    collapses only its own row, and an error names the first failing row
-    (`_refuse`).  Each row is its own BLAS product, so a row of a stack
-    steps exactly as one matrix."""
+    from `_COEFFICIENTS`, the same checks, and the next rows, written into
+    `out`, as one product of the coefficient rows, divided by the traces,
+    with the blocks of p.  A registered count collapses only its own row,
+    and an error names the first failing row (`_refuse`).  Each row is its
+    own BLAS product, so a row of a stack steps exactly as one matrix."""
     p = np.matmul(r, s)
     trace_a, m, trace_r = p[..., 0:1].real, p[..., 1:2].real, p[..., 2:3].real
     counting = kind == COUNTING
-    if noise is not None:
-        dy = _sample(m, noise, dt, counting)
-    a0, a1, a2 = _COEFFICIENTS[kind, normalized](dy, dt, gain, m)
-    if counting and normalized:
+    dy = _sample(m, noise, dt, counting)
+    a0, a1, a2 = _COEFFICIENTS[kind, True](dy, dt, gain, m)
+    if counting:
         jump = dy == 1.0
         _refuse(jump & (m <= ZERO_RATE), ZeroJumpRate, _ZERO_RATE_JUMP, m)
         a0, a1, a2 = (np.where(jump, c, a) for c, a in zip(_COUNT, (a0, a1, a2)))
     tr = a0 * trace_a + a1 * m + a2 * trace_r
-    if normalized:
-        _refuse(~(tr > COLLAPSE_TRACE), FilterCollapse, _vanished, tr, dy, a0, trace_a, a1, m)
-    else:
-        _refuse(~((tr > 0.0) & (tr < math.inf)), FilterCollapse, _NOT_POSITIVE_FINITE, tr)
+    _refuse(~(tr > COLLAPSE_TRACE), FilterCollapse, _vanished, tr, dy, a0, trace_a, a1, m)
     coef = np.empty((len(r), 1, 3))
     coef[..., 0:1], coef[..., 1:2], coef[..., 2:3] = a0, a1, a2
-    if normalized:
-        coef /= tr
-    return np.matmul(coef, p[..., 3:].reshape(len(r), 3, -1), out=out), tr, dy
+    coef /= tr
+    np.matmul(coef, p[..., 3:].reshape(len(r), 3, -1), out=out)
 
 
 def _apply(state: FilterState, dY, s, dt: float, scheme: MeasurementScheme, normalized: bool):
@@ -434,8 +433,8 @@ def _apply(state: FilterState, dY, s, dt: float, scheme: MeasurementScheme, norm
         raise ValidationError(f"counting increment must be 0 or 1, got {dY!r}")
     w = state.matrix
     new = np.empty(w.size, dtype=complex)
-    step = _row_step(len(w), dt, _route(scheme), scheme.gain, normalized)
-    tr, _ = step(w.reshape(-1), s, dy, None, new)
+    step = _row_step(len(w), dt, _route(scheme), scheme.gain, normalized, False)
+    tr, _ = step(w.reshape(-1), s, dy, new)
     return FilterState(new.reshape(w.shape), normalized, state.likelihood if normalized else tr)
 
 
@@ -526,43 +525,13 @@ _ALLOWED_BINOPS = {ast.Add, ast.Sub, ast.Mult, ast.Div}
 _ALLOWED_UNARY = {ast.UAdd, ast.USub}
 
 
-def _validate_expr(node: ast.AST, expression: str) -> None:
-    if isinstance(node, ast.Expression):
-        return _validate_expr(node.body, expression)
-    if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
-        _validate_expr(node.left, expression)
-        _validate_expr(node.right, expression)
-        return
-    if isinstance(node, ast.UnaryOp) and type(node.op) in _ALLOWED_UNARY:
-        return _validate_expr(node.operand, expression)
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        return
-    if isinstance(node, ast.Name) and node.id in ("t", "Y"):
-        return
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "ma"
-        and len(node.args) == 2
-        and not node.keywords
-        and isinstance(node.args[0], ast.Name)
-        and node.args[0].id == "Y"
-        and isinstance(node.args[1], ast.Constant)
-        and isinstance(node.args[1].value, int)
-        and node.args[1].value >= 1
-    ):
-        return
-    raise ValidationError(
-        f"control expression {expression!r}: unsupported construct {ast.dump(node)};"
-        " the grammar allows numbers, t, Y, ma(Y, window), + - * / and parentheses"
-    )
-
-
 def _compile_node(node: ast.AST, expression: str):
-    """A closure f(t, sums, m) evaluating one validated node, where sums[:m]
-    are the cumulative sums of a record prefix of length m.  Arithmetic runs
-    on Python floats, left operand first, as the grammar reads."""
-    if isinstance(node, ast.BinOp):
+    """A closure f(t, sums, m) evaluating one node of the control grammar,
+    where sums[:m] are the cumulative sums of a record prefix of length m.
+    Arithmetic runs on Python floats, left operand first, as the grammar
+    reads.  A node outside the grammar raises ValidationError naming it;
+    operands compile left first, so the first such node is the one named."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
         a, b = _compile_node(node.left, expression), _compile_node(node.right, expression)
         op = type(node.op)
         if op is ast.Add:
@@ -579,27 +548,42 @@ def _compile_node(node: ast.AST, expression: str):
             return num / den
 
         return divide
-    if isinstance(node, ast.UnaryOp):
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _ALLOWED_UNARY:
         f = _compile_node(node.operand, expression)
         return f if isinstance(node.op, ast.UAdd) else lambda t, sums, m: -f(t, sums, m)
-    if isinstance(node, ast.Constant):
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
         value = float(node.value)
         return lambda t, sums, m: value
-    if isinstance(node, ast.Name):
-        if node.id == "t":
-            return lambda t, sums, m: t
+    if isinstance(node, ast.Name) and node.id == "t":
+        return lambda t, sums, m: t
+    if isinstance(node, ast.Name) and node.id == "Y":
         return lambda t, sums, m: float(sums[m - 1]) if m else 0.0
-    # validated: ma(Y, window)
-    window = node.args[1].value
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "ma"
+        and len(node.args) == 2
+        and not node.keywords
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == "Y"
+        and isinstance(node.args[1], ast.Constant)
+        and isinstance(node.args[1].value, int)
+        and node.args[1].value >= 1
+    ):
+        window = node.args[1].value
 
-    def moving_average(t, sums, m):
-        if m == 0:
-            return 0.0
-        start = max(m - window, 0)
-        # the sum and the division np.mean does, without its dispatch
-        return float(np.add.reduce(sums[start:m])) / (m - start)
+        def moving_average(t, sums, m):
+            if m == 0:
+                return 0.0
+            start = max(m - window, 0)
+            # the sum and the division np.mean does, without its dispatch
+            return float(np.add.reduce(sums[start:m])) / (m - start)
 
-    return moving_average
+        return moving_average
+    raise ValidationError(
+        f"control expression {expression!r}: unsupported construct {ast.dump(node)};"
+        " the grammar allows numbers, t, Y, ma(Y, window), + - * / and parentheses"
+    )
 
 
 class _RunningSums(threading.local):
@@ -662,7 +646,6 @@ def compile_control_expression(expression: str) -> Callable[[float, np.ndarray],
         tree = ast.parse(expression.strip(), mode="eval")
     except SyntaxError as exc:
         raise ValidationError(f"control expression {expression!r}: {exc}") from exc
-    _validate_expr(tree, expression)
     body = _compile_node(tree.body, expression)
     reads_record = any(isinstance(node, ast.Name) and node.id == "Y" for node in ast.walk(tree))
     memo = _RunningSums()

@@ -190,22 +190,22 @@ def _integrate(
         law_matrix = _law_matrices(law, model, phase, counting, dt)
     steps = increments.size
     n = model.dim
-    step = _row_step(n, dt, kind, gain, normalized)
+    sampling = noise is not None
+    step = _row_step(n, dt, kind, gain, normalized, sampling)
     path = np.empty((steps + 1, n, n), dtype=complex)
     path[0] = w
     rows = path.reshape(steps + 1, n * n)
     traces = np.ones(steps + 1)
     # Python floats: numpy scalar arithmetic costs microseconds a step
-    given = increments.tolist() if noise is None else [None] * steps
-    draws = [None] * steps if noise is None else noise.tolist()
+    values = (noise if sampling else increments).tolist()
     for k in range(steps):
         try:
             if law is not None:
                 s = law_matrix(k * dt, increments[:k])
-            traces[k + 1], dy = step(rows[k], s, given[k], draws[k], rows[k + 1])
+            traces[k + 1], dy = step(rows[k], s, values[k], rows[k + 1])
         except (ValidationError, NumericalFailure) as exc:
             raise type(exc)(f"{_at(k, trajectory)}: {exc}") from None
-        if noise is not None:
+        if sampling:
             increments[k] = dy
     return path, None if normalized else traces
 
@@ -230,7 +230,7 @@ def _integrate_stack(model: SystemModel, rho0, scheme: MeasurementScheme, dt: fl
     noise = noise[:, :, None, None]
     for k in range(steps):
         try:
-            _kernel(vecs[:, k], s, None, dt, kind, gain, True, noise[:, k], vecs[:, k + 1])
+            _kernel(vecs[:, k], s, noise[:, k], dt, kind, gain, vecs[:, k + 1])
         except (ValidationError, NumericalFailure) as exc:
             raise type(exc)(f"{_at(k, first + exc.row)}: {exc}") from None
     return paths

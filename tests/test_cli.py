@@ -93,6 +93,12 @@ class TestConfigParsing:
         c = config_from_dict(qubit_config(seed=8))
         assert a.config_hash != c.config_hash
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_u64_names_key(self, seed):
+        with pytest.raises(bf.ValidationError, match=rf"^seed: .* got {seed}$"):
+            config_from_dict(qubit_config(seed=seed))
+        assert config_from_dict(qubit_config(seed=2**64 - 1)).seed == 2**64 - 1
+
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -275,6 +281,42 @@ class TestCliCommands:
         out3 = tmp_path / "s3"
         run(["simulate", "--config", str(cfg_path), "--out", str(out3), "--seed", "2"])
         assert (out1 / "record.csv").read_text() != (out3 / "record.csv").read_text()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_flag_outside_u64_exits_one(self, tmp_path, capsys, seed):
+        cfg_path = write_config(tmp_path, qubit_config())
+        out = tmp_path / "s"
+        assert run(["simulate", "--config", str(cfg_path), "--out", str(out), "--seed", seed]) == 1
+        assert f"seed: must be an unsigned 64-bit integer (0 <= seed < 2**64), got {seed}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_config_exits_one(self, capsys):
+        assert run(["simulate"]) == 1
+        assert "--config" in capsys.readouterr().err
+
+    def test_malformed_seed_exits_one_naming_flag(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, qubit_config())
+        assert run(["simulate", "--config", str(cfg_path), "--seed", "abc"]) == 1
+        err = capsys.readouterr().err
+        assert "argument --seed: invalid int value: 'abc'" in err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("simulate", "--trajectories"), ("filter", "--trajectories"), ("master", "--trajectories"),
+        ("filter", "--seed"), ("master", "--seed"),
+    ])
+    def test_flag_the_command_does_not_read_exits_one(self, tmp_path, capsys, command, flag):
+        cfg_path = write_config(tmp_path, qubit_config())
+        record = ["--record", str(tmp_path / "record.csv")] if command == "filter" else []
+        out = tmp_path / "x"
+        assert run([command, "--config", str(cfg_path), *record, "--out", str(out), flag, "3"]) == 1
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run(["master", "--help"])
+        assert info.value.code == 0
+        assert "--seed" not in capsys.readouterr().out
 
     def test_env_out_dir(self, tmp_path, monkeypatch):
         cfg_path = write_config(tmp_path, qubit_config())

@@ -1,5 +1,7 @@
 """Filter steps: duality oracles, closed forms, feedback, health monitoring."""
 
+import ast
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -312,7 +314,7 @@ class TestNonFiniteInputsRefused:
     @pytest.mark.parametrize("fill", [np.nan, np.inf])
     def test_normalized_step_of_non_finite_state_collapses(self, entry, fill):
         state = FilterState(np.full((2, 2), fill, dtype=complex), normalized=True)
-        with np.errstate(invalid="ignore"), pytest.raises(bf.FilterCollapse, match=r"^filter trace nan vanished"):
+        with np.errstate(invalid="ignore"), pytest.raises(bf.FilterCollapse, match=r"^filter trace nan is not finite$"):
             _PUBLIC_STEPS[entry](state, 0.01)
 
     @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
@@ -323,9 +325,10 @@ class TestNonFiniteInputsRefused:
     def test_stacked_step_names_nan_row(self):
         w = np.stack([np.diag([0.5, 0.5]), np.full((2, 2), np.nan), np.diag([0.5, 0.5])]).astype(complex)
         s, _ = bf.filters._model_matrix(DECAY, 0.0, False, 1e-3)
-        dy = np.full((3, 1, 1), 0.01)
-        with np.errstate(invalid="ignore"), pytest.raises(bf.FilterCollapse, match=r"^filter trace nan vanished") as info:
-            bf.filters._kernel(w.reshape(3, 1, 4), s, dy, 1e-3, "homodyne", 1.0, True)
+        noise = np.full((3, 1, 1), 0.01)
+        out = np.empty((3, 1, 4), dtype=complex)
+        with np.errstate(invalid="ignore"), pytest.raises(bf.FilterCollapse, match=r"^filter trace nan is not finite$") as info:
+            bf.filters._kernel(w.reshape(3, 1, 4), s, noise, 1e-3, "homodyne", 1.0, out)
         assert info.value.row == 1
 
 
@@ -359,6 +362,28 @@ class TestControlExpressions:
     def test_rejects_power(self):
         with pytest.raises(bf.ValidationError, match="unsupported"):
             compile_control_expression("t ** 2")
+
+    @pytest.mark.parametrize("expression,offender", [
+        ("t ** 2", lambda e: e),
+        ("t + x", lambda e: e.right),
+        ("1 + Y ** 2", lambda e: e.right),
+        ("not t", lambda e: e),
+        ("ma(Y)", lambda e: e),
+        ("ma(Y, 0)", lambda e: e),
+        ("ma(Y, 2.5)", lambda e: e),
+        ("ma(t, 3)", lambda e: e),
+        ("ma(Y, w=3)", lambda e: e),
+        ("f(Y, 3)", lambda e: e),
+        ("Y.real", lambda e: e),
+        ("'a'", lambda e: e),
+    ])
+    def test_refusal_names_the_first_unsupported_node(self, expression, offender):
+        node = offender(ast.parse(expression, mode="eval").body)
+        message = (f"control expression {expression!r}: unsupported construct {ast.dump(node)};"
+                   " the grammar allows numbers, t, Y, ma(Y, window), + - * / and parentheses")
+        with pytest.raises(bf.ValidationError) as info:
+            compile_control_expression(expression)
+        assert str(info.value) == message
 
     def test_division_by_zero(self):
         u = compile_control_expression("1 / t")

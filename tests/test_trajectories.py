@@ -629,12 +629,12 @@ class TestErrorsNameTheirStep:
             zakai_step_counting(state, 0.0, DECAY, 1e-3)
 
     def test_stacked_kernel_names_zero_rate_row(self):
-        w = np.stack([EXCITED_MIXED.matrix, np.diag([1.0, 0.0]).astype(complex), EXCITED_MIXED.matrix])
-        ch = SIGMA_MINUS.astype(complex)
-        lw = ch @ w
-        dy = np.array([0.0, 1.0, 1.0])[:, None, None]
+        # rates 0.875, 1e-15 and 0.875: noise 0.0 draws a jump at any positive rate
+        w = np.stack([EXCITED_MIXED.matrix, np.diag([1.0 - 1e-15, 1e-15]).astype(complex), EXCITED_MIXED.matrix])
+        noise = np.array([0.5, 0.0, 0.0])[:, None, None]
+        out = np.empty((3, 1, 4), dtype=complex)
         with pytest.raises(bf.ZeroJumpRate, match="jump recorded while") as info:
-            _kernel(w.reshape(3, 1, 4), bf.filters._model_matrix(DECAY, 0.0, True, 1e-3)[0], dy, 1e-3, "counting", 1.0, True)
+            _kernel(w.reshape(3, 1, 4), bf.filters._model_matrix(DECAY, 0.0, True, 1e-3)[0], noise, 1e-3, "counting", 1.0, out)
         assert info.value.row == 1
 
 
