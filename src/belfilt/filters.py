@@ -551,7 +551,8 @@ def _compile_node(node: ast.AST, expression: str):
     if isinstance(node, ast.UnaryOp) and type(node.op) in _ALLOWED_UNARY:
         f = _compile_node(node.operand, expression)
         return f if isinstance(node.op, ast.UAdd) else lambda t, sums, m: -f(t, sums, m)
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+    # type(), not isinstance: bool is a subclass of int, and no number here
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         value = float(node.value)
         return lambda t, sums, m: value
     if isinstance(node, ast.Name) and node.id == "t":
@@ -567,7 +568,7 @@ def _compile_node(node: ast.AST, expression: str):
         and isinstance(node.args[0], ast.Name)
         and node.args[0].id == "Y"
         and isinstance(node.args[1], ast.Constant)
-        and isinstance(node.args[1].value, int)
+        and type(node.args[1].value) is int
         and node.args[1].value >= 1
     ):
         window = node.args[1].value
@@ -801,15 +802,36 @@ class PathHealth:
 
 
 def path_health(matrices, normalized: bool = True) -> PathHealth:
-    """Audit a stack of filter matrices, shape (m, n, n)."""
+    """Audit a stack of filter matrices, shape (m, n, n).
+
+    The eigenvalue is the lowest of the Hermitian parts (r + r*)/2; at n = 2
+    it is the closed form (a + d)/2 - hypot((a - d)/2, |b|) on their entries,
+    else `eigvalsh`.  A stack with a non-finite entry reports the eigenvalue
+    NaN, so that positivity fails.
+    """
     arr = np.asarray(matrices, dtype=complex)
     if arr.ndim == 2:
         arr = arr[None]
     if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
         raise ValidationError("expected a stack of square matrices")
-    herm = float(np.max(np.abs(arr - np.conj(np.swapaxes(arr, 1, 2)))))
-    sym = 0.5 * (arr + np.conj(np.swapaxes(arr, 1, 2)))
-    lowest = float(np.linalg.eigvalsh(sym)[:, 0].min())
-    traces = np.trace(arr, axis1=1, axis2=2).real
+    if arr.size == 0:
+        raise ValidationError(f"expected a nonempty stack of matrices, got shape {arr.shape}")
+    if arr.shape[1] == 2:
+        a, b, c, d = arr.reshape(-1, 4).T
+        # |r - r*| entry by entry, bit for bit: 2|Im a|, |b - conj(c)| (twice), 2|Im d|
+        diagonal = 2.0 * float(np.max(np.maximum(np.abs(a.imag), np.abs(d.imag))))
+        herm = max(diagonal, float(np.max(np.abs(b - c.conj()))))
+        traces = a.real + d.real
+        radius = np.hypot(0.5 * (a.real - d.real), np.abs(0.5 * (b + c.conj())))
+        lowest = float(np.min(0.5 * traces - radius))
+    else:
+        herm = float(np.max(np.abs(arr - np.conj(np.swapaxes(arr, 1, 2)))))
+        sym = 0.5 * (arr + np.conj(np.swapaxes(arr, 1, 2)))
+        # a non-finite entry makes the defect inf or NaN (and eigvalsh raise)
+        lowest = float(np.linalg.eigvalsh(sym)[:, 0].min()) if math.isfinite(herm) else math.nan
+        traces = np.trace(arr, axis1=1, axis2=2).real
+    if not (math.isfinite(herm) and math.isfinite(lowest)):
+        # at n = 2 a non-finite real diagonal shows only in the eigenvalue
+        lowest = math.nan
     trace_defect = float(np.max(np.abs(traces - 1.0))) if normalized else 0.0
     return PathHealth(herm, lowest, trace_defect, normalized)

@@ -17,9 +17,13 @@ Ensembles step their trajectories together instead: `_integrate_stack`
 advances a block of them as one (B, n, n) stack through the filters'
 stacked `_kernel`, one Python iteration per time step for the whole block,
 with every trajectory still drawing its own noise and stepping exactly as
-`_integrate` would step it.  Ensembles with a control law step one
-trajectory at a time through `_integrate`, since each law sees its own
-record.
+`_integrate` would step it.  The block keeps ENSEMBLE_CHUNK_STEPS + 1 rows
+per trajectory, not its paths, and each chunk of steps is reduced once for
+the whole block: observables' running sums, in trajectory order, and the
+health audit.  ENSEMBLE_BLOCK_BYTES bounds a block's up-front noise plus
+its chunk rows.  Ensembles with a control law step one trajectory at a
+time through `_integrate`, since each law sees its own record, and feed
+the same reduction.
 
 Reproducibility: every trajectory's generator is numpy PCG64 keyed by a
 splitmix64-mixed seed, `derive_seed(base_seed, index)`, which is
@@ -52,10 +56,15 @@ from .filters import (
 from .operators import DensityState, SystemModel, as_operator
 
 GENERATOR_NAME = f"pcg64-splitmix64/numpy-{np.__version__}"
-# Byte budget of the path stack (B, steps+1, n, n) of one block of ensemble
-# trajectories stepped together.  Past a few dozen rows a block gains little
-# speed, so the budget is kept small: it bounds the ensemble's extra memory.
+# Byte budget of one block of ensemble trajectories stepped together: its
+# noise, drawn up front (B x steps floats), and its chunk buffer (B x (chunk+1)
+# matrices).  It bounds the ensemble's extra memory whatever the horizon.
 ENSEMBLE_BLOCK_BYTES = 2 * 2**20
+# Steps per chunk: a block's rows are reduced (observables and health) once
+# per chunk.  A reduction is a few dozen numpy calls, so 64 steps keep it a
+# small share of the stepping; longer chunks would leave less of the budget
+# for trajectories.
+ENSEMBLE_CHUNK_STEPS = 64
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -210,30 +219,45 @@ def _integrate(
     return path, None if normalized else traces
 
 
-def _integrate_stack(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, noise, first: int = 0):
+def _integrate_stack(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, noise, first: int = 0,
+                     reduce=None, chunk: int | None = None):
     """Simulate a block of trajectories together, without a control law.
 
     Row i of `noise`, shape (B, steps), is the noise of trajectory first + i.
     The block steps as one (B, n, n) stack through the filters' kernel with
-    the step matrix bound once; row i of the returned paths, shape
-    (B, steps+1, n, n), equals the path `_integrate` gives for noise[i] bit
-    for bit.  A failing row raises its error type naming the trajectory and
-    the step.
+    the step matrix bound once, into a buffer of chunk + 1 rows per
+    trajectory (chunk = steps by default).  After every `chunk` steps, and
+    after the last, `reduce(start, rows)` gets the rows not yet reduced: a
+    C-contiguous (B, m, n, n) array holding time indices start .. start+m-1,
+    the initial row included in the first.  The last row then moves to
+    slot 0.  Row i steps as `_integrate` steps noise[i], bit for bit.  A
+    failing row raises its error type naming the trajectory and the step.
+    Returns the buffer: with the default chunk, the paths (B, steps+1, n, n).
     """
     rows, steps = noise.shape
     n = model.dim
+    chunk = steps if chunk is None else chunk
     s, _ = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
     kind, gain = _route(scheme), scheme.gain
-    paths = np.empty((rows, steps + 1, n, n), dtype=complex)
-    paths[:, 0] = _initial_matrix(rho0, model)
-    vecs = paths.reshape(rows, steps + 1, 1, n * n)
+    buffer = np.empty((rows, chunk + 1, n, n), dtype=complex)
+    buffer[:, 0] = _initial_matrix(rho0, model)
+    vecs = buffer.reshape(rows, chunk + 1, 1, n * n)
     noise = noise[:, :, None, None]
-    for k in range(steps):
+    for start in range(0, steps, chunk):
+        stop = min(start + chunk, steps)
         try:
-            _kernel(vecs[:, k], s, noise[:, k], dt, kind, gain, vecs[:, k + 1])
+            for k in range(start, stop):
+                _kernel(vecs[:, k - start], s, noise[:, k], dt, kind, gain, vecs[:, k - start + 1])
         except (ValidationError, NumericalFailure) as exc:
             raise type(exc)(f"{_at(k, first + exc.row)}: {exc}") from None
-    return paths
+        if reduce is not None:
+            # einsum on a strided view need not sum in the order it does on
+            # a contiguous path, hence the copy
+            lo = 1 if start else 0
+            reduce(start + lo, np.ascontiguousarray(buffer[:, lo : stop - start + 1]))
+        if stop < steps:
+            buffer[:, 0] = buffer[:, stop - start]
+    return buffer
 
 
 def simulate_homodyne(
@@ -340,12 +364,58 @@ class EnsembleSummary:
         return self.stderrs_re[name]
 
 
-def _ensemble_paths(model, rho0, scheme, n_trajectories, seed, steps, dt, law):
-    """The ensemble's filter paths in index order, as stacks (B, steps+1, n, n).
+def _add_in_order(running: np.ndarray, vals: np.ndarray) -> None:
+    """running += vals[0], then vals[1], ...: the row-by-row sum, bit for bit.
 
-    Without a law, blocks of trajectories whose path stack fits in
-    ENSEMBLE_BLOCK_BYTES step together; with one, each trajectory's law
-    sees its own record, so trajectories step one at a time.
+    An accumulate is sequential by definition; `sum` and `add.reduce` pair
+    rows up instead (the latter on a one-column chunk)."""
+    running[...] = np.add.accumulate(np.concatenate((running[None], vals)), axis=0)[-1]
+
+
+class _EnsembleSums:
+    """The ensemble's running sums, added a block and a chunk at a time.
+
+    Called as `reduce(start, rows)` with rows (B, m, n, n) of B trajectories
+    in index order at time indices start .. start+m-1 (see
+    `_integrate_stack`).  Each time index receives its trajectories in index
+    order, so the sums equal a trajectory-by-trajectory loop bit for bit.
+    """
+
+    def __init__(self, observables: dict, steps: int, collect_health: bool):
+        self.observables = observables
+        self.sums = {name: np.zeros(steps + 1, dtype=complex) for name in observables}
+        self.sums_sq_re = {name: np.zeros(steps + 1) for name in observables}
+        self.sums_sq_im = {name: np.zeros(steps + 1) for name in observables}
+        self.audits = [] if collect_health else None
+
+    def __call__(self, start: int, rows: np.ndarray) -> None:
+        b, m, n, _ = rows.shape
+        if self.audits is not None:
+            self.audits.append(path_health(rows.reshape(b * m, n, n), normalized=True))
+        span = slice(start, start + m)
+        for name, x in self.observables.items():
+            vals = np.einsum("btij,ji->bt", rows, x)
+            _add_in_order(self.sums[name][span], vals)
+            _add_in_order(self.sums_sq_re[name][span], vals.real**2)
+            _add_in_order(self.sums_sq_im[name][span], vals.imag**2)
+
+    def health(self) -> PathHealth | None:
+        """The worst of every audit (a NaN one wins), or None without health."""
+        if self.audits is None:
+            return None
+        herm, lowest, trace = np.array([(h.max_hermiticity_defect, h.min_eigenvalue, h.max_trace_defect)
+                                        for h in self.audits]).T
+        return PathHealth(float(herm.max()), float(lowest.min()), float(trace.max()), True)
+
+
+def _step_ensemble(model, rho0, scheme, n_trajectories, seed, steps, dt, law, reduce) -> None:
+    """Step the ensemble's trajectories in index order, feeding `reduce`.
+
+    Without a law, blocks of B trajectories step together in chunks of
+    ENSEMBLE_CHUNK_STEPS steps, B being as large as lets the block's noise
+    (B x steps floats) and chunk rows (B x (chunk+1) matrices) fit in
+    ENSEMBLE_BLOCK_BYTES.  With one, each trajectory's law sees its own
+    record, so trajectories step one at a time (B = 1, one chunk).
     """
 
     def noise(i):
@@ -354,12 +424,13 @@ def _ensemble_paths(model, rho0, scheme, n_trajectories, seed, steps, dt, law):
     if law is not None:
         for i in range(n_trajectories):
             path, _ = _integrate(model, rho0, scheme, dt, np.empty(steps), law, noise=noise(i), trajectory=i)
-            yield path[None]
+            reduce(0, path[None])
         return
-    size = max(1, ENSEMBLE_BLOCK_BYTES // ((steps + 1) * model.dim**2 * 16))
+    chunk = min(steps, ENSEMBLE_CHUNK_STEPS)
+    size = max(1, ENSEMBLE_BLOCK_BYTES // (steps * 8 + (chunk + 1) * model.dim**2 * 16))
     for first in range(0, n_trajectories, size):
         rows = range(first, min(first + size, n_trajectories))
-        yield _integrate_stack(model, rho0, scheme, dt, np.stack([noise(i) for i in rows]), first)
+        _integrate_stack(model, rho0, scheme, dt, np.stack([noise(i) for i in rows]), first, reduce, chunk)
 
 
 def ensemble_average(
@@ -389,42 +460,24 @@ def ensemble_average(
             raise DimensionMismatch(f"observable {name!r} dim {x.shape[0]} != model dim {model.dim}")
     steps = _grid(horizon, dt)
     times = dt * np.arange(steps + 1)
-    sums = {name: np.zeros(steps + 1, dtype=complex) for name in obs}
-    sums_sq_re = {name: np.zeros(steps + 1) for name in obs}
-    sums_sq_im = {name: np.zeros(steps + 1) for name in obs}
-    worst_herm = 0.0
-    worst_eig = np.inf
-    worst_trace = 0.0
-    for block in _ensemble_paths(model, rho0, scheme, n_trajectories, seed, steps, dt, law):
-        for path in block:
-            if collect_health:
-                member = path_health(path, normalized=True)
-                worst_herm = max(worst_herm, member.max_hermiticity_defect)
-                worst_eig = min(worst_eig, member.min_eigenvalue)
-                worst_trace = max(worst_trace, member.max_trace_defect)
-            for name, x in obs.items():
-                vals = _expectation_series(path, x)
-                sums[name] += vals
-                sums_sq_re[name] += vals.real**2
-                sums_sq_im[name] += vals.imag**2
-        del path, block  # free this stack before the next one is stepped
+    acc = _EnsembleSums(obs, steps, collect_health)
+    _step_ensemble(model, rho0, scheme, n_trajectories, seed, steps, dt, law, acc)
     means = {}
     stderrs_re = {}
     stderrs_im = {}
     n = n_trajectories
     for name in obs:
-        mean = sums[name] / n
+        mean = acc.sums[name] / n
         means[name] = mean
         if n > 1:
-            var_re = np.maximum(sums_sq_re[name] - n * mean.real**2, 0.0) / (n - 1)
-            var_im = np.maximum(sums_sq_im[name] - n * mean.imag**2, 0.0) / (n - 1)
+            var_re = np.maximum(acc.sums_sq_re[name] - n * mean.real**2, 0.0) / (n - 1)
+            var_im = np.maximum(acc.sums_sq_im[name] - n * mean.imag**2, 0.0) / (n - 1)
             stderrs_re[name] = np.sqrt(var_re / n)
             stderrs_im[name] = np.sqrt(var_im / n)
         else:
             stderrs_re[name] = np.zeros(steps + 1)
             stderrs_im[name] = np.zeros(steps + 1)
-    health = PathHealth(worst_herm, worst_eig, worst_trace, True) if collect_health else None
-    return EnsembleSummary(times, means, stderrs_re, stderrs_im, n, scheme, health)
+    return EnsembleSummary(times, means, stderrs_re, stderrs_im, n, scheme, acc.health())
 
 
 @dataclass(frozen=True)

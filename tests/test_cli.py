@@ -250,6 +250,22 @@ class TestCliCommands:
         assert "minimum filter eigenvalue" in capsys.readouterr().err
         assert not (out / "ensemble.csv").exists()
 
+    def test_non_finite_path_is_a_positivity_breach(self, tmp_path, capsys, monkeypatch):
+        # a NaN on the diagonal used to audit as eigenvalue 0.0; it must fail
+        # the positivity gate, whose breach exits 2 before anything is written
+        real = bf.simulate_homodyne
+
+        def poisoned(*args, **kwargs):
+            record, path = real(*args, **kwargs)
+            path[3, 0, 0] = np.nan
+            return record, path
+
+        monkeypatch.setattr("belfilt.cli.simulate_homodyne", poisoned)
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", str(write_config(tmp_path, qubit_config())), "--out", str(out)]) == 2
+        assert "minimum filter eigenvalue nan fell below" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("command", ["simulate", "filter"])
     def test_health_breach_exits_two_before_writing(self, tmp_path, capsys, command):
         # the breach config of the ensemble test; its single trajectory for
@@ -454,3 +470,12 @@ class TestShippedDemos:
         assert columns["n2 seed1 random2 homodyne replay zakai"] == ["path 0.0e+00", "likelihood 0.0e+00"]
         assert columns["n2 seed1 decay-diag counting simulate"] == ["path 0.0e+00", "record 0.0e+00"]
         assert all(parts and all(part.endswith(" 0.0e+00") for part in parts) for parts in columns.values())
+        assert columns["n2 seed1 random2 homodyne ensemble stacked"] == ["path 0.0e+00", "health 0.0e+00"]
+        # a moved health monitor shows as its deviation: parts 0-9 are the
+        # times, the count and two observables, 10-12 the health monitors
+        saved = dict(np.load(tmp_path / "saved" / "outputs.npz"))
+        key = "n2 seed1 random2 homodyne ensemble stacked|11"
+        saved[key] = saved[key] - 2.5e-3
+        np.savez(tmp_path / "saved" / "outputs.npz", **saved)
+        compared = self._run("seeded_hashes.py", *args, "--against", "saved", cwd=tmp_path)
+        assert "n2 seed1 random2 homodyne ensemble stacked  path 0.0e+00  health 2.5e-03" in compared.stdout.splitlines()

@@ -111,6 +111,18 @@ class TestCompiledLawsMatchDirectEvaluation:
         _, u = law.hamiltonian_at(0.06, prefix)
         assert _bits(u) == _bits(reference_control("0.2 * Y - 0.5 * ma(Y, 50)")(0.06, prefix))
 
+    @pytest.mark.parametrize("expression, offender", [
+        ("True + t", "Constant(value=True)"),
+        ("ma(Y, True)", "Call(func=Name(id='ma', ctx=Load()), args=[Name(id='Y', ctx=Load()), Constant(value=True)],"
+                        " keywords=[])"),
+    ])
+    def test_booleans_are_not_numbers(self, expression, offender):
+        message = (f"control expression {expression!r}: unsupported construct {offender};"
+                   " the grammar allows numbers, t, Y, ma(Y, window), + - * / and parentheses")
+        with pytest.raises(bf.ValidationError) as info:
+            compile_control_expression(expression)
+        assert str(info.value) == message
+
     def test_division_by_zero_keeps_its_message(self):
         law = compile_control_expression("Y / (Y - ma(Y, 1))")
         with pytest.raises(bf.ValidationError, match=r"^control expression 'Y / \(Y - ma\(Y, 1\)\)': division by zero$"):

@@ -554,3 +554,64 @@ class TestPathHealth:
         health = path_health(off, normalized=True)
         assert not health.trace_ok
         assert path_health(off, normalized=False).ok
+
+
+def _two_by_two(kind, rng, m=400):
+    """m 2 x 2 matrices of one kind, unit scale."""
+    z = rng.normal(size=(m, 2, 2)) + 1j * rng.normal(size=(m, 2, 2))
+    if kind == "hermitian":
+        return 0.5 * (z + np.conj(np.swapaxes(z, 1, 2)))
+    if kind == "non-hermitian":
+        return z
+    if kind == "degenerate":  # a = d, b = 0, a Hermitian or not
+        a = rng.normal(size=m) + 1j * rng.normal(size=m) * (np.arange(m) % 2)
+        return a[:, None, None] * np.eye(2)
+    # pure states |v><v|, whose lowest eigenvalue 0 the closed form gets by
+    # cancellation
+    v = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return v[:, :, None] * np.conj(v[:, None, :])
+
+
+class TestPathHealthTwoByTwo:
+    """At n = 2 the audit is a closed form on the entries, not eigvalsh."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("kind", ["hermitian", "non-hermitian", "degenerate", "pure"])
+    def test_lowest_eigenvalue_matches_eigvalsh(self, kind, scale):
+        mats = scale * _two_by_two(kind, np.random.default_rng(17))
+        for mat in mats:
+            want = np.linalg.eigvalsh(0.5 * (mat + dag(mat)))[0]
+            got = path_health(mat).min_eigenvalue
+            assert abs(got - want) <= 1e-12 * max(1.0, np.linalg.norm(mat, 2)), (mat, got, want)
+
+    @pytest.mark.parametrize("kind", ["hermitian", "non-hermitian", "degenerate", "pure"])
+    def test_defects_equal_the_matrix_formulas_bit_for_bit(self, kind):
+        mats = _two_by_two(kind, np.random.default_rng(18))
+        mats = mats / np.trace(mats, axis1=1, axis2=2)[:, None, None] + 1e-9j * mats
+        health = path_health(mats)
+        assert health.max_hermiticity_defect == float(np.max(np.abs(mats - np.conj(np.swapaxes(mats, 1, 2)))))
+        assert health.max_trace_defect == float(np.max(np.abs(np.trace(mats, axis1=1, axis2=2).real - 1.0)))
+
+
+class TestPathHealthEdges:
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_entry_fails_positivity(self, dim, bad):
+        # every entry, real and imaginary part, inside a stack of clean states
+        clean = np.stack([np.eye(dim, dtype=complex) / dim] * 3)
+        for i in range(dim):
+            for j in range(dim):
+                for value in (complex(bad, 0.0), complex(0.0, bad)):
+                    mats = clean.copy()
+                    mats[1, i, j] += value
+                    for normalized in (True, False):
+                        with np.errstate(invalid="ignore", over="ignore"):
+                            health = path_health(mats, normalized=normalized)
+                        assert np.isnan(health.min_eigenvalue), (i, j, value)
+                        assert not health.positivity_ok and not health.ok
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_empty_stack_refused(self, dim):
+        with pytest.raises(bf.ValidationError, match=r"nonempty stack.*\(0, %d, %d\)" % (dim, dim)):
+            path_health(np.zeros((0, dim, dim), dtype=complex))

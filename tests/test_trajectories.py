@@ -457,6 +457,13 @@ def _random_ensemble_case(dim, seed):
     return model, rho0, observables
 
 
+def _block_bytes(rows, steps, dim):
+    """The block budget that holds `rows` trajectories: their noise and
+    their chunk rows."""
+    chunk = min(steps, trajectories.ENSEMBLE_CHUNK_STEPS)
+    return rows * (steps * 8 + (chunk + 1) * dim**2 * 16)
+
+
 STACK_SCHEMES = {
     "homodyne-phase": MeasurementScheme.homodyne(0.7),
     "imperfect": MeasurementScheme.imperfect(1.5),
@@ -484,7 +491,7 @@ class TestStackedEnsemble:
         # a row of a stack must not depend on the stack's size: one block of
         # 32 and one of 1
         steps, dim = 100, 8
-        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", 32 * (steps + 1) * dim**2 * 16)
+        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", _block_bytes(32, steps, dim))
         blocks = []
         real_stack = trajectories._integrate_stack
         monkeypatch.setattr(
@@ -499,9 +506,9 @@ class TestStackedEnsemble:
 
     @pytest.mark.parametrize("name", list(STACK_SCHEMES))
     def test_blocks_equal_serial(self, name, monkeypatch):
-        # a budget of 3 paths per block: blocks of 3, 3, 3 and 1 trajectories
+        # a budget of 3 trajectories per block: blocks of 3, 3, 3 and 1 trajectories
         steps = 150
-        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", 3 * (steps + 1) * 4 * 16 + 5)
+        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", _block_bytes(3, steps, 2) + 5)
         scheme = STACK_SCHEMES[name]
         model, rho0, observables = _random_ensemble_case(2, 90)
         blocks = []
@@ -513,6 +520,48 @@ class TestStackedEnsemble:
         summary = ensemble_average(*args, collect_health=True)
         assert blocks == [3, 3, 3, 1]
         _assert_summary_equal(summary, _serial_ensemble(*args, collect_health=True), 10, scheme, steps * 1e-3, 1e-3)
+
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["K1", "K7", "Ksteps"])
+    @pytest.mark.parametrize("split", [10, 4, 3], ids=["one-block", "4-4-2", "3-3-3-1"])
+    @pytest.mark.parametrize("name", list(STACK_SCHEMES))
+    def test_chunks_and_splits_equal_serial(self, name, split, chunk, monkeypatch):
+        # the block reduces its rows a chunk at a time; neither the chunk
+        # size nor the block split may move a bit of the summary
+        steps = 60
+        chunk = steps if chunk is None else chunk
+        monkeypatch.setattr(trajectories, "ENSEMBLE_CHUNK_STEPS", chunk)
+        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", _block_bytes(split, steps, 2))
+        reduced = []
+        real_stack = trajectories._integrate_stack
+
+        def spy(*a):
+            reduce = a[6]
+            return real_stack(*a[:6], lambda start, rows: reduced.append((start, rows.shape)) or reduce(start, rows),
+                              *a[7:])
+
+        monkeypatch.setattr(trajectories, "_integrate_stack", spy)
+        scheme = STACK_SCHEMES[name]
+        model, rho0, observables = _random_ensemble_case(2, 93)
+        args = (model, scheme, observables, 10, 31, steps * 1e-3, 1e-3, rho0)
+        summary = ensemble_average(*args, collect_health=True)
+        _assert_summary_equal(summary, _serial_ensemble(*args, collect_health=True), 10, scheme, steps * 1e-3, 1e-3)
+        # each block reduces time indices 0 .. steps once, in chunks of `chunk` rows
+        sizes = [min(split, 10 - first) for first in range(0, 10, split)]
+        bounds = [(start, min(start + chunk, steps)) for start in range(0, steps, chunk)]
+        want = [(start + (start > 0), (b, stop - start + (start == 0), 2, 2)) for b in sizes for start, stop in bounds]
+        assert reduced == want
+
+    def test_budget_counts_noise_and_chunk_rows(self, monkeypatch):
+        # 32 trajectories of 500 steps at n = 4 fit one block; 400 of 2 000 at
+        # n = 2 (the shipped homodyne config) go in blocks of at least 100
+        blocks = []
+        monkeypatch.setattr(trajectories, "_integrate_stack", lambda *a: blocks.append(a[4].shape))
+        model, rho0, observables = _random_ensemble_case(4, 94)
+        ensemble_average(model, MeasurementScheme.homodyne(), observables, 32, 1, 0.5, 1e-3, rho0)
+        assert blocks == [(32, 500)]
+        blocks.clear()
+        ensemble_average(DECAY, MeasurementScheme.homodyne(), {"z": SIGMA_Z}, 400, 1, 2.0, 1e-3, PLUS_MIXED)
+        assert blocks[0][0] >= 100 and sum(rows for rows, _ in blocks) == 400
 
     def test_law_ensemble_equals_serial(self):
         model, rho0, observables = _random_ensemble_case(2, 91)
@@ -563,7 +612,7 @@ class TestErrorsNameTheirStep:
         # bound then fails at step 4
         noise = np.ones((10, 8))
         noise[6, 3] = 0.0
-        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", 4 * 9 * 9 * 16)
+        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", _block_bytes(4, 8, 3))
         monkeypatch.setattr(trajectories, "_noise", lambda scheme, seed, steps, dt: noise[order.index(seed)])
         order = [derive_seed(5, i) for i in range(10)]
         with pytest.raises(bf.ValidationError, match=r"^trajectory 6, step 4: dt: jump probability rate\*dt = 4 "):
