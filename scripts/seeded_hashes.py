@@ -24,9 +24,9 @@ bytes, so the diff covers the byte-stable formats as well.
 To see how far outputs moved rather than whether they did, save one
 checkout's outputs and compare the other's against them; each case then
 prints its largest deviation of filter matrices (and ensemble means), of
-likelihoods relative to their size, of record increments and of ensemble
-health monitors (worst eigenvalue, trace and Hermiticity defects), and for
-CSV cases 1 if the bytes differ, 0 if not:
+ensemble standard errors, of likelihoods relative to their size, of record
+increments and of ensemble health monitors (worst eigenvalue, trace and
+Hermiticity defects), and for CSV cases 1 if the bytes differ, 0 if not:
 
     PYTHONPATH=../old/src python3 scripts/seeded_hashes.py --save before
     PYTHONPATH=src python3 scripts/seeded_hashes.py --against before
@@ -212,11 +212,11 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
 
 SAVED = "outputs.npz"
 # roles compared by --against: the largest absolute deviation of filter
-# matrices and ensemble means, of likelihoods relative to their size, of
-# record increments (a moved count shows as 1) and of ensemble health
-# monitors; CSV bytes read 0 when equal, 1 when not
-DEVIATIONS = {"path": ("path", "mean"), "likelihood": ("likelihood",), "record": ("record",), "health": ("health",),
-              "csv": ("csv",)}
+# matrices and ensemble means, of ensemble standard errors, of likelihoods
+# relative to their size, of record increments (a moved count shows as 1) and
+# of ensemble health monitors; CSV bytes read 0 when equal, 1 when not
+DEVIATIONS = {"path": ("path", "mean"), "stderr": ("stderr",), "likelihood": ("likelihood",), "record": ("record",),
+              "health": ("health",), "csv": ("csv",)}
 
 
 def save(directory: Path, outcomes) -> None:

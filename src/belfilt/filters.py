@@ -34,11 +34,13 @@ three scalars give (a0, a1, a2) and the raw trace (the commutator is
 traceless), and a second product of the row (a0, a1, a2), divided by the
 trace on the normalized routes, with the last three blocks of p gives the
 next matrix.  S is bound once per run; a control law rewrites only its A'
-block from H_t each step (`_hamiltonian_writer`).  `_row_step` binds the
-step of one matrix once per run (once per call for the public step
-functions), fed one float a step: the increment dy, or the noise dy is
-drawn from when the run samples its record.  Each step is two BLAS
-products and Python-float scalars.  `_kernel` steps a stack of sampled
+block from H_t each step (`_hamiltonian_writer`), and a compiled expression
+law is evaluated on record sums its run extends by one add a step
+(`_law_steps`).  `_row_step` binds the step of one matrix once per run
+(once per call for the public step functions; `feedback_step` keeps each
+thread's last bound run), fed one float a step: the increment dy, or the
+noise dy is drawn from when the run samples its record.  Each step is two
+BLAS products and Python-float scalars.  `_kernel` steps a stack of sampled
 trajectories on the normalized route with the same arithmetic on arrays,
 and a row of a stack steps exactly as one matrix.
 
@@ -171,7 +173,11 @@ class FilterState:
         return complex(np.trace(self.matrix @ x))
 
     def min_eigenvalue(self) -> float:
+        """The lowest eigenvalue of the Hermitian part; NaN when an entry is
+        not finite, as `path_health` reports it."""
         m = self.matrix
+        if not np.isfinite(m).all():
+            return math.nan
         return float(np.linalg.eigvalsh(0.5 * (m + dag(m))).min())
 
     def hermiticity_defect(self) -> float:
@@ -422,18 +428,18 @@ def _kernel(r, s, noise, dt, kind, gain, out):
     np.matmul(coef, p[..., 3:].reshape(len(r), 3, -1), out=out)
 
 
-def _apply(state: FilterState, dY, s, dt: float, scheme: MeasurementScheme, normalized: bool):
-    """Step state.matrix once (`_row_step`) with the step matrix s, for dY a
-    finite real number; normalized results keep the incoming likelihood."""
+def _apply(state: FilterState, dY, s, step, counting: bool, normalized: bool):
+    """Step state.matrix once with the step matrix s and a `_row_step` step,
+    for dY a finite real number (0 or 1 when `counting`); normalized results
+    keep the incoming likelihood."""
     if isinstance(dY, float) and math.isfinite(dY):
         dy = float(dY)
     else:
         dy = _finite_real(dY, "increment dY: {}")
-    if scheme.kind == COUNTING and dy not in (0.0, 1.0):
+    if counting and dy not in (0.0, 1.0):
         raise ValidationError(f"counting increment must be 0 or 1, got {dY!r}")
     w = state.matrix
     new = np.empty(w.size, dtype=complex)
-    step = _row_step(len(w), dt, _route(scheme), scheme.gain, normalized, False)
     tr, _ = step(w.reshape(-1), s, dy, new)
     return FilterState(new.reshape(w.shape), normalized, state.likelihood if normalized else tr)
 
@@ -441,8 +447,10 @@ def _apply(state: FilterState, dY, s, dt: float, scheme: MeasurementScheme, norm
 def _model_step(state: FilterState, dY, model: SystemModel, dt: float, scheme: MeasurementScheme, normalized: bool):
     dt = _require_dt(dt)
     _require_model_state(state, model)
-    s, _ = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
-    return _apply(state, dY, s, dt, scheme, normalized)
+    counting = scheme.kind == COUNTING
+    s, _ = _model_matrix(model, scheme.phase, counting, dt)
+    step = _row_step(model.dim, dt, _route(scheme), scheme.gain, normalized, False)
+    return _apply(state, dY, s, step, counting, normalized)
 
 
 def zakai_step_homodyne(
@@ -634,6 +642,27 @@ class _RunningSums(threading.local):
         return self.sums
 
 
+class _CompiledControl:
+    """A compiled control expression, called as u(t, prefix).
+
+    `body(t, sums, m)` is the expression's closure on the cumulative sums
+    sums[:m] of a record prefix of length m (`_compile_node`); `reads_record`
+    says whether it reads them at all.  A loop that keeps its own running
+    sums evaluates `body` on them directly (`_law_steps`).  A call sums the
+    prefix through this law's per-thread memo (`_RunningSums`)."""
+
+    __slots__ = ("body", "reads_record", "_memo")
+
+    def __init__(self, body, reads_record: bool):
+        self.body = body
+        self.reads_record = reads_record
+        self._memo = _RunningSums()
+
+    def __call__(self, t: float, prefix) -> float:
+        arr = np.asarray(prefix, dtype=float).reshape(-1)
+        return float(self.body(float(t), self._memo.cumulative(arr) if self.reads_record else None, arr.size))
+
+
 def compile_control_expression(expression: str) -> Callable[[float, np.ndarray], float]:
     """Compile the minimal control grammar over t, cumulative Y, and the
     trailing moving average ma(Y, window) into a callable u(t, prefix).
@@ -648,14 +677,7 @@ def compile_control_expression(expression: str) -> Callable[[float, np.ndarray],
     except SyntaxError as exc:
         raise ValidationError(f"control expression {expression!r}: {exc}") from exc
     body = _compile_node(tree.body, expression)
-    reads_record = any(isinstance(node, ast.Name) and node.id == "Y" for node in ast.walk(tree))
-    memo = _RunningSums()
-
-    def control(t: float, prefix) -> float:
-        arr = np.asarray(prefix, dtype=float).reshape(-1)
-        return float(body(float(t), memo.cumulative(arr) if reads_record else None, arr.size))
-
-    return control
+    return _CompiledControl(body, any(isinstance(node, ast.Name) and node.id == "Y" for node in ast.walk(tree)))
 
 
 @dataclass(frozen=True)
@@ -743,6 +765,49 @@ def _law_matrices(law: ControlLaw, model: SystemModel, phase: float, counting: b
     return mapped
 
 
+def _law_steps(law: ControlLaw, model: SystemModel, phase: float, counting: bool, dt: float, increments):
+    """The function matrix(k, dy) -> the step matrix of step k of one law run
+    over `increments`, dy being the increment of step k - 1 (unread at
+    k = 0).  It returns what `_law_matrices` gives for (k dt, increments[:k]),
+    bit for bit.
+
+    For a compiled expression law without a channel map, the run owns the
+    record's cumulative sums: each call extends them by dy, one add, as
+    np.cumsum does, and evaluates the law's body on them, so no call copies,
+    compares or sums the prefix.  Other laws are called on the prefix."""
+    control = law.control
+    if law.channel_map is not None or not isinstance(control, _CompiledControl):
+        matrix_at = _law_matrices(law, model, phase, counting, dt)
+        return lambda k, dy: matrix_at(k * dt, increments[:k])
+    s, drift = _model_matrix(model, phase, counting, dt)
+    s = s.copy()
+    write = _hamiltonian_writer(s, drift)
+    body, h0, h1 = control.body, law.h0, law.h1
+    sums = np.empty(increments.size) if control.reads_record else None
+    y = 0.0
+
+    def matrix(k, dy):
+        nonlocal y
+        if sums is not None and k:
+            # as np.cumsum does, the first entry is copied, not added to 0.0
+            y = y + dy if k > 1 else dy
+            sums[k - 1] = y
+        t = k * dt
+        u = body(t, sums, k)
+        if not math.isfinite(u):  # the body's arithmetic is on Python floats
+            u = _finite_real(u, f"control law returned {{}} at t = {t}")
+        write(h0 + u * h1, dt)
+        return s
+
+    return matrix
+
+
+# One thread's last bound feedback run: (law, model, key, matrix, step), the
+# law and model held by identity, matrix = `_law_matrices`' function and step
+# = `_row_step`'s, reused by the next call with the same law, model and key.
+_feedback_runs = threading.local()
+
+
 def feedback_step(
     state: FilterState,
     dY: float,
@@ -759,6 +824,11 @@ def feedback_step(
     prefix); supplying entries at or after t is a causality violation.  The
     matching scheme step then runs with H_t (and L_t when the law carries a
     channel map) held fixed across the step.
+
+    Each thread keeps the last run it bound (the copy of the step matrix H_t
+    is written into and the bound `_row_step`), and reuses it for the next
+    call with the same law and model objects, scheme, dt and normalization.
+    H0 and H1 are read, and every argument is checked, on every call.
     """
     dt = _require_dt(dt)
     _require_model_state(state, model)
@@ -772,8 +842,13 @@ def feedback_step(
         raise CausalityViolation(
             f"record prefix extends to {prefix.size * dt:.6g}, at or beyond the current time {t:.6g}"
         )
-    s = _law_matrices(law, model, scheme.phase, scheme.kind == COUNTING, dt)(t, prefix)
-    return _apply(state, dY, s, dt, scheme, state.normalized)
+    counting, kind, normalized = scheme.kind == COUNTING, _route(scheme), state.normalized
+    key = (scheme.phase, counting, dt, kind, scheme.gain, normalized)
+    run = getattr(_feedback_runs, "run", None)
+    if run is None or run[0] is not law or run[1] is not model or run[2] != key:
+        run = _feedback_runs.run = (law, model, key, _law_matrices(law, model, scheme.phase, counting, dt),
+                                    _row_step(model.dim, dt, kind, scheme.gain, normalized, False))
+    return _apply(state, dY, run[3](t, prefix), run[4], counting, normalized)
 
 
 # --- health monitoring ----------------------------------------------------

@@ -12,7 +12,11 @@ innovations are Wiener (diffusive case) or compensated-counting
 martingales, and it avoids simulating the exponentially large field.
 
 Simulation and replay run through one loop, `_integrate`, which validates
-and binds the filters' single-matrix step (`_row_step`) once per run.
+and binds the filters' single-matrix step (`_row_step`) once per run.  Under
+a compiled expression law without a channel map, the loop owns the record's
+cumulative sums and extends them by one add a step (`filters._law_steps`),
+so a closed-loop step costs the same at any horizon; other laws are called
+on each step's record prefix.
 Ensembles step their trajectories together instead: `_integrate_stack`
 advances a block of them as one (B, n, n) stack through the filters'
 stacked `_kernel`, one Python iteration per time step for the whole block,
@@ -46,7 +50,7 @@ from .filters import (
     MeasurementScheme,
     PathHealth,
     _kernel,
-    _law_matrices,
+    _law_steps,
     _model_matrix,
     _require_law_model,
     _route,
@@ -194,9 +198,10 @@ def _integrate(
     phase, kind, gain, counting = scheme.phase, _route(scheme), scheme.gain, scheme.kind == COUNTING
     if law is None:
         s, _ = _model_matrix(model, phase, counting, dt)
+        law_matrix = None
     else:
         _require_law_model(law, model)
-        law_matrix = _law_matrices(law, model, phase, counting, dt)
+        law_matrix = _law_steps(law, model, phase, counting, dt, increments)
     steps = increments.size
     n = model.dim
     sampling = noise is not None
@@ -207,10 +212,11 @@ def _integrate(
     traces = np.ones(steps + 1)
     # Python floats: numpy scalar arithmetic costs microseconds a step
     values = (noise if sampling else increments).tolist()
+    dy = 0.0  # the increment of step k - 1, from which a law's step k extends its sums
     for k in range(steps):
         try:
-            if law is not None:
-                s = law_matrix(k * dt, increments[:k])
+            if law_matrix is not None:
+                s = law_matrix(k, dy)
             traces[k + 1], dy = step(rows[k], s, values[k], rows[k + 1])
         except (ValidationError, NumericalFailure) as exc:
             raise type(exc)(f"{_at(k, trajectory)}: {exc}") from None

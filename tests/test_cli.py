@@ -470,12 +470,16 @@ class TestShippedDemos:
         assert columns["n2 seed1 random2 homodyne replay zakai"] == ["path 0.0e+00", "likelihood 0.0e+00"]
         assert columns["n2 seed1 decay-diag counting simulate"] == ["path 0.0e+00", "record 0.0e+00"]
         assert all(parts and all(part.endswith(" 0.0e+00") for part in parts) for parts in columns.values())
-        assert columns["n2 seed1 random2 homodyne ensemble stacked"] == ["path 0.0e+00", "health 0.0e+00"]
-        # a moved health monitor shows as its deviation: parts 0-9 are the
-        # times, the count and two observables, 10-12 the health monitors
+        assert columns["n2 seed1 random2 homodyne ensemble stacked"] == ["path 0.0e+00", "stderr 0.0e+00",
+                                                                          "health 0.0e+00"]
+        # a moved health monitor or standard error shows as its deviation:
+        # parts 0-9 are the times, the count and two observables (name, mean,
+        # real and imaginary standard errors), 10-12 the health monitors
         saved = dict(np.load(tmp_path / "saved" / "outputs.npz"))
-        key = "n2 seed1 random2 homodyne ensemble stacked|11"
-        saved[key] = saved[key] - 2.5e-3
+        key = "n2 seed1 random2 homodyne ensemble stacked|"
+        saved[key + "11"] = saved[key + "11"] - 2.5e-3
+        saved[key + "4"] = saved[key + "4"] + 1e-3
         np.savez(tmp_path / "saved" / "outputs.npz", **saved)
         compared = self._run("seeded_hashes.py", *args, "--against", "saved", cwd=tmp_path)
-        assert "n2 seed1 random2 homodyne ensemble stacked  path 0.0e+00  health 2.5e-03" in compared.stdout.splitlines()
+        assert ("n2 seed1 random2 homodyne ensemble stacked  path 0.0e+00  stderr 1.0e-03  health 2.5e-03"
+                in compared.stdout.splitlines())

@@ -1,5 +1,6 @@
 """Compiled control laws: bit-identity with the direct evaluator, the work
-done per call, and the per-thread memo of cumulative sums."""
+done per call, the per-thread memo of cumulative sums, the sums a closed
+loop keeps itself, and the run `feedback_step` keeps bound per thread."""
 
 import struct
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import belfilt as bf
-from belfilt.filters import ControlLaw, FilterState, compile_control_expression, feedback_step
+from belfilt.filters import ControlLaw, FilterState, _RunningSums, compile_control_expression, feedback_step
 from belfilt.operators import SIGMA_MINUS, SIGMA_X, SIGMA_Z, DensityState, SystemModel
 from belfilt.trajectories import simulate_homodyne
 
@@ -242,3 +243,282 @@ class TestControlValues:
     def test_non_numeric_refused(self, value, shown):
         with pytest.raises(bf.ValidationError, match=rf"^control law returned non-numeric value {shown} at t = 0.25$"):
             self._law(value).hamiltonian_at(0.25, np.zeros(3))
+
+
+def _prefix_law(law):
+    """The same law as a plain callable, which the loops call on each step's
+    record prefix, control(k dt, increments[:k])."""
+    return ControlLaw(lambda t, prefix: law.control(t, prefix), law.h0, law.h1)
+
+
+def _outcome(run):
+    """(run(), None), or (None, (the error's type, its message))."""
+    try:
+        return run(), None
+    except (bf.ValidationError, bf.NumericalFailure) as exc:
+        return None, (type(exc), str(exc))
+
+
+def _body_calls(law, run):
+    """run()'s outcome and every evaluation of the law's compiled body as
+    (t, the bits of sums[:m] or None, m, the bits of u), in call order; an
+    evaluation that raised has no u."""
+    calls = []
+    body = law.control.body
+
+    def spy(t, sums, m):
+        calls.append((_bits(t), None if sums is None else sums[:m].tobytes(), m))
+        u = body(t, sums, m)
+        calls[-1] += (_bits(u),)
+        return u
+
+    law.control.body = spy
+    try:
+        return _outcome(run), calls
+    finally:
+        law.control.body = body
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+LOOP_LAWS = ["0.2 * Y - 0.5 * ma(Y, 50)", "2*t - Y", "t"]
+LAW_MODEL = SystemModel(0.5 * SIGMA_Z, (0.7 * SIGMA_MINUS,))
+
+
+class TestLoopOwnedSums:
+    """A compiled law in `_integrate` reads running sums the loop extends by
+    one add a step; its body must see what control(t, increments[:k]) gives
+    it, bit for bit, and the run must step the same path."""
+
+    def _compare(self, law, run):
+        """run(law) with the loop's sums and run(law as a prefix callable):
+        the same body inputs, values and outcome, bit for bit."""
+        (owned, owned_error), owned_calls = _body_calls(law, lambda: run(law))
+        (called, called_error), called_calls = _body_calls(law, lambda: run(_prefix_law(law)))
+        assert owned_error == called_error
+        assert owned_calls == called_calls
+        assert owned_calls, "the body was never evaluated"
+        return owned, called, owned_error
+
+    @pytest.mark.parametrize("expression", LOOP_LAWS)
+    @pytest.mark.parametrize("scheme", [bf.MeasurementScheme.homodyne(), bf.MeasurementScheme.imperfect(1.0, 0.3),
+                                        bf.MeasurementScheme.counting()], ids=lambda s: s.kind)
+    def test_closed_loop_simulation(self, expression, scheme):
+        law = ControlLaw.from_expression(expression, LAW_MODEL.hamiltonian, SIGMA_X)
+
+        def run(law):
+            if scheme.kind == "counting":
+                return bf.simulate_counting(LAW_MODEL, RHO0, 0.3, DT, seed=21, law=law)
+            return simulate_homodyne(LAW_MODEL, RHO0, 0.3, DT, seed=21, scheme=scheme, law=law)
+
+        owned, called, error = self._compare(law, run)
+        assert error is None
+        assert _same_bits(owned[0].increments, called[0].increments)
+        assert _same_bits(owned[1], called[1])
+
+    @pytest.mark.parametrize("kind", ["bks", "zakai"])
+    @pytest.mark.parametrize("expression", LOOP_LAWS + ["Y", "ma(Y, 3)"])
+    def test_replay_from_negative_zero(self, expression, kind):
+        # np.cumsum copies a leading -0.0; 0.0 + -0.0 would be +0.0
+        increments = np.random.default_rng(22).normal(0.0, np.sqrt(DT), 200)
+        increments[:4] = (-0.0, 0.0, -0.0, -0.0)
+        record = bf.ObservationRecord(bf.MeasurementScheme.homodyne(), DT, increments)
+        law = ControlLaw.from_expression(expression, LAW_MODEL.hamiltonian, SIGMA_X)
+        owned, called, error = self._compare(law, lambda law: bf.replay_record(record, LAW_MODEL, RHO0, kind, law))
+        assert error is None
+        assert _same_bits(owned.matrices, called.matrices)
+        assert _same_bits(owned.likelihoods, called.likelihoods)
+
+    @pytest.mark.parametrize("scheme", [bf.MeasurementScheme.homodyne(), bf.MeasurementScheme.counting()],
+                             ids=lambda s: s.kind)
+    def test_law_ensemble(self, scheme):
+        law = ControlLaw.from_expression(LOOP_LAWS[0], LAW_MODEL.hamiltonian, SIGMA_X)
+        owned, called, error = self._compare(law, lambda law: bf.ensemble_average(
+            LAW_MODEL, scheme, {"x": SIGMA_X, "z": SIGMA_Z}, 3, 23, 0.2, DT, RHO0, law=law, collect_health=True))
+        assert error is None
+        for name in ("x", "z"):
+            for part in ("means", "stderrs_re", "stderrs_im"):
+                assert _same_bits(getattr(owned, part)[name], getattr(called, part)[name])
+        assert owned.health == called.health
+
+    @pytest.mark.parametrize("run, step", [
+        (lambda law: simulate_homodyne(LAW_MODEL, RHO0, 0.05, DT, seed=24, law=law), "step 0"),
+        (lambda law: bf.ensemble_average(LAW_MODEL, bf.MeasurementScheme.homodyne(), {"x": SIGMA_X}, 2, 24, 0.05,
+                                         DT, RHO0, law=law), "trajectory 0, step 0"),
+    ], ids=["simulate", "ensemble"])
+    def test_division_by_zero_names_the_step(self, run, step):
+        expression = "Y / (Y - ma(Y, 1))"
+        law = ControlLaw.from_expression(expression, LAW_MODEL.hamiltonian, SIGMA_X)
+        _, _, error = self._compare(law, run)
+        assert error == (bf.ValidationError, f"{step}: control expression {expression!r}: division by zero")
+
+    def test_division_by_zero_after_a_count(self):
+        # Y reaches 1 with the count at step 3, so the law divides by zero at step 4
+        increments = np.zeros(20)
+        increments[3] = 1.0
+        record = bf.ObservationRecord(bf.MeasurementScheme.counting(), DT, increments)
+        law = ControlLaw.from_expression("1 / (Y - 1)", LAW_MODEL.hamiltonian, SIGMA_X)
+        _, _, error = self._compare(law, lambda law: bf.replay_record(record, LAW_MODEL, RHO0, "bks", law))
+        assert error == (bf.ValidationError, "step 4: control expression '1 / (Y - 1)': division by zero")
+
+    def test_closed_loop_simulation_never_compares_prefixes(self, monkeypatch):
+        calls = []
+        cumulative = _RunningSums.cumulative
+
+        def spy(self, prefix):
+            calls.append(prefix.size)
+            return cumulative(self, prefix)
+
+        monkeypatch.setattr(_RunningSums, "cumulative", spy)
+        law = ControlLaw.from_expression(LOOP_LAWS[0], MODEL.hamiltonian, SIGMA_X)
+        simulate_homodyne(MODEL, RHO0, 0.2, DT, seed=25, law=law)
+        assert calls == []
+        # the spy sees the memo: the same law called on a prefix goes through it
+        law.control(0.1, np.zeros(100))
+        assert calls == [100]
+
+
+def _feedback_runs():
+    """(law, model, dt, scheme, normalized, increments) of the runs that
+    TestBoundFeedbackRun interleaves: two laws, two models, two values of dt,
+    normalized and unnormalized states, and three schemes."""
+    rng = np.random.default_rng(26)
+    first = ControlLaw.from_expression("0.2 * Y - 0.5 * ma(Y, 50)", 0.5 * SIGMA_Z, SIGMA_X)
+    second = ControlLaw.from_expression("2*t - Y", 0.3 * SIGMA_X, SIGMA_Z)
+    other = SystemModel(0.3 * SIGMA_X, (0.4 * SIGMA_MINUS,))
+    homodyne, imperfect, counting = (bf.MeasurementScheme.homodyne(), bf.MeasurementScheme.imperfect(1.0, 0.3),
+                                     bf.MeasurementScheme.counting())
+    counts = np.zeros(120)
+    counts[5] = 1.0
+    # neighbours differ in one thing, so that a run bound for one of them
+    # and reused for the next would show
+    runs = [(first, MODEL, DT, homodyne, True), (first, MODEL, DT, homodyne, False),
+            (first, MODEL, 2 * DT, homodyne, False), (first, other, 2 * DT, homodyne, False),
+            (second, other, 2 * DT, homodyne, False), (second, other, 2 * DT, imperfect, False),
+            (second, other, DT, imperfect, False), (second, other, DT, imperfect, True),
+            (second, other, DT, counting, True), (first, other, DT, counting, True)]
+    return [(law, model, dt, scheme, normalized,
+             counts if scheme.kind == "counting" else rng.normal(0.0, np.sqrt(dt), counts.size))
+            for law, model, dt, scheme, normalized in runs]
+
+
+def _start(normalized):
+    return FilterState(RHO0.matrix.copy(), normalized=normalized)
+
+
+class TestBoundFeedbackRun:
+    """feedback_step keeps the last run it bound, per thread; any mix of
+    calls must still step each run as a fresh serial run does."""
+
+    @staticmethod
+    def _outputs(states):
+        return [(s.matrix.tobytes(), _bits(s.likelihood)) for s in states]
+
+    def _serial(self, run):
+        law, model, dt, scheme, normalized, increments = run
+        state, states = _start(normalized), []
+        for k in range(increments.size):
+            state = feedback_step(state, increments[k], law, model, increments[:k], dt, scheme, k * dt)
+            states.append(state)
+        return self._outputs(states)
+
+    def _fresh(self, runs):
+        """Each run alone, in a thread of its own, so that it binds afresh."""
+        out = [None] * len(runs)
+
+        def worker(i):
+            out[i] = self._serial(runs[i])
+
+        for i in range(len(runs)):
+            thread = threading.Thread(target=worker, args=(i,))
+            thread.start()
+            thread.join(timeout=60)
+        return out
+
+    def _interleaved(self, runs, order):
+        """Every run, one step of each in `order` per time index."""
+        states = {i: _start(runs[i][4]) for i in order}
+        outputs = {i: [] for i in order}
+        for k in range(runs[0][5].size):
+            for i in order:
+                law, model, dt, scheme, _, increments = runs[i]
+                states[i] = feedback_step(states[i], increments[k], law, model, increments[:k], dt, scheme, k * dt)
+                outputs[i].append(states[i])
+        return [self._outputs(outputs[i]) for i in range(len(runs))]
+
+    def test_interleaved_runs_match_fresh_serial_runs(self):
+        runs = _feedback_runs()
+        expected = self._fresh(runs)
+        assert len({tuple(e) for e in expected}) == len(runs)  # the runs differ
+        assert self._interleaved(runs, range(len(runs))) == expected
+        assert self._interleaved(runs, range(len(runs) - 1, -1, -1)) == expected
+        # the replay loop steps the same paths
+        for (law, model, dt, scheme, normalized, increments), outputs in zip(runs, expected):
+            record = bf.ObservationRecord(scheme, dt, increments)
+            replay = bf.replay_record(record, model, RHO0, "bks" if normalized else "zakai", law)
+            assert [m for m, _ in outputs] == [m.tobytes() for m in replay.matrices[1:]]
+
+    def test_interleaved_runs_in_threads_match_fresh_serial_runs(self):
+        runs = _feedback_runs()
+        expected = self._fresh(runs)
+        got = [None] * 3
+
+        def worker(i):
+            got[i] = self._interleaved(runs, np.roll(np.arange(len(runs)), i).tolist())
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [expected] * len(got)
+
+    def test_in_place_edit_of_h0_takes_effect(self):
+        h0 = 0.5 * SIGMA_Z.astype(complex)
+        law = ControlLaw.from_expression("ma(Y, 5)", h0, SIGMA_X)
+        increments = np.random.default_rng(27).normal(0.0, np.sqrt(DT), 10)
+        state = _start(True)
+        for k in range(5):
+            state = feedback_step(state, increments[k], law, MODEL, increments[:k], DT, t=k * DT)
+        law.h0[0, 1] = law.h0[1, 0] = 0.25
+        edited = feedback_step(state, increments[5], law, MODEL, increments[:5], DT, t=5 * DT)
+        fresh = ControlLaw.from_expression("ma(Y, 5)", law.h0.copy(), SIGMA_X)
+        expected = feedback_step(state, increments[5], fresh, MODEL, increments[:5], DT, t=5 * DT)
+        assert edited.matrix.tobytes() == expected.matrix.tobytes()
+        unedited = ControlLaw.from_expression("ma(Y, 5)", 0.5 * SIGMA_Z, SIGMA_X)
+        assert feedback_step(state, increments[5], unedited, MODEL, increments[:5], DT,
+                             t=5 * DT).matrix.tobytes() != edited.matrix.tobytes()
+
+    def test_checks_still_run_on_a_bound_run(self):
+        law = ControlLaw.from_expression("Y", MODEL.hamiltonian, SIGMA_X)
+        increments = np.random.default_rng(28).normal(0.0, np.sqrt(DT), 10)
+        state = feedback_step(_start(True), increments[0], law, MODEL, increments[:0], DT, t=0.0)
+        with pytest.raises(bf.CausalityViolation):
+            feedback_step(state, increments[1], law, MODEL, increments[:3], DT, t=DT)
+        for bad in (np.nan, 1j, "0.1"):
+            with pytest.raises(bf.ValidationError, match="increment dY"):
+                feedback_step(state, bad, law, MODEL, increments[:1], DT, t=DT)
+        with pytest.raises(bf.ValidationError, match="dt must be positive"):
+            feedback_step(state, increments[1], law, MODEL, increments[:1], 0.0, t=DT)
+        counting = bf.MeasurementScheme.counting()
+        with pytest.raises(bf.ValidationError, match="counting increment must be 0 or 1"):
+            feedback_step(state, 0.5, law, MODEL, increments[:1], DT, counting, t=DT)
+        with pytest.raises(bf.DimensionMismatch):
+            feedback_step(FilterState(np.eye(3, dtype=complex) / 3), 0.0, law, MODEL, increments[:1], DT, t=DT)
+        bad_law = ControlLaw(lambda t, prefix: float("nan"), MODEL.hamiltonian, SIGMA_X)
+        with pytest.raises(bf.ValidationError, match="control law returned non-real value nan"):
+            feedback_step(state, increments[1], bad_law, MODEL, increments[:1], DT, t=DT)
+        # and the bound run still steps as a fresh one
+        again = feedback_step(state, increments[1], law, MODEL, increments[:1], DT, t=DT)
+        assert again.matrix.tobytes() == self._fresh([(law, MODEL, DT, bf.MeasurementScheme.homodyne(), True,
+                                                       increments[:2])])[0][1][0]

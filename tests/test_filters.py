@@ -612,6 +612,18 @@ class TestPathHealthEdges:
                         assert not health.positivity_ok and not health.ok
 
     @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_state_min_eigenvalue_is_nan_when_not_finite(self, dim, where, bad):
+        # as path_health reports it; eigvalsh gave -0.0 or raised LinAlgError
+        matrix = np.eye(dim, dtype=complex) / dim
+        matrix[where] = bad
+        state = FilterState(matrix)
+        assert np.isnan(state.min_eigenvalue())
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(path_health(matrix).min_eigenvalue)
+
+    @pytest.mark.parametrize("dim", [2, 4])
     def test_empty_stack_refused(self, dim):
         with pytest.raises(bf.ValidationError, match=r"nonempty stack.*\(0, %d, %d\)" % (dim, dim)):
             path_health(np.zeros((0, dim, dim), dtype=complex))
