@@ -19,7 +19,11 @@ error type and message instead, so errors are compared too.  Each run that
 succeeds also writes its CSV files through belfilt.recordio (record and path
 after a simulation, the path with likelihoods after a replay, the ensemble
 table, the master path of the uniform grid) and a "csv" case hashes their
-bytes, so the diff covers the byte-stable formats as well.
+bytes, so the diff covers the byte-stable formats as well.  One case reads
+a private function: "stacked paths" hashes the raw paths of the first
+STACKED trajectories stepped as one stack by trajectories._integrate_stack,
+so that stacked rows are checked directly and not only through the
+ensemble sums; a checkout without it hashes the AttributeError.
 
 To see how far outputs moved rather than whether they did, save one
 checkout's outputs and compare the other's against them; each case then
@@ -71,6 +75,7 @@ from belfilt import (
     simulate_counting,
     simulate_homodyne,
 )
+import belfilt.trajectories
 from belfilt.operators import SIGMA_MINUS, SIGMA_X, SIGMA_Z
 from belfilt.recordio import write_ensemble_csv, write_master_csv, write_path_csv, write_record
 
@@ -80,6 +85,7 @@ SCHEMES = {
     "imperfect": MeasurementScheme.imperfect(1.0, 0.3),
     "counting": MeasurementScheme.counting(),
 }
+STACKED = 3
 
 
 def digest(*parts) -> str:
@@ -127,6 +133,18 @@ def csv_bytes(directory: Path, write) -> bytes:
     target = directory / "table.csv"
     write(target)
     return target.read_bytes()
+
+
+def stacked_paths(model, rho0, scheme, horizon, dt, seed):
+    """The paths (STACKED, steps+1, n, n) of trajectories 0 .. STACKED-1 of
+    the seed's ensemble, stepped together, each from its own noise."""
+    steps = int(round(horizon / dt))
+    noise = []
+    for i in range(STACKED):
+        rng = np.random.default_rng(derive_seed(seed, i))
+        noise.append(rng.random(size=steps) if scheme.kind == "counting"
+                     else scheme.noise_scale * rng.normal(0.0, np.sqrt(dt), size=steps))
+    return belfilt.trajectories._integrate_stack(model, rho0, scheme, dt, np.stack(noise))
 
 
 def series(matrices, obs) -> dict:
@@ -201,6 +219,8 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
                         if not err:
                             yield f"{tag} ensemble {'law' if with_law else 'stacked'} csv", (
                                 ("csv", csv_bytes(scratch, lambda p: write_ensemble_csv(p, summary, {"seed": seed}))),)
+                    paths, err = attempt(lambda: stacked_paths(model, rho0, scheme, horizon / 2, dt, seed))
+                    yield f"{tag} stacked paths", err or (("path", paths),)
                 times = dt * np.arange(int(round(horizon / dt)) + 1)
                 master = semigroup_path(rho0, model, times)
                 yield f"n{dim} seed{seed} {label} semigroup uniform", (("path", master),)

@@ -40,9 +40,10 @@ law is evaluated on record sums its run extends by one add a step
 (once per call for the public step functions; `feedback_step` keeps each
 thread's last bound run), fed one float a step: the increment dy, or the
 noise dy is drawn from when the run samples its record.  Each step is two
-BLAS products and Python-float scalars.  `_kernel` steps a stack of sampled
-trajectories on the normalized route with the same arithmetic on arrays,
-and a row of a stack steps exactly as one matrix.
+BLAS products and Python-float scalars.  `_stack_step` binds the step of a
+stack of sampled trajectories on the normalized route once per block, with
+the same arithmetic done in place on per-row arrays, and a row of a stack
+steps exactly as one matrix.
 
 Positivity is monitored, not enforced: Euler steps may transiently leave
 the state space, and projecting would mask convergence behavior.  Use
@@ -227,7 +228,7 @@ def _refuse(bad, error, message, *values):
 
 
 def _step_matrix(blocks, counting: bool, dt: float, h):
-    """S, the matrix of one Euler step on the row vec(r) (see `_kernel`),
+    """S, the matrix of one Euler step on the row vec(r) (see `_row_step`),
     from a channel's `operators._liouville` blocks (D, G, J) and the
     Hamiltonian h (None for none): vec(r) @ S holds tr(A r), tr(X r), tr(r),
     A' r, X r and r, for A = I + dt D, A' = A - i dt [H, .] and X = J when
@@ -326,9 +327,9 @@ _NOT_POSITIVE_FINITE = "unnormalized filter trace {:.3e} is not positive and fin
 
 
 def _sample(m, noise, dt: float, counting: bool):
-    """The increment drawn from the pre-step state (or from each row of a
-    stack), given m = tr(X r): homodyne dY = trace((L + L*) rho) dt + noise,
-    counting dY = 1 when the uniform noise < trace(L*L rho) dt."""
+    """The increment drawn from the pre-step state, given m = tr(X r):
+    homodyne dY = trace((L + L*) rho) dt + noise, counting dY = 1 when the
+    uniform noise < trace(L*L rho) dt."""
     if not counting:
         return m * dt + noise
     p = m * dt
@@ -367,7 +368,7 @@ def _row_step(n: int, dt: float, kind: str, gain: float, normalized: bool, sampl
     the normalized routes, with the blocks of p.  Returns the trace of the
     raw step (the likelihood of Zakai runs) and dy.  Scalars are Python
     floats throughout, and the two BLAS products give the bits of
-    `_kernel`'s for each row of a stack."""
+    `_stack_step`'s for each row of a stack."""
     coefficients = _COEFFICIENTS[kind, normalized]
     counting = kind == COUNTING
     jumps = counting and normalized
@@ -399,33 +400,107 @@ def _row_step(n: int, dt: float, kind: str, gain: float, normalized: bool, sampl
     return step
 
 
-def _kernel(r, s, noise, dt, kind, gain, out):
-    """One normalized Euler step of a stack of B sampled trajectories: the
-    rows r, shape (B, 1, n^2), of vec(w) for B raw matrices w, given the
-    step matrix s (`_step_matrix`) and the noise, shape (B, 1, 1), from
-    which each row draws its dy (`_sample`).
+def _stack_step(b: int, n: int, dt: float, kind: str, gain: float):
+    """Bind one block's normalized Euler step of a stack of B sampled
+    trajectories of n x n matrices, `kind` being `_route`'s: the product
+    buffer p with its trace and block views, the coefficient rows, their
+    quotients by the trace and per-row work buffers, so that no step allocates;
+    only a refused step does.
 
-    The arithmetic is `_row_step`'s on arrays: p = r @ s, the coefficients
-    from `_COEFFICIENTS`, the same checks, and the next rows, written into
-    `out`, as one product of the coefficient rows, divided by the traces,
-    with the blocks of p.  A registered count collapses only its own row,
-    and an error names the first failing row (`_refuse`).  Each row is its
-    own BLAS product, so a row of a stack steps exactly as one matrix."""
-    p = np.matmul(r, s)
-    trace_a, m, trace_r = p[..., 0:1].real, p[..., 1:2].real, p[..., 2:3].real
+    Returns step(r, s, noise, out), which steps the rows r, shape
+    (B, 1, n^2), of vec(w) for B raw matrices w with the step matrix s
+    (`_step_matrix`), each row drawing its dy from its entry of the noise,
+    shape (B,), as `_sample` does, and writes the next rows into `out`.  The
+    arithmetic is `_row_step`'s on arrays: p = r @ s, the route's
+    `_COEFFICIENTS` row computed in place with each product formed once
+    (m dt serves the draw and the coefficients, c m the trace and
+    a2 = -(c m), the bits of (-c) m; 1.0 tr(A r) is tr(A r)), the same checks
+    in the same order, and one product of the coefficient rows, divided by
+    the traces, with the blocks of p.  A registered count writes its row
+    (0, 1, 0) over its own row only, and the next step restores the no-count
+    row.  An error names the first failing row (`_refuse`).  Each row is its
+    own BLAS product, so a row of a stack steps exactly as one matrix.
+    Per-row values are one-dimensional views, (B,), which numpy steps
+    faster than (B, 1, 1) ones."""
     counting = kind == COUNTING
-    dy = _sample(m, noise, dt, counting)
-    a0, a1, a2 = _COEFFICIENTS[kind, True](dy, dt, gain, m)
-    if counting:
-        jump = dy == 1.0
-        _refuse(jump & (m <= ZERO_RATE), ZeroJumpRate, _ZERO_RATE_JUMP, m)
-        a0, a1, a2 = (np.where(jump, c, a) for c, a in zip(_COUNT, (a0, a1, a2)))
-    tr = a0 * trace_a + a1 * m + a2 * trace_r
-    _refuse(~(tr > COLLAPSE_TRACE), FilterCollapse, _vanished, tr, dy, a0, trace_a, a1, m)
-    coef = np.empty((len(r), 1, 3))
-    coef[..., 0:1], coef[..., 1:2], coef[..., 2:3] = a0, a1, a2
-    coef /= tr
-    np.matmul(coef, p[..., 3:].reshape(len(r), 3, -1), out=out)
+    p = np.empty((b, 1, 3 + 3 * n * n), dtype=complex)
+    trace_a, m, trace_r = (p[:, 0, i].real for i in range(3))
+    blocks = p[..., 3:].reshape(b, 3, n * n)
+    # the coefficient rows: a0 = 1 always, and a1 = -dt (counting) or a2 = 0
+    # (imperfect) until a count overwrites them; the route writes the rest
+    rest = np.array((1.0, -dt if counting else 0.0, 0.0))
+    coef = np.empty((b, 1, 3))
+    coef[...] = rest
+    a0, a1, a2 = (coef[:, 0, i] for i in range(3))
+    quot = np.zeros((b, 1, 3), dtype=complex)  # coef / tr, complex so that the product casts nothing
+    quot_re = quot.real
+    mdt, dy, cm, tr, term = (np.empty(b) for _ in range(5))
+    per_row = tr.reshape(b, 1, 1)
+    flags, jump = np.empty(b, dtype=bool), np.empty(b, dtype=bool)
+    jumped = jump.reshape(b, 1, 1)
+    count = np.array(_COUNT)
+    counted = False  # whether coef holds a count row
+
+    def finish(out, drawn):
+        """Check the traces, divide and write the next rows; `drawn` holds
+        each row's dy, or on the counting route its jump flag (1.0 times
+        which is dy)."""
+        np.greater(tr, COLLAPSE_TRACE, out=flags)  # NaN fails too
+        if np.count_nonzero(flags) < b:
+            _refuse(~flags, FilterCollapse, _vanished, tr, 1.0 * drawn, a0, trace_a, a1, m)
+        np.divide(coef, per_row, out=quot_re)
+        np.matmul(quot, blocks, out=out)
+
+    def homodyne(r, s, noise, out):
+        np.matmul(r, s, out=p)
+        np.multiply(m, dt, out=mdt)
+        np.add(mdt, noise, out=dy)
+        np.subtract(dy, mdt, out=a1)  # c = dy - m dt
+        np.multiply(a1, m, out=cm)
+        np.negative(cm, out=a2)
+        np.add(trace_a, cm, out=tr)
+        np.multiply(a2, trace_r, out=term)
+        np.add(tr, term, out=tr)
+        finish(out, dy)
+
+    def imperfect(r, s, noise, out):
+        np.matmul(r, s, out=p)
+        np.multiply(m, dt, out=dy)
+        np.add(dy, noise, out=dy)
+        np.multiply(dy, gain, out=a1)
+        np.multiply(a1, m, out=term)
+        np.add(trace_a, term, out=tr)
+        np.multiply(a2, trace_r, out=term)  # a2 = 0, yet 0 tr(r) may be -0 or NaN
+        np.add(tr, term, out=tr)
+        finish(out, dy)
+
+    def count_step(r, s, noise, out):
+        nonlocal counted
+        np.matmul(r, s, out=p)
+        if counted:
+            coef[...] = rest
+            counted = False
+        np.multiply(m, dt, out=a2)  # the jump probability m dt, and a2 without a count
+        np.greater(a2, MAX_JUMP_PROBABILITY, out=flags)
+        if np.count_nonzero(flags):
+            _refuse(flags, ValidationError, _JUMP_BOUND, a2)
+        np.less(noise, a2, out=jump)
+        if np.count_nonzero(jump):
+            np.less_equal(m, ZERO_RATE, out=flags)
+            np.logical_and(flags, jump, out=flags)
+            _refuse(flags, ZeroJumpRate, _ZERO_RATE_JUMP, m)
+            np.copyto(coef, count, where=jumped)
+            counted = True
+            np.multiply(a0, trace_a, out=tr)
+            np.multiply(a1, m, out=term)
+            np.add(tr, term, out=tr)
+        else:
+            np.subtract(trace_a, a2, out=tr)  # a1 m = -(m dt)
+        np.multiply(a2, trace_r, out=term)
+        np.add(tr, term, out=tr)
+        finish(out, jump)
+
+    return count_step if counting else homodyne if kind == HOMODYNE else imperfect
 
 
 def _apply(state: FilterState, dY, s, step, counting: bool, normalized: bool):

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionMismatch, ValidationError
 
@@ -267,6 +266,8 @@ def semigroup_evolve(rho0: DensityState, model: SystemModel, t: float) -> Densit
     if t < 0.0:
         raise ValidationError("t must be nonnegative")
     _check_dim(rho0.matrix, model, "rho0")
+    from scipy.linalg import expm  # on first use: scipy.linalg weighs more than the rest of the package
+
     n = model.dim
     propagator = expm(t * adjoint_superoperator(model))
     out = (propagator @ rho0.matrix.reshape(-1)).reshape(n, n)
@@ -290,6 +291,8 @@ def semigroup_path(rho0: DensityState, model: SystemModel, times) -> np.ndarray:
     out = np.empty((ts.size, n, n), dtype=complex)
     diffs = np.diff(ts)
     uniform = ts[0] == 0.0 and ts.size > 1 and diffs.size > 0 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
+    from scipy.linalg import expm  # on first use, as in semigroup_evolve
+
     if uniform:
         step = expm(diffs[0] * adjoint_superoperator(model))
         # propagate the vectorized state in place, then strip the roundoff

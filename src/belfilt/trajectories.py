@@ -18,16 +18,16 @@ cumulative sums and extends them by one add a step (`filters._law_steps`),
 so a closed-loop step costs the same at any horizon; other laws are called
 on each step's record prefix.
 Ensembles step their trajectories together instead: `_integrate_stack`
-advances a block of them as one (B, n, n) stack through the filters'
-stacked `_kernel`, one Python iteration per time step for the whole block,
-with every trajectory still drawing its own noise and stepping exactly as
-`_integrate` would step it.  The block keeps ENSEMBLE_CHUNK_STEPS + 1 rows
-per trajectory, not its paths, and each chunk of steps is reduced once for
-the whole block: observables' running sums, in trajectory order, and the
-health audit.  ENSEMBLE_BLOCK_BYTES bounds a block's up-front noise plus
-its chunk rows.  Ensembles with a control law step one trajectory at a
-time through `_integrate`, since each law sees its own record, and feed
-the same reduction.
+advances a block of them as one (B, n, n) stack through the stacked step
+`filters._stack_step` binds once per block, one Python iteration per time
+step for the whole block, with every trajectory still drawing its own noise
+and stepping exactly as `_integrate` would step it.  The block keeps
+ENSEMBLE_CHUNK_STEPS + 1 rows per trajectory, not its paths, and each chunk
+of steps is reduced once for the whole block: observables' running sums, in
+trajectory order, and the health audit.  ENSEMBLE_BLOCK_BYTES bounds a
+block's up-front noise plus its chunk rows.  Ensembles with a control law
+step one trajectory at a time through `_integrate`, since each law sees its
+own record, and feed the same reduction.
 
 Reproducibility: every trajectory's generator is numpy PCG64 keyed by a
 splitmix64-mixed seed, `derive_seed(base_seed, index)`, which is
@@ -49,12 +49,12 @@ from .filters import (
     ControlLaw,
     MeasurementScheme,
     PathHealth,
-    _kernel,
     _law_steps,
     _model_matrix,
     _require_law_model,
     _route,
     _row_step,
+    _stack_step,
     path_health,
 )
 from .operators import DensityState, SystemModel, as_operator
@@ -230,9 +230,10 @@ def _integrate_stack(model: SystemModel, rho0, scheme: MeasurementScheme, dt: fl
     """Simulate a block of trajectories together, without a control law.
 
     Row i of `noise`, shape (B, steps), is the noise of trajectory first + i.
-    The block steps as one (B, n, n) stack through the filters' kernel with
-    the step matrix bound once, into a buffer of chunk + 1 rows per
-    trajectory (chunk = steps by default).  After every `chunk` steps, and
+    The block steps as one (B, n, n) stack through the filters' stacked step
+    (`_stack_step`), bound once, as are the step matrix and the views of the
+    buffer's chunk + 1 rows per trajectory (chunk = steps by default); step k
+    reads the strided column noise[:, k].  After every `chunk` steps, and
     after the last, `reduce(start, rows)` gets the rows not yet reduced: a
     C-contiguous (B, m, n, n) array holding time indices start .. start+m-1,
     the initial row included in the first.  The last row then moves to
@@ -244,16 +245,16 @@ def _integrate_stack(model: SystemModel, rho0, scheme: MeasurementScheme, dt: fl
     n = model.dim
     chunk = steps if chunk is None else chunk
     s, _ = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
-    kind, gain = _route(scheme), scheme.gain
+    step = _stack_step(rows, n, dt, _route(scheme), scheme.gain)
     buffer = np.empty((rows, chunk + 1, n, n), dtype=complex)
     buffer[:, 0] = _initial_matrix(rho0, model)
     vecs = buffer.reshape(rows, chunk + 1, 1, n * n)
-    noise = noise[:, :, None, None]
+    slots = [vecs[:, j] for j in range(chunk + 1)]
     for start in range(0, steps, chunk):
         stop = min(start + chunk, steps)
         try:
-            for k in range(start, stop):
-                _kernel(vecs[:, k - start], s, noise[:, k], dt, kind, gain, vecs[:, k - start + 1])
+            for k, r, out in zip(range(start, stop), slots, slots[1:]):
+                step(r, s, noise[:, k], out)
         except (ValidationError, NumericalFailure) as exc:
             raise type(exc)(f"{_at(k, first + exc.row)}: {exc}") from None
         if reduce is not None:
@@ -456,8 +457,12 @@ def ensemble_average(
     Trajectory i uses the generator seeded with derive_seed(seed, i), as
     `simulate_homodyne` or `simulate_counting` would, and follows the same
     path they give; reduction runs in index order, so results are
-    reproducible.
+    reproducible.  n_trajectories is an integer (a numpy one reads as int),
+    not a bool.
     """
+    if isinstance(n_trajectories, bool) or not isinstance(n_trajectories, (int, np.integer)):
+        raise ValidationError(f"n_trajectories: expected an integer, got {n_trajectories!r}")
+    n_trajectories = int(n_trajectories)
     if n_trajectories < 1:
         raise ValidationError("n_trajectories must be at least 1")
     obs = {name: as_operator(x, f"observable {name!r}") for name, x in observables.items()}

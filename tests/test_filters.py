@@ -325,10 +325,10 @@ class TestNonFiniteInputsRefused:
     def test_stacked_step_names_nan_row(self):
         w = np.stack([np.diag([0.5, 0.5]), np.full((2, 2), np.nan), np.diag([0.5, 0.5])]).astype(complex)
         s, _ = bf.filters._model_matrix(DECAY, 0.0, False, 1e-3)
-        noise = np.full((3, 1, 1), 0.01)
+        noise = np.full(3, 0.01)
         out = np.empty((3, 1, 4), dtype=complex)
         with np.errstate(invalid="ignore"), pytest.raises(bf.FilterCollapse, match=r"^filter trace nan is not finite$") as info:
-            bf.filters._kernel(w.reshape(3, 1, 4), s, noise, 1e-3, "homodyne", 1.0, out)
+            bf.filters._stack_step(3, 2, 1e-3, "homodyne", 1.0)(w.reshape(3, 1, 4), s, noise, out)
         assert info.value.row == 1
 
 
@@ -627,3 +627,117 @@ class TestPathHealthEdges:
     def test_empty_stack_refused(self, dim):
         with pytest.raises(bf.ValidationError, match=r"nonempty stack.*\(0, %d, %d\)" % (dim, dim)):
             path_health(np.zeros((0, dim, dim), dtype=complex))
+
+
+# --- the bound stacked step -------------------------------------------------
+
+_STACK_SCHEMES = {
+    "homodyne": MeasurementScheme.homodyne(),
+    "phase": MeasurementScheme.homodyne(0.7),
+    "imperfect": MeasurementScheme.imperfect(1.5),
+    "counting": MeasurementScheme.counting(),
+}
+
+
+def _stack_setup(scheme, n, b, rng):
+    """(model step matrix, dt, route, gain, rows (b, 1, n^2)) for one scheme."""
+    counting = scheme.kind == "counting"
+    dt = 1e-2 if counting else 1e-3
+    model = random_model(n, rng, scale=0.5)
+    s, _ = bf.filters._model_matrix(model, scheme.phase, counting, dt)
+    rows = np.stack([random_density(n, rng).mix_with_identity(0.3).matrix.reshape(1, -1) for _ in range(b)])
+    return s, dt, bf.filters._route(scheme), scheme.gain, rows
+
+
+def _stack_noise(scheme, b, k, dt, rng):
+    """Step k's noise, shape (b,).  Counting rows jump (noise 0) where
+    (row + k) % 3 == 0 and never elsewhere (noise >= 0.5 > rate dt), so a
+    step mixes rows that jump with rows that do not, and a row that jumped
+    steps without a count next."""
+    if scheme.kind != "counting":
+        return scheme.noise_scale * rng.normal(0.0, np.sqrt(dt), size=b)
+    jumps = (np.arange(b) + k) % 3 == 0
+    return np.where(jumps, 0.0, 0.5 + 0.5 * rng.random(b))
+
+
+def _rows_one_by_one(rows, s, noise, n, dt, kind, gain):
+    """Each row stepped alone through `_row_step`, as a (b, 1, n^2) stack."""
+    step = bf.filters._row_step(n, dt, kind, gain, True, True)
+    out = np.empty_like(rows)
+    for row, value, target in zip(rows, noise.tolist(), out):
+        step(row[0], s, value, target[0])
+    return out
+
+
+class TestStackStep:
+    @pytest.mark.parametrize("b", [1, 2, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("name", list(_STACK_SCHEMES))
+    def test_each_row_steps_as_one_matrix(self, name, n, b):
+        scheme = _STACK_SCHEMES[name]
+        rng = np.random.default_rng(100 * n + b)
+        s, dt, kind, gain, rows = _stack_setup(scheme, n, b, rng)
+        step = bf.filters._stack_step(b, n, dt, kind, gain)
+        alone = rows.copy()
+        for k in range(12):
+            noise = _stack_noise(scheme, b, k, dt, rng)
+            out = np.empty_like(rows)
+            step(rows, s, noise, out)
+            alone = _rows_one_by_one(alone, s, noise, n, dt, kind, gain)
+            assert np.array_equal(out, alone), f"step {k}"
+            rows = out
+
+    def test_stack_step_reads_strided_rows_and_noise(self):
+        # the loop passes views of its chunk buffer and of the block's noise
+        rng = np.random.default_rng(5)
+        s, dt, kind, gain, rows = _stack_setup(MeasurementScheme.homodyne(0.7), 3, 4, rng)
+        buffer = np.zeros((4, 3, 1, 9), dtype=complex)
+        buffer[:, 0] = rows
+        noise = rng.normal(0.0, 0.03, size=(4, 6))
+        step = bf.filters._stack_step(4, 3, dt, kind, gain)
+        step(buffer[:, 0], s, noise[:, 2], buffer[:, 1])
+        assert np.array_equal(buffer[:, 1], _rows_one_by_one(rows, s, noise[:, 2], 3, dt, kind, gain))
+
+    @pytest.mark.parametrize("name", list(_STACK_SCHEMES))
+    def test_next_step_after_a_refused_one_is_correct(self, name):
+        scheme = _STACK_SCHEMES[name]
+        rng = np.random.default_rng(9)
+        s, dt, kind, gain, rows = _stack_setup(scheme, 2, 3, rng)
+        step = bf.filters._stack_step(3, 2, dt, kind, gain)
+        bad = rows.copy()
+        bad[1] = np.nan
+        # counting: rows 0 and 2 jump and row 1, NaN, does not, so the refusal
+        # comes after the count rows were written
+        noise = np.zeros(3) if scheme.kind == "counting" else np.full(3, 0.01)
+        with np.errstate(invalid="ignore"), pytest.raises(bf.FilterCollapse, match=r"^filter trace nan is not finite$") as info:
+            step(bad, s, noise, np.empty_like(rows))
+        assert info.value.row == 1
+        for k in range(3):
+            noise = _stack_noise(scheme, 3, k + 1, dt, rng)
+            out = np.empty_like(rows)
+            step(rows, s, noise, out)
+            assert np.array_equal(out, _rows_one_by_one(rows, s, noise, 2, dt, kind, gain))
+            rows = out
+
+    def test_counting_refusals_keep_their_order_and_row(self):
+        dt = 1e-3
+        s, _ = bf.filters._model_matrix(DECAY, 0.0, True, dt)
+        step = bf.filters._stack_step(3, 2, dt, "counting", 1.0)
+        excited = np.diag([0.125, 0.875]).astype(complex).reshape(1, 4)
+        ground = np.diag([1.0 - 1e-15, 1e-15]).astype(complex).reshape(1, 4)
+        out = np.empty((3, 1, 4), dtype=complex)
+        # row 2's jump probability 200 dt exceeds the bound before row 1's
+        # zero-rate jump is looked at, and a NaN row 0 does not hide it
+        for first in (excited, np.full((1, 4), np.nan, dtype=complex)):
+            rows = np.stack([first, ground, 200.0 * excited])
+            with np.errstate(invalid="ignore"), pytest.raises(
+                    bf.ValidationError, match=r"^dt: jump probability rate\*dt = 0\.175") as info:
+                step(rows, s, np.zeros(3), out)
+            assert info.value.row == 2
+        rows = np.stack([excited, ground, excited])
+        with pytest.raises(bf.ZeroJumpRate, match=r"^jump recorded while trace\(L\*L rho\) = 1\.000e-15") as info:
+            step(rows, s, np.zeros(3), out)
+        assert info.value.row == 1
+        noise = np.array([0.0, 0.5, 0.5])
+        step(rows, s, noise, out)
+        assert np.array_equal(out, _rows_one_by_one(rows, s, noise, 2, dt, "counting", 1.0))

@@ -1,5 +1,10 @@
 """Operator algebra, generators, and the reduced semigroup."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -228,6 +233,20 @@ class TestSemigroup:
         path = semigroup_path(rho, model, times)
         for t, m in zip(times, path):
             assert np.allclose(m, semigroup_evolve(rho, model, t).matrix, atol=1e-10)
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # only the semigroup needs the matrix exponential, so scipy.linalg
+        # loads on its first use and not with the package
+        code = ("import sys, belfilt, belfilt.cli; before = 'scipy.linalg' in sys.modules;"
+                " belfilt.semigroup_path(belfilt.DensityState([[1, 0], [0, 0]]),"
+                " belfilt.SystemModel([[0, 0], [0, 0]], ([[0, 1], [0, 0]],)), [0.0, 0.1]);"
+                " print(before, 'scipy.linalg' in sys.modules)")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(bf.__file__).resolve().parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
 
 
 class TestSemigroupPathBitForBit:

@@ -9,7 +9,7 @@ import belfilt as bf
 from belfilt import trajectories
 from belfilt.filters import (
     ControlLaw,
-    _kernel,
+    _stack_step,
     FilterState,
     MeasurementScheme,
     feedback_step,
@@ -376,6 +376,23 @@ class TestEnsemble:
         with pytest.raises(bf.ValidationError):
             ensemble_average(DECAY, MeasurementScheme.homodyne(), {}, 0, 1, 0.1, 1e-3, PLUS_MIXED)
 
+    @pytest.mark.parametrize("count", [2.5, 3.0, np.float64(2.0), True, np.bool_(True), "3", None])
+    def test_refuses_non_integer_count_before_drawing(self, count, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(trajectories, "_noise", lambda *args: drawn.append(args))
+        with pytest.raises(bf.ValidationError, match=r"^n_trajectories: expected an integer, got "):
+            ensemble_average(DECAY, MeasurementScheme.homodyne(), {"z": SIGMA_Z}, count, 1, 0.01, 1e-3, PLUS_MIXED)
+        assert drawn == []
+
+    @pytest.mark.parametrize("count", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_count_reads_as_int(self, count):
+        args = (DECAY, MeasurementScheme.homodyne(), {"z": SIGMA_Z})
+        summary = ensemble_average(*args, count, 7, 0.05, 1e-3, PLUS_MIXED)
+        expected = ensemble_average(*args, 3, 7, 0.05, 1e-3, PLUS_MIXED)
+        assert type(summary.n_trajectories) is int and summary.n_trajectories == 3
+        assert np.array_equal(summary.mean("z"), expected.mean("z"))
+        assert np.array_equal(summary.stderr("z"), expected.stderr("z"))
+
     @pytest.mark.slow
     @pytest.mark.parametrize(
         "scheme,dim,seed",
@@ -680,10 +697,11 @@ class TestErrorsNameTheirStep:
     def test_stacked_kernel_names_zero_rate_row(self):
         # rates 0.875, 1e-15 and 0.875: noise 0.0 draws a jump at any positive rate
         w = np.stack([EXCITED_MIXED.matrix, np.diag([1.0 - 1e-15, 1e-15]).astype(complex), EXCITED_MIXED.matrix])
-        noise = np.array([0.5, 0.0, 0.0])[:, None, None]
+        noise = np.array([0.5, 0.0, 0.0])
         out = np.empty((3, 1, 4), dtype=complex)
+        step = _stack_step(3, 2, 1e-3, "counting", 1.0)
         with pytest.raises(bf.ZeroJumpRate, match="jump recorded while") as info:
-            _kernel(w.reshape(3, 1, 4), bf.filters._model_matrix(DECAY, 0.0, True, 1e-3)[0], noise, 1e-3, "counting", 1.0, out)
+            step(w.reshape(3, 1, 4), bf.filters._model_matrix(DECAY, 0.0, True, 1e-3)[0], noise, out)
         assert info.value.row == 1
 
 
