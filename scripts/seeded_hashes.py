@@ -13,7 +13,10 @@ kappa = 1, phase = 0.3) and simulate_counting; bks and zakai replays of each
 record, likelihoods included; a closed loop under an expression law and the
 same record fed online through feedback_step, every state hashed; ensembles
 with health, with and without the law; semigroup_path on a uniform and a
-non-uniform grid.  Dimension 2 adds the qubit-decay model (H = 0, L = sigma-)
+non-uniform grid.  Each simulated, closed-loop and replayed path also hashes
+its path_health monitors (worst eigenvalue, trace and Hermiticity defects),
+taken on the normalized matrices as the CLI's simulate and filter commands
+audit them.  Dimension 2 adds the qubit-decay model (H = 0, L = sigma-)
 from a diagonal and from a coherent start.  A case that raises hashes its
 error type and message instead, so errors are compared too.  Each run that
 succeeds also writes its CSV files through belfilt.recordio (record and path
@@ -29,8 +32,9 @@ To see how far outputs moved rather than whether they did, save one
 checkout's outputs and compare the other's against them; each case then
 prints its largest deviation of filter matrices (and ensemble means), of
 ensemble standard errors, of likelihoods relative to their size, of record
-increments and of ensemble health monitors (worst eigenvalue, trace and
-Hermiticity defects), and for CSV cases 1 if the bytes differ, 0 if not:
+increments and of health monitors (worst eigenvalue, trace and Hermiticity
+defects, of serial paths and of ensembles), and for CSV cases 1 if the bytes
+differ, 0 if not:
 
     PYTHONPATH=../old/src python3 scripts/seeded_hashes.py --save before
     PYTHONPATH=src python3 scripts/seeded_hashes.py --against before
@@ -67,6 +71,7 @@ from belfilt import (
     derive_seed,
     ensemble_average,
     feedback_step,
+    path_health,
     random_density,
     random_hermitian,
     random_model,
@@ -152,15 +157,25 @@ def series(matrices, obs) -> dict:
     return {name: np.einsum("kij,ji->k", matrices, x) for name, x in obs.items()}
 
 
+def health_parts(health) -> list:
+    """A PathHealth's three monitors as case parts."""
+    return [("health", health.max_hermiticity_defect), ("health", health.min_eigenvalue),
+            ("health", health.max_trace_defect)]
+
+
+def audit_parts(normalized) -> list:
+    """The health parts of a serial path's normalized matrices, audited as
+    the CLI's simulate and filter commands audit them."""
+    return health_parts(path_health(normalized, normalized=True))
+
+
 def ensemble_parts(summary):
     parts = [("times", summary.times), ("count", summary.n_trajectories)]
     for name in sorted(summary.means):
         parts += [("name", name), ("mean", summary.means[name]),
                   ("stderr", summary.stderrs_re[name]), ("stderr", summary.stderrs_im[name])]
-    health = summary.health
-    if health is not None:
-        parts += [("health", health.max_hermiticity_defect), ("health", health.min_eigenvalue),
-                  ("health", health.max_trace_defect)]
+    if summary.health is not None:
+        parts += health_parts(summary.health)
     return parts
 
 
@@ -193,7 +208,8 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
                 for sname, scheme in SCHEMES.items():
                     tag = f"n{dim} seed{seed} {label} {sname}"
                     sampled, err = attempt(lambda: simulate(model, rho0, scheme, horizon, dt, seed))
-                    yield f"{tag} simulate", err or (("record", sampled[0].increments), ("path", sampled[1]))
+                    yield f"{tag} simulate", err or (("record", sampled[0].increments), ("path", sampled[1]),
+                                                     *audit_parts(sampled[1]))
                     if not err:
                         times = dt * np.arange(sampled[1].shape[0])
                         yield f"{tag} simulate csv", (
@@ -201,13 +217,15 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
                             ("csv", csv_bytes(scratch, lambda p: write_path_csv(p, times, series(sampled[1], obs)))))
                     for kind in () if err else ("bks", "zakai"):
                         replay, err = attempt(lambda: replay_record(sampled[0], model, rho0, kind=kind))
-                        yield f"{tag} replay {kind}", err or (("path", replay.matrices), ("likelihood", replay.likelihoods))
+                        yield f"{tag} replay {kind}", err or (("path", replay.matrices), ("likelihood", replay.likelihoods),
+                                                              *audit_parts(replay.normalized_matrices()))
                         if not err:
                             expectations = {name: replay.expectations(x) for name, x in obs.items()}
                             yield f"{tag} replay {kind} csv", (("csv", csv_bytes(scratch, lambda p: write_path_csv(
                                 p, replay.times, expectations, likelihoods=replay.likelihoods))),)
                     closed, err = attempt(lambda: simulate(model, rho0, scheme, horizon, dt, seed, law=law))
-                    yield f"{tag} law simulate", err or (("record", closed[0].increments), ("path", closed[1]))
+                    yield f"{tag} law simulate", err or (("record", closed[0].increments), ("path", closed[1]),
+                                                         *audit_parts(closed[1]))
                     if not err:
                         states, err = attempt(lambda: online_states(model, rho0, scheme, closed[0], law, dt))
                         yield f"{tag} law online", err or (("path", states),)
@@ -234,7 +252,7 @@ SAVED = "outputs.npz"
 # roles compared by --against: the largest absolute deviation of filter
 # matrices and ensemble means, of ensemble standard errors, of likelihoods
 # relative to their size, of record increments (a moved count shows as 1) and
-# of ensemble health monitors; CSV bytes read 0 when equal, 1 when not
+# of health monitors; CSV bytes read 0 when equal, 1 when not
 DEVIATIONS = {"path": ("path", "mean"), "stderr": ("stderr",), "likelihood": ("likelihood",), "record": ("record",),
               "health": ("health",), "csv": ("csv",)}
 

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, _require_seed, load_config
+from .config import RunConfig, load_config
 from .errors import NumericalFailure, PositivityBreach, ValidationError
 from .filters import COUNTING, PathHealth, path_health
 from .operators import semigroup_path
@@ -40,6 +40,7 @@ from .recordio import (
 from .trajectories import (
     _expectation_series,
     _grid,
+    _require_seed,
     ensemble_average,
     replay_record,
     simulate_counting,

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ValidationError
 from .filters import ControlLaw, MeasurementScheme
 from .operators import DensityState, SystemModel
+from .trajectories import _require_seed
 
 _KNOWN_KEYS = {
     "dim",
@@ -131,14 +132,6 @@ def _require_number(raw: dict, key: str, default=None, positive=False, integer=F
     if positive and val <= 0:
         raise ValidationError(f"{key}: must be positive, got {val!r}")
     return val
-
-
-def _require_seed(seed: int) -> int:
-    """seed, when it is an unsigned 64-bit integer, the range `derive_seed`
-    mixes without folding two seeds into one."""
-    if not 0 <= seed < 2**64:
-        raise ValidationError(f"seed: must be an unsigned 64-bit integer (0 <= seed < 2**64), got {seed}")
-    return seed
 
 
 def config_from_dict(raw: dict) -> RunConfig:

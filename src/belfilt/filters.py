@@ -187,7 +187,7 @@ class FilterState:
 
 def _require_dt(dt: float) -> float:
     dt = float(dt)
-    if not np.isfinite(dt) or dt <= 0.0:
+    if not math.isfinite(dt) or dt <= 0.0:
         raise ValidationError("dt must be positive")
     return dt
 
@@ -951,13 +951,99 @@ class PathHealth:
         return self.positivity_ok and self.trace_ok
 
 
+# The screen of `_lowest_eigenvalue`: eigvalsh on every _SCREEN_STRIDE-th
+# matrix bounds the minimum, and a shifted Cholesky per chunk of _SCREEN_CHUNK
+# matrices rules out the chunks that cannot hold it.  A chunk's Cholesky costs
+# a seventh of its eigvalsh at n = 8, and the screen pays from two chunks on
+# (timed at n = 3, 4 and 8).
+_SCREEN_STRIDE = 16
+_SCREEN_CHUNK = 64
+_ROUNDOFF = 2.0**-53
+
+
+def _screened_chunks(arr: np.ndarray, sym: np.ndarray) -> set | None:
+    """The chunks of `sym`, the Hermitian parts of the finite stack `arr`
+    (m >= 2 chunks), whose matrices can hold its lowest eigvalsh value, or
+    None when more than half can.
+
+    U, the lowest eigvalsh value of the sample sym[::_SCREEN_STRIDE], bounds
+    the minimum from above.  A chunk is ruled out when the Cholesky
+    factorization of every sym - (U + delta) I in it completes: each matrix
+    then has a computed lowest eigenvalue above U (see `path_health` for
+    delta).  Chunks with a sampled value at or below U + delta cannot pass
+    and are kept untried; so is the chunk that holds U.
+    """
+    m, n, _ = sym.shape
+    sampled = np.linalg.eigvalsh(sym[::_SCREEN_STRIDE])[:, 0]
+    upper = float(sampled.min())
+    # nu >= n max |entry| >= ||sym_i||_2 for every i, as |z| <= sqrt(2) max(|Re z|, |Im z|)
+    # and an entry of sym is at most the largest of arr's, up to a rounding
+    parts = np.ascontiguousarray(arr).view(float)
+    nu = math.sqrt(2.0) * n * max(float(parts.max()), -float(parts.min()))
+    shift = upper + 2.0**8 * n * n * _ROUNDOFF * (nu + abs(upper))
+    chunks = -(-m // _SCREEN_CHUNK)
+    kept = set((np.flatnonzero(sampled <= shift) * _SCREEN_STRIDE // _SCREEN_CHUNK).tolist())
+    shifted_eye = shift * np.eye(n)
+    for c in range(chunks):
+        if 2 * len(kept) > chunks:
+            return None  # a constant path, say: one eigvalsh call is cheaper
+        if c not in kept:
+            try:
+                np.linalg.cholesky(sym[c * _SCREEN_CHUNK:(c + 1) * _SCREEN_CHUNK] - shifted_eye)
+            except np.linalg.LinAlgError:
+                kept.add(c)
+    return kept if 2 * len(kept) <= chunks else None
+
+
+def _lowest_eigenvalue(arr: np.ndarray, sym: np.ndarray) -> float:
+    """float(np.linalg.eigvalsh(sym)[:, 0].min()) for the Hermitian parts
+    sym of a finite stack arr, bit for bit, with eigvalsh run only on the
+    chunks the screen keeps (LAPACK's per-matrix result does not depend on
+    the batch)."""
+    kept = _screened_chunks(arr, sym) if sym.shape[0] >= 2 * _SCREEN_CHUNK else None
+    if kept is None:
+        return float(np.linalg.eigvalsh(sym)[:, 0].min())
+    return min(float(np.linalg.eigvalsh(sym[c * _SCREEN_CHUNK:(c + 1) * _SCREEN_CHUNK])[:, 0].min())
+               for c in kept)
+
+
 def path_health(matrices, normalized: bool = True) -> PathHealth:
     """Audit a stack of filter matrices, shape (m, n, n).
 
-    The eigenvalue is the lowest of the Hermitian parts (r + r*)/2; at n = 2
-    it is the closed form (a + d)/2 - hypot((a - d)/2, |b|) on their entries,
-    else `eigvalsh`.  A stack with a non-finite entry reports the eigenvalue
-    NaN, so that positivity fails.
+    The eigenvalue is the lowest of the Hermitian parts (r + r*)/2.  At n = 2
+    it is the closed form (a + d)/2 - hypot((a - d)/2, |b|) on their entries.
+    At n > 2 it is `eigvalsh`'s value for the matrix that holds the minimum,
+    bit for bit, but `eigvalsh` runs only where that matrix can lie: from two
+    chunks of 64 matrices on, eigvalsh on every 16th matrix gives an upper
+    bound U, and a chunk whose matrices all pass a Cholesky factorization of
+    (r + r*)/2 - (U + delta) I is ruled out.
+
+    The margin is delta = 2^8 n^2 u (nu + |U|), with u = 2^-53 the unit
+    roundoff and nu = sqrt(2) n max(|Re|, |Im|) over the stack's entries, so
+    that nu >= ||sym||_2 for every Hermitian part sym (up to a rounding of
+    the parts, which the margin absorbs).  Three roundings separate a matrix
+    that passes from its `eigvalsh` value:
+
+    - forming A = sym - s I, s = U + delta, rounds the diagonal, by at most
+      u (nu + |s|);
+    - a Cholesky factorization that completes is exact for A + E with
+      |E| <= gamma_{n+1} |R*| |R|, so ||E||_2 <= n (n + 1) u ||A||_2 to first
+      order (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      Thm 10.3; complex arithmetic raises the constant by a small factor).
+      Its factor R is nonsingular, so A + E is positive definite and the
+      lowest eigenvalue of sym exceeds s - ||E||_2 - u (nu + |s|);
+    - `eigvalsh`'s values are exact for sym + F with ||F||_2 <= p(n) u nu,
+      p(n) a modest function of n (LAPACK Users' Guide, 3rd ed., 4.7.1).
+
+    A matrix that passes therefore has an `eigvalsh` value above U whenever
+    delta covers the three terms, which 2^8 n^2 does while 2c + p(n)/n^2
+    stays below about 250; delta stays below 3e-12 (nu + |U|) up to n = 10.  Every matrix whose value is <= U, the one
+    holding the minimum among them, fails the screen, and `eigvalsh` on the
+    chunks that fail finds it.  A path where more than half the chunks fail
+    (a constant path) takes one `eigvalsh` call.
+
+    A stack with a non-finite entry reports the eigenvalue NaN, so that
+    positivity fails.
     """
     arr = np.asarray(matrices, dtype=complex)
     if arr.ndim == 2:
@@ -975,10 +1061,13 @@ def path_health(matrices, normalized: bool = True) -> PathHealth:
         radius = np.hypot(0.5 * (a.real - d.real), np.abs(0.5 * (b + c.conj())))
         lowest = float(np.min(0.5 * traces - radius))
     else:
-        herm = float(np.max(np.abs(arr - np.conj(np.swapaxes(arr, 1, 2)))))
+        # each adjoint is a temporary numpy reuses for the result, which it
+        # can only do when the temporary comes first (|r* - r| = |r - r*| bit
+        # for bit); one shared adjoint would hold a third full stack at once
+        herm = float(np.max(np.abs(np.conj(np.swapaxes(arr, 1, 2)) - arr)))
         sym = 0.5 * (arr + np.conj(np.swapaxes(arr, 1, 2)))
         # a non-finite entry makes the defect inf or NaN (and eigvalsh raise)
-        lowest = float(np.linalg.eigvalsh(sym)[:, 0].min()) if math.isfinite(herm) else math.nan
+        lowest = _lowest_eigenvalue(arr, sym) if math.isfinite(herm) else math.nan
         traces = np.trace(arr, axis1=1, axis2=2).real
     if not (math.isfinite(herm) and math.isfinite(lowest)):
         # at n = 2 a non-finite real diagonal shows only in the eigenvalue

@@ -74,12 +74,25 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def _require_seed(seed) -> int:
+    """seed as an int, when it is an unsigned 64-bit integer (a numpy one
+    reads as int), the range `derive_seed` mixes without folding two seeds
+    into one; not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValidationError(f"seed: expected an integer, got {seed!r}")
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed: must be an unsigned 64-bit integer (0 <= seed < 2**64), got {seed}")
+    return seed
+
+
 def derive_seed(base_seed: int, index: int) -> int:
     """splitmix64 finalizer of base_seed + (index+1)*golden; bijective in the
-    index for a fixed base, hence collision-free over any ensemble."""
+    index for a fixed base, hence collision-free over any ensemble.  The base
+    is a seed as `_require_seed` takes it."""
     if index < 0:
         raise ValidationError("trajectory index must be nonnegative")
-    z = (int(base_seed) + (index + 1) * _GOLDEN) & _MASK64
+    z = (_require_seed(base_seed) + (index + 1) * _GOLDEN) & _MASK64
     z ^= z >> 30
     z = (z * 0xBF58476D1CE4E5B9) & _MASK64
     z ^= z >> 27
@@ -280,13 +293,14 @@ def simulate_homodyne(
 
     Returns (record, path) with path of shape (steps+1, n, n).
     """
+    seed = _require_seed(seed)
     scheme = MeasurementScheme.homodyne() if scheme is None else scheme
     if not scheme.is_diffusive:
         raise ValidationError("simulate_homodyne needs a homodyne or imperfect scheme")
     steps = _grid(horizon, dt)
     increments = np.empty(steps)
     path, _ = _integrate(model, rho0, scheme, dt, increments, law, noise=_noise(scheme, seed, steps, dt))
-    return ObservationRecord(scheme, dt, increments, seed=int(seed)), path
+    return ObservationRecord(scheme, dt, increments, seed=seed), path
 
 
 def simulate_counting(
@@ -299,11 +313,12 @@ def simulate_counting(
 ):
     """Sample one counting record (jump probability rate*dt per step) and its
     co-evolved normalized filter path."""
+    seed = _require_seed(seed)
     scheme = MeasurementScheme.counting()
     steps = _grid(horizon, dt)
     increments = np.empty(steps)
     path, _ = _integrate(model, rho0, scheme, dt, increments, law, noise=_noise(scheme, seed, steps, dt))
-    return ObservationRecord(scheme, dt, increments, seed=int(seed)), path
+    return ObservationRecord(scheme, dt, increments, seed=seed), path
 
 
 @dataclass(frozen=True)
@@ -457,9 +472,10 @@ def ensemble_average(
     Trajectory i uses the generator seeded with derive_seed(seed, i), as
     `simulate_homodyne` or `simulate_counting` would, and follows the same
     path they give; reduction runs in index order, so results are
-    reproducible.  n_trajectories is an integer (a numpy one reads as int),
-    not a bool.
+    reproducible.  n_trajectories and seed are integers (a numpy one reads
+    as int), not bools, and seed is below 2**64.
     """
+    seed = _require_seed(seed)
     if isinstance(n_trajectories, bool) or not isinstance(n_trajectories, (int, np.integer)):
         raise ValidationError(f"n_trajectories: expected an integer, got {n_trajectories!r}")
     n_trajectories = int(n_trajectories)

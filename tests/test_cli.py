@@ -467,19 +467,25 @@ class TestShippedDemos:
         # the same checkout: every case present, every deviation zero
         columns = {line.split("  ")[0]: line.split("  ")[1:] for line in compared.stdout.splitlines()}
         assert list(columns) == [line.split("  ", 1)[1] for line in hashed.stdout.splitlines()]
-        assert columns["n2 seed1 random2 homodyne replay zakai"] == ["path 0.0e+00", "likelihood 0.0e+00"]
-        assert columns["n2 seed1 decay-diag counting simulate"] == ["path 0.0e+00", "record 0.0e+00"]
+        assert columns["n2 seed1 random2 homodyne replay zakai"] == ["path 0.0e+00", "likelihood 0.0e+00",
+                                                                      "health 0.0e+00"]
+        assert columns["n2 seed1 decay-diag counting simulate"] == ["path 0.0e+00", "record 0.0e+00",
+                                                                     "health 0.0e+00"]
         assert all(parts and all(part.endswith(" 0.0e+00") for part in parts) for parts in columns.values())
         assert columns["n2 seed1 random2 homodyne ensemble stacked"] == ["path 0.0e+00", "stderr 0.0e+00",
                                                                           "health 0.0e+00"]
         # a moved health monitor or standard error shows as its deviation:
         # parts 0-9 are the times, the count and two observables (name, mean,
-        # real and imaginary standard errors), 10-12 the health monitors
+        # real and imaginary standard errors), 10-12 the health monitors; a
+        # serial path's parts 2-4 are its audit's
         saved = dict(np.load(tmp_path / "saved" / "outputs.npz"))
         key = "n2 seed1 random2 homodyne ensemble stacked|"
         saved[key + "11"] = saved[key + "11"] - 2.5e-3
         saved[key + "4"] = saved[key + "4"] + 1e-3
+        key = "n2 seed1 decay-diag counting simulate|"
+        saved[key + "3"] = saved[key + "3"] + 5e-4
         np.savez(tmp_path / "saved" / "outputs.npz", **saved)
         compared = self._run("seeded_hashes.py", *args, "--against", "saved", cwd=tmp_path)
-        assert ("n2 seed1 random2 homodyne ensemble stacked  path 0.0e+00  stderr 1.0e-03  health 2.5e-03"
-                in compared.stdout.splitlines())
+        lines = compared.stdout.splitlines()
+        assert "n2 seed1 random2 homodyne ensemble stacked  path 0.0e+00  stderr 1.0e-03  health 2.5e-03" in lines
+        assert "n2 seed1 decay-diag counting simulate  path 0.0e+00  record 0.0e+00  health 5.0e-04" in lines

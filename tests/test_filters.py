@@ -594,6 +594,124 @@ class TestPathHealthTwoByTwo:
         assert health.max_trace_defect == float(np.max(np.abs(np.trace(mats, axis1=1, axis2=2).real - 1.0)))
 
 
+def _lowest_by_eigvalsh(mats) -> float:
+    """The audit's reference: eigvalsh on every Hermitian part."""
+    return float(np.linalg.eigvalsh(0.5 * (mats + np.conj(np.swapaxes(mats, 1, 2))))[:, 0].min())
+
+
+def _wandering_path(dim, rng, m=2001):
+    """m unit-trace Hermitian matrices along a random walk from a mixed
+    state, with a small non-Hermitian part: lowest eigenvalues that vary
+    along the path, as a filter's do."""
+    steps = rng.normal(size=(m, dim, dim)) + 1j * rng.normal(size=(m, dim, dim))
+    walk = random_density(dim, rng).mix_with_identity(0.5).matrix + 2e-3 / dim * np.cumsum(
+        0.5 * (steps + np.conj(np.swapaxes(steps, 1, 2))), axis=0)
+    walk += 1e-13j * rng.normal(size=walk.shape)
+    return walk / np.trace(walk, axis1=1, axis2=2).real[:, None, None]
+
+
+def _rotated(matrix, rng):
+    """U matrix U* for a random unitary U: the same spectrum, other bits."""
+    q, _ = np.linalg.qr(rng.normal(size=matrix.shape) + 1j * rng.normal(size=matrix.shape))
+    return q @ matrix @ dag(q)
+
+
+class TestPathHealthExact:
+    """At n > 2 the audit's eigenvalue is eigvalsh's, bit for bit, however
+    the Cholesky screen splits the stack."""
+
+    DIMS = [3, 4, 8]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_random_paths(self, dim, seed):
+        mats = _wandering_path(dim, np.random.default_rng([dim, seed]))
+        assert path_health(mats).min_eigenvalue == _lowest_by_eigvalsh(mats)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_screen_runs_eigvalsh_on_few_matrices(self, dim, monkeypatch):
+        mats = _wandering_path(dim, np.random.default_rng(dim))
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(len(a)) or eigvalsh(a))
+        assert path_health(mats).min_eigenvalue == _lowest_by_eigvalsh(mats)
+        assert sum(seen[:-1]) < len(mats) / 4, seen  # the last call is the reference's
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("index", [37, 1999], ids=["unsampled", "last-partial-chunk"])
+    @pytest.mark.parametrize("below", [0.0, 1e-12, 1e-3])
+    def test_minimum_where_the_sample_does_not_look(self, dim, index, below):
+        # index % 16 != 0, so the sample skips it; 1999 lies in the last chunk
+        # of 2001 (1984 .. 2000); below = 0 ties the minimum up to rounding
+        rng = np.random.default_rng([dim, index])
+        mats = _wandering_path(dim, rng)
+        lowest = np.linalg.eigvalsh(0.5 * (mats + np.conj(np.swapaxes(mats, 1, 2))))[:, 0]
+        mats[index] = _rotated(mats[int(np.argmin(lowest))], rng) - below * np.eye(dim)
+        want = _lowest_by_eigvalsh(mats)
+        assert path_health(mats).min_eigenvalue == want
+        if below:
+            assert want == float(np.linalg.eigvalsh(0.5 * (mats[index] + dag(mats[index])))[0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_ties_with_a_sampled_minimum(self, dim, seed):
+        # the minimum copied to a sampled index (a multiple of 16), so that it
+        # is the sample's bound itself, and rotated into ten unsampled ones:
+        # their values tie with the bound up to rounding, so only the margin
+        # keeps their chunks (with none, some of these seeds fail)
+        rng = np.random.default_rng([dim, seed, 3])
+        mats = _wandering_path(dim, rng)
+        j = int(np.argmin(np.linalg.eigvalsh(0.5 * (mats + np.conj(np.swapaxes(mats, 1, 2))))[:, 0]))
+        mats[j - j % 16] = mats[j]
+        for k in range(5, 2001, 200):
+            mats[k] = _rotated(mats[j], rng)
+        assert path_health(mats).min_eigenvalue == _lowest_by_eigvalsh(mats)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_single_negative_matrix_breaches_with_its_value(self, dim):
+        mats = _wandering_path(dim, np.random.default_rng([dim, 5]))
+        k = 1003
+        lowest = np.linalg.eigvalsh(0.5 * (mats[k] + dag(mats[k])))[0]
+        mats[k] -= (lowest + 1e-3) * np.eye(dim)
+        want = float(np.linalg.eigvalsh(0.5 * (mats[k] + dag(mats[k])))[0])
+        health = path_health(mats, normalized=False)
+        assert want < -9e-4 and health.min_eigenvalue == want == _lowest_by_eigvalsh(mats)
+        assert not health.positivity_ok
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_constant_path(self, dim, monkeypatch):
+        # every chunk fails the screen: after the sample, one call on the stack
+        mats = np.repeat(np.eye(dim, dtype=complex)[None] / dim, 2001, axis=0)
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(len(a)) or eigvalsh(a))
+        health = path_health(mats)
+        assert seen == [126, 2001]
+        assert health.min_eigenvalue == _lowest_by_eigvalsh(mats)
+        assert health.ok
+
+    @pytest.mark.parametrize("dim", DIMS)
+    @pytest.mark.parametrize("m", [1, 2, 17, 127, 128, 129, 191])
+    def test_short_stacks(self, dim, m):
+        # below two chunks of 64 the audit is one eigvalsh call; from 128 on
+        # it screens
+        mats = _wandering_path(dim, np.random.default_rng([dim, m]), m)
+        assert path_health(mats).min_eigenvalue == _lowest_by_eigvalsh(mats)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_transposed_input(self, dim):
+        mats = np.swapaxes(_wandering_path(dim, np.random.default_rng([dim, 9])), 1, 2)
+        assert path_health(mats).min_eigenvalue == _lowest_by_eigvalsh(mats)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_defects_equal_the_matrix_formulas_bit_for_bit(self, dim):
+        rng = np.random.default_rng([dim, 11])
+        mats = _wandering_path(dim, rng) + 1e-9j * rng.normal(size=(2001, dim, dim))
+        health = path_health(mats)
+        assert health.max_hermiticity_defect == float(np.max(np.abs(mats - np.conj(np.swapaxes(mats, 1, 2)))))
+        assert health.max_trace_defect == float(np.max(np.abs(np.trace(mats, axis1=1, axis2=2).real - 1.0)))
+
+
 class TestPathHealthEdges:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

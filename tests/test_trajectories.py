@@ -62,6 +62,64 @@ class TestSeedDerivation:
         with pytest.raises(bf.ValidationError):
             derive_seed(0, -1)
 
+    @pytest.mark.parametrize("base", [2.5, -1, 2**64, True, None])
+    def test_rejects_base_outside_u64(self, base):
+        # before, 2.5 derived seed 2's streams and -1 those of 2**64 - 1
+        with pytest.raises(bf.ValidationError, match=r"^seed: "):
+            derive_seed(base, 0)
+
+
+_SEED_ENTRY_POINTS = {
+    "simulate_homodyne": lambda seed: simulate_homodyne(DECAY, PLUS_MIXED, 0.01, 1e-3, seed),
+    "simulate_counting": lambda seed: simulate_counting(DECAY, EXCITED_MIXED, 0.01, 1e-3, seed),
+    "ensemble_average": lambda seed: ensemble_average(
+        DECAY, MeasurementScheme.homodyne(), {"z": SIGMA_Z}, 3, seed, 0.01, 1e-3, PLUS_MIXED),
+}
+
+
+class TestSeedsRefused:
+    """Every entry point that draws noise takes the seeds a config takes."""
+
+    @pytest.mark.parametrize("entry", sorted(_SEED_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "seed,message",
+        [
+            (2.5, "expected an integer, got 2.5"),
+            (2.0, "expected an integer, got 2.0"),
+            (np.float64(2.0), "expected an integer, got "),
+            (True, "expected an integer, got True"),
+            (np.bool_(False), "expected an integer, got "),
+            ("3", "expected an integer, got '3'"),
+            (None, "expected an integer, got None"),
+            (-1, r"must be an unsigned 64-bit integer \(0 <= seed < 2\*\*64\), got -1"),
+            (np.int64(-1), r"must be an unsigned 64-bit integer .*, got -1"),
+            (2**64, r"must be an unsigned 64-bit integer .*, got 18446744073709551616"),
+        ],
+        ids=["float", "integral-float", "numpy-float", "bool", "numpy-bool", "str", "none", "negative",
+             "numpy-negative", "2**64"],
+    )
+    def test_refused_before_drawing(self, entry, seed, message, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(trajectories, "_noise", lambda *args: drawn.append(args))
+        with pytest.raises(bf.ValidationError, match=rf"^seed: {message}"):
+            _SEED_ENTRY_POINTS[entry](seed)
+        assert drawn == []
+
+    @pytest.mark.parametrize("entry", sorted(_SEED_ENTRY_POINTS))
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint64(7), 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_integers_in_range_accepted(self, entry, seed):
+        got, want = _SEED_ENTRY_POINTS[entry](seed), _SEED_ENTRY_POINTS[entry](int(seed))
+        if entry == "ensemble_average":
+            assert np.array_equal(got.mean("z"), want.mean("z"))
+        else:
+            assert got[0].seed == int(seed) and type(got[0].seed) is int
+            assert np.array_equal(got[1], want[1])
+
+    def test_config_shares_the_validator(self):
+        from belfilt import config
+
+        assert config._require_seed is trajectories._require_seed
+
 
 class TestSimulateHomodyne:
     def test_seed_determinism(self):
