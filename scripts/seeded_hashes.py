@@ -11,10 +11,14 @@ checkout of the package.  Run it on two checkouts and compare the outputs:
 Cases, at each dimension: simulate_homodyne (homodyne and imperfect with
 kappa = 1, phase = 0.3) and simulate_counting; bks and zakai replays of each
 record, likelihoods included; a closed loop under an expression law and the
-same record fed online through feedback_step, every state hashed; ensembles
-with health, with and without the law; semigroup_path on a uniform and a
-non-uniform grid.  Each simulated, closed-loop and replayed path also hashes
-its path_health monitors (worst eigenvalue, trace and Hermiticity defects),
+same record fed online through feedback_step, every state hashed, and the
+same pair under a Python callable law and under the expression law with a
+time-dependent channel map; ensembles with health, with and without the
+expression law; semigroup_path on a uniform and a non-uniform grid.  Per
+seed, a "law direct" case hashes the values of compiled expression laws
+called directly on a prefix that grows, shrinks and is edited in place.
+Each simulated, closed-loop and replayed path also hashes its path_health
+monitors (worst eigenvalue, trace and Hermiticity defects),
 taken on the normalized matrices as the CLI's simulate and filter commands
 audit them.  Dimension 2 adds the qubit-decay model (H = 0, L = sigma-)
 from a diagonal and from a coherent start.  A case that raises hashes its
@@ -32,9 +36,9 @@ To see how far outputs moved rather than whether they did, save one
 checkout's outputs and compare the other's against them; each case then
 prints its largest deviation of filter matrices (and ensemble means), of
 ensemble standard errors, of likelihoods relative to their size, of record
-increments and of health monitors (worst eigenvalue, trace and Hermiticity
-defects, of serial paths and of ensembles), and for CSV cases 1 if the bytes
-differ, 0 if not:
+increments, of health monitors (worst eigenvalue, trace and Hermiticity
+defects, of serial paths and of ensembles) and of control values, and for
+CSV cases 1 if the bytes differ, 0 if not:
 
     PYTHONPATH=../old/src python3 scripts/seeded_hashes.py --save before
     PYTHONPATH=src python3 scripts/seeded_hashes.py --against before
@@ -68,6 +72,7 @@ from belfilt import (
     FilterState,
     MeasurementScheme,
     SystemModel,
+    compile_control_expression,
     derive_seed,
     ensemble_average,
     feedback_step,
@@ -85,6 +90,7 @@ from belfilt.operators import SIGMA_MINUS, SIGMA_X, SIGMA_Z
 from belfilt.recordio import write_ensemble_csv, write_master_csv, write_path_csv, write_record
 
 LAW = "0.2 * Y - 0.5 * ma(Y, 50)"
+DIRECT_LAWS = (LAW, "Y / (2 + t) / (3 - ma(Y, 7) / (1 + Y * Y))", "-Y + -ma(Y, 3) - -t")
 SCHEMES = {
     "homodyne": MeasurementScheme.homodyne(),
     "imperfect": MeasurementScheme.imperfect(1.0, 0.3),
@@ -131,6 +137,34 @@ def online_states(model, rho0, scheme, record, law, dt):
         state = feedback_step(state, inc[k], law, model, inc[:k], dt, scheme, k * dt)
         states.append(state.matrix)
     return np.stack(states)
+
+
+def other_laws(model, h1):
+    """(label, law) of the laws beside the expression law: a Python callable
+    on the record prefix, and the expression law with a channel map that
+    scales the model's first channel in time."""
+    callable_law = ControlLaw(lambda t, prefix: 0.5 * float(np.sum(prefix[-20:])) - 0.1 * t, model.hamiltonian, h1)
+    channel = model.channels[0]
+    mapped = ControlLaw(compile_control_expression(LAW), model.hamiltonian, h1,
+                        channel_map=lambda t, prefix: (1.0 + 0.5 * np.sin(3.0 * t)) * channel)
+    return ("callable", callable_law), ("channel map", mapped)
+
+
+def direct_values(seed: int) -> np.ndarray:
+    """u of each of DIRECT_LAWS, called directly on a prefix that grows one
+    entry at a time, then shrinks, then is edited in place."""
+    record = np.random.default_rng(seed).normal(0.0, 0.03, 300)
+    values = []
+    for expression in DIRECT_LAWS:
+        u = compile_control_expression(expression)
+        values += [u(0.37 + 1e-3 * k, record[:k]) for k in (*range(120), 300, 40, 0, 41)]
+        buf = record[:100].copy()
+        values += [u(0.5, buf[:60]), u(0.5, buf[:61])]
+        buf[2] += 0.5
+        values += [u(0.5, buf[:61]), u(0.5, buf[:62])]
+        buf[0] = -buf[0]
+        values += [u(0.5, buf[:62]), u(0.5, buf)]
+    return np.array(values)
 
 
 def csv_bytes(directory: Path, write) -> bytes:
@@ -201,6 +235,9 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
     mean, csv, ...) say which values --against compares how.  A case that
     raised has the parts (error, type) and (error, message).  CSV files are
     written to `scratch` and read back as bytes."""
+    for seed in seeds:
+        values, err = attempt(lambda: direct_values(seed))
+        yield f"seed{seed} law direct", err or (("law", values),)
     for dim in dims:
         for seed in seeds:
             for label, model, rho0, obs, h1 in model_cases(dim, seed):
@@ -229,6 +266,13 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
                     if not err:
                         states, err = attempt(lambda: online_states(model, rho0, scheme, closed[0], law, dt))
                         yield f"{tag} law online", err or (("path", states),)
+                    for lname, other in other_laws(model, h1):
+                        closed, err = attempt(lambda: simulate(model, rho0, scheme, horizon, dt, seed, law=other))
+                        yield f"{tag} {lname} law simulate", err or (
+                            ("record", closed[0].increments), ("path", closed[1]), *audit_parts(closed[1]))
+                        if not err:
+                            states, err = attempt(lambda: online_states(model, rho0, scheme, closed[0], other, dt))
+                            yield f"{tag} {lname} law online", err or (("path", states),)
                     for with_law in (False, True):
                         summary, err = attempt(lambda: ensemble_average(
                             model, scheme, obs, trajectories, seed, horizon / 2, dt, rho0,
@@ -251,10 +295,10 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
 SAVED = "outputs.npz"
 # roles compared by --against: the largest absolute deviation of filter
 # matrices and ensemble means, of ensemble standard errors, of likelihoods
-# relative to their size, of record increments (a moved count shows as 1) and
-# of health monitors; CSV bytes read 0 when equal, 1 when not
+# relative to their size, of record increments (a moved count shows as 1), of
+# health monitors and of control values; CSV bytes read 0 when equal, 1 when not
 DEVIATIONS = {"path": ("path", "mean"), "stderr": ("stderr",), "likelihood": ("likelihood",), "record": ("record",),
-              "health": ("health",), "csv": ("csv",)}
+              "health": ("health",), "law": ("law",), "csv": ("csv",)}
 
 
 def save(directory: Path, outcomes) -> None:

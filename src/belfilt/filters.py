@@ -33,17 +33,18 @@ tr(A r), tr(X r), tr(r), A' r, X r and r, for A' = A - i dt [H, .]: the
 three scalars give (a0, a1, a2) and the raw trace (the commutator is
 traceless), and a second product of the row (a0, a1, a2), divided by the
 trace on the normalized routes, with the last three blocks of p gives the
-next matrix.  S is bound once per run; a control law rewrites only its A'
-block from H_t each step (`_hamiltonian_writer`), and a compiled expression
-law is evaluated on record sums its run extends by one add a step
-(`_law_steps`).  `_row_step` binds the step of one matrix once per run
-(once per call for the public step functions; `feedback_step` keeps each
-thread's last bound run), fed one float a step: the increment dy, or the
-noise dy is drawn from when the run samples its record.  Each step is two
-BLAS products and Python-float scalars.  `_stack_step` binds the step of a
-stack of sampled trajectories on the normalized route once per block, with
-the same arithmetic done in place on per-row arrays, and a row of a stack
-steps exactly as one matrix.
+next matrix.  S is bound once per run.  A control law's run (`_LawRun`)
+holds its own copy of S and rewrites only its A' block from H_t each step
+(`_hamiltonian_writer`); it evaluates a compiled expression law on record
+sums it keeps itself, extended by one add a step in a closed loop and
+following each call's prefix in `feedback_step`.  `_row_step` binds the
+step of one matrix once per run (once per call for the public step
+functions; `feedback_step` keeps each thread's last bound run), fed one
+float a step: the increment dy, or the noise dy is drawn from when the run
+samples its record.  Each step is two BLAS products and Python-float
+scalars.  `_stack_step` binds the step of a stack of sampled trajectories
+on the normalized route once per block, with the same arithmetic done in
+place on per-row arrays, and a row of a stack steps exactly as one matrix.
 
 Positivity is monitored, not enforced: Euler steps may transiently leave
 the state space, and projecting would mask convergence behavior.  Use
@@ -91,6 +92,26 @@ ZERO_RATE = 1e-14
 MAX_JUMP_PROBABILITY = 0.1
 
 
+def _finite_real(value, message: str, *args) -> float:
+    """value as a finite Python float: its real part when its imaginary part
+    is 0.  Otherwise ValidationError(message.format(what, *args)), `what`
+    being what the value is not: "non-numeric value ..." or "non-real
+    value ..."."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float(value)
+    try:
+        if isinstance(value, (str, bytes)):  # complex() would parse them
+            raise TypeError
+        z = complex(value)
+    except (TypeError, ValueError):
+        raise ValidationError(message.format(f"non-numeric value {value!r}", *args)) from None
+    if z.imag != 0.0:
+        raise ValidationError(message.format(f"non-real value {value!r}", *args))
+    if not math.isfinite(z.real):
+        raise ValidationError(message.format(f"non-real value {z.real!r}", *args))
+    return z.real
+
+
 @dataclass(frozen=True)
 class MeasurementScheme:
     """Detection scheme: homodyne, imperfect (extra corrupting noise of
@@ -103,16 +124,15 @@ class MeasurementScheme:
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValidationError(f"scheme: unknown kind {self.kind!r} (expected one of {SCHEME_KINDS})")
-        if not np.isfinite(self.kappa) or self.kappa < 0:
+        kappa, phase = _finite_real(self.kappa, "scheme: kappa: {}"), _finite_real(self.phase, "scheme: phase: {}")
+        if kappa < 0:
             raise ValidationError("scheme: kappa must be a nonnegative real")
-        if self.kind != IMPERFECT and self.kappa != 0.0:
+        if self.kind != IMPERFECT and kappa != 0.0:
             raise ValidationError("scheme: kappa is only meaningful for the imperfect kind")
-        if not np.isfinite(self.phase):
-            raise ValidationError("scheme: phase must be finite")
-        if self.kind == COUNTING and self.phase != 0.0:
+        if self.kind == COUNTING and phase != 0.0:
             raise ValidationError("scheme: phase is not meaningful for counting")
-        object.__setattr__(self, "kappa", float(self.kappa))
-        object.__setattr__(self, "phase", float(self.phase))
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "phase", phase)
 
     @classmethod
     def homodyne(cls, phase: float = 0.0) -> "MeasurementScheme":
@@ -186,8 +206,8 @@ class FilterState:
 
 
 def _require_dt(dt: float) -> float:
-    dt = float(dt)
-    if not math.isfinite(dt) or dt <= 0.0:
+    dt = _finite_real(dt, "dt: {}")
+    if dt <= 0.0:
         raise ValidationError("dt must be positive")
     return dt
 
@@ -507,10 +527,7 @@ def _apply(state: FilterState, dY, s, step, counting: bool, normalized: bool):
     """Step state.matrix once with the step matrix s and a `_row_step` step,
     for dY a finite real number (0 or 1 when `counting`); normalized results
     keep the incoming likelihood."""
-    if isinstance(dY, float) and math.isfinite(dY):
-        dy = float(dY)
-    else:
-        dy = _finite_real(dY, "increment dY: {}")
+    dy = _finite_real(dY, "increment dY: {}")
     if counting and dy not in (0.0, 1.0):
         raise ValidationError(f"counting increment must be 0 or 1, got {dY!r}")
     w = state.matrix
@@ -606,6 +623,8 @@ def filter_step(
 
 _ALLOWED_BINOPS = {ast.Add, ast.Sub, ast.Mult, ast.Div}
 _ALLOWED_UNARY = {ast.UAdd, ast.USub}
+# `_finite_real`'s message for a control value, formatted with t
+_CONTROL_VALUE = "control law returned {} at t = {}"
 
 
 def _compile_node(node: ast.AST, expression: str):
@@ -670,83 +689,34 @@ def _compile_node(node: ast.AST, expression: str):
     )
 
 
-class _RunningSums(threading.local):
-    """One thread's copy of the last record prefix a control law was given,
-    and its cumulative sums.
-
-    A closed loop calls its law with a prefix one entry longer each step, so
-    `cumulative` keeps the leading entries that match the copy bit for bit
-    and sums only the rest; a prefix that shrinks, diverges or was edited in
-    place is still summed correctly from its first differing entry.  Being
-    thread-local, the memo is never shared between concurrent callers.
-    """
-
-    def __init__(self):
-        self.record = np.empty(0, dtype=np.int64)  # the prefix's bits
-        self.sums = np.empty(0)
-        self.size = 0
-
-    def cumulative(self, prefix: np.ndarray) -> np.ndarray:
-        """A buffer whose first prefix.size entries equal np.cumsum(prefix)
-        bit for bit; it stays valid until this thread's next call."""
-        m = prefix.size
-        k = min(m, self.size)
-        # bitwise, so that -0.0 and 0.0 (which sum differently) never match
-        bits = prefix.view(np.int64)
-        differs = bits[:k] != self.record[:k]
-        same = k
-        if k:
-            first = int(differs.argmax())  # 0 when no entry differs
-            if differs[first]:
-                same = first
-        if same == m:
-            return self.sums
-        if m > self.record.size:
-            capacity = max(m, 2 * self.record.size)
-            record, sums = np.empty(capacity, dtype=np.int64), np.empty(capacity)
-            record[:same], sums[:same] = self.record[:same], self.sums[:same]
-            self.record, self.sums = record, sums
-        self.record[same:m] = bits[same:]
-        tail = self.sums[same:m]
-        # as np.cumsum does, the first entry is copied, not added to 0.0
-        tail[0] = self.sums[same - 1] + prefix[same] if same else prefix[0]
-        if tail.size > 1:
-            tail[1:] = prefix[same + 1 :]
-            np.cumsum(tail, out=tail)
-        self.size = m
-        return self.sums
-
-
 class _CompiledControl:
     """A compiled control expression, called as u(t, prefix).
 
     `body(t, sums, m)` is the expression's closure on the cumulative sums
     sums[:m] of a record prefix of length m (`_compile_node`); `reads_record`
-    says whether it reads them at all.  A loop that keeps its own running
-    sums evaluates `body` on them directly (`_law_steps`).  A call sums the
-    prefix through this law's per-thread memo (`_RunningSums`)."""
+    says whether it reads them at all.  A call sums its prefix afresh with
+    np.cumsum; a law run keeps its own sums and evaluates `body` on them
+    (`_LawRun`)."""
 
-    __slots__ = ("body", "reads_record", "_memo")
+    __slots__ = ("body", "reads_record")
 
     def __init__(self, body, reads_record: bool):
         self.body = body
         self.reads_record = reads_record
-        self._memo = _RunningSums()
 
     def __call__(self, t: float, prefix) -> float:
         arr = np.asarray(prefix, dtype=float).reshape(-1)
-        return float(self.body(float(t), self._memo.cumulative(arr) if self.reads_record else None, arr.size))
+        return float(self.body(float(t), np.cumsum(arr) if self.reads_record else None, arr.size))
 
 
 def compile_control_expression(expression: str) -> Callable[[float, np.ndarray], float]:
     """Compile the minimal control grammar over t, cumulative Y, and the
     trailing moving average ma(Y, window) into a callable u(t, prefix).
 
-    The expression is turned into closures once.  Each call reuses the
-    cumulative sums of the previous call's prefix (per thread) wherever the
-    new prefix matches it, so a prefix grown by one entry costs one add and
-    a bitwise compare, not a fresh cumulative sum; u stays a pure function
-    of (t, prefix)."""
+    The expression is turned into closures once; a call sums its prefix
+    afresh, so u is a pure function of (t, prefix).  Closed loops and
+    `feedback_step` evaluate the closures on record sums their run keeps
+    (`_LawRun`), not through this call."""
     try:
         tree = ast.parse(expression.strip(), mode="eval")
     except SyntaxError as exc:
@@ -785,27 +755,8 @@ class ControlLaw:
     def hamiltonian_at(self, t: float, prefix) -> tuple[np.ndarray, float]:
         """H_t = H0 + u H1 and u, for u = control(t, prefix) a finite real
         number; a complex u with zero imaginary part counts as its real part."""
-        u = self.control(float(t), prefix)
-        if type(u) is not float or not math.isfinite(u):
-            u = _finite_real(u, f"control law returned {{}} at t = {t}")
+        u = _finite_real(self.control(float(t), prefix), _CONTROL_VALUE, t)
         return self.h0 + u * self.h1, u
-
-
-def _finite_real(value, message: str) -> float:
-    """value as a finite Python float: its real part when its imaginary part
-    is 0.  Otherwise ValidationError(message), its {} filled with what the
-    value is not: "non-numeric value ..." or "non-real value ..."."""
-    try:
-        if isinstance(value, (str, bytes)):  # complex() would parse them
-            raise TypeError
-        z = complex(value)
-    except (TypeError, ValueError):
-        raise ValidationError(message.format(f"non-numeric value {value!r}")) from None
-    if z.imag != 0.0:
-        raise ValidationError(message.format(f"non-real value {value!r}"))
-    if not math.isfinite(z.real):
-        raise ValidationError(message.format(f"non-real value {z.real!r}"))
-    return z.real
 
 
 def _require_law_model(law: ControlLaw, model: SystemModel) -> None:
@@ -813,73 +764,103 @@ def _require_law_model(law: ControlLaw, model: SystemModel) -> None:
         raise DimensionMismatch(f"control H0/H1 dim {law.h0.shape[0]} != model dim {model.dim}")
 
 
-def _law_matrices(law: ControlLaw, model: SystemModel, phase: float, counting: bool, dt: float):
-    """The function (t, prefix) -> step matrix of one law run.  Without a
-    channel map the run holds one copy of the model's step matrix and each
-    call rewrites only its A' block from H_t (`_hamiltonian_writer`); with
-    one, each call maps the channel once and builds the step matrix
-    afresh."""
-    if law.channel_map is None:
-        s, drift = _model_matrix(model, phase, counting, dt)
-        s = s.copy()
-        write = _hamiltonian_writer(s, drift)
+class _LawRun:
+    """One run of a control law over a record: the state that evaluating it
+    step after step keeps, and the step matrix of each step (`matrix`).
 
-        def step(t, prefix):
-            write(law.hamiltonian_at(t, prefix)[0], dt)
-            return s
+    Without a channel map the run holds its own copy of the model's step
+    matrix and rewrites only its A' block from H_t (`_hamiltonian_writer`);
+    with one, each step maps the channel and builds the step matrix afresh.
+    A compiled expression law without a channel map is evaluated on the
+    run's own cumulative sums of the record, which the run keeps in one of
+    two ways: a closed loop extends them by one add a step (`advance`),
+    `feedback_step` follows the prefix each call hands over (`follow`).  A
+    run is advanced or followed, never both, as advancing keeps no copy of
+    the record.  Other laws are called on the prefix.  `steps` sizes the
+    sums of an advanced run."""
 
-        return step
+    __slots__ = ("law", "dim", "phase", "counting", "dt", "s", "write", "body", "record", "sums", "size", "y")
 
-    def mapped(t, prefix):
-        h_t, _ = law.hamiltonian_at(t, prefix)
-        ch = as_operator(law.channel_map(t, prefix), "L_t")
-        if ch.shape[0] != model.dim:
-            raise DimensionMismatch(f"L_t dim {ch.shape[0]} != model dim {model.dim}")
-        return _step_matrix(_liouville(None, (_channel_parts(ch, phase),)), counting, dt, h_t)
+    def __init__(self, law: ControlLaw, model: SystemModel, phase: float, counting: bool, dt: float, steps: int = 0):
+        self.law, self.dim, self.phase, self.counting, self.dt = law, model.dim, phase, counting, dt
+        self.s = self.write = self.body = self.sums = None
+        if law.channel_map is None:
+            s, drift = _model_matrix(model, phase, counting, dt)
+            self.s = s.copy()
+            self.write = _hamiltonian_writer(self.s, drift)
+            if isinstance(law.control, _CompiledControl):
+                self.body = law.control.body
+                if law.control.reads_record:
+                    self.sums = np.empty(steps)
+        self.record = np.empty(0, dtype=np.int64)  # the followed prefix's bits
+        self.size = 0  # the entries of the record summed
+        self.y = 0.0  # an advanced run's last sum
 
-    return mapped
-
-
-def _law_steps(law: ControlLaw, model: SystemModel, phase: float, counting: bool, dt: float, increments):
-    """The function matrix(k, dy) -> the step matrix of step k of one law run
-    over `increments`, dy being the increment of step k - 1 (unread at
-    k = 0).  It returns what `_law_matrices` gives for (k dt, increments[:k]),
-    bit for bit.
-
-    For a compiled expression law without a channel map, the run owns the
-    record's cumulative sums: each call extends them by dy, one add, as
-    np.cumsum does, and evaluates the law's body on them, so no call copies,
-    compares or sums the prefix.  Other laws are called on the prefix."""
-    control = law.control
-    if law.channel_map is not None or not isinstance(control, _CompiledControl):
-        matrix_at = _law_matrices(law, model, phase, counting, dt)
-        return lambda k, dy: matrix_at(k * dt, increments[:k])
-    s, drift = _model_matrix(model, phase, counting, dt)
-    s = s.copy()
-    write = _hamiltonian_writer(s, drift)
-    body, h0, h1 = control.body, law.h0, law.h1
-    sums = np.empty(increments.size) if control.reads_record else None
-    y = 0.0
-
-    def matrix(k, dy):
-        nonlocal y
-        if sums is not None and k:
+    def advance(self, dy: float) -> None:
+        """Extend the sums by the record's next entry dy, one add."""
+        sums = self.sums
+        if sums is not None:
+            k = self.size
             # as np.cumsum does, the first entry is copied, not added to 0.0
-            y = y + dy if k > 1 else dy
-            sums[k - 1] = y
-        t = k * dt
-        u = body(t, sums, k)
-        if not math.isfinite(u):  # the body's arithmetic is on Python floats
-            u = _finite_real(u, f"control law returned {{}} at t = {t}")
-        write(h0 + u * h1, dt)
-        return s
+            self.y = y = self.y + dy if k else dy
+            sums[k] = y
+            self.size = k + 1
 
-    return matrix
+    def follow(self, prefix: np.ndarray) -> None:
+        """Make the sums those of `prefix`, bit for bit as np.cumsum gives
+        them: keep the leading entries that match the record's copy bit for
+        bit and sum only the rest.  A prefix one entry longer than the last
+        costs one add; one that shrinks, diverges or was edited in place is
+        summed from its first differing entry."""
+        if self.sums is None:
+            return
+        m = prefix.size
+        k = min(m, self.size)
+        # bitwise, so that -0.0 and 0.0 (which sum differently) never match
+        bits = prefix.view(np.int64)
+        differs = bits[:k] != self.record[:k]
+        same = k
+        if k:
+            first = int(differs.argmax())  # 0 when no entry differs
+            if differs[first]:
+                same = first
+        if same == m:
+            return
+        if m > self.record.size:
+            capacity = max(m, 2 * self.record.size)
+            record, sums = np.empty(capacity, dtype=np.int64), np.empty(capacity)
+            record[:same], sums[:same] = self.record[:same], self.sums[:same]
+            self.record, self.sums = record, sums
+        self.record[same:m] = bits[same:]
+        tail = self.sums[same:m]
+        # as np.cumsum does, the first entry is copied, not added to 0.0
+        tail[0] = self.sums[same - 1] + prefix[same] if same else prefix[0]
+        if tail.size > 1:
+            tail[1:] = prefix[same + 1 :]
+            np.cumsum(tail, out=tail)
+        self.size = m
+
+    def matrix(self, t: float, prefix: np.ndarray) -> np.ndarray:
+        """The step matrix at time t after the record `prefix`, to which a
+        compiled law's sums have been advanced or followed."""
+        law = self.law
+        if self.body is not None:
+            u = _finite_real(self.body(t, self.sums, prefix.size), _CONTROL_VALUE, t)
+            self.write(law.h0 + u * law.h1, self.dt)
+            return self.s
+        h_t, _ = law.hamiltonian_at(t, prefix)
+        if self.write is not None:
+            self.write(h_t, self.dt)
+            return self.s
+        ch = as_operator(law.channel_map(t, prefix), "L_t")
+        if ch.shape[0] != self.dim:
+            raise DimensionMismatch(f"L_t dim {ch.shape[0]} != model dim {self.dim}")
+        return _step_matrix(_liouville(None, (_channel_parts(ch, self.phase),)), self.counting, self.dt, h_t)
 
 
-# One thread's last bound feedback run: (law, model, key, matrix, step), the
-# law and model held by identity, matrix = `_law_matrices`' function and step
-# = `_row_step`'s, reused by the next call with the same law, model and key.
+# One thread's last bound feedback run: (law run, model, key, step), the
+# model held by identity, the law run a `_LawRun` and step `_row_step`'s,
+# reused by the next call with the same law, model and key.
 _feedback_runs = threading.local()
 
 
@@ -895,24 +876,25 @@ def feedback_step(
 ) -> FilterState:
     """One filter step with feedback-frozen coefficients.
 
-    The law sees the time t and the record entries strictly before t (the
-    prefix); supplying entries at or after t is a causality violation.  The
-    matching scheme step then runs with H_t (and L_t when the law carries a
-    channel map) held fixed across the step.
+    The law sees the time t, a finite real number, and the record entries
+    strictly before t (the prefix); supplying entries at or after t is a
+    causality violation.  The matching scheme step then runs with H_t (and
+    L_t when the law carries a channel map) held fixed across the step.
 
-    Each thread keeps the last run it bound (the copy of the step matrix H_t
-    is written into and the bound `_row_step`), and reuses it for the next
-    call with the same law and model objects, scheme, dt and normalization.
-    H0 and H1 are read, and every argument is checked, on every call.
+    Each thread keeps the last run it bound (a `_LawRun` and the bound
+    `_row_step`), and reuses it for the next call with the same law and
+    model objects, scheme, dt and normalization.  A compiled expression law
+    is evaluated on the run's cumulative sums, which follow each call's
+    prefix: a prefix one entry longer than the last costs one add and a
+    bitwise compare.  H0 and H1 are read, and every argument is checked, on
+    every call.
     """
     dt = _require_dt(dt)
     _require_model_state(state, model)
     _require_law_model(law, model)
     scheme = _VACUUM if scheme is None else scheme
     prefix = np.asarray(record_prefix, dtype=float).reshape(-1)
-    if t is None:
-        t = prefix.size * dt
-    t = float(t)
+    t = _finite_real(prefix.size * dt if t is None else t, "t: {}")
     if prefix.size * dt > t * (1.0 + 1e-12) + 1e-12 * dt:
         raise CausalityViolation(
             f"record prefix extends to {prefix.size * dt:.6g}, at or beyond the current time {t:.6g}"
@@ -920,10 +902,12 @@ def feedback_step(
     counting, kind, normalized = scheme.kind == COUNTING, _route(scheme), state.normalized
     key = (scheme.phase, counting, dt, kind, scheme.gain, normalized)
     run = getattr(_feedback_runs, "run", None)
-    if run is None or run[0] is not law or run[1] is not model or run[2] != key:
-        run = _feedback_runs.run = (law, model, key, _law_matrices(law, model, scheme.phase, counting, dt),
+    if run is None or run[0].law is not law or run[1] is not model or run[2] != key:
+        run = _feedback_runs.run = (_LawRun(law, model, scheme.phase, counting, dt), model, key,
                                     _row_step(model.dim, dt, kind, scheme.gain, normalized, False))
-    return _apply(state, dY, run[3](t, prefix), run[4], counting, normalized)
+    law_run = run[0]
+    law_run.follow(prefix)
+    return _apply(state, dY, law_run.matrix(t, prefix), run[3], counting, normalized)
 
 
 # --- health monitoring ----------------------------------------------------

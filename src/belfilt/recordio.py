@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .errors import RecordFormatError
 from .filters import COUNTING, MeasurementScheme
-from .trajectories import GENERATOR_NAME, ObservationRecord
+from .trajectories import GENERATOR_NAME, ObservationRecord, _require_seed
 
 RECORD_FORMAT = "belfilt-record-v1"
 PATH_FORMAT = "belfilt-path-v1"
@@ -106,7 +106,7 @@ def read_record(path) -> ObservationRecord:
     try:
         dt = float(meta["dt"])
         steps = int(meta["steps"])
-        seed = int(meta["seed"])
+        seed = _require_seed(int(meta["seed"]))
         kappa = float(meta["kappa"])
         phase = float(meta["phase"])
     except ValueError as exc:

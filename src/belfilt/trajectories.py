@@ -12,9 +12,10 @@ innovations are Wiener (diffusive case) or compensated-counting
 martingales, and it avoids simulating the exponentially large field.
 
 Simulation and replay run through one loop, `_integrate`, which validates
-and binds the filters' single-matrix step (`_row_step`) once per run.  Under
-a compiled expression law without a channel map, the loop owns the record's
-cumulative sums and extends them by one add a step (`filters._law_steps`),
+and binds the filters' single-matrix step (`_row_step`) once per run.  A
+control law steps through one law run (`filters._LawRun`) per run: under a
+compiled expression law without a channel map, the run keeps the record's
+cumulative sums and the loop extends them by one add a step (`advance`),
 so a closed-loop step costs the same at any horizon; other laws are called
 on each step's record prefix.
 Ensembles step their trajectories together instead: `_integrate_stack`
@@ -49,8 +50,10 @@ from .filters import (
     ControlLaw,
     MeasurementScheme,
     PathHealth,
-    _law_steps,
+    _LawRun,
     _model_matrix,
+    _finite_real,
+    _require_dt,
     _require_law_model,
     _route,
     _row_step,
@@ -74,13 +77,19 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def _require_integer(value, name: str) -> int:
+    """value as an int, when it is an integer (a numpy one reads as int), not
+    a bool; otherwise ValidationError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 def _require_seed(seed) -> int:
-    """seed as an int, when it is an unsigned 64-bit integer (a numpy one
-    reads as int), the range `derive_seed` mixes without folding two seeds
-    into one; not a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValidationError(f"seed: expected an integer, got {seed!r}")
-    seed = int(seed)
+    """seed as an int, when it is an unsigned 64-bit integer
+    (`_require_integer`), the range `derive_seed` mixes without folding two
+    seeds into one."""
+    seed = _require_integer(seed, "seed")
     if not 0 <= seed < 2**64:
         raise ValidationError(f"seed: must be an unsigned 64-bit integer (0 <= seed < 2**64), got {seed}")
     return seed
@@ -89,7 +98,9 @@ def _require_seed(seed) -> int:
 def derive_seed(base_seed: int, index: int) -> int:
     """splitmix64 finalizer of base_seed + (index+1)*golden; bijective in the
     index for a fixed base, hence collision-free over any ensemble.  The base
-    is a seed as `_require_seed` takes it."""
+    is a seed as `_require_seed` takes it, the index an integer as
+    `_require_integer` takes it."""
+    index = _require_integer(index, "trajectory index")
     if index < 0:
         raise ValidationError("trajectory index must be nonnegative")
     z = (_require_seed(base_seed) + (index + 1) * _GOLDEN) & _MASK64
@@ -103,7 +114,8 @@ def derive_seed(base_seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class ObservationRecord:
-    """A measurement record on a uniform grid: increments dY per step."""
+    """A measurement record on a uniform grid: increments dY per step.  The
+    seed is one `simulate_*` takes (`_require_seed`)."""
 
     scheme: MeasurementScheme
     dt: float
@@ -111,7 +123,8 @@ class ObservationRecord:
     seed: int = 0
 
     def __post_init__(self):
-        if not np.isfinite(self.dt) or self.dt <= 0:
+        dt = _finite_real(self.dt, "record dt: {}")
+        if dt <= 0:
             raise ValidationError("record dt must be positive")
         inc = np.asarray(self.increments, dtype=float).reshape(-1)
         if not np.all(np.isfinite(inc)):
@@ -122,8 +135,8 @@ class ObservationRecord:
         inc = np.array(inc)
         inc.setflags(write=False)
         object.__setattr__(self, "increments", inc)
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "dt", dt)
+        object.__setattr__(self, "seed", _require_seed(self.seed))
 
     @property
     def steps(self) -> int:
@@ -149,10 +162,9 @@ class ObservationRecord:
 
 
 def _grid(horizon: float, dt: float) -> int:
-    if not np.isfinite(horizon) or horizon <= 0:
+    horizon, dt = _finite_real(horizon, "T: {}"), _require_dt(dt)
+    if horizon <= 0:
         raise ValidationError("T must be positive")
-    if not np.isfinite(dt) or dt <= 0:
-        raise ValidationError("dt must be positive")
     ratio = horizon / dt
     steps = int(round(ratio))
     if steps < 1:
@@ -209,13 +221,14 @@ def _integrate(
     """
     w = _initial_matrix(rho0, model)
     phase, kind, gain, counting = scheme.phase, _route(scheme), scheme.gain, scheme.kind == COUNTING
+    steps = increments.size
     if law is None:
         s, _ = _model_matrix(model, phase, counting, dt)
-        law_matrix = None
+        run = None
     else:
         _require_law_model(law, model)
-        law_matrix = _law_steps(law, model, phase, counting, dt, increments)
-    steps = increments.size
+        run = _LawRun(law, model, phase, counting, dt, steps)
+        matrix, advance = run.matrix, run.advance
     n = model.dim
     sampling = noise is not None
     step = _row_step(n, dt, kind, gain, normalized, sampling)
@@ -225,16 +238,17 @@ def _integrate(
     traces = np.ones(steps + 1)
     # Python floats: numpy scalar arithmetic costs microseconds a step
     values = (noise if sampling else increments).tolist()
-    dy = 0.0  # the increment of step k - 1, from which a law's step k extends its sums
     for k in range(steps):
         try:
-            if law_matrix is not None:
-                s = law_matrix(k, dy)
+            if run is not None:
+                s = matrix(k * dt, increments[:k])
             traces[k + 1], dy = step(rows[k], s, values[k], rows[k + 1])
         except (ValidationError, NumericalFailure) as exc:
             raise type(exc)(f"{_at(k, trajectory)}: {exc}") from None
         if sampling:
             increments[k] = dy
+        if run is not None:
+            advance(dy)
     return path, None if normalized else traces
 
 
@@ -476,9 +490,7 @@ def ensemble_average(
     as int), not bools, and seed is below 2**64.
     """
     seed = _require_seed(seed)
-    if isinstance(n_trajectories, bool) or not isinstance(n_trajectories, (int, np.integer)):
-        raise ValidationError(f"n_trajectories: expected an integer, got {n_trajectories!r}")
-    n_trajectories = int(n_trajectories)
+    n_trajectories = _require_integer(n_trajectories, "n_trajectories")
     if n_trajectories < 1:
         raise ValidationError("n_trajectories must be at least 1")
     obs = {name: as_operator(x, f"observable {name!r}") for name, x in observables.items()}

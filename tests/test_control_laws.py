@@ -1,6 +1,7 @@
-"""Compiled control laws: bit-identity with the direct evaluator, the work
-done per call, the per-thread memo of cumulative sums, the sums a closed
-loop keeps itself, and the run `feedback_step` keeps bound per thread."""
+"""Compiled control laws: bit-identity with the direct evaluator, called
+directly and through a bound law run, the work done per call, the sums a
+closed loop keeps itself, and the run `feedback_step` keeps bound per
+thread."""
 
 import struct
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import belfilt as bf
-from belfilt.filters import ControlLaw, FilterState, _RunningSums, compile_control_expression, feedback_step
+from belfilt.filters import ControlLaw, FilterState, _LawRun, compile_control_expression, feedback_step
 from belfilt.operators import SIGMA_MINUS, SIGMA_X, SIGMA_Z, DensityState, SystemModel
 from belfilt.trajectories import simulate_homodyne
 
@@ -99,6 +100,36 @@ class TestCompiledLawsMatchDirectEvaluation:
             with np.errstate(invalid="ignore"):  # inf - inf in the sums
                 u, expected = law(t, prefix), reference(t, prefix)
             assert _bits(u) == _bits(expected), f"call {call}: {u!r} != {expected!r}"
+
+    @pytest.mark.parametrize("sequence", SEQUENCES, ids=lambda s: s.__name__.strip("_"))
+    @pytest.mark.parametrize("expression", EXPRESSIONS)
+    def test_bound_run_follows_call_sequence(self, expression, sequence):
+        # a run that follows each prefix evaluates the body on its own sums:
+        # the body's value, the step matrix and any refusal must be those of
+        # a run of the direct evaluator, bit for bit
+        values = []
+        law = ControlLaw.from_expression(expression, MODEL.hamiltonian, SIGMA_X)
+        body = law.control.body
+
+        def spy(t, sums, m):
+            values.append(body(t, sums, m))
+            return values[-1]
+
+        law.control.body = spy
+        reference = reference_control(expression)
+        direct = ControlLaw(reference, MODEL.hamiltonian, SIGMA_X)
+        bound, fresh = _LawRun(law, MODEL, 0.0, False, DT), _LawRun(direct, MODEL, 0.0, False, DT)
+        for call, prefix in enumerate(sequence()):
+            prefix = np.asarray(prefix, dtype=float).reshape(-1)
+            t = 0.37 + 1e-3 * prefix.size
+            with np.errstate(invalid="ignore"):  # inf - inf in the sums
+                bound.follow(prefix)
+                got, want = _outcome(lambda: bound.matrix(t, prefix).copy()), _outcome(lambda: fresh.matrix(t, prefix))
+                expected = reference(t, prefix)
+            assert _bits(values[-1]) == _bits(expected), f"call {call}: {values[-1]!r} != {expected!r}"
+            assert got[1] == want[1], f"call {call}"
+            assert _same_bits(got[0], want[0]), f"call {call}"
+        assert len(values) == call + 1
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_control_still_refused(self, bad):
@@ -367,19 +398,21 @@ class TestLoopOwnedSums:
 
     def test_closed_loop_simulation_never_compares_prefixes(self, monkeypatch):
         calls = []
-        cumulative = _RunningSums.cumulative
+        follow = _LawRun.follow
 
         def spy(self, prefix):
             calls.append(prefix.size)
-            return cumulative(self, prefix)
+            return follow(self, prefix)
 
-        monkeypatch.setattr(_RunningSums, "cumulative", spy)
+        monkeypatch.setattr(_LawRun, "follow", spy)
         law = ControlLaw.from_expression(LOOP_LAWS[0], MODEL.hamiltonian, SIGMA_X)
-        simulate_homodyne(MODEL, RHO0, 0.2, DT, seed=25, law=law)
+        record, _ = simulate_homodyne(MODEL, RHO0, 0.2, DT, seed=25, law=law)
         assert calls == []
-        # the spy sees the memo: the same law called on a prefix goes through it
-        law.control(0.1, np.zeros(100))
-        assert calls == [100]
+        # the spy sees the compare: feedback_step follows its prefix once a call
+        state = FilterState.from_density(RHO0)
+        for k in range(3):
+            state = feedback_step(state, record.increments[k], law, MODEL, record.increments[:k], DT, t=k * DT)
+        assert calls == [0, 1, 2]
 
 
 def _feedback_runs():

@@ -61,6 +61,15 @@ class TestSchemeValidation:
         with pytest.raises(bf.ValidationError, match="phase"):
             MeasurementScheme("counting", phase=0.3)
 
+    @pytest.mark.parametrize("field", ["kappa", "phase"])
+    @pytest.mark.parametrize("value,shown", [("0.5", "non-numeric value '0.5'"), (b"0.5", "non-numeric value b'0.5'"),
+                                             (None, "non-numeric value None"), (0.5j, "non-real value 0.5j"),
+                                             (np.complex128(0.5 + 1e-300j), "non-real value .*1e-300j.*"),
+                                             (np.nan, "non-real value nan"), (-np.inf, "non-real value -inf")])
+    def test_non_numeric_refused(self, field, value, shown):
+        with pytest.raises(bf.ValidationError, match=rf"^scheme: {field}: {shown}$"):
+            MeasurementScheme("imperfect", **{field: value})
+
     def test_gain(self):
         assert MeasurementScheme.imperfect(0.0).gain == 1.0
         assert MeasurementScheme.imperfect(3.0).gain == pytest.approx(0.1)
@@ -278,15 +287,15 @@ class TestNormalize:
 
 
 _PUBLIC_STEPS = {
-    "bks_step_homodyne": lambda state, dy: bks_step_homodyne(state, dy, DECAY, 1e-3),
-    "zakai_step_homodyne": lambda state, dy: zakai_step_homodyne(state, dy, DECAY, 1e-3),
-    "bks_step_counting": lambda state, dy: bks_step_counting(state, dy, DECAY, 1e-3),
-    "zakai_step_counting": lambda state, dy: zakai_step_counting(state, dy, DECAY, 1e-3),
-    "diffusive_filter_step": lambda state, dy: diffusive_filter_step(
-        state, dy, DECAY, 1e-3, MeasurementScheme.imperfect(1.0)),
-    "filter_step": lambda state, dy: bf.filter_step(state, dy, DECAY, 1e-3),
-    "feedback_step": lambda state, dy: feedback_step(
-        state, dy, ControlLaw.from_expression("0.5 * Y", np.zeros((2, 2)), SIGMA_X), DECAY, [0.1], 1e-3),
+    "bks_step_homodyne": lambda state, dy, dt=1e-3: bks_step_homodyne(state, dy, DECAY, dt),
+    "zakai_step_homodyne": lambda state, dy, dt=1e-3: zakai_step_homodyne(state, dy, DECAY, dt),
+    "bks_step_counting": lambda state, dy, dt=1e-3: bks_step_counting(state, dy, DECAY, dt),
+    "zakai_step_counting": lambda state, dy, dt=1e-3: zakai_step_counting(state, dy, DECAY, dt),
+    "diffusive_filter_step": lambda state, dy, dt=1e-3: diffusive_filter_step(
+        state, dy, DECAY, dt, MeasurementScheme.imperfect(1.0)),
+    "filter_step": lambda state, dy, dt=1e-3: bf.filter_step(state, dy, DECAY, dt),
+    "feedback_step": lambda state, dy, dt=1e-3: feedback_step(
+        state, dy, ControlLaw.from_expression("0.5 * Y", np.zeros((2, 2)), SIGMA_X), DECAY, [0.1], dt),
 }
 
 
@@ -303,6 +312,27 @@ class TestNonFiniteInputsRefused:
         state = FilterState(np.diag([0.5, 0.5]).astype(complex), normalized=True)
         with pytest.raises(bf.ValidationError, match=rf"^increment dY: {shown}$"):
             _PUBLIC_STEPS[entry](state, value)
+
+    @pytest.mark.parametrize("dt,shown", [("0.001", "non-numeric value '0.001'"),
+                                          (b"0.001", "non-numeric value b'0.001'"),
+                                          (None, "non-numeric value None"), (1e-3j, "non-real value 0.001j"),
+                                          (np.complex128(1e-3 + 1e-300j), "non-real value .*1e-300j.*")])
+    @pytest.mark.parametrize("entry", list(_PUBLIC_STEPS))
+    def test_dt_must_be_a_real_number(self, entry, dt, shown):
+        state = FilterState(np.diag([0.5, 0.5]).astype(complex), normalized=True)
+        with pytest.raises(bf.ValidationError, match=rf"^dt: {shown}$"):
+            _PUBLIC_STEPS[entry](state, 0.0, dt)
+
+    @pytest.mark.parametrize("t,prefix,shown", [
+        (np.nan, 0, "non-real value nan"), (np.inf, 3, "non-real value inf"), (-np.inf, 0, "non-real value -inf"),
+        (0.1j, 0, r"non-real value 0.1j"), ("0.1", 0, "non-numeric value '0.1'"),
+        ([0.1], 0, r"non-numeric value \[0.1\]"),
+    ])
+    def test_feedback_time_must_be_finite_real(self, t, prefix, shown):
+        law = ControlLaw.from_expression("0.5 * Y", np.zeros((2, 2)), SIGMA_X)
+        state = FilterState(np.diag([0.5, 0.5]).astype(complex), normalized=True)
+        with pytest.raises(bf.ValidationError, match=rf"^t: {shown}$"):
+            feedback_step(state, 0.0, law, DECAY, np.zeros(prefix), 1e-3, t=t)
 
     @pytest.mark.parametrize("value", [0.25, np.float64(0.25), np.float32(0.25), 1, np.int64(1), 1 + 0j])
     def test_real_increments_of_any_type_step_alike(self, value):

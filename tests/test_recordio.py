@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from belfilt.errors import RecordFormatError
+from belfilt.errors import RecordFormatError, ValidationError
 from belfilt.filters import MeasurementScheme
 from belfilt.recordio import (
     read_metadata,
@@ -241,6 +241,27 @@ class TestReaderFixes:
         with_blanks = lines[: first + 2] + [""] + lines[first + 2 :] + ["", ""]
         (tmp_path / "blank.csv").write_text("\n".join(with_blanks) + "\n")
         assert read_record(tmp_path / "blank.csv") == read_record(tmp_path / "valid.csv")
+
+
+class TestRecordSeeds:
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, 2**70, "3", None])
+    def test_record_refuses_a_seed_simulate_would(self, seed):
+        with pytest.raises(ValidationError, match=r"^seed: "):
+            ObservationRecord(MeasurementScheme.homodyne(), 1e-2, np.zeros(3), seed=seed)
+
+    @pytest.mark.parametrize("seed", ["-7", "18446744073709551616"])
+    def test_metadata_seed_outside_u64_is_a_format_error(self, tmp_path, seed):
+        lines, _ = record_lines(tmp_path)
+        lines[lines.index("# seed: 5")] = f"# seed: {seed}"
+        (tmp_path / "seed.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(RecordFormatError, match=rf"^malformed metadata value: seed: .*, got {seed}$"):
+            read_record(tmp_path / "seed.csv")
+
+    def test_numpy_seed_reads_as_int(self, tmp_path):
+        rec = ObservationRecord(MeasurementScheme.homodyne(), 1e-2, np.zeros(3), seed=np.uint64(2**64 - 1))
+        assert rec.seed == 2**64 - 1 and type(rec.seed) is int
+        write_record(rec, tmp_path / "max.csv")
+        assert read_record(tmp_path / "max.csv") == rec
 
 
 class TestReadMetadata:

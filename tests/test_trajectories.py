@@ -62,6 +62,15 @@ class TestSeedDerivation:
         with pytest.raises(bf.ValidationError):
             derive_seed(0, -1)
 
+    @pytest.mark.parametrize("index", [True, np.bool_(True), 2.5, 1.0, "1", None])
+    def test_rejects_non_integer_index(self, index):
+        with pytest.raises(bf.ValidationError, match=r"^trajectory index: expected an integer, got "):
+            derive_seed(0, index)
+
+    @pytest.mark.parametrize("index", [np.int64(999), np.uint64(999)])
+    def test_numpy_index_reads_as_int(self, index):
+        assert derive_seed(12345, index) == 11146372364405179148
+
     @pytest.mark.parametrize("base", [2.5, -1, 2**64, True, None])
     def test_rejects_base_outside_u64(self, base):
         # before, 2.5 derived seed 2's streams and -1 those of 2**64 - 1
@@ -119,6 +128,36 @@ class TestSeedsRefused:
         from belfilt import config
 
         assert config._require_seed is trajectories._require_seed
+
+
+_GRID_ENTRY_POINTS = {
+    "simulate_homodyne": lambda horizon, dt: simulate_homodyne(DECAY, PLUS_MIXED, horizon, dt, 1),
+    "simulate_counting": lambda horizon, dt: simulate_counting(DECAY, EXCITED_MIXED, horizon, dt, 1),
+    "ensemble_average": lambda horizon, dt: ensemble_average(
+        DECAY, MeasurementScheme.homodyne(), {"z": SIGMA_Z}, 3, 1, horizon, dt, PLUS_MIXED),
+}
+
+
+class TestNonNumericRefused:
+    """T and dt that are not real numbers raise ValidationError naming them,
+    not numpy's TypeError, and no str is parsed (`filters._finite_real`)."""
+
+    @pytest.mark.parametrize("entry", sorted(_GRID_ENTRY_POINTS))
+    @pytest.mark.parametrize("value", ["0.01", b"0.01", None, [0.01], 0.01j, np.complex128(0.01 + 1e-300j)],
+                             ids=["str", "bytes", "none", "list", "complex", "numpy-complex"])
+    @pytest.mark.parametrize("name", ["T", "dt"])
+    def test_grid_refuses_non_numeric(self, entry, name, value, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(trajectories, "_noise", lambda *args: drawn.append(args))
+        args = (value, 1e-3) if name == "T" else (0.01, value)
+        with pytest.raises(bf.ValidationError, match=rf"^{name}: non-(numeric|real) value "):
+            _GRID_ENTRY_POINTS[entry](*args)
+        assert drawn == []
+
+    @pytest.mark.parametrize("dt", ["1e-3", None, 1e-3j])
+    def test_record_dt_must_be_a_real_number(self, dt):
+        with pytest.raises(bf.ValidationError, match=r"^record dt: non-(numeric|real) value "):
+            ObservationRecord(MeasurementScheme.homodyne(), dt, np.zeros(3))
 
 
 class TestSimulateHomodyne:
