@@ -32,6 +32,14 @@ STACKED trajectories stepped as one stack by trajectories._integrate_stack,
 so that stacked rows are checked directly and not only through the
 ensemble sums; a checkout without it hashes the AttributeError.
 
+Outputs from n = 7 on (n = 8 among the defaults) depend on the BLAS
+thread count: OpenBLAS threads a vector-matrix product of 4096 entries or
+more, and the step matrix has n^2 (3n^2 + 3) entries, n^2 (4n^2 + 3) under
+a control law.  The default dimensions include n = 6, the one at which
+only the law lines (law simulate, law online, their callable and
+channel-map pairs, ensemble law) cross that size.  Compare checkouts at
+the same OPENBLAS_NUM_THREADS.
+
 To see how far outputs moved rather than whether they did, save one
 checkout's outputs and compare the other's against them; each case then
 prints its largest deviation of filter matrices (and ensemble means), of
@@ -43,7 +51,7 @@ CSV cases 1 if the bytes differ, 0 if not:
     PYTHONPATH=../old/src python3 scripts/seeded_hashes.py --save before
     PYTHONPATH=src python3 scripts/seeded_hashes.py --against before
 
-The hashes broke twice, by design.  First when the filter step moved to
+The hashes broke three times, by design.  First when the filter step moved to
 Liouville space (one product with a step matrix instead of separate n x n
 products): the summation order changed and outputs moved by about 1e-14;
 tests/test_liouville_step.py holds the step within 1e-12 of the old kernel
@@ -53,8 +61,16 @@ of the coefficients, divided by the trace, with the step's blocks: over
 the default cases, normalized paths and ensemble means moved by at most
 3.1e-15, unnormalized (Zakai) matrices by at most 2.5e-14, likelihoods by
 at most 8.1e-15 relative and homodyne increments by at most 5.6e-17, with
-no count moved.  A diff across either change is therefore not empty;
-compare checkouts on the same side of both, or use --against.
+no count moved.  Last when a control law's H1 left the step matrix for a
+block of its own, with u a fourth coefficient of the update: the law lines
+alone moved (law simulate, law online and the callable and channel-map
+pairs, ensemble law), paths and ensemble means by at most 2.7e-15,
+increments by at most 5.6e-17 and health monitors by at most 8.0e-16, with
+no count moved, pinned and unpinned alike; ensemble standard errors where
+every trajectory holds the same value (counting before a first count) went
+from 0 to at most 3.8e-8, the square root of a rounding.  Every other line
+kept its hash.  A diff across any of these changes is therefore not empty;
+compare checkouts on the same side of them, or use --against.
 """
 
 from __future__ import annotations
@@ -339,7 +355,7 @@ def compare(name: str, parts, saved) -> str:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4, 8])
+    parser.add_argument("--dims", type=int, nargs="+", default=[2, 3, 4, 6, 8])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--horizon", type=float, default=2.0)
     parser.add_argument("--dt", type=float, default=5e-3)

@@ -33,11 +33,13 @@ tr(A r), tr(X r), tr(r), A' r, X r and r, for A' = A - i dt [H, .]: the
 three scalars give (a0, a1, a2) and the raw trace (the commutator is
 traceless), and a second product of the row (a0, a1, a2), divided by the
 trace on the normalized routes, with the last three blocks of p gives the
-next matrix.  S is bound once per run.  A control law's run (`_LawRun`)
-holds its own copy of S and rewrites only its A' block from H_t each step
-(`_hamiltonian_writer`); it evaluates a compiled expression law on record
-sums it keeps itself, extended by one add a step in a closed loop and
-following each call's prefix in `feedback_step`.  `_row_step` binds the
+next matrix.  S is bound once per run.  A control law, H_t = H0 + u_t H1,
+steps with S = [S0 | C1]: S0 the step matrix of H0 and C1 = -i dt [H1, .]
+one more block, so that p also holds C1 r and u_t enters as a fourth
+coefficient, a0 u_t, of the second product; no step writes into S.  A
+law's run (`_LawRun`) evaluates a compiled expression law on record sums
+it keeps itself, extended by one add a step in a closed loop and following
+each call's prefix in `feedback_step`.  `_row_step` binds the
 step of one matrix once per run (once per call for the public step
 functions; `feedback_step` keeps each thread's last bound run), fed one
 float a step: the increment dy, or the noise dy is drawn from when the run
@@ -247,85 +249,67 @@ def _refuse(bad, error, message, *values):
     raise exc
 
 
-def _step_matrix(blocks, counting: bool, dt: float, h):
+@functools.lru_cache(maxsize=None)
+def _commutator_terms(n: int):
+    """The indices, shape (2, n^4), into g = [vec(-i dt H), 0] of the two
+    terms of each entry of `_commutator` at dimension n, n^2 reading the 0;
+    read-only, as every caller shares them."""
+    a, b, c, d = np.indices((n,) * 4).reshape(4, -1)
+    terms = np.stack((np.where(b == d, a * n + c, n * n), np.where(a == c, d * n + b, n * n)))
+    terms.setflags(write=False)
+    return terms
+
+
+def _commutator(h, dt: float):
+    """-i dt [H, .] as an n^2 x n^2 block on the row-major vec, as
+    `operators._liouville` gives its blocks: the entry ((a, b), (c, d)) is
+    g[a n + c] [b = d] - g[d n + b] [a = c] for g = vec(-i dt H), a term
+    whose bracket fails reading an exact 0, so that an entry H does not
+    reach is +0 and adding the block to A (which holds no -0 part) leaves
+    that entry's bits as they are."""
+    n = len(h)
+    g = np.zeros(n * n + 1, dtype=complex)
+    np.multiply(h, -1j * dt, out=g[: n * n].reshape(n, n))
+    left, right = g[_commutator_terms(n)]
+    return (left - right).reshape(n * n, n * n)
+
+
+def _step_matrix(blocks, counting: bool, dt: float, h, control=None):
     """S, the matrix of one Euler step on the row vec(r) (see `_row_step`),
     from a channel's `operators._liouville` blocks (D, G, J) and the
-    Hamiltonian h (None for none): vec(r) @ S holds tr(A r), tr(X r), tr(r),
-    A' r, X r and r, for A = I + dt D, A' = A - i dt [H, .] and X = J when
-    counting, G otherwise.  The commutator being traceless, the trace
-    columns are those of A."""
+    Hamiltonian h: vec(r) @ S holds tr(A r), tr(X r), tr(r), A' r, X r and
+    r, for A = I + dt D, A' = A - i dt [H, .] and X = J when counting, G
+    otherwise.  With `control`, the H1 of a law, S gains the block
+    C1 = -i dt [H1, .] after these, and vec(r) @ S holds C1 r last.  The
+    commutator being traceless, the trace columns are those of A."""
     dissipator, diffusive, jump = blocks
     measured = jump if counting else diffusive
     n2 = len(measured)
     n = math.isqrt(n2)
     a = np.eye(n2) + dt * dissipator
     traces = [a[:: n + 1].sum(0), measured[:: n + 1].sum(0), np.eye(n).reshape(-1)]
-    s = np.vstack(traces + [a, measured, np.eye(n2)]).T.copy()
-    if h is not None:
-        _hamiltonian_writer(s)(h, dt)
-    return s
+    rows = traces + [a + _commutator(h, dt), measured, np.eye(n2)]
+    if control is not None:
+        rows.append(_commutator(control, dt))
+    return np.vstack(rows).T.copy()
 
 
-@functools.lru_cache(maxsize=None)
-def _commutator_index(n: int):
-    """Where -i dt [H, .] enters the step matrix of an n x n filter.
-
-    S holds the map transposed on the row-major vec: its A' block entry
-    ((c, d), (a, b)) gains g[a n + c] [b = d] - g[d n + b] [a = c] for
-    g = [vec(-i dt H), 0].  Returns the flat positions in S of the 2n^3 - n^2
-    entries with b = d or a = c, and shape (2, that many) the indices into g
-    of their two terms, n^2 reading the zero."""
-    c, d, a, b = np.indices((n,) * 4).reshape(4, -1)
-    hit = (b == d) | (a == c)
-    c, d, a, b = c[hit], d[hit], a[hit], b[hit]
-    where = (c * n + d) * (3 + 3 * n * n) + 3 + a * n + b
-    terms = np.stack((np.where(b == d, a * n + c, n * n), np.where(a == c, d * n + b, n * n)))
-    where.setflags(write=False)
-    terms.setflags(write=False)
-    return where, terms
-
-
-def _hamiltonian_writer(s, drift=None):
-    """Bind the step matrix s and return write(h, dt), which makes its A'
-    columns A' = A - i dt [H, .] for the Hamiltonian h.  `drift` holds the
-    entries of A at the positions H reaches (`_commutator_index`), read from
-    s, its A' columns then holding A, when not given.  A write is two
-    gathers from g = [vec(-i dt H), 0], a difference, a sum with `drift` and
-    one scatter, into buffers bound once; no n^4 x n^2 map of H is held."""
-    n2 = len(s)
-    n = math.isqrt(n2)
-    where, terms = _commutator_index(n)
-    flat = s.reshape(-1)
-    if drift is None:
-        drift = flat[where]
-    g = np.zeros(n2 + 1, dtype=complex)
-    head = g[:n2].reshape(n, n)
-    pair = np.empty(terms.shape, dtype=complex)
-    left, right = pair
-
-    def write(h, dt: float) -> None:
-        np.multiply(h, -1j * dt, out=head)
-        g.take(terms, out=pair, mode="clip")  # in range; "clip" skips the checked, buffered path
-        np.subtract(left, right, out=left)
-        np.add(drift, left, out=left)
-        flat[where] = left
-
-    return write
-
-
-def _model_matrix(model: SystemModel, phase: float, counting: bool, dt: float):
-    """The step matrix of `model`'s channel and Hamiltonian, and the entries
-    of A the Hamiltonian reaches (a control law's H_t is written over them,
-    see `_hamiltonian_writer`); built once and held with the model until a
-    call with another phase, scheme family or dt."""
-    key = (phase, counting, dt)
-    held = model._derived.get("step")
+def _model_matrix(model: SystemModel, phase: float, counting: bool, dt: float, law=None):
+    """The step matrix of `model`'s channel and Hamiltonian, or under a
+    control law without a channel map [S0 | C1] of its H0 and H1
+    (`_step_matrix`); built once and held with the model until a call with
+    another phase, scheme family, dt or law Hamiltonians (compared bit for
+    bit)."""
+    if law is None:
+        slot, key, h, control = "step", (phase, counting, dt), model.hamiltonian, None
+    else:
+        slot, h, control = "law step", law.h0, law.h1
+        key = (phase, counting, dt, h.tobytes(), control.tobytes())
+    held = model._derived.get(slot)
     if held is None or held[0] != key:
-        s = _step_matrix(model._single_channel_blocks(phase), counting, dt, None)
-        drift = s.reshape(-1)[_commutator_index(model.dim)[0]]
-        _hamiltonian_writer(s, drift)(model.hamiltonian, dt)
-        held = model._derived["step"] = (key, s, drift)
-    return held[1], held[2]
+        s = _step_matrix(model._single_channel_blocks(phase), counting, dt, h, control)
+        held = model._derived[slot] = (key, s)
+    return held[1]
 
 
 # The table of (a0, a1, a2) (see the module docstring), by `_route`'s kind and
@@ -370,33 +354,39 @@ def _vanished(tr, dy, a0, trace_a, a1, m):
     return f"filter trace {tr:.3e} vanished; reduce dt"
 
 
-def _row_step(n: int, dt: float, kind: str, gain: float, normalized: bool, sampling: bool):
+def _row_step(n: int, dt: float, kind: str, gain: float, normalized: bool, sampling: bool,
+              controlled: bool = False):
     """Bind one run's Euler step of one n x n matrix: the `_COEFFICIENTS`
     entry of `kind` (`_route`'s) and `normalized`, where dy comes from
     (`sampling`), the jump flag, and buffers for the product and the
     coefficient row, so that none is looked up or allocated per step.
 
-    Returns step(row, s, value, out) -> (trace, dy), which steps the row
-    vec(r), shape (n^2,), of one raw matrix r with the step matrix s
-    (`_step_matrix`; a law run passes each step's own).  p = row.dot(s)
-    holds the traces tr(A r), tr(X r), tr(r) and the blocks A' r, X r, r.
-    `value` is the increment dy, or with `sampling` the noise from which dy
-    is drawn given the pre-step state (`_sample`).  The raw step
-    a0 A' r + a1 X r + a2 r takes (a0, a1, a2) from the table, and its trace
-    is a0 tr(A r) + a1 tr(X r) + a2 tr(r).  The next row, written into
-    `out`, is one product of the coefficient row, divided by the trace on
-    the normalized routes, with the blocks of p.  Returns the trace of the
-    raw step (the likelihood of Zakai runs) and dy.  Scalars are Python
+    Returns step(row, s, value, out, u=0.0) -> (trace, dy), which steps the
+    row vec(r), shape (n^2,), of one raw matrix r with the step matrix s
+    (`_step_matrix`).  p = row.dot(s) holds the traces tr(A r), tr(X r),
+    tr(r) and the blocks A' r, X r, r.  `value` is the increment dy, or with
+    `sampling` the noise from which dy is drawn given the pre-step state
+    (`_sample`).  The raw step a0 A' r + a1 X r + a2 r takes (a0, a1, a2)
+    from the table, and its trace is a0 tr(A r) + a1 tr(X r) + a2 tr(r).
+    The next row, written into `out`, is one product of the coefficient
+    row, divided by the trace on the normalized routes, with the blocks of
+    p.  A `controlled` run steps with a law's S = [S0 | C1], so p also holds
+    C1 r, and its row has a fourth coefficient a0 u for the control u: the
+    raw step is then that of H0 + u H1, with the trace unchanged since C1 is
+    traceless, and a registered count (a0 = 0) carries no control term.
+    Other runs keep the three-entry row and ignore u.  Returns the trace of
+    the raw step (the likelihood of Zakai runs) and dy.  Scalars are Python
     floats throughout, and the two BLAS products give the bits of
     `_stack_step`'s for each row of a stack."""
     coefficients = _COEFFICIENTS[kind, normalized]
     counting = kind == COUNTING
     jumps = counting and normalized
-    coef = np.empty(3, dtype=complex)  # complex, so that the product casts nothing
-    p = np.empty(3 + 3 * n * n, dtype=complex)
-    traces, blocks = p[:3].real, p[3:].reshape(3, n * n)
+    width = 4 if controlled else 3
+    coef = np.empty(width, dtype=complex)  # complex, so that the product casts nothing
+    p = np.empty(3 + width * n * n, dtype=complex)
+    traces, blocks = p[:3].real, p[3:].reshape(width, n * n)
 
-    def step(row, s, value, out):
+    def step(row, s, value, out, u=0.0):
         row.dot(s, p)
         trace_a, m, trace_r = traces.tolist()
         dy = _sample(m, value, dt, counting) if sampling else value
@@ -414,6 +404,8 @@ def _row_step(n: int, dt: float, kind: str, gain: float, normalized: bool, sampl
             if not 0.0 < tr < math.inf:
                 _refuse(True, FilterCollapse, _NOT_POSITIVE_FINITE, tr)
             coef[0], coef[1], coef[2] = a0, a1, a2
+        if controlled:
+            coef[3] = a0 * u / tr if normalized else a0 * u
         coef.dot(blocks, out)
         return tr, dy
 
@@ -523,16 +515,17 @@ def _stack_step(b: int, n: int, dt: float, kind: str, gain: float):
     return count_step if counting else homodyne if kind == HOMODYNE else imperfect
 
 
-def _apply(state: FilterState, dY, s, step, counting: bool, normalized: bool):
-    """Step state.matrix once with the step matrix s and a `_row_step` step,
-    for dY a finite real number (0 or 1 when `counting`); normalized results
-    keep the incoming likelihood."""
+def _apply(state: FilterState, dY, s, step, counting: bool, normalized: bool, u: float = 0.0):
+    """Step state.matrix once with the step matrix s and a `_row_step` step
+    (under the control u, for a controlled one), for dY a finite real number
+    (0 or 1 when `counting`); normalized results keep the incoming
+    likelihood."""
     dy = _finite_real(dY, "increment dY: {}")
     if counting and dy not in (0.0, 1.0):
         raise ValidationError(f"counting increment must be 0 or 1, got {dY!r}")
     w = state.matrix
     new = np.empty(w.size, dtype=complex)
-    tr, _ = step(w.reshape(-1), s, dy, new)
+    tr, _ = step(w.reshape(-1), s, dy, new, u)
     return FilterState(new.reshape(w.shape), normalized, state.likelihood if normalized else tr)
 
 
@@ -540,7 +533,7 @@ def _model_step(state: FilterState, dY, model: SystemModel, dt: float, scheme: M
     dt = _require_dt(dt)
     _require_model_state(state, model)
     counting = scheme.kind == COUNTING
-    s, _ = _model_matrix(model, scheme.phase, counting, dt)
+    s = _model_matrix(model, scheme.phase, counting, dt)
     step = _row_step(model.dim, dt, _route(scheme), scheme.gain, normalized, False)
     return _apply(state, dY, s, step, counting, normalized)
 
@@ -765,29 +758,33 @@ def _require_law_model(law: ControlLaw, model: SystemModel) -> None:
 
 
 class _LawRun:
-    """One run of a control law over a record: the state that evaluating it
-    step after step keeps, and the step matrix of each step (`matrix`).
+    """One run of a control law over a record: its step matrix `s`, the
+    state that evaluating the law step after step keeps, and the control u
+    of each step (`control`), which a `controlled` `_row_step` takes.
 
-    Without a channel map the run holds its own copy of the model's step
-    matrix and rewrites only its A' block from H_t (`_hamiltonian_writer`);
-    with one, each step maps the channel and builds the step matrix afresh.
-    A compiled expression law without a channel map is evaluated on the
-    run's own cumulative sums of the record, which the run keeps in one of
-    two ways: a closed loop extends them by one add a step (`advance`),
-    `feedback_step` follows the prefix each call hands over (`follow`).  A
-    run is advanced or followed, never both, as advancing keeps no copy of
-    the record.  Other laws are called on the prefix.  `steps` sizes the
-    sums of an advanced run."""
+    `s` is [S0 | C1] (`_step_matrix`): S0 the step matrix of the channel
+    with H0, and C1 = -i dt [H1, .].  Without a channel map it is the
+    model's, built once for the law's H0 and H1 (`_model_matrix`), and no
+    step writes into it; with one, the run holds its own and each step
+    rebuilds its S0 columns from L_t.  A compiled expression law without a
+    channel map is evaluated on the run's own cumulative sums of the
+    record, which the run keeps in one of two ways: a closed loop extends
+    them by one add a step (`advance`), `feedback_step` follows the prefix
+    each call hands over (`follow`).  A run is advanced or followed, never
+    both, as advancing keeps no copy of the record.  Other laws are called
+    on the prefix.  `steps` sizes the sums of an advanced run."""
 
-    __slots__ = ("law", "dim", "phase", "counting", "dt", "s", "write", "body", "record", "sums", "size", "y")
+    __slots__ = ("law", "dim", "phase", "counting", "dt", "s", "body", "record", "sums", "size", "y")
 
     def __init__(self, law: ControlLaw, model: SystemModel, phase: float, counting: bool, dt: float, steps: int = 0):
         self.law, self.dim, self.phase, self.counting, self.dt = law, model.dim, phase, counting, dt
-        self.s = self.write = self.body = self.sums = None
-        if law.channel_map is None:
-            s, drift = _model_matrix(model, phase, counting, dt)
-            self.s = s.copy()
-            self.write = _hamiltonian_writer(self.s, drift)
+        self.body = self.sums = None
+        if law.channel_map is not None:
+            n2 = model.dim**2
+            self.s = np.empty((n2, 3 + 4 * n2), dtype=complex)
+            self.s[:, 3 + 3 * n2 :] = _commutator(law.h1, dt).T
+        else:
+            self.s = _model_matrix(model, phase, counting, dt, law)
             if isinstance(law.control, _CompiledControl):
                 self.body = law.control.body
                 if law.control.reads_record:
@@ -840,27 +837,28 @@ class _LawRun:
             np.cumsum(tail, out=tail)
         self.size = m
 
-    def matrix(self, t: float, prefix: np.ndarray) -> np.ndarray:
-        """The step matrix at time t after the record `prefix`, to which a
-        compiled law's sums have been advanced or followed."""
+    def control(self, t: float, prefix: np.ndarray) -> float:
+        """u at time t after the record `prefix`, to which a compiled law's
+        sums have been advanced or followed, as `ControlLaw.hamiltonian_at`
+        checks it; under a channel map, the S0 columns of `s` are then
+        rebuilt from L_t."""
         law = self.law
         if self.body is not None:
-            u = _finite_real(self.body(t, self.sums, prefix.size), _CONTROL_VALUE, t)
-            self.write(law.h0 + u * law.h1, self.dt)
-            return self.s
-        h_t, _ = law.hamiltonian_at(t, prefix)
-        if self.write is not None:
-            self.write(h_t, self.dt)
-            return self.s
-        ch = as_operator(law.channel_map(t, prefix), "L_t")
-        if ch.shape[0] != self.dim:
-            raise DimensionMismatch(f"L_t dim {ch.shape[0]} != model dim {self.dim}")
-        return _step_matrix(_liouville(None, (_channel_parts(ch, self.phase),)), self.counting, self.dt, h_t)
+            return _finite_real(self.body(t, self.sums, prefix.size), _CONTROL_VALUE, t)
+        u = _finite_real(law.control(float(t), prefix), _CONTROL_VALUE, t)
+        if law.channel_map is not None:
+            ch = as_operator(law.channel_map(t, prefix), "L_t")
+            if ch.shape[0] != self.dim:
+                raise DimensionMismatch(f"L_t dim {ch.shape[0]} != model dim {self.dim}")
+            s0 = _step_matrix(_liouville(None, (_channel_parts(ch, self.phase),)), self.counting, self.dt, law.h0)
+            self.s[:, : s0.shape[1]] = s0
+        return u
 
 
 # One thread's last bound feedback run: (law run, model, key, step), the
 # model held by identity, the law run a `_LawRun` and step `_row_step`'s,
-# reused by the next call with the same law, model and key.
+# reused by the next call with the same law, model and key (the key holds
+# the bits of H0 and H1).
 _feedback_runs = threading.local()
 
 
@@ -886,8 +884,9 @@ def feedback_step(
     model objects, scheme, dt and normalization.  A compiled expression law
     is evaluated on the run's cumulative sums, which follow each call's
     prefix: a prefix one entry longer than the last costs one add and a
-    bitwise compare.  H0 and H1 are read, and every argument is checked, on
-    every call.
+    bitwise compare.  Every argument is checked on every call, and H0 and
+    H1 are compared bit for bit with those the run was bound for, so that
+    an edit in place rebinds it.
     """
     dt = _require_dt(dt)
     _require_model_state(state, model)
@@ -900,14 +899,14 @@ def feedback_step(
             f"record prefix extends to {prefix.size * dt:.6g}, at or beyond the current time {t:.6g}"
         )
     counting, kind, normalized = scheme.kind == COUNTING, _route(scheme), state.normalized
-    key = (scheme.phase, counting, dt, kind, scheme.gain, normalized)
+    key = (scheme.phase, counting, dt, kind, scheme.gain, normalized, law.h0.tobytes(), law.h1.tobytes())
     run = getattr(_feedback_runs, "run", None)
     if run is None or run[0].law is not law or run[1] is not model or run[2] != key:
         run = _feedback_runs.run = (_LawRun(law, model, scheme.phase, counting, dt), model, key,
-                                    _row_step(model.dim, dt, kind, scheme.gain, normalized, False))
+                                    _row_step(model.dim, dt, kind, scheme.gain, normalized, False, True))
     law_run = run[0]
     law_run.follow(prefix)
-    return _apply(state, dY, law_run.matrix(t, prefix), run[3], counting, normalized)
+    return _apply(state, dY, law_run.s, run[3], counting, normalized, law_run.control(t, prefix))
 
 
 # --- health monitoring ----------------------------------------------------

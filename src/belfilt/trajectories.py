@@ -13,11 +13,14 @@ martingales, and it avoids simulating the exponentially large field.
 
 Simulation and replay run through one loop, `_integrate`, which validates
 and binds the filters' single-matrix step (`_row_step`) once per run.  A
-control law steps through one law run (`filters._LawRun`) per run: under a
-compiled expression law without a channel map, the run keeps the record's
-cumulative sums and the loop extends them by one add a step (`advance`),
-so a closed-loop step costs the same at any horizon; other laws are called
-on each step's record prefix.
+control law steps through one law run (`filters._LawRun`) per run, with the
+law's step matrix [S0 | C1] bound once and the control u of each step
+passed to the step as its fourth coefficient, so that no step rebuilds the
+Hamiltonian or writes into the step matrix.  Under a compiled expression
+law without a channel map, the run keeps the record's cumulative sums and
+the loop extends them by one add a step (`advance`), so a closed-loop step
+costs the same at any horizon; other laws are called on each step's record
+prefix.
 Ensembles step their trajectories together instead: `_integrate_stack`
 advances a block of them as one (B, n, n) stack through the stacked step
 `filters._stack_step` binds once per block, one Python iteration per time
@@ -223,26 +226,26 @@ def _integrate(
     phase, kind, gain, counting = scheme.phase, _route(scheme), scheme.gain, scheme.kind == COUNTING
     steps = increments.size
     if law is None:
-        s, _ = _model_matrix(model, phase, counting, dt)
-        run = None
+        s, run = _model_matrix(model, phase, counting, dt), None
     else:
         _require_law_model(law, model)
         run = _LawRun(law, model, phase, counting, dt, steps)
-        matrix, advance = run.matrix, run.advance
+        s, control, advance = run.s, run.control, run.advance
     n = model.dim
     sampling = noise is not None
-    step = _row_step(n, dt, kind, gain, normalized, sampling)
+    step = _row_step(n, dt, kind, gain, normalized, sampling, run is not None)
     path = np.empty((steps + 1, n, n), dtype=complex)
     path[0] = w
     rows = path.reshape(steps + 1, n * n)
     traces = np.ones(steps + 1)
     # Python floats: numpy scalar arithmetic costs microseconds a step
     values = (noise if sampling else increments).tolist()
+    u = 0.0
     for k in range(steps):
         try:
             if run is not None:
-                s = matrix(k * dt, increments[:k])
-            traces[k + 1], dy = step(rows[k], s, values[k], rows[k + 1])
+                u = control(k * dt, increments[:k])
+            traces[k + 1], dy = step(rows[k], s, values[k], rows[k + 1], u)
         except (ValidationError, NumericalFailure) as exc:
             raise type(exc)(f"{_at(k, trajectory)}: {exc}") from None
         if sampling:
@@ -271,7 +274,7 @@ def _integrate_stack(model: SystemModel, rho0, scheme: MeasurementScheme, dt: fl
     rows, steps = noise.shape
     n = model.dim
     chunk = steps if chunk is None else chunk
-    s, _ = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
+    s = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
     step = _stack_step(rows, n, dt, _route(scheme), scheme.gain)
     buffer = np.empty((rows, chunk + 1, n, n), dtype=complex)
     buffer[:, 0] = _initial_matrix(rho0, model)

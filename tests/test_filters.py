@@ -354,7 +354,7 @@ class TestNonFiniteInputsRefused:
 
     def test_stacked_step_names_nan_row(self):
         w = np.stack([np.diag([0.5, 0.5]), np.full((2, 2), np.nan), np.diag([0.5, 0.5])]).astype(complex)
-        s, _ = bf.filters._model_matrix(DECAY, 0.0, False, 1e-3)
+        s = bf.filters._model_matrix(DECAY, 0.0, False, 1e-3)
         noise = np.full(3, 0.01)
         out = np.empty((3, 1, 4), dtype=complex)
         with np.errstate(invalid="ignore"), pytest.raises(bf.FilterCollapse, match=r"^filter trace nan is not finite$") as info:
@@ -432,6 +432,9 @@ class TestFeedback:
         assert np.array_equal(via.matrix, plain.matrix)
 
     def test_constant_control_matches_shifted_hamiltonian(self, rng):
+        # the law's step adds c C1 r in the coefficient product: bit for bit
+        # the first step of a closed loop under the law, and within a
+        # rounding the static model, whose S holds c H1 in its A' block
         c = 0.8
         model = SystemModel(0.3 * SIGMA_Z, (SIGMA_MINUS,))
         law = ControlLaw.from_expression(f"{c}", model.hamiltonian, SIGMA_X)
@@ -439,8 +442,11 @@ class TestFeedback:
         rho = random_density(2, rng)
         dy, dt = -0.04, 1e-3
         via = feedback_step(fstate(rho), dy, law, model, np.array([]), dt, t=0.0)
+        record = bf.ObservationRecord(MeasurementScheme.homodyne(), dt, np.array([dy]))
+        loop = bf.replay_record(record, model, rho, kind="bks", law=law)
+        assert np.array_equal(via.matrix, loop.matrices[1])
         plain = bks_step_homodyne(fstate(rho), dy, static, dt)
-        assert np.array_equal(via.matrix, plain.matrix)
+        assert np.max(np.abs(via.matrix - plain.matrix)) <= 1e-15
 
     def test_moving_average_law_matches_independent_integration(self, rng):
         # dual-implementation comparison: the oracle evaluates u from the
@@ -792,7 +798,7 @@ def _stack_setup(scheme, n, b, rng):
     counting = scheme.kind == "counting"
     dt = 1e-2 if counting else 1e-3
     model = random_model(n, rng, scale=0.5)
-    s, _ = bf.filters._model_matrix(model, scheme.phase, counting, dt)
+    s = bf.filters._model_matrix(model, scheme.phase, counting, dt)
     rows = np.stack([random_density(n, rng).mix_with_identity(0.3).matrix.reshape(1, -1) for _ in range(b)])
     return s, dt, bf.filters._route(scheme), scheme.gain, rows
 
@@ -869,7 +875,7 @@ class TestStackStep:
 
     def test_counting_refusals_keep_their_order_and_row(self):
         dt = 1e-3
-        s, _ = bf.filters._model_matrix(DECAY, 0.0, True, dt)
+        s = bf.filters._model_matrix(DECAY, 0.0, True, dt)
         step = bf.filters._stack_step(3, 2, dt, "counting", 1.0)
         excited = np.diag([0.125, 0.875]).astype(complex).reshape(1, 4)
         ground = np.diag([1.0 - 1e-15, 1e-15]).astype(complex).reshape(1, 4)

@@ -798,7 +798,7 @@ class TestErrorsNameTheirStep:
         out = np.empty((3, 1, 4), dtype=complex)
         step = _stack_step(3, 2, 1e-3, "counting", 1.0)
         with pytest.raises(bf.ZeroJumpRate, match="jump recorded while") as info:
-            step(w.reshape(3, 1, 4), bf.filters._model_matrix(DECAY, 0.0, True, 1e-3)[0], noise, out)
+            step(w.reshape(3, 1, 4), bf.filters._model_matrix(DECAY, 0.0, True, 1e-3), noise, out)
         assert info.value.row == 1
 
 
