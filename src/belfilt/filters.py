@@ -36,12 +36,14 @@ trace on the normalized routes, with the last three blocks of p gives the
 next matrix.  S is bound once per run.  A control law, H_t = H0 + u_t H1,
 steps with S = [S0 | C1]: S0 the step matrix of H0 and C1 = -i dt [H1, .]
 one more block, so that p also holds C1 r and u_t enters as a fourth
-coefficient, a0 u_t, of the second product; no step writes into S.  A
-law's run (`_LawRun`) evaluates a compiled expression law on record sums
-it keeps itself, extended by one add a step in a closed loop and following
-each call's prefix in `feedback_step`.  `_row_step` binds the
-step of one matrix once per run (once per call for the public step
-functions; `feedback_step` keeps each thread's last bound run), fed one
+coefficient, a0 u_t, of the second product; no step writes into S.  The
+law holds read-only copies of H0 and H1.  A law's run (`_LawRun`) is one
+object: it binds S and its own controlled step for one law, model,
+scheme, dt and normalization, and evaluates a compiled expression law on
+record sums it keeps itself, extended by one add a step in a closed loop
+and following each call's prefix in `feedback_step`.  `_row_step` binds
+the step of one matrix once per run (once per call for the public step
+functions; `feedback_step` keeps each thread's last law run), fed one
 float a step: the increment dy, or the noise dy is drawn from when the run
 samples its record.  Each step is two BLAS products and Python-float
 scalars.  `_stack_step` binds the step of a stack of sampled trajectories
@@ -56,7 +58,6 @@ the state space, and projecting would mask convergence behavior.  Use
 from __future__ import annotations
 
 import ast
-import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -75,6 +76,9 @@ from .operators import (
     HERMITICITY_TOL,
     SystemModel,
     _channel_parts,
+    _commutator,
+    _finite_real,
+    _frozen,
     _liouville,
     as_operator,
     dag,
@@ -92,26 +96,6 @@ EIGENVALUE_MONITOR_FLOOR = -1e-6
 COLLAPSE_TRACE = 1e-300
 ZERO_RATE = 1e-14
 MAX_JUMP_PROBABILITY = 0.1
-
-
-def _finite_real(value, message: str, *args) -> float:
-    """value as a finite Python float: its real part when its imaginary part
-    is 0.  Otherwise ValidationError(message.format(what, *args)), `what`
-    being what the value is not: "non-numeric value ..." or "non-real
-    value ..."."""
-    if isinstance(value, float) and math.isfinite(value):
-        return float(value)
-    try:
-        if isinstance(value, (str, bytes)):  # complex() would parse them
-            raise TypeError
-        z = complex(value)
-    except (TypeError, ValueError):
-        raise ValidationError(message.format(f"non-numeric value {value!r}", *args)) from None
-    if z.imag != 0.0:
-        raise ValidationError(message.format(f"non-real value {value!r}", *args))
-    if not math.isfinite(z.real):
-        raise ValidationError(message.format(f"non-real value {z.real!r}", *args))
-    return z.real
 
 
 @dataclass(frozen=True)
@@ -249,31 +233,6 @@ def _refuse(bad, error, message, *values):
     raise exc
 
 
-@functools.lru_cache(maxsize=None)
-def _commutator_terms(n: int):
-    """The indices, shape (2, n^4), into g = [vec(-i dt H), 0] of the two
-    terms of each entry of `_commutator` at dimension n, n^2 reading the 0;
-    read-only, as every caller shares them."""
-    a, b, c, d = np.indices((n,) * 4).reshape(4, -1)
-    terms = np.stack((np.where(b == d, a * n + c, n * n), np.where(a == c, d * n + b, n * n)))
-    terms.setflags(write=False)
-    return terms
-
-
-def _commutator(h, dt: float):
-    """-i dt [H, .] as an n^2 x n^2 block on the row-major vec, as
-    `operators._liouville` gives its blocks: the entry ((a, b), (c, d)) is
-    g[a n + c] [b = d] - g[d n + b] [a = c] for g = vec(-i dt H), a term
-    whose bracket fails reading an exact 0, so that an entry H does not
-    reach is +0 and adding the block to A (which holds no -0 part) leaves
-    that entry's bits as they are."""
-    n = len(h)
-    g = np.zeros(n * n + 1, dtype=complex)
-    np.multiply(h, -1j * dt, out=g[: n * n].reshape(n, n))
-    left, right = g[_commutator_terms(n)]
-    return (left - right).reshape(n * n, n * n)
-
-
 def _step_matrix(blocks, counting: bool, dt: float, h, control=None):
     """S, the matrix of one Euler step on the row vec(r) (see `_row_step`),
     from a channel's `operators._liouville` blocks (D, G, J) and the
@@ -281,7 +240,8 @@ def _step_matrix(blocks, counting: bool, dt: float, h, control=None):
     r, for A = I + dt D, A' = A - i dt [H, .] and X = J when counting, G
     otherwise.  With `control`, the H1 of a law, S gains the block
     C1 = -i dt [H1, .] after these, and vec(r) @ S holds C1 r last.  The
-    commutator being traceless, the trace columns are those of A."""
+    commutator (`operators._commutator`) being traceless, the trace columns
+    are those of A."""
     dissipator, diffusive, jump = blocks
     measured = jump if counting else diffusive
     n2 = len(measured)
@@ -296,20 +256,18 @@ def _step_matrix(blocks, counting: bool, dt: float, h, control=None):
 
 def _model_matrix(model: SystemModel, phase: float, counting: bool, dt: float, law=None):
     """The step matrix of `model`'s channel and Hamiltonian, or under a
-    control law without a channel map [S0 | C1] of its H0 and H1
-    (`_step_matrix`); built once and held with the model until a call with
-    another phase, scheme family, dt or law Hamiltonians (compared bit for
-    bit)."""
-    if law is None:
-        slot, key, h, control = "step", (phase, counting, dt), model.hamiltonian, None
-    else:
-        slot, h, control = "law step", law.h0, law.h1
-        key = (phase, counting, dt, h.tobytes(), control.tobytes())
+    control law [S0 | C1] of its H0 and H1 (`_step_matrix`), on the blocks
+    `operators._liouville` gives the channel; built once and held with the
+    model until a call with another phase, scheme family, dt or law
+    Hamiltonians.  These are read-only arrays, so they are compared by
+    identity."""
+    slot, h, control = ("step", model.hamiltonian, None) if law is None else ("law step", law.h0, law.h1)
+    key = (phase, counting, dt)
     held = model._derived.get(slot)
-    if held is None or held[0] != key:
-        s = _step_matrix(model._single_channel_blocks(phase), counting, dt, h, control)
-        held = model._derived[slot] = (key, s)
-    return held[1]
+    if held is None or held[0] != key or held[1] is not h or held[2] is not control:
+        s = _step_matrix(_liouville(None, (model.single_channel_parts(phase),)), counting, dt, h, control)
+        held = model._derived[slot] = (key, h, control, s)
+    return held[3]
 
 
 # The table of (a0, a1, a2) (see the module docstring), by `_route`'s kind and
@@ -722,7 +680,9 @@ def compile_control_expression(expression: str) -> Callable[[float, np.ndarray],
 class ControlLaw:
     """Causal feedback law: H_t = H0 + u_t H1 with u_t a function of the
     record strictly before t, optionally with a time/record dependent
-    coupling channel."""
+    coupling channel.  The law holds read-only copies of H0 and H1, as
+    `SystemModel` does of its operators, so that it cannot change under a
+    run bound to it."""
 
     control: Callable[[float, np.ndarray], float]
     h0: np.ndarray
@@ -738,8 +698,8 @@ class ControlLaw:
             raise ValidationError("H1: not Hermitian")
         if h0.shape != h1.shape:
             raise DimensionMismatch("H0 and H1 must share a dimension")
-        object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "h0", _frozen(h0))
+        object.__setattr__(self, "h1", _frozen(h1))
 
     @classmethod
     def from_expression(cls, expression: str, h0, h1) -> "ControlLaw":
@@ -758,40 +718,49 @@ def _require_law_model(law: ControlLaw, model: SystemModel) -> None:
 
 
 class _LawRun:
-    """One run of a control law over a record: its step matrix `s`, the
-    state that evaluating the law step after step keeps, and the control u
-    of each step (`control`), which a `controlled` `_row_step` takes.
+    """One run of a control law over a record under one model, scheme, dt
+    and normalization: its step matrix `s`, its controlled `_row_step`
+    `step`, the state that evaluating the law step after step keeps, and the
+    control u of each step (`control`), which `step` takes.
 
     `s` is [S0 | C1] (`_step_matrix`): S0 the step matrix of the channel
-    with H0, and C1 = -i dt [H1, .].  Without a channel map it is the
-    model's, built once for the law's H0 and H1 (`_model_matrix`), and no
-    step writes into it; with one, the run holds its own and each step
-    rebuilds its S0 columns from L_t.  A compiled expression law without a
-    channel map is evaluated on the run's own cumulative sums of the
-    record, which the run keeps in one of two ways: a closed loop extends
-    them by one add a step (`advance`), `feedback_step` follows the prefix
-    each call hands over (`follow`).  A run is advanced or followed, never
-    both, as advancing keeps no copy of the record.  Other laws are called
-    on the prefix.  `steps` sizes the sums of an advanced run."""
+    with H0, and C1 = -i dt [H1, .].  It is the model's, built once for the
+    law's H0 and H1 (`_model_matrix`), and no step writes into it; under a
+    channel map the run holds a copy, whose S0 columns each step rebuilds
+    from L_t.  A compiled expression law without a channel map is evaluated
+    on the run's own cumulative sums of the record, which the run keeps in
+    one of two ways: a closed loop extends them by one add a step
+    (`advance`), `feedback_step` follows the prefix each call hands over
+    (`follow`).  A run is advanced or followed, never both, as advancing
+    keeps no copy of the record.  Other laws are called on the prefix.
+    `sampling` says where the step's dy comes from (`_row_step`), and
+    `steps` sizes the sums of an advanced run."""
 
-    __slots__ = ("law", "dim", "phase", "counting", "dt", "s", "body", "record", "sums", "size", "y")
+    __slots__ = ("law", "model", "scheme", "dt", "normalized", "s", "step", "body", "record", "sums", "size", "y")
 
-    def __init__(self, law: ControlLaw, model: SystemModel, phase: float, counting: bool, dt: float, steps: int = 0):
-        self.law, self.dim, self.phase, self.counting, self.dt = law, model.dim, phase, counting, dt
+    def __init__(self, law: ControlLaw, model: SystemModel, scheme: MeasurementScheme, dt: float,
+                 normalized: bool, sampling: bool = False, steps: int = 0):
+        self.law, self.model, self.scheme, self.dt, self.normalized = law, model, scheme, dt, normalized
+        self.s = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt, law)
+        self.step = _row_step(model.dim, dt, _route(scheme), scheme.gain, normalized, sampling, True)
         self.body = self.sums = None
         if law.channel_map is not None:
-            n2 = model.dim**2
-            self.s = np.empty((n2, 3 + 4 * n2), dtype=complex)
-            self.s[:, 3 + 3 * n2 :] = _commutator(law.h1, dt).T
-        else:
-            self.s = _model_matrix(model, phase, counting, dt, law)
-            if isinstance(law.control, _CompiledControl):
-                self.body = law.control.body
-                if law.control.reads_record:
-                    self.sums = np.empty(steps)
+            self.s = self.s.copy()
+        elif isinstance(law.control, _CompiledControl):
+            self.body = law.control.body
+            if law.control.reads_record:
+                self.sums = np.empty(steps)
         self.record = np.empty(0, dtype=np.int64)  # the followed prefix's bits
         self.size = 0  # the entries of the record summed
         self.y = 0.0  # an advanced run's last sum
+
+    def serves(self, law: ControlLaw, model: SystemModel, scheme: MeasurementScheme, dt: float,
+               normalized: bool) -> bool:
+        """Whether a call with these arguments steps as this run does: the
+        same law and model objects (whose operators are read-only), an
+        equal scheme and the same dt and normalization."""
+        return (law is self.law and model is self.model and dt == self.dt and normalized == self.normalized
+                and scheme == self.scheme)
 
     def advance(self, dy: float) -> None:
         """Extend the sums by the record's next entry dy, one add."""
@@ -805,22 +774,20 @@ class _LawRun:
 
     def follow(self, prefix: np.ndarray) -> None:
         """Make the sums those of `prefix`, bit for bit as np.cumsum gives
-        them: keep the leading entries that match the record's copy bit for
-        bit and sum only the rest.  A prefix one entry longer than the last
-        costs one add; one that shrinks, diverges or was edited in place is
-        summed from its first differing entry."""
+        them.  A prefix that extends the followed one bit for bit sums only
+        its new entries (one add for one entry more); any other prefix, one
+        that shrinks, diverges or was edited in place, is summed from its
+        first entry."""
         if self.sums is None:
             return
-        m = prefix.size
-        k = min(m, self.size)
+        m, k = prefix.size, self.size
         # bitwise, so that -0.0 and 0.0 (which sum differently) never match
         bits = prefix.view(np.int64)
-        differs = bits[:k] != self.record[:k]
-        same = k
-        if k:
-            first = int(differs.argmax())  # 0 when no entry differs
-            if differs[first]:
-                same = first
+        same = k if k <= m else 0
+        if same:
+            differs = bits[:k] != self.record[:k]
+            if differs[differs.argmax()]:  # argmax is 0 when no entry differs
+                same = 0
         if same == m:
             return
         if m > self.record.size:
@@ -848,17 +815,16 @@ class _LawRun:
         u = _finite_real(law.control(float(t), prefix), _CONTROL_VALUE, t)
         if law.channel_map is not None:
             ch = as_operator(law.channel_map(t, prefix), "L_t")
-            if ch.shape[0] != self.dim:
-                raise DimensionMismatch(f"L_t dim {ch.shape[0]} != model dim {self.dim}")
-            s0 = _step_matrix(_liouville(None, (_channel_parts(ch, self.phase),)), self.counting, self.dt, law.h0)
+            if ch.shape[0] != self.model.dim:
+                raise DimensionMismatch(f"L_t dim {ch.shape[0]} != model dim {self.model.dim}")
+            blocks = _liouville(None, (_channel_parts(ch, self.scheme.phase),))
+            s0 = _step_matrix(blocks, self.scheme.kind == COUNTING, self.dt, law.h0)
             self.s[:, : s0.shape[1]] = s0
         return u
 
 
-# One thread's last bound feedback run: (law run, model, key, step), the
-# model held by identity, the law run a `_LawRun` and step `_row_step`'s,
-# reused by the next call with the same law, model and key (the key holds
-# the bits of H0 and H1).
+# One thread's last bound feedback run, a `_LawRun`, reused by the next call
+# it serves.
 _feedback_runs = threading.local()
 
 
@@ -879,14 +845,14 @@ def feedback_step(
     causality violation.  The matching scheme step then runs with H_t (and
     L_t when the law carries a channel map) held fixed across the step.
 
-    Each thread keeps the last run it bound (a `_LawRun` and the bound
-    `_row_step`), and reuses it for the next call with the same law and
-    model objects, scheme, dt and normalization.  A compiled expression law
-    is evaluated on the run's cumulative sums, which follow each call's
-    prefix: a prefix one entry longer than the last costs one add and a
-    bitwise compare.  Every argument is checked on every call, and H0 and
-    H1 are compared bit for bit with those the run was bound for, so that
-    an edit in place rebinds it.
+    Each thread keeps the last run it bound (a `_LawRun`, which binds its
+    own step), and reuses it for the next call with the same law and model
+    objects, an equal scheme and the same dt and normalization; a law's H0
+    and H1 are read-only, so no call compares them.  A compiled expression
+    law is evaluated on the run's cumulative sums, which follow each call's
+    prefix: a prefix that extends the last one costs a bitwise compare and
+    an add per new entry, any other is summed afresh.  Every argument is
+    checked on every call.
     """
     dt = _require_dt(dt)
     _require_model_state(state, model)
@@ -898,15 +864,12 @@ def feedback_step(
         raise CausalityViolation(
             f"record prefix extends to {prefix.size * dt:.6g}, at or beyond the current time {t:.6g}"
         )
-    counting, kind, normalized = scheme.kind == COUNTING, _route(scheme), state.normalized
-    key = (scheme.phase, counting, dt, kind, scheme.gain, normalized, law.h0.tobytes(), law.h1.tobytes())
+    normalized = state.normalized
     run = getattr(_feedback_runs, "run", None)
-    if run is None or run[0].law is not law or run[1] is not model or run[2] != key:
-        run = _feedback_runs.run = (_LawRun(law, model, scheme.phase, counting, dt), model, key,
-                                    _row_step(model.dim, dt, kind, scheme.gain, normalized, False, True))
-    law_run = run[0]
-    law_run.follow(prefix)
-    return _apply(state, dY, law_run.s, run[3], counting, normalized, law_run.control(t, prefix))
+    if run is None or not run.serves(law, model, scheme, dt, normalized):
+        run = _feedback_runs.run = _LawRun(law, model, scheme, dt, normalized)
+    run.follow(prefix)
+    return _apply(state, dY, run.s, run.step, scheme.kind == COUNTING, normalized, run.control(t, prefix))
 
 
 # --- health monitoring ----------------------------------------------------

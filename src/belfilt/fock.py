@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationRadiusExceeded, ValidationError
+from .operators import _finite_real
 
 DEFAULT_CUTOFF = 30
 DEFAULT_RADIUS = 1.0
@@ -149,9 +150,7 @@ def quadrature_char_function(mode: ModeTruncation, x: float) -> complex:
     Matches exp(-x^2 ||f||^2 / 2): the quadrature is Gaussian in the vacuum.
     The displaced amplitude x*alpha must stay inside the safety radius.
     """
-    x = float(x)
-    if not np.isfinite(x):
-        raise ValidationError("x must be finite")
+    x = _finite_real(x, "x: {}")
     if abs(x) * abs(mode.amplitude) > mode.radius * _RADIUS_SLACK:
         raise TruncationRadiusExceeded(
             f"|x * amplitude| = {abs(x) * abs(mode.amplitude):.6g} exceeds radius {mode.radius:.6g}"
@@ -165,9 +164,7 @@ def counting_char_function(mode: ModeTruncation, x: float) -> complex:
     <psi(f)| exp(ix Lambda) |psi(f)> = exp(|alpha|^2 (e^{ix} - 1)), the
     Poisson(|alpha|^2) law.
     """
-    x = float(x)
-    if not np.isfinite(x):
-        raise ValidationError("x must be finite")
+    x = _finite_real(x, "x: {}")
     c = coherent_vector(mode).coefficients
     phases = np.exp(1j * x * np.arange(mode.cutoff + 1))
     return complex(np.sum(np.abs(c) ** 2 * phases))
@@ -181,7 +178,8 @@ class StepFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.dt <= 0 or not np.isfinite(self.dt):
+        dt = _finite_real(self.dt, "dt: {}")
+        if dt <= 0:
             raise ValidationError("dt must be positive and finite")
         v = np.asarray(self.values, dtype=complex).reshape(-1)
         if v.size < 2:
@@ -191,7 +189,7 @@ class StepFunction:
         v = np.array(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "dt", dt)
 
     @property
     def steps(self) -> int:

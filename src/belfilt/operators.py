@@ -15,6 +15,7 @@ maps |e> to |g> and sigma_z = diag(-1, +1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,26 @@ def as_operator(m, name: str = "operator") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name}: entries must be finite")
     return arr
+
+
+def _finite_real(value, message: str, *args) -> float:
+    """value as a finite Python float: its real part when its imaginary part
+    is 0.  Otherwise ValidationError(message.format(what, *args)), `what`
+    being what the value is not: "non-numeric value ..." or "non-real
+    value ..."."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float(value)
+    try:
+        if isinstance(value, (str, bytes)):  # complex() would parse them
+            raise TypeError
+        z = complex(value)
+    except (TypeError, ValueError):
+        raise ValidationError(message.format(f"non-numeric value {value!r}", *args)) from None
+    if z.imag != 0.0:
+        raise ValidationError(message.format(f"non-real value {value!r}", *args))
+    if not math.isfinite(z.real):
+        raise ValidationError(message.format(f"non-real value {z.real!r}", *args))
+    return z.real
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -122,6 +143,7 @@ class DensityState:
     def mix_with_identity(self, weight: float) -> "DensityState":
         """Convex blend (1 - weight)*rho + weight*I/n, handy for keeping a
         positivity margin in Euler-discretized trajectory runs."""
+        weight = _finite_real(weight, "weight: {}")
         if not 0.0 <= weight <= 1.0:
             raise ValidationError("mixing weight must lie in [0, 1]")
         n = self.dim
@@ -172,15 +194,6 @@ class SystemModel:
         cache = self._derived
         if key not in cache:
             cache[key] = _channel_parts(self.channel, key)
-        return cache[key]
-
-    def _single_channel_blocks(self, phase: float = 0.0):
-        """`_liouville` of the single channel rotated by exp(i phase), without
-        H: its dissipator, G and J; memoized beside the channel parts."""
-        key = ("blocks", float(phase))
-        cache = self._derived
-        if key not in cache:
-            cache[key] = _liouville(None, (self.single_channel_parts(phase),))
         return cache[key]
 
 
@@ -239,7 +252,9 @@ def _liouville(h, channels=()):
     -i(H r - r H) + sum_j (Lj r Lj* - {Lj*Lj, r}/2) of the Hamiltonian h
     (None for none) and the channels, each given by its parts (L, L*, L*L);
     G (r -> L r + r L*) and J (r -> L r L*) belong to the last channel.
-    This is the one place that knows the vec convention."""
+    This function and `_commutator`, which builds the Hamiltonian part
+    -i dt [H, .] of a step matrix directly, are the only places that know
+    the vec convention."""
     n = len(channels[0][0]) if h is None else len(h)
     eye = np.eye(n, dtype=complex)
     d = 0.0 if h is None else -1j * (np.kron(h, eye) - np.kron(eye, h.T))
@@ -251,6 +266,22 @@ def _liouville(h, channels=()):
     return d, g, j
 
 
+def _commutator(h, dt: float):
+    """-i dt [H, .] as an n^2 x n^2 block on the row-major vec, as
+    `_liouville` gives its blocks: the entry ((a, b), (c, d)) is
+    g[a, c] [b = d] - g[d, b] [a = c] for g = -i dt H.  g is placed into a
+    zero-filled block, so that a term whose bracket fails reads an exact +0,
+    an entry H does not reach is +0, and adding the block to A (which holds
+    no -0 part) leaves that entry's bits as they are."""
+    n = len(h)
+    g = np.multiply(h, -1j * dt)
+    block = np.zeros((n, n, n, n), dtype=complex)
+    diagonal = np.arange(n)
+    block[:, diagonal, :, diagonal] = g  # the entries b = d, indexed [b, a, c]
+    block[diagonal, :, diagonal, :] -= g.T  # the entries a = c, indexed [a, b, d]
+    return block.reshape(n * n, n * n)
+
+
 def adjoint_superoperator(model: SystemModel) -> np.ndarray:
     """Vectorized (row-major) matrix of the adjoint generator, n^2 x n^2."""
     return _liouville(model.hamiltonian, [(ch, dag(ch), dag(ch) @ ch) for ch in model.channels])[0]
@@ -260,9 +291,7 @@ def semigroup_evolve(rho0: DensityState, model: SystemModel, t: float) -> Densit
     """Evolve rho0 for time t >= 0 under exp(t L') via the matrix exponential."""
     if not isinstance(rho0, DensityState):
         rho0 = DensityState(rho0)
-    t = float(t)
-    if not np.isfinite(t):
-        raise ValidationError("t must be finite")
+    t = _finite_real(t, "t: {}")
     if t < 0.0:
         raise ValidationError("t must be nonnegative")
     _check_dim(rho0.matrix, model, "rho0")
@@ -282,9 +311,12 @@ def semigroup_path(rho0: DensityState, model: SystemModel, times) -> np.ndarray:
     """
     if not isinstance(rho0, DensityState):
         rho0 = DensityState(rho0)
-    ts = np.asarray(times, dtype=float)
+    ts = np.asarray(times)
     if ts.ndim != 1 or ts.size == 0:
         raise ValidationError("times must be a nonempty 1-d array")
+    if ts.dtype.kind not in "biuf":  # no str is parsed, no imaginary part dropped
+        ts = np.array([_finite_real(t, "times: {}") for t in ts.tolist()])
+    ts = ts.astype(float, copy=False)
     if np.any(~np.isfinite(ts)) or np.any(ts < 0.0):
         raise ValidationError("times must be finite and nonnegative")
     n = model.dim

@@ -13,14 +13,15 @@ martingales, and it avoids simulating the exponentially large field.
 
 Simulation and replay run through one loop, `_integrate`, which validates
 and binds the filters' single-matrix step (`_row_step`) once per run.  A
-control law steps through one law run (`filters._LawRun`) per run, with the
-law's step matrix [S0 | C1] bound once and the control u of each step
-passed to the step as its fourth coefficient, so that no step rebuilds the
-Hamiltonian or writes into the step matrix.  Under a compiled expression
-law without a channel map, the run keeps the record's cumulative sums and
-the loop extends them by one add a step (`advance`), so a closed-loop step
-costs the same at any horizon; other laws are called on each step's record
-prefix.
+control law steps through one law run (`filters._LawRun`) per run, which
+binds the law's step matrix [S0 | C1] and its own controlled step once, the
+control u of each step passing to the step as its fourth coefficient, so
+that no step rebuilds the Hamiltonian or writes into the step matrix.
+Under a compiled expression law without a channel map, the run keeps the
+record's cumulative sums and the loop extends them by one add a step
+(`advance`), so a closed-loop step costs the same at any horizon; other
+laws are called on each step's record prefix.  Only unnormalized (Zakai)
+runs keep the trace of each step, their likelihoods.
 Ensembles step their trajectories together instead: `_integrate_stack`
 advances a block of them as one (B, n, n) stack through the stacked step
 `filters._stack_step` binds once per block, one Python iteration per time
@@ -55,7 +56,6 @@ from .filters import (
     PathHealth,
     _LawRun,
     _model_matrix,
-    _finite_real,
     _require_dt,
     _require_law_model,
     _route,
@@ -63,7 +63,7 @@ from .filters import (
     _stack_step,
     path_health,
 )
-from .operators import DensityState, SystemModel, as_operator
+from .operators import DensityState, SystemModel, _finite_real, as_operator
 
 GENERATOR_NAME = f"pcg64-splitmix64/numpy-{np.__version__}"
 # Byte budget of one block of ensemble trajectories stepped together: its
@@ -218,26 +218,25 @@ def _integrate(
 
     With `noise`, each increment is drawn from the pre-step state first (see
     `filters._sample`) and written to `increments`.  Returns the path, shape
-    (steps+1, n, n), and for unnormalized runs the likelihoods.  A step whose
-    filter, control law or channel map fails raises its error type naming
-    the step (and `trajectory`, when given).
+    (steps+1, n, n), and for unnormalized runs the likelihoods (None for
+    normalized runs, which keep no traces).  A step whose filter, control
+    law or channel map fails raises its error type naming the step (and
+    `trajectory`, when given).
     """
     w = _initial_matrix(rho0, model)
-    phase, kind, gain, counting = scheme.phase, _route(scheme), scheme.gain, scheme.kind == COUNTING
-    steps = increments.size
+    steps, n, sampling = increments.size, model.dim, noise is not None
     if law is None:
-        s, run = _model_matrix(model, phase, counting, dt), None
+        run = None
+        s = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
+        step = _row_step(n, dt, _route(scheme), scheme.gain, normalized, sampling)
     else:
         _require_law_model(law, model)
-        run = _LawRun(law, model, phase, counting, dt, steps)
-        s, control, advance = run.s, run.control, run.advance
-    n = model.dim
-    sampling = noise is not None
-    step = _row_step(n, dt, kind, gain, normalized, sampling, run is not None)
+        run = _LawRun(law, model, scheme, dt, normalized, sampling, steps)
+        s, step, control, advance = run.s, run.step, run.control, run.advance
     path = np.empty((steps + 1, n, n), dtype=complex)
     path[0] = w
     rows = path.reshape(steps + 1, n * n)
-    traces = np.ones(steps + 1)
+    traces = None if normalized else np.ones(steps + 1)
     # Python floats: numpy scalar arithmetic costs microseconds a step
     values = (noise if sampling else increments).tolist()
     u = 0.0
@@ -245,14 +244,16 @@ def _integrate(
         try:
             if run is not None:
                 u = control(k * dt, increments[:k])
-            traces[k + 1], dy = step(rows[k], s, values[k], rows[k + 1], u)
+            tr, dy = step(rows[k], s, values[k], rows[k + 1], u)
         except (ValidationError, NumericalFailure) as exc:
             raise type(exc)(f"{_at(k, trajectory)}: {exc}") from None
         if sampling:
             increments[k] = dy
+        if traces is not None:
+            traces[k + 1] = tr
         if run is not None:
             advance(dy)
-    return path, None if normalized else traces
+    return path, traces
 
 
 def _integrate_stack(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, noise, first: int = 0,

@@ -122,6 +122,19 @@ def reference_control(expression):
     return control
 
 
+def reference_commutator(h, dt):
+    """-i dt [H, .] on the row-major vec, gathered: the entry ((a, b), (c, d))
+    is g[a n + c] [b = d] - g[d n + b] [a = c] for g = [vec(-i dt H), 0],
+    each term whose bracket fails gathering the trailing exact 0."""
+    n = len(h)
+    a, b, c, d = np.indices((n,) * 4).reshape(4, -1)
+    terms = np.stack((np.where(b == d, a * n + c, n * n), np.where(a == c, d * n + b, n * n)))
+    g = np.zeros(n * n + 1, dtype=complex)
+    np.multiply(h, -1j * dt, out=g[: n * n].reshape(n, n))
+    left, right = g[terms]
+    return (left - right).reshape(n * n, n * n)
+
+
 def reference_semigroup_path(rho0, model, times):
     """exp(t L') rho0 at the given times, point by point: on a uniform grid
     from 0, one propagator step and one Hermitian part per point; elsewhere

@@ -426,6 +426,13 @@ class TestShippedDemos:
         assert done.returncode == 0, done.stderr
         assert sorted(p.name for p in out.iterdir()) == ["master.csv", "path.csv", "record.csv"]
 
+    def test_code_lines_totals_its_files(self, tmp_path):
+        done = self._run("code_lines.py", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        *files, total = (line.split(None, 1) for line in done.stdout.splitlines())
+        assert total[1] == "total" and {Path(path).name for _, path in files} >= {"filters.py", "operators.py"}
+        assert int(total[0]) == sum(int(count) for count, _ in files) > 0
+
     def test_seeded_hashes_runs_and_repeats(self, tmp_path):
         args = ("--dims", "2", "--seeds", "1", "--horizon", "0.1", "--trajectories", "2")
         first = self._run("seeded_hashes.py", *args, cwd=tmp_path)

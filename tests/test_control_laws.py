@@ -118,7 +118,8 @@ class TestCompiledLawsMatchDirectEvaluation:
         law.control.body = spy
         reference = reference_control(expression)
         direct = ControlLaw(reference, MODEL.hamiltonian, SIGMA_X)
-        bound, fresh = _LawRun(law, MODEL, 0.0, False, DT), _LawRun(direct, MODEL, 0.0, False, DT)
+        homodyne = bf.MeasurementScheme.homodyne()
+        bound, fresh = _LawRun(law, MODEL, homodyne, DT, True), _LawRun(direct, MODEL, homodyne, DT, True)
         for call, prefix in enumerate(sequence()):
             prefix = np.asarray(prefix, dtype=float).reshape(-1)
             t = 0.37 + 1e-3 * prefix.size
@@ -517,21 +518,28 @@ class TestBoundFeedbackRun:
         assert not any(thread.is_alive() for thread in threads)
         assert got == [expected] * len(got)
 
-    def test_in_place_edit_of_h0_takes_effect(self):
+    def test_law_hamiltonians_are_read_only_copies(self):
+        # a law cannot change under a run bound to it, nor rewrite the arrays
+        # it was built from
+        sigma_x = SIGMA_X.copy()
         h0 = 0.5 * SIGMA_Z.astype(complex)
         law = ControlLaw.from_expression("ma(Y, 5)", h0, SIGMA_X)
+        assert law.h1 is not SIGMA_X and law.h0 is not h0
+        for h in (law.h0, law.h1):
+            with pytest.raises(ValueError):
+                h[0, 1] = 0.25
+        assert SIGMA_X.tobytes() == sigma_x.tobytes()
+        built = law.h0.tobytes()
         increments = np.random.default_rng(27).normal(0.0, np.sqrt(DT), 10)
         state = _start(True)
         for k in range(5):
             state = feedback_step(state, increments[k], law, MODEL, increments[:k], DT, t=k * DT)
-        law.h0[0, 1] = law.h0[1, 0] = 0.25
-        edited = feedback_step(state, increments[5], law, MODEL, increments[:5], DT, t=5 * DT)
-        fresh = ControlLaw.from_expression("ma(Y, 5)", law.h0.copy(), SIGMA_X)
+        h0[0, 1] = h0[1, 0] = 0.25
+        assert law.h0.tobytes() == built
+        stepped = feedback_step(state, increments[5], law, MODEL, increments[:5], DT, t=5 * DT)
+        fresh = ControlLaw.from_expression("ma(Y, 5)", 0.5 * SIGMA_Z, SIGMA_X)
         expected = feedback_step(state, increments[5], fresh, MODEL, increments[:5], DT, t=5 * DT)
-        assert edited.matrix.tobytes() == expected.matrix.tobytes()
-        unedited = ControlLaw.from_expression("ma(Y, 5)", 0.5 * SIGMA_Z, SIGMA_X)
-        assert feedback_step(state, increments[5], unedited, MODEL, increments[:5], DT,
-                             t=5 * DT).matrix.tobytes() != edited.matrix.tobytes()
+        assert stepped.matrix.tobytes() == expected.matrix.tobytes()
 
     def test_checks_still_run_on_a_bound_run(self):
         law = ControlLaw.from_expression("Y", MODEL.hamiltonian, SIGMA_X)

@@ -15,7 +15,7 @@ from belfilt.filters import ControlLaw, FilterState, MeasurementScheme, feedback
 from belfilt.operators import random_density, random_hermitian, random_model
 from belfilt.trajectories import derive_seed, replay_record, simulate_homodyne
 
-from helpers import reference_integrate
+from helpers import reference_commutator, reference_integrate
 
 TOL = 1e-12
 DT = 2.5e-3
@@ -128,6 +128,7 @@ def test_law_run_builds_the_step_matrix_once(monkeypatch):
         return counted
 
     monkeypatch.setattr(operators, "_liouville", spy("liouville", operators._liouville))
+    monkeypatch.setattr(filters, "_liouville", spy("liouville", filters._liouville))
     monkeypatch.setattr(filters, "_step_matrix", spy("step", filters._step_matrix))
     for steps in (5, 200):
         rng = np.random.default_rng(3)
@@ -150,6 +151,7 @@ def test_runs_bind_the_row_step_once(monkeypatch):
     binds = []
     real = filters._row_step
     monkeypatch.setattr(trajectories, "_row_step", lambda *args: binds.append(args) or real(*args))
+    monkeypatch.setattr(filters, "_row_step", lambda *args: binds.append(args) or real(*args))
     model, rho0, law = _case(2, "expression")
     for steps in (5, 200):
         record, _ = simulate_homodyne(model, rho0, steps * DT, DT, seed=5)
@@ -186,7 +188,7 @@ def test_channel_map_rebuilds_every_step(monkeypatch):
     monkeypatch.setattr(filters, "_step_matrix", lambda *args: calls.append(1) or real(*args))
     model, rho0, law = _case(2, "map")
     simulate_homodyne(model, rho0, 20 * DT, DT, seed=1, law=law)
-    assert len(calls) == 20
+    assert len(calls) == 21
 
 
 @pytest.mark.parametrize("dim", [2, 3, 8])
@@ -245,6 +247,31 @@ def test_commutator_block_is_the_hamiltonian_part_of_liouville(dim, dt):
         assert np.array_equal(s[:, :3], bare[:, :3]) and np.array_equal(s[:, 3 + n2 : 3 + 3 * n2], bare[:, 3 + n2 :])
 
 
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_step_matrices_match_reference_commutator(dim, monkeypatch):
+    """Every step matrix, C1 included, equals bit for bit the one built on
+    the gathered `reference_commutator`: zero, diagonal and dense H, both
+    scheme families, two phases, four values of dt, with and without a law."""
+    rng = np.random.default_rng(80 + dim)
+    channel = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h1 = random_hermitian(dim, rng)
+    hamiltonians = (np.zeros((dim, dim)), np.diag(rng.normal(size=dim)), random_hermitian(dim, rng, scale=3.0))
+    for h in hamiltonians:
+        model = bf.SystemModel(h, (channel,))
+        law = ControlLaw.from_expression("Y", model.hamiltonian, h1)
+        for counting in (False, True):
+            for phase in (0.0, 0.7):
+                blocks = operators._liouville(None, (model.single_channel_parts(phase),))
+                for dt in (1e-3, 1 / 3, 0.37, 2.0):
+                    for control in (None, law):
+                        s = filters._model_matrix(model, phase, counting, dt, control)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(filters, "_commutator", reference_commutator)
+                            expected = filters._step_matrix(blocks, counting, dt, model.hamiltonian,
+                                                            None if control is None else law.h1)
+                        assert s.shape == expected.shape and s.tobytes() == expected.tobytes()
+
+
 def test_step_matrix_holds_every_block():
     """vec(r) @ S against the blocks built from `_liouville` with H."""
     model, rho0, _ = _case(3, "none")
@@ -284,11 +311,12 @@ def _rebuilt_law_run(model, rho0, scheme, dt, increments, law, normalized):
     rows = np.empty((increments.size + 1, n * n), dtype=complex)
     rows[0] = rho0.matrix.reshape(-1)
     traces = np.ones(increments.size + 1)
+    model_blocks = operators._liouville(None, (model.single_channel_parts(scheme.phase),))
     for k in range(increments.size):
         t, prefix = k * dt, increments[:k]
         h, _ = law.hamiltonian_at(t, prefix)
         if law.channel_map is None:
-            blocks = model._single_channel_blocks(scheme.phase)
+            blocks = model_blocks
         else:
             channel = operators.as_operator(law.channel_map(t, prefix), "L_t")
             blocks = operators._liouville(None, (operators._channel_parts(channel, scheme.phase),))

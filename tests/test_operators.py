@@ -28,6 +28,7 @@ from belfilt.operators import (
 from helpers import heisenberg_generator, hermitian_basis, reference_semigroup_path
 
 I2 = np.eye(2, dtype=complex)
+_DECAY = SystemModel(SIGMA_Z, (SIGMA_MINUS,))
 
 
 class TestValidation:
@@ -65,6 +66,23 @@ class TestValidation:
         model = SystemModel(np.zeros((2, 2)), (SIGMA_MINUS,))
         with pytest.raises(ValueError):
             model.hamiltonian[0, 0] = 1.0
+
+    @pytest.mark.parametrize("value", ["1", "abc", 1j, None], ids=["numeric-str", "str", "complex", "none"])
+    @pytest.mark.parametrize("name, entry", [
+        ("t", lambda v: semigroup_evolve(DensityState.maximally_mixed(2), _DECAY, v)),
+        ("times", lambda v: semigroup_path(DensityState.maximally_mixed(2), _DECAY, [v])),
+        ("weight", lambda v: DensityState.maximally_mixed(2).mix_with_identity(v)),
+        ("x", lambda v: bf.quadrature_char_function(bf.ModeTruncation(0.5), v)),
+        ("x", lambda v: bf.counting_char_function(bf.ModeTruncation(0.5), v)),
+        ("dt", lambda v: bf.StepFunction(v, np.zeros(3))),
+    ], ids=["semigroup_evolve", "semigroup_path", "mix_with_identity", "quadrature_char_function",
+            "counting_char_function", "StepFunction"])
+    def test_non_numeric_arguments_refused(self, name, entry, value):
+        """A value that is not a real number raises ValidationError naming the
+        argument (`operators._finite_real`), not numpy's or Python's
+        TypeError or ValueError, and no str is parsed."""
+        with pytest.raises(bf.ValidationError, match=rf"^{name}: non-(numeric|real) value "):
+            entry(value)
 
 
 class TestLindbladHeisenberg:
