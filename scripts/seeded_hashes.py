@@ -14,9 +14,14 @@ record, likelihoods included; a closed loop under an expression law and the
 same record fed online through feedback_step, every state hashed, and the
 same pair under a Python callable law and under the expression law with a
 time-dependent channel map; ensembles with health, with and without the
-expression law; semigroup_path on a uniform and a non-uniform grid.  Per
-seed, a "law direct" case hashes the values of compiled expression laws
-called directly on a prefix that grows, shrinks and is edited in place.
+expression law; semigroup_path on a uniform and a non-uniform grid.  At
+each dimension, one "law online (writeable copy)" case feeds the first
+seed's homodyne record online from a writeable copy of its increments:
+feedback_step compares such prefixes, where it trusts a record's own
+immutable increments unread, and the case must hash as its "law online"
+line does.  Per seed, a "law direct" case hashes the values of compiled
+expression laws called directly on a prefix that grows, shrinks and is
+edited in place.
 Each simulated, closed-loop and replayed path also hashes its path_health
 monitors (worst eigenvalue, trace and Hermiticity defects),
 taken on the normalized matrices as the CLI's simulate and filter commands
@@ -144,13 +149,15 @@ def simulate(model, rho0, scheme, horizon, dt, seed, law=None):
     return simulate_homodyne(model, rho0, horizon, dt, seed, scheme=scheme, law=law)
 
 
-def online_states(model, rho0, scheme, record, law, dt):
-    """Every state of the record fed online, one feedback_step per increment."""
+def online_states(model, rho0, scheme, record, law, dt, copied=False):
+    """Every state of the record fed online, one feedback_step per increment;
+    `copied` hands over the prefixes of a writeable copy of the increments."""
     state = FilterState.from_density(rho0)
     states = [state.matrix]
     inc = record.increments
+    prefixes = np.array(inc) if copied else inc
     for k in range(inc.size):
-        state = feedback_step(state, inc[k], law, model, inc[:k], dt, scheme, k * dt)
+        state = feedback_step(state, inc[k], law, model, prefixes[:k], dt, scheme, k * dt)
         states.append(state.matrix)
     return np.stack(states)
 
@@ -282,6 +289,9 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
                     if not err:
                         states, err = attempt(lambda: online_states(model, rho0, scheme, closed[0], law, dt))
                         yield f"{tag} law online", err or (("path", states),)
+                        if seed == seeds[0] and label == f"random{dim}" and sname == "homodyne":
+                            copied, err = attempt(lambda: online_states(model, rho0, scheme, closed[0], law, dt, True))
+                            yield f"{tag} law online (writeable copy)", err or (("path", copied),)
                     for lname, other in other_laws(model, h1):
                         closed, err = attempt(lambda: simulate(model, rho0, scheme, horizon, dt, seed, law=other))
                         yield f"{tag} {lname} law simulate", err or (

@@ -676,13 +676,13 @@ def compile_control_expression(expression: str) -> Callable[[float, np.ndarray],
     return _CompiledControl(body, any(isinstance(node, ast.Name) and node.id == "Y" for node in ast.walk(tree)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlLaw:
     """Causal feedback law: H_t = H0 + u_t H1 with u_t a function of the
     record strictly before t, optionally with a time/record dependent
     coupling channel.  The law holds read-only copies of H0 and H1, as
     `SystemModel` does of its operators, so that it cannot change under a
-    run bound to it."""
+    run bound to it.  Laws compare and hash by identity."""
 
     control: Callable[[float, np.ndarray], float]
     h0: np.ndarray
@@ -717,6 +717,44 @@ def _require_law_model(law: ControlLaw, model: SystemModel) -> None:
         raise DimensionMismatch(f"control H0/H1 dim {law.h0.shape[0]} != model dim {model.dim}")
 
 
+def _leads(prefix: np.ndarray, head: np.ndarray) -> bool:
+    """Whether the float64 array `prefix` is C-contiguous and aligned and
+    starts where `head`, the one-entry view of an aligned float64 array,
+    does: two 8-byte entries aligned to 8 bytes overlap only where they
+    coincide (`_immutable_owner` checks that float64 aligns to its size)."""
+    flags = prefix.flags
+    return flags.c_contiguous and flags.aligned and np.may_share_memory(prefix[:1], head)
+
+
+def _agreeing(bits: np.ndarray, record: np.ndarray, k: int) -> int:
+    """k when the first k > 0 entries of `bits` and `record` are equal, else
+    0: the compare that `_LawRun.follow` pays on a prefix it cannot trust."""
+    differs = bits[:k] != record[:k]
+    return 0 if differs[differs.argmax()] else k  # argmax is 0 when no entry differs
+
+
+class _FrozenBytes(bytes):
+    """The bytes behind `ObservationRecord.increments`.  numpy refuses to
+    make an array over bytes writeable, or any view of it, but it unpickles
+    a large array into a writeable array over the pickle's own bytes: a
+    plain bytes base does not show that nothing writes to it, a
+    `_FrozenBytes` one does."""
+
+    __slots__ = ()
+
+
+def _immutable_owner(prefix: np.ndarray) -> np.ndarray | None:
+    """The array `prefix` leads (`_leads`), when that is a C-contiguous,
+    aligned float64 array over `_FrozenBytes`, as a record's increments
+    are; else None."""
+    src = prefix.base
+    if (prefix.size and isinstance(src, np.ndarray) and type(src.base) is _FrozenBytes and src.dtype == np.float64
+            and src.dtype.alignment == src.itemsize and src.flags.c_contiguous and src.flags.aligned
+            and _leads(prefix, src[:1])):
+        return src
+    return None
+
+
 class _LawRun:
     """One run of a control law over a record under one model, scheme, dt
     and normalization: its step matrix `s`, its controlled `_row_step`
@@ -736,7 +774,8 @@ class _LawRun:
     `sampling` says where the step's dy comes from (`_row_step`), and
     `steps` sizes the sums of an advanced run."""
 
-    __slots__ = ("law", "model", "scheme", "dt", "normalized", "s", "step", "body", "record", "sums", "size", "y")
+    __slots__ = ("law", "model", "scheme", "dt", "normalized", "s", "step", "body", "record", "owner", "sums", "size",
+                 "y")
 
     def __init__(self, law: ControlLaw, model: SystemModel, scheme: MeasurementScheme, dt: float,
                  normalized: bool, sampling: bool = False, steps: int = 0):
@@ -750,7 +789,10 @@ class _LawRun:
             self.body = law.control.body
             if law.control.reads_record:
                 self.sums = np.empty(steps)
-        self.record = np.empty(0, dtype=np.int64)  # the followed prefix's bits
+        self.record = np.empty(0, dtype=np.int64)  # the followed prefix's bits, unless `owner` holds them
+        # an immutable array whose first `size` entries are the followed
+        # prefix (`_immutable_owner`)
+        self.owner = None
         self.size = 0  # the entries of the record summed
         self.y = 0.0  # an advanced run's last sum
 
@@ -777,25 +819,39 @@ class _LawRun:
         them.  A prefix that extends the followed one bit for bit sums only
         its new entries (one add for one entry more); any other prefix, one
         that shrinks, diverges or was edited in place, is summed from its
-        first entry."""
+        first entry.
+
+        Telling the two apart costs a bitwise compare of the entries
+        followed, about 0.4 ns an entry, except for a prefix that leads the
+        array the run last followed when that array is a record's
+        increments, over bytes nothing writes to (`_immutable_owner`): a
+        C-contiguous, aligned view from its first entry, such as
+        `record.increments[:k]`.  The entries followed there cannot have
+        changed, so such a call costs the same at any length.  Any other
+        prefix, a writeable copy of the same entries included, pays the
+        compare."""
         if self.sums is None:
             return
         m, k = prefix.size, self.size
-        # bitwise, so that -0.0 and 0.0 (which sum differently) never match
-        bits = prefix.view(np.int64)
-        same = k if k <= m else 0
-        if same:
-            differs = bits[:k] != self.record[:k]
-            if differs[differs.argmax()]:  # argmax is 0 when no entry differs
-                same = 0
-        if same == m:
-            return
         if m > self.record.size:
             capacity = max(m, 2 * self.record.size)
             record, sums = np.empty(capacity, dtype=np.int64), np.empty(capacity)
-            record[:same], sums[:same] = self.record[:same], self.sums[:same]
+            record[:k], sums[:k] = self.record[:k], self.sums[:k]
             self.record, self.sums = record, sums
-        self.record[same:m] = bits[same:]
+        owner = self.owner
+        if owner is not None and prefix.base is owner and k <= m and _leads(prefix, owner[:1]):
+            same = k  # the entries followed, in memory nothing writes to
+        else:
+            if owner is not None:
+                # the bits followed in the owner were not copied on the way
+                self.record[:k] = owner[:k].view(np.int64)
+            # bitwise, so that -0.0 and 0.0 (which sum differently) never match
+            bits = prefix.view(np.int64)
+            same = _agreeing(bits, self.record, k) if 0 < k <= m else 0
+            self.record[same:m] = bits[same:]
+            self.owner = _immutable_owner(prefix)
+        if same == m:
+            return
         tail = self.sums[same:m]
         # as np.cumsum does, the first entry is copied, not added to 0.0
         tail[0] = self.sums[same - 1] + prefix[same] if same else prefix[0]
@@ -850,9 +906,13 @@ def feedback_step(
     objects, an equal scheme and the same dt and normalization; a law's H0
     and H1 are read-only, so no call compares them.  A compiled expression
     law is evaluated on the run's cumulative sums, which follow each call's
-    prefix: a prefix that extends the last one costs a bitwise compare and
-    an add per new entry, any other is summed afresh.  Every argument is
-    checked on every call.
+    prefix: a prefix that extends the last one costs an add per new entry,
+    any other is summed afresh.  Telling the two apart costs nothing per
+    entry for a leading view of an `ObservationRecord`'s increments, such
+    as `record.increments[:k]`, whose buffer is immutable; any other
+    prefix, a writeable copy of the same entries included, pays a bitwise
+    compare of the entries followed, about 0.4 ns an entry
+    (`_LawRun.follow`).  Every argument is checked on every call.
     """
     dt = _require_dt(dt)
     _require_model_state(state, model)

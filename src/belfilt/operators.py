@@ -150,12 +150,13 @@ class DensityState:
         return DensityState((1.0 - weight) * self.matrix + weight * np.eye(n) / n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemModel:
     """Hamiltonian plus coupling channels.
 
     The generator accepts any number of channels; the filtering and
     trajectory code requires exactly one (access it via ``channel``).
+    Models compare and hash by identity.
     """
 
     hamiltonian: np.ndarray

@@ -54,6 +54,7 @@ from .filters import (
     ControlLaw,
     MeasurementScheme,
     PathHealth,
+    _FrozenBytes,
     _LawRun,
     _model_matrix,
     _require_dt,
@@ -118,7 +119,8 @@ def derive_seed(base_seed: int, index: int) -> int:
 @dataclass(frozen=True)
 class ObservationRecord:
     """A measurement record on a uniform grid: increments dY per step.  The
-    seed is one `simulate_*` takes (`_require_seed`)."""
+    seed is one `simulate_*` takes (`_require_seed`).  The increments are
+    immutable; a copied or unpickled record is built and checked afresh."""
 
     scheme: MeasurementScheme
     dt: float
@@ -135,9 +137,10 @@ class ObservationRecord:
         if self.scheme.kind == COUNTING and inc.size and not np.all((inc == 0.0) | (inc == 1.0)):
             bad = int(np.argmax((inc != 0.0) & (inc != 1.0)))
             raise ValidationError(f"counting record increment {bad} is not 0 or 1")
-        inc = np.array(inc)
-        inc.setflags(write=False)
-        object.__setattr__(self, "increments", inc)
+        # over bytes, which numpy will not make writeable (nor any view of
+        # them): no caller can edit a validated record, and `feedback_step`
+        # can trust the entries of a record it followed (`_FrozenBytes`)
+        object.__setattr__(self, "increments", np.frombuffer(_FrozenBytes(inc.tobytes()), dtype=float))
         object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "seed", _require_seed(self.seed))
 
@@ -152,6 +155,10 @@ class ObservationRecord:
     def times(self) -> np.ndarray:
         """End-of-step timestamps k*dt, k = 1..steps."""
         return self.dt * np.arange(1, self.steps + 1)
+
+    def __reduce__(self):
+        # copies and unpickled records go back through the constructor
+        return ObservationRecord, (self.scheme, self.dt, self.increments, self.seed)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ObservationRecord):

@@ -3,6 +3,7 @@ directly and through a bound law run, the work done per call, the sums a
 closed loop keeps itself, and the run `feedback_step` keeps bound per
 thread."""
 
+import pickle
 import struct
 import sys
 import threading
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import belfilt as bf
+from belfilt import filters
 from belfilt.filters import ControlLaw, FilterState, _LawRun, compile_control_expression, feedback_step
 from belfilt.operators import SIGMA_MINUS, SIGMA_X, SIGMA_Z, DensityState, SystemModel
 from belfilt.trajectories import simulate_homodyne
@@ -82,7 +84,89 @@ def _non_finite():
     yield buf
 
 
-SEQUENCES = [_grow, _jump_ahead, _shrink, _diverge, _edit_in_place, _negative_zero, _non_finite]
+def _record(data=RECORD):
+    """Increments as a record holds them, in an immutable buffer."""
+    return bf.ObservationRecord(bf.MeasurementScheme.homodyne(), 1e-3, data).increments
+
+
+def _record_grow():
+    src = _record()
+    for k in range(120):
+        yield src[:k]
+
+
+def _record_shift():
+    # a view one entry on has the same owner but does not lead it
+    src = _record()
+    for k in (1, 2, 3, 60, 61):
+        yield from (src[:k], src[1 : k + 1], src[: k + 1])
+
+
+def _record_strided():
+    # src[::2][:1] is a leading view; longer strided views are not
+    src = _record()
+    for k in (1, 2, 3, 60, 61):
+        yield from (src[:k], src[::2][:k], src[::2][: k + 1], src[: k + 1])
+
+
+def _record_misaligned():
+    # a float view that starts half an entry into the record overlaps the
+    # record's first entry, but does not lead it
+    src = _record()
+    halves = src.view(np.int32)[1:-1].view(float)
+    yield from (src[:20], halves[:21], src[:22], halves[:23])
+
+
+def _record_empty_between():
+    src = _record()
+    yield from (src[:50], src[:0], src[:51], src[:0], src[:0], src[:52], src[:51], src[:53])
+
+
+def _two_records():
+    # alternated in one thread, then a twin with the same bits as the first
+    first, second, twin = _record(), _record(RECORD[::-1]), _record()
+    for k in range(60):
+        yield first[:k]
+        yield second[:k]
+    yield from (first[:60], twin[:61], first[:62], twin[:62])
+
+
+def _pickled_record():
+    # an unpickled record is immutable again; its pickled increments are a
+    # writeable array with the same bits (which numpy may back with the
+    # pickle's bytes), edited in place below
+    record = bf.ObservationRecord(bf.MeasurementScheme.homodyne(), 1e-3, RECORD)
+    unpickled = pickle.loads(pickle.dumps(record)).increments
+    writeable = pickle.loads(pickle.dumps(record.increments))
+    assert writeable.flags.writeable
+    yield from (record.increments[:40], unpickled[:41], writeable[:42], record.increments[:43], writeable[:44])
+    writeable[5] = -writeable[5]
+    yield from (writeable[:44], writeable[:45], record.increments[:45], unpickled[:46])
+
+
+def _writeable_then_record():
+    # a record that shares only its first entries with the writeable array
+    # followed before it: once the record is left, the compare must see the
+    # record's entries, not the array's bits that the run held before
+    src = _record()
+    other = RECORD.copy()
+    other[10:] = RECORD[::-1][10:]
+    yield from (other[:20], src[:10], src[:20], other[:21], src[:22])
+
+
+def _record_overflow():
+    # finite entries whose sums overflow, so that the laws refuse inf and nan
+    data = RECORD[:80].copy()
+    data[10] = data[11] = 1.5e308
+    data[30] = -1.5e308
+    src = _record(data)
+    for k in range(0, 81, 3):
+        yield src[:k]
+
+
+SEQUENCES = [_grow, _jump_ahead, _shrink, _diverge, _edit_in_place, _negative_zero, _non_finite, _record_grow,
+             _record_shift, _record_strided, _record_misaligned, _record_empty_between, _two_records, _pickled_record,
+             _writeable_then_record, _record_overflow]
 
 
 def _bits(u):
@@ -97,7 +181,7 @@ class TestCompiledLawsMatchDirectEvaluation:
         reference = reference_control(expression)
         for call, prefix in enumerate(sequence()):
             t = 0.37 + 1e-3 * np.size(prefix)
-            with np.errstate(invalid="ignore"):  # inf - inf in the sums
+            with np.errstate(over="ignore", invalid="ignore"):  # sums that overflow, inf - inf
                 u, expected = law(t, prefix), reference(t, prefix)
             assert _bits(u) == _bits(expected), f"call {call}: {u!r} != {expected!r}"
 
@@ -123,7 +207,7 @@ class TestCompiledLawsMatchDirectEvaluation:
         for call, prefix in enumerate(sequence()):
             prefix = np.asarray(prefix, dtype=float).reshape(-1)
             t = 0.37 + 1e-3 * prefix.size
-            with np.errstate(invalid="ignore"):  # inf - inf in the sums
+            with np.errstate(over="ignore", invalid="ignore"):  # sums that overflow, inf - inf
                 bound.follow(prefix)
                 got, want = _outcome(lambda: bound.control(t, prefix)), _outcome(lambda: fresh.control(t, prefix))
                 expected = reference(t, prefix)
@@ -186,6 +270,30 @@ def cumsum_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def compared_sizes(monkeypatch):
+    """The entries of each bitwise compare `_LawRun.follow` runs while the
+    test runs."""
+    sizes = []
+    agreeing = filters._agreeing
+
+    def spy(bits, record, k):
+        sizes.append(k)
+        return agreeing(bits, record, k)
+
+    monkeypatch.setattr(filters, "_agreeing", spy)
+    return sizes
+
+
+def _feed_online(increments, prefixes, steps):
+    """The last state of feeding increments[k] online with prefixes[:k]."""
+    law = ControlLaw.from_expression("ma(Y, 50)", MODEL.hamiltonian, SIGMA_X)
+    state = FilterState.from_density(RHO0)
+    for k in range(steps):
+        state = feedback_step(state, increments[k], law, MODEL, prefixes[:k], DT, t=k * DT)
+    return state
+
+
 class TestWorkPerCall:
     def test_online_feedback_sums_each_entry_once(self, cumsum_sizes):
         law = ControlLaw.from_expression("ma(Y, 50)", MODEL.hamiltonian, SIGMA_X)
@@ -198,6 +306,28 @@ class TestWorkPerCall:
         cumsum_sizes.clear()
         compile_control_expression("ma(Y, 50)")(STEPS * DT, increments)
         assert STEPS <= sum(cumsum_sizes) <= SUMMED_BOUND
+
+    def test_online_feedback_on_a_record_compares_no_prefix(self, compared_sizes):
+        # a leading view of a record's increments needs no compare, a
+        # writeable copy of the same entries does, and both step the same
+        increments = bf.ObservationRecord(bf.MeasurementScheme.homodyne(), DT,
+                                          np.random.default_rng(7).normal(0.0, np.sqrt(DT), 50)).increments
+        on_record = _feed_online(increments, increments, 50)
+        assert compared_sizes == []
+        on_copy = _feed_online(increments, np.array(increments), 50)
+        # the call for increments[k] compares the k - 1 entries it followed
+        assert compared_sizes == list(range(1, 49))
+        assert on_record.matrix.tobytes() == on_copy.matrix.tobytes()
+
+    def test_online_feedback_on_a_record_compares_in_constant_work(self, compared_sizes):
+        increments = bf.ObservationRecord(bf.MeasurementScheme.homodyne(), DT,
+                                          np.random.default_rng(8).normal(0.0, np.sqrt(DT), STEPS)).increments
+        _feed_online(increments, increments, STEPS)
+        assert sum(compared_sizes) <= SUMMED_BOUND
+        # the spy sees the compare: a writeable copy compares every prefix
+        compared_sizes.clear()
+        _feed_online(increments, np.array(increments), STEPS)
+        assert sum(compared_sizes) == (STEPS - 1) * (STEPS - 2) // 2
 
     def test_closed_loop_simulation_sums_each_entry_once(self, cumsum_sizes):
         law = ControlLaw.from_expression("ma(Y, 50)", MODEL.hamiltonian, SIGMA_X)
@@ -564,3 +694,17 @@ class TestBoundFeedbackRun:
         again = feedback_step(state, increments[1], law, MODEL, increments[:1], DT, t=DT)
         assert again.matrix.tobytes() == self._fresh([(law, MODEL, DT, bf.MeasurementScheme.homodyne(), True,
                                                        increments[:2])])[0][1][0]
+
+
+class TestIdentityEquality:
+    """Laws and models compare and hash by identity, as the runs that bind
+    them do; their array fields are never compared."""
+
+    def test_laws_and_models_compare_as_bools_and_key_dicts(self):
+        control = compile_control_expression("Y")
+        law, twin = ControlLaw(control, 0.5 * SIGMA_Z, SIGMA_X), ControlLaw(control, 0.5 * SIGMA_Z, SIGMA_X)
+        model, other = SystemModel(0.5 * SIGMA_Z, (SIGMA_MINUS,)), SystemModel(0.5 * SIGMA_Z, (SIGMA_MINUS,))
+        for a, b in ((law, twin), (model, other)):
+            assert (a == a) is True and (a == b) is False and (a != b) is True
+            keyed = {a: "a", b: "b"}
+            assert keyed[a] == "a" and keyed[b] == "b" and hash(a) != hash(b)

@@ -1,5 +1,7 @@
 """Record sampling, seeding, ensembles and innovations."""
 
+import copy
+import pickle
 import re
 
 import numpy as np
@@ -853,6 +855,37 @@ class TestObservationRecordType:
         c = ObservationRecord(MeasurementScheme.homodyne(), 1e-3, np.array([0.1, 0.3]), seed=3)
         assert a == b
         assert a != c
+
+    def test_increments_cannot_be_made_writeable(self):
+        source = np.array([0.0, 1.0, 0.0])
+        rec = ObservationRecord(MeasurementScheme.counting(), 1e-3, source)
+        for view in (rec.increments, rec.increments[:2], rec.increments[::-1], rec.increments.reshape(1, 3)):
+            with pytest.raises(ValueError):
+                view.flags.writeable = True
+            with pytest.raises(ValueError):
+                view[..., 0] = 0.5
+        source[1] = 0.5
+        assert rec.increments.tolist() == [0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("route", [
+        copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r)),
+        lambda r: pickle.loads(pickle.dumps(r, protocol=5)),
+    ], ids=["copy", "deepcopy", "pickle", "pickle5"])
+    def test_copies_are_rebuilt_immutable_and_checked(self, route, monkeypatch):
+        rec = ObservationRecord(MeasurementScheme.counting(), 1e-3, np.array([0.0, 1.0, 0.0]), seed=4)
+        checks = []
+        post_init = ObservationRecord.__post_init__
+
+        def spy(self):
+            checks.append(self.increments)
+            post_init(self)
+
+        monkeypatch.setattr(ObservationRecord, "__post_init__", spy)
+        again = route(rec)
+        assert len(checks) == 1  # through the constructor
+        assert again == rec and again.seed == 4 and again.increments.base is not rec.increments.base
+        with pytest.raises(ValueError):
+            again.increments.flags.writeable = True
 
     def test_times_grid(self):
         rec = ObservationRecord(MeasurementScheme.homodyne(), 0.5, np.array([0.1, 0.2, 0.3]))
