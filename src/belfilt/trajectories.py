@@ -26,7 +26,10 @@ Ensembles step their trajectories together instead: `_integrate_stack`
 advances a block of them as one (B, n, n) stack through the stacked step
 `filters._stack_step` binds once per block, one Python iteration per time
 step for the whole block, with every trajectory still drawing its own noise
-and stepping exactly as `_integrate` would step it.  The block keeps
+and stepping exactly as `_integrate` would step it.  A block of fewer than
+ENSEMBLE_STACK_ROWS trajectories, where the stacked step's fixed cost
+outweighs what it shares, steps its rows in turn through one `_row_step`
+instead, all rows of a step before the next step.  The block keeps
 ENSEMBLE_CHUNK_STEPS + 1 rows per trajectory, not its paths, and each chunk
 of steps is reduced once for the whole block: observables' running sums, in
 trajectory order, and the health audit.  ENSEMBLE_BLOCK_BYTES bounds a
@@ -69,13 +72,23 @@ from .operators import DensityState, SystemModel, _finite_real, as_operator
 GENERATOR_NAME = f"pcg64-splitmix64/numpy-{np.__version__}"
 # Byte budget of one block of ensemble trajectories stepped together: its
 # noise, drawn up front (B x steps floats), and its chunk buffer (B x (chunk+1)
-# matrices).  It bounds the ensemble's extra memory whatever the horizon.
+# matrices).  It bounds the ensemble's extra memory whatever the horizon,
+# whether the block steps as a stack or row by row.
 ENSEMBLE_BLOCK_BYTES = 2 * 2**20
 # Steps per chunk: a block's rows are reduced (observables and health) once
 # per chunk.  A reduction is a few dozen numpy calls, so 64 steps keep it a
 # small share of the stepping; longer chunks would leave less of the budget
 # for trajectories.
 ENSEMBLE_CHUNK_STEPS = 64
+# Blocks of fewer trajectories step row by row through the single-matrix
+# step, which costs the same per trajectory at any B, where the stacked
+# step's dozen numpy calls cost about 9-12 us a block-step whatever B is.
+# Homodyne, one BLAS thread, shared 2-vCPU host, us a trajectory-step,
+# stacked against row by row: at n = 2, 4.0 / 1.7 at B = 2, 2.1 / 1.7 at
+# B = 4, 1.7 / 1.6 at B = 5, 1.5 / 1.7 at B = 6; at n = 4, 2.4 / 2.0 at
+# B = 4, 1.8 / 1.9 at B = 6; at n = 8, 5.4 / 5.1 at B = 4, 5.0 / 5.2 at
+# B = 5, 4.7 / 5.4 at B = 6.
+ENSEMBLE_STACK_ROWS = 5
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -169,6 +182,10 @@ class ObservationRecord:
             and self.seed == other.seed
             and np.array_equal(self.increments, other.increments)
         )
+
+    def __hash__(self) -> int:
+        # adding +0.0 turns -0.0 into +0.0, which `np.array_equal` equates
+        return hash((self.scheme, self.dt, self.seed, (self.increments + 0.0).tobytes()))
 
 
 def _grid(horizon: float, dt: float) -> int:
@@ -268,33 +285,53 @@ def _integrate_stack(model: SystemModel, rho0, scheme: MeasurementScheme, dt: fl
     """Simulate a block of trajectories together, without a control law.
 
     Row i of `noise`, shape (B, steps), is the noise of trajectory first + i.
-    The block steps as one (B, n, n) stack through the filters' stacked step
-    (`_stack_step`), bound once, as are the step matrix and the views of the
-    buffer's chunk + 1 rows per trajectory (chunk = steps by default); step k
-    reads the strided column noise[:, k].  After every `chunk` steps, and
-    after the last, `reduce(start, rows)` gets the rows not yet reduced: a
-    C-contiguous (B, m, n, n) array holding time indices start .. start+m-1,
-    the initial row included in the first.  The last row then moves to
-    slot 0.  Row i steps as `_integrate` steps noise[i], bit for bit.  A
-    failing row raises its error type naming the trajectory and the step.
-    Returns the buffer: with the default chunk, the paths (B, steps+1, n, n).
+    A block of ENSEMBLE_STACK_ROWS or more steps as one (B, n, n) stack
+    through the filters' stacked step (`_stack_step`), bound once, as are
+    the step matrix and the views of the buffer's chunk + 1 rows per
+    trajectory (chunk = steps by default); step k reads the strided column
+    noise[:, k].  A smaller block steps row by row through the single-matrix
+    step (`_row_step`), bound once for the block, every row of step k before
+    any row of step k + 1, in the same buffer.  After every `chunk` steps,
+    and after the last, `reduce(start, rows)` gets the rows not yet reduced:
+    a C-contiguous (B, m, n, n) array holding time indices start ..
+    start+m-1, the initial row included in the first.  The last row then
+    moves to slot 0.  Row i steps as `_integrate` steps noise[i], bit for
+    bit.  A failing row raises its error type naming the trajectory and the
+    earliest failing step.  When two rows fail that step, a small block
+    names the first of them, whatever check it failed; a stack names the
+    first row to fail the check that comes first in a step (the jump bound,
+    then a jump at zero rate, then the trace).  Returns the buffer: with the
+    default chunk, the paths (B, steps+1, n, n).
     """
     rows, steps = noise.shape
     n = model.dim
     chunk = steps if chunk is None else chunk
     s = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
-    step = _stack_step(rows, n, dt, _route(scheme), scheme.gain)
     buffer = np.empty((rows, chunk + 1, n, n), dtype=complex)
     buffer[:, 0] = _initial_matrix(rho0, model)
-    vecs = buffer.reshape(rows, chunk + 1, 1, n * n)
-    slots = [vecs[:, j] for j in range(chunk + 1)]
+    stacked = rows >= ENSEMBLE_STACK_ROWS
+    if stacked:
+        step = _stack_step(rows, n, dt, _route(scheme), scheme.gain)
+        vecs = buffer.reshape(rows, chunk + 1, 1, n * n)
+        slots = [vecs[:, j] for j in range(chunk + 1)]
+    else:
+        step = _row_step(n, dt, _route(scheme), scheme.gain, True, True)
+        vecs = buffer.reshape(rows, chunk + 1, n * n)
+        slots = [list(vecs[:, j]) for j in range(chunk + 1)]
     for start in range(0, steps, chunk):
         stop = min(start + chunk, steps)
         try:
-            for k, r, out in zip(range(start, stop), slots, slots[1:]):
-                step(r, s, noise[:, k], out)
+            if stacked:
+                for k, here, there in zip(range(start, stop), slots, slots[1:]):
+                    step(here, s, noise[:, k], there)
+            else:
+                # Python floats, as `_integrate` feeds them, a chunk at a time
+                columns = noise[:, start:stop].T.tolist()
+                for k, here, there, column in zip(range(start, stop), slots, slots[1:], columns):
+                    for i, value in enumerate(column):
+                        step(here[i], s, value, there[i])
         except (ValidationError, NumericalFailure) as exc:
-            raise type(exc)(f"{_at(k, first + exc.row)}: {exc}") from None
+            raise type(exc)(f"{_at(k, first + (exc.row if stacked else i))}: {exc}") from None
         if reduce is not None:
             # einsum on a strided view need not sum in the order it does on
             # a contiguous path, hence the copy
@@ -461,8 +498,10 @@ def _step_ensemble(model, rho0, scheme, n_trajectories, seed, steps, dt, law, re
     Without a law, blocks of B trajectories step together in chunks of
     ENSEMBLE_CHUNK_STEPS steps, B being as large as lets the block's noise
     (B x steps floats) and chunk rows (B x (chunk+1) matrices) fit in
-    ENSEMBLE_BLOCK_BYTES.  With one, each trajectory's law sees its own
-    record, so trajectories step one at a time (B = 1, one chunk).
+    ENSEMBLE_BLOCK_BYTES; a block of fewer than ENSEMBLE_STACK_ROWS steps
+    its rows in turn (`_integrate_stack`).  With one, each trajectory's law
+    sees its own record, so trajectories step one at a time (B = 1, one
+    chunk).
     """
 
     def noise(i):

@@ -328,6 +328,46 @@ class TestCliCommands:
         assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_calls_in_one_process_write_what_fresh_processes_do(self, tmp_path, capsys, monkeypatch):
+        # the parser is built once per process and reused: no flag of one
+        # call may reach the next (the ensemble without --trajectories and
+        # --seed takes the config's 2 trajectories and seed 7, and without
+        # --out writes to the working directory)
+        calls = [
+            ["simulate", "--config", "config.json", "--seed", "11", "--out", "sim"],
+            ["ensemble", "--config", "config.json", "--trajectories", "three"],
+            ["filter", "--config", "config.json", "--record", "sim/record.csv", "--out", "filter"],
+            ["ensemble", "--config", "config.json", "--trajectories", "3", "--seed", "5", "--out", "ens3"],
+            ["ensemble", "--config", "config.json"],
+            ["master", "--config", "config.json", "--out", "master"],
+        ]
+        inside, fresh = tmp_path / "inside", tmp_path / "fresh"
+        for where in (inside, fresh):
+            where.mkdir()
+            write_config(where, qubit_config(T=0.05, n_trajectories=2))
+        monkeypatch.delenv("BELFILT_OUT", raising=False)
+        monkeypatch.chdir(inside)
+        outcomes = [(run(argv), capsys.readouterr().err) for argv in calls]
+        env = {key: value for key, value in os.environ.items() if key != "BELFILT_OUT"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(bf.__file__).resolve().parents[1]),
+                                                          env.get("PYTHONPATH")]))
+        alone = []
+        for argv in calls:
+            done = subprocess.run([sys.executable, "-m", "belfilt", *argv], cwd=fresh, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            alone.append((done.returncode, done.stderr))
+        assert outcomes == alone
+        assert [code for code, _ in outcomes] == [0, 1, 0, 0, 0, 0]
+        assert "argument --trajectories: invalid int value" in outcomes[1][1]
+        written = sorted(path.relative_to(inside) for path in inside.rglob("*.csv"))
+        assert [str(path) for path in written] == ["ens3/ensemble.csv", "ensemble.csv", "filter/path.csv",
+                                                   "master/master.csv", "sim/path.csv", "sim/record.csv"]
+        for path in written:
+            assert (inside / path).read_bytes() == (fresh / path).read_bytes(), path
+        assert "# n_trajectories: 2" in (inside / "ensemble.csv").read_text()
+        assert "# seed: 7" in (inside / "ensemble.csv").read_text()
+        assert "# n_trajectories: 3" in (inside / "ens3" / "ensemble.csv").read_text()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
             run(["master", "--help"])

@@ -170,7 +170,8 @@ def test_runs_bind_the_row_step_once(monkeypatch):
 
 def test_single_matrix_runs_call_no_matmul(monkeypatch):
     """A single-matrix step makes its two products with `ndarray.dot`; the
-    (B, 1, n^2) `np.matmul` is the stacked kernel's alone."""
+    (B, 1, n^2) `np.matmul` is the stacked kernel's alone, which blocks of
+    ENSEMBLE_STACK_ROWS trajectories or more take, and smaller ones do not."""
     calls = []
     real = np.matmul
     monkeypatch.setattr(np, "matmul", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
@@ -178,7 +179,10 @@ def test_single_matrix_runs_call_no_matmul(monkeypatch):
     record, _ = simulate_homodyne(model, rho0, STEPS * DT, DT, seed=4)
     replay_record(record, model, rho0, kind="bks")
     assert calls == []
-    trajectories._integrate_stack(model, rho0, MeasurementScheme.homodyne(), DT, np.zeros((2, STEPS)))
+    rows = trajectories.ENSEMBLE_STACK_ROWS
+    trajectories._integrate_stack(model, rho0, MeasurementScheme.homodyne(), DT, np.zeros((rows - 1, STEPS)))
+    assert calls == []
+    trajectories._integrate_stack(model, rho0, MeasurementScheme.homodyne(), DT, np.zeros((rows, STEPS)))
     assert len(calls) == 2 * STEPS
 
 

@@ -602,10 +602,36 @@ class TestStackedEnsemble:
         reference = _serial_ensemble(*args, collect_health=collect_health)
         _assert_summary_equal(summary, reference, 12, scheme, 0.3, 1e-3)
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    @pytest.mark.parametrize("name", list(STACK_SCHEMES))
+    def test_small_blocks_step_as_integrate(self, name, dim, rows):
+        # a block under ENSEMBLE_STACK_ROWS steps row by row: each row is the
+        # single-trajectory loop's path, bit for bit
+        assert rows < trajectories.ENSEMBLE_STACK_ROWS
+        scheme = STACK_SCHEMES[name]
+        model, rho0, _ = _random_ensemble_case(dim, 60 + dim)
+        steps = 150
+        noise = np.stack([trajectories._noise(scheme, derive_seed(41, i), steps, 1e-3) for i in range(rows)])
+        paths = trajectories._integrate_stack(model, rho0, scheme, 1e-3, noise)
+        assert paths.shape == (rows, steps + 1, dim, dim)
+        for row, path in zip(noise, paths):
+            want, _ = trajectories._integrate(model, rho0, scheme, 1e-3, np.empty(steps), noise=row)
+            assert np.array_equal(path, want)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("name", list(STACK_SCHEMES))
+    def test_ensembles_either_side_of_the_row_limit_equal_serial(self, name, count):
+        scheme = STACK_SCHEMES[name]
+        model, rho0, observables = _random_ensemble_case(2, 95)
+        args = (model, scheme, observables, count, 37, 0.2, 1e-3, rho0)
+        summary = ensemble_average(*args, collect_health=True)
+        _assert_summary_equal(summary, _serial_ensemble(*args, collect_health=True), count, scheme, 0.2, 1e-3)
+
     @pytest.mark.parametrize("name", list(STACK_SCHEMES))
     def test_blocks_of_32_at_n8_equal_serial(self, name, monkeypatch):
         # a row of a stack must not depend on the stack's size: one block of
-        # 32 and one of 1
+        # 32, stacked, and one of 1, row by row
         steps, dim = 100, 8
         monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", _block_bytes(32, steps, dim))
         blocks = []
@@ -616,9 +642,9 @@ class TestStackedEnsemble:
         scheme = STACK_SCHEMES[name]
         model, rho0, observables = _random_ensemble_case(dim, 78)
         args = (model, scheme, observables, 33, 27, steps * 1e-3, 1e-3, rho0)
-        summary = ensemble_average(*args)
+        summary = ensemble_average(*args, collect_health=True)
         assert blocks == [32, 1]
-        _assert_summary_equal(summary, _serial_ensemble(*args), 33, scheme, steps * 1e-3, 1e-3)
+        _assert_summary_equal(summary, _serial_ensemble(*args, collect_health=True), 33, scheme, steps * 1e-3, 1e-3)
 
     @pytest.mark.parametrize("name", list(STACK_SCHEMES))
     def test_blocks_equal_serial(self, name, monkeypatch):
@@ -793,6 +819,54 @@ class TestErrorsNameTheirStep:
         with pytest.raises(bf.FilterCollapse, match="unnormalized filter trace nan"):
             zakai_step_counting(state, 0.0, DECAY, 1e-3)
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    @pytest.mark.parametrize("case", ["collapse", "zero-rate", "jump-bound"])
+    def test_small_block_names_failing_row(self, case, rows):
+        # the block's last row fails at step 5 and its first, when another,
+        # at step 6: the earliest step is named, with the error `_integrate`
+        # raises for that row
+        scheme, model, rho0, dt, fill, bad, lag, error = {
+            # a huge negative increment drives the renormalized trace below zero
+            "collapse": (MeasurementScheme.imperfect(1.5), DECAY, PLUS_MIXED, 1e-3, 0.0, -1e3, 0, bf.FilterCollapse),
+            # noise below 0 draws a jump from the ground state, whose rate is 0
+            "zero-rate": (MeasurementScheme.counting(), DECAY, DensityState.from_vector([1.0, 0.0]), 1e-3, 1.0,
+                          -1.0, 0, bf.ZeroJumpRate),
+            # a count one step before puts the jump probability at 4
+            "jump-bound": (MeasurementScheme.counting(), LADDER, GROUND3, 1e-2, 1.0, 0.0, 1, bf.ValidationError),
+        }[case]
+        noise = np.full((rows, 10), fill)
+        noise[0, 6 - lag] = bad
+        noise[-1, 5 - lag] = bad
+        with pytest.raises(error) as stacked:
+            trajectories._integrate_stack(model, rho0, scheme, dt, noise, first=7)
+        with pytest.raises(error) as alone:
+            trajectories._integrate(model, rho0, scheme, dt, np.empty(10), noise=noise[-1], trajectory=6 + rows)
+        assert str(stacked.value) == str(alone.value)
+        assert str(stacked.value).startswith(f"trajectory {6 + rows}, step 5: ")
+
+    def test_which_of_two_failing_rows_a_block_names(self):
+        # LADDER with rate 25 in |1>, so that Euler stays stable there
+        # (25 dt < 1) and over the bound (25 dt > 0.1).  At step k, row 0
+        # draws a jump at a rate below ZERO_RATE and row 1, having counted
+        # at step k - 1, has jump probability 0.25: a small block names the
+        # first failing row, a stack the first row to fail the first check
+        # of a step, the jump bound
+        channel = np.array([[0, 0, 0], [1.0, 0, 0], [0, 5.0, 0]])
+        model = SystemModel(np.zeros((3, 3)), (channel,))
+        rho0 = DensityState(np.diag([1e-12, 0.0, 1.0 - 1e-12]))
+        scheme, dt, steps = MeasurementScheme.counting(), 1e-2, 1000
+        quiet, _ = trajectories._integrate(model, rho0, scheme, dt, np.empty(steps), noise=np.ones(steps))
+        rates = np.einsum("tij,ji->t", quiet, channel.T @ channel).real
+        k = int(np.argmax(rates <= bf.filters.ZERO_RATE))
+        assert k > 0 and rates[k - 1] > bf.filters.ZERO_RATE
+        noise = np.ones((trajectories.ENSEMBLE_STACK_ROWS, k + 1))
+        noise[0, k] = -1.0
+        noise[1, k - 1] = 0.0
+        with pytest.raises(bf.ZeroJumpRate, match=rf"^trajectory 0, step {k}: jump recorded while"):
+            trajectories._integrate_stack(model, rho0, scheme, dt, noise[:2])
+        with pytest.raises(bf.ValidationError, match=rf"^trajectory 1, step {k}: dt: jump probability rate\*dt = 0\.25 "):
+            trajectories._integrate_stack(model, rho0, scheme, dt, noise)
+
     def test_stacked_kernel_names_zero_rate_row(self):
         # rates 0.875, 1e-15 and 0.875: noise 0.0 draws a jump at any positive rate
         w = np.stack([EXCITED_MIXED.matrix, np.diag([1.0 - 1e-15, 1e-15]).astype(complex), EXCITED_MIXED.matrix])
@@ -856,6 +930,23 @@ class TestObservationRecordType:
         assert a == b
         assert a != c
 
+    def test_equal_records_hash_equal(self):
+        # np.array_equal equates -0.0 and +0.0, so the hash must too
+        homodyne = MeasurementScheme.homodyne()
+        a = ObservationRecord(homodyne, 1e-3, np.array([0.0, -0.0, 0.2]), seed=3)
+        b = ObservationRecord(homodyne, 1e-3, np.array([-0.0, 0.0, 0.2]), seed=3)
+        assert a == b and hash(a) == hash(b)
+        others = [
+            ObservationRecord(homodyne, 1e-3, np.array([0.0, 0.0, 0.3]), seed=3),
+            ObservationRecord(homodyne, 1e-3, np.array([0.0, 0.0, 0.2]), seed=4),
+            ObservationRecord(homodyne, 2e-3, np.array([0.0, 0.0, 0.2]), seed=3),
+            ObservationRecord(MeasurementScheme.imperfect(0.5), 1e-3, np.array([0.0, 0.0, 0.2]), seed=3),
+        ]
+        keyed = {a: "a", **{other: i for i, other in enumerate(others)}}
+        assert len(keyed) == 5 and keyed[b] == "a"
+        for i, other in enumerate(others):
+            assert other != a and keyed[ObservationRecord(other.scheme, other.dt, other.increments, other.seed)] == i
+
     def test_increments_cannot_be_made_writeable(self):
         source = np.array([0.0, 1.0, 0.0])
         rec = ObservationRecord(MeasurementScheme.counting(), 1e-3, source)
@@ -884,6 +975,7 @@ class TestObservationRecordType:
         again = route(rec)
         assert len(checks) == 1  # through the constructor
         assert again == rec and again.seed == 4 and again.increments.base is not rec.increments.base
+        assert hash(again) == hash(rec) and {rec: 1}[again] == 1
         with pytest.raises(ValueError):
             again.increments.flags.writeable = True
 
