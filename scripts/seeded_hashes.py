@@ -34,14 +34,15 @@ after a simulation, the path with likelihoods after a replay, the ensemble
 table, the master path of the uniform grid) and a "csv" case hashes their
 bytes, so the diff covers the byte-stable formats as well.  Two cases read
 a private function: "stacked paths" hashes the raw paths of the first 3
-trajectories stepped as one block by trajectories._integrate_stack, and
-"stacked paths (8 rows)" those of the first 8, so that block rows are
-checked directly and not only through the ensemble sums; a checkout
-without it hashes the AttributeError.  A block of 3 steps row by row
-through the single-matrix step and one of 8 through the stacked step
-(trajectories.ENSEMBLE_STACK_ROWS), so the pair covers both; checkouts
-from before the row-by-row rule stepped both as stacks, with the same
-bits.
+trajectories stepped as one block by the integration loop,
+trajectories._integrate (trajectories._integrate_stack on checkouts from
+before the one loop), and "stacked paths (8 rows)" those of the first 8,
+so that block rows are checked directly and not only through the
+ensemble sums; a checkout with neither hashes the AttributeError.  A block
+of 3 steps row by row through the single-matrix step and one of 8 through
+the stacked step (trajectories.ENSEMBLE_STACK_ROWS), so the pair covers
+both; checkouts from before the row-by-row rule stepped both as stacks,
+with the same bits.
 
 Outputs from n = 7 on (n = 8 among the defaults) depend on the BLAS
 thread count: OpenBLAS threads a vector-matrix product of 4096 entries or
@@ -62,7 +63,7 @@ CSV cases 1 if the bytes differ, 0 if not:
     PYTHONPATH=../old/src python3 scripts/seeded_hashes.py --save before
     PYTHONPATH=src python3 scripts/seeded_hashes.py --against before
 
-The hashes broke three times, by design.  First when the filter step moved to
+The hashes broke four times, by design.  First when the filter step moved to
 Liouville space (one product with a step matrix instead of separate n x n
 products): the summation order changed and outputs moved by about 1e-14;
 tests/test_liouville_step.py holds the step within 1e-12 of the old kernel
@@ -72,7 +73,7 @@ of the coefficients, divided by the trace, with the step's blocks: over
 the default cases, normalized paths and ensemble means moved by at most
 3.1e-15, unnormalized (Zakai) matrices by at most 2.5e-14, likelihoods by
 at most 8.1e-15 relative and homodyne increments by at most 5.6e-17, with
-no count moved.  Last when a control law's H1 left the step matrix for a
+no count moved.  Then when a control law's H1 left the step matrix for a
 block of its own, with u a fourth coefficient of the update: the law lines
 alone moved (law simulate, law online and the callable and channel-map
 pairs, ensemble law), paths and ensemble means by at most 2.7e-15,
@@ -80,8 +81,14 @@ increments by at most 5.6e-17 and health monitors by at most 8.0e-16, with
 no count moved, pinned and unpinned alike; ensemble standard errors where
 every trajectory holds the same value (counting before a first count) went
 from 0 to at most 3.8e-8, the square root of a rounding.  Every other line
-kept its hash.  A diff across any of these changes is therefore not empty;
-compare checkouts on the same side of them, or use --against.
+kept its hash.  Last when ensemble variances took their sums about
+trajectory 0's value at each time index, which cancels no digits: the
+ensemble lines (stacked, pair, law) and their csv lines alone moved,
+standard errors by at most 3.8e-8 (where every trajectory holds the same
+value, the old sums' square root of a rounding is now 0), and means and
+health monitors not at all, pinned and unpinned alike.  A diff across any
+of these changes is therefore not empty; compare checkouts on the same
+side of them, or use --against.
 """
 
 from __future__ import annotations
@@ -212,7 +219,10 @@ def stacked_paths(model, rho0, scheme, horizon, dt, seed, rows):
         rng = np.random.default_rng(derive_seed(seed, i))
         noise.append(rng.random(size=steps) if scheme.kind == "counting"
                      else scheme.noise_scale * rng.normal(0.0, np.sqrt(dt), size=steps))
-    return belfilt.trajectories._integrate_stack(model, rho0, scheme, dt, np.stack(noise))
+    loop = belfilt.trajectories
+    if hasattr(loop, "_integrate_stack"):  # checkouts from before the one loop
+        return loop._integrate_stack(model, rho0, scheme, dt, np.stack(noise))
+    return loop._integrate(model, rho0, scheme, dt, np.stack(noise))[0]
 
 
 def series(matrices, obs) -> dict:

@@ -42,15 +42,16 @@ object: it binds S and its own controlled step for one law, model,
 scheme, dt and normalization, and evaluates a compiled expression law on
 record sums it keeps itself, extended by one add a step in a closed loop
 and following each call's prefix in `feedback_step`.  `_row_step` binds
-the step of one matrix once per run (once per call for the public step
-functions; `feedback_step` keeps each thread's last law run), fed one
-float a step: the increment dy, or the noise dy is drawn from when the run
-samples its record.  Each step is two BLAS products and Python-float
-scalars.  `_stack_step` binds the step of a stack of sampled trajectories
-on the normalized route once per block (ensemble blocks large enough to
-share its fixed cost; smaller ones step each row through `_row_step`),
-with the same arithmetic done in place on per-row arrays, and a row of a
-stack steps exactly as one matrix.
+the step of one matrix once per run of the integration loop
+(`trajectories._integrate`), which steps every row of a run through it but
+those of a stack (once per call for the public step functions;
+`feedback_step` keeps each thread's last law run), fed one float a step:
+the increment dy, or the noise dy is drawn from when the run samples its
+record.  Each step is two BLAS products and Python-float scalars.
+`_stack_step` binds the step of a stack of sampled trajectories on the
+normalized route once per block (ensemble blocks large enough to share its
+fixed cost), with the same arithmetic done in place on per-row arrays, and
+a row of a stack steps exactly as one matrix.
 
 Positivity is monitored, not enforced: Euler steps may transiently leave
 the state space, and projecting would mask convergence behavior.  Use
@@ -272,14 +273,19 @@ def _model_matrix(model: SystemModel, phase: float, counting: bool, dt: float, l
     return held[3]
 
 
+def _scaled(y, dt, g, m):
+    """(a0, a1, a2) of unnormalized diffusive steps and normalized imperfect ones."""
+    return 1.0, g * y, 0.0
+
+
 # The table of (a0, a1, a2) (see the module docstring), by `_route`'s kind and
 # normalization, from the increment y, dt, the gain g and m = tr(X r): the
 # record's drift rate (diffusive) or the jump rate (counting).
 _COEFFICIENTS = {
     (HOMODYNE, True): lambda y, dt, g, m: (1.0, (c := y - m * dt), -c * m),
-    (HOMODYNE, False): lambda y, dt, g, m: (1.0, g * y, 0.0),
-    (IMPERFECT, True): lambda y, dt, g, m: (1.0, g * y, 0.0),
-    (IMPERFECT, False): lambda y, dt, g, m: (1.0, g * y, 0.0),
+    (HOMODYNE, False): _scaled,
+    (IMPERFECT, True): _scaled,
+    (IMPERFECT, False): _scaled,
     (COUNTING, False): lambda y, dt, g, m: (1.0, y - dt, -(y - dt)),
     # no count; a registered count takes _COUNT
     (COUNTING, True): lambda y, dt, g, m: (1.0, -dt, m * dt),

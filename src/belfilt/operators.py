@@ -84,10 +84,6 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - dag(m)))) if m.size else 0.0
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    return hermiticity_defect(m) <= tol
-
-
 def _frozen(m: np.ndarray) -> np.ndarray:
     out = np.array(m, dtype=complex)
     out.setflags(write=False)

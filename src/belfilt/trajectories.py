@@ -11,31 +11,32 @@ This is statistically exact in the continuous-time limit because the
 innovations are Wiener (diffusive case) or compensated-counting
 martingales, and it avoids simulating the exponentially large field.
 
-Simulation and replay run through one loop, `_integrate`, which validates
-and binds the filters' single-matrix step (`_row_step`) once per run.  A
-control law steps through one law run (`filters._LawRun`) per run, which
-binds the law's step matrix [S0 | C1] and its own controlled step once, the
-control u of each step passing to the step as its fourth coefficient, so
-that no step rebuilds the Hamiltonian or writes into the step matrix.
-Under a compiled expression law without a channel map, the run keeps the
-record's cumulative sums and the loop extends them by one add a step
-(`advance`), so a closed-loop step costs the same at any horizon; other
-laws are called on each step's record prefix.  Only unnormalized (Zakai)
-runs keep the trace of each step, their likelihoods.
-Ensembles step their trajectories together instead: `_integrate_stack`
-advances a block of them as one (B, n, n) stack through the stacked step
-`filters._stack_step` binds once per block, one Python iteration per time
-step for the whole block, with every trajectory still drawing its own noise
-and stepping exactly as `_integrate` would step it.  A block of fewer than
-ENSEMBLE_STACK_ROWS trajectories, where the stacked step's fixed cost
-outweighs what it shares, steps its rows in turn through one `_row_step`
-instead, all rows of a step before the next step.  The block keeps
-ENSEMBLE_CHUNK_STEPS + 1 rows per trajectory, not its paths, and each chunk
-of steps is reduced once for the whole block: observables' running sums, in
-trajectory order, and the health audit.  ENSEMBLE_BLOCK_BYTES bounds a
-block's up-front noise plus its chunk rows.  Ensembles with a control law
-step one trajectory at a time through `_integrate`, since each law sees its
-own record, and feed the same reduction.
+Simulation, replay and ensembles run through one loop, `_integrate`, which
+validates and binds the step once per run and steps the rows of a (B, steps)
+array of noise or increments, one trajectory a row.  It has two modes,
+chosen from its inputs.  A law-free sampled block of ENSEMBLE_STACK_ROWS or
+more trajectories steps as one (B, n, n) stack through the stacked step
+`filters._stack_step`, one Python iteration per time step for the whole
+block.  Every other run, a single simulation or replay, a smaller ensemble
+block, a law run, steps its rows in turn through the single-matrix step
+(`_row_step`), each row through a whole chunk of steps before the next,
+fed Python floats.  A control law steps through one law run
+(`filters._LawRun`) per trajectory, which binds the law's step matrix
+[S0 | C1] and its own controlled step once, the control u of each step
+passing to the step as its fourth coefficient, so that no step rebuilds the
+Hamiltonian or writes into the step matrix.  Under a compiled expression
+law without a channel map, the run keeps the record's cumulative sums and
+the loop extends them by one add a step (`advance`), so a closed-loop step
+costs the same at any horizon; other laws are called on each step's record
+prefix.  Only unnormalized (Zakai) runs keep the trace of each step, their
+likelihoods.  Every trajectory draws its own noise and steps the same bits
+in either mode and in any block.  An ensemble keeps ENSEMBLE_CHUNK_STEPS + 1
+rows per trajectory, not its paths, and each chunk of steps is reduced once
+for the whole block: observables' running sums, in trajectory order, and
+the health audit.  ENSEMBLE_BLOCK_BYTES bounds a block's up-front noise plus
+its chunk rows.  Under a control law each trajectory's law sees its own
+record, so an ensemble's blocks hold one trajectory, reduced once as a
+whole path.
 
 Reproducibility: every trajectory's generator is numpy PCG64 keyed by a
 splitmix64-mixed seed, `derive_seed(base_seed, index)`, which is
@@ -223,115 +224,96 @@ def _noise(scheme: MeasurementScheme, seed: int, steps: int, dt: float) -> np.nd
     return scheme.noise_scale * rng.normal(0.0, math.sqrt(dt), size=steps)
 
 
-def _at(step: int, trajectory: int | None) -> str:
-    return f"step {step}" if trajectory is None else f"trajectory {trajectory}, step {step}"
+def _integrate(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, values, law=None, normalized=True,
+               sampling=True, first=None, reduce=None, chunk=None):
+    """The integration loop: step the filter from rho0 over each row of `values`.
 
+    Row i of `values`, shape (B, steps), is one trajectory's noise, from
+    which each increment is drawn given the pre-step state (`sampling`,
+    see `filters._sample`), or a record's increments.  The step and the
+    step matrix are bound once per run.  A law-free sampled block of
+    ENSEMBLE_STACK_ROWS or more rows steps as one (B, n, n) stack through
+    the stacked step (`_stack_step`), step k reading the strided column
+    values[:, k].  Any other run steps its rows in turn, each through a
+    whole chunk before the next, through the single-matrix step
+    (`_row_step`) or, under a law, the law run's (`filters._LawRun`;
+    `values` then has one row).  Where a law reads its row, or the caller
+    keeps the buffer (no `reduce`), each increment drawn row by row is
+    written over its noise, so that the row becomes the record.  The buffer
+    holds chunk + 1 rows per trajectory (chunk = steps by default).  After
+    every `chunk` steps, and after the last, `reduce(start, rows)` gets the
+    rows not yet reduced: a C-contiguous (B, m, n, n) array holding time
+    indices start .. start+m-1, the initial row included in the first.  The
+    last row then moves to slot 0.  Returns the buffer, with the default
+    chunk the paths (B, steps+1, n, n), and for unnormalized runs the
+    likelihoods (B, steps+1), None for normalized ones.  A row steps the
+    same bits in either mode and in any block.
 
-def _integrate(
-    model: SystemModel,
-    rho0,
-    scheme: MeasurementScheme,
-    dt: float,
-    increments,
-    law=None,
-    normalized=True,
-    noise=None,
-    trajectory=None,
-):
-    """The single-trajectory loop: step the filter from rho0 over `increments`.
-
-    With `noise`, each increment is drawn from the pre-step state first (see
-    `filters._sample`) and written to `increments`.  Returns the path, shape
-    (steps+1, n, n), and for unnormalized runs the likelihoods (None for
-    normalized runs, which keep no traces).  A step whose filter, control
-    law or channel map fails raises its error type naming the step (and
-    `trajectory`, when given).
+    A failing step raises its error type naming the step and, with `first`,
+    the trajectory first + i.  After row i fails at step k, later rows step
+    only up to k - 1, so that the earliest failing step is named, and the
+    first row among those that fail it; a stack names the first row to
+    fail the check that comes first in a step (the jump bound, then a jump
+    at zero rate, then the trace).
     """
     w = _initial_matrix(rho0, model)
-    steps, n, sampling = increments.size, model.dim, noise is not None
+    rows, steps = values.shape
+    n = model.dim
+    chunk = steps if chunk is None else chunk
+    run = None
     if law is None:
-        run = None
         s = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
-        step = _row_step(n, dt, _route(scheme), scheme.gain, normalized, sampling)
     else:
         _require_law_model(law, model)
         run = _LawRun(law, model, scheme, dt, normalized, sampling, steps)
         s, step, control, advance = run.s, run.step, run.control, run.advance
-    path = np.empty((steps + 1, n, n), dtype=complex)
-    path[0] = w
-    rows = path.reshape(steps + 1, n * n)
-    traces = None if normalized else np.ones(steps + 1)
-    # Python floats: numpy scalar arithmetic costs microseconds a step
-    values = (noise if sampling else increments).tolist()
-    u = 0.0
-    for k in range(steps):
-        try:
-            if run is not None:
-                u = control(k * dt, increments[:k])
-            tr, dy = step(rows[k], s, values[k], rows[k + 1], u)
-        except (ValidationError, NumericalFailure) as exc:
-            raise type(exc)(f"{_at(k, trajectory)}: {exc}") from None
-        if sampling:
-            increments[k] = dy
-        if traces is not None:
-            traces[k + 1] = tr
-        if run is not None:
-            advance(dy)
-    return path, traces
-
-
-def _integrate_stack(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, noise, first: int = 0,
-                     reduce=None, chunk: int | None = None):
-    """Simulate a block of trajectories together, without a control law.
-
-    Row i of `noise`, shape (B, steps), is the noise of trajectory first + i.
-    A block of ENSEMBLE_STACK_ROWS or more steps as one (B, n, n) stack
-    through the filters' stacked step (`_stack_step`), bound once, as are
-    the step matrix and the views of the buffer's chunk + 1 rows per
-    trajectory (chunk = steps by default); step k reads the strided column
-    noise[:, k].  A smaller block steps row by row through the single-matrix
-    step (`_row_step`), bound once for the block, every row of step k before
-    any row of step k + 1, in the same buffer.  After every `chunk` steps,
-    and after the last, `reduce(start, rows)` gets the rows not yet reduced:
-    a C-contiguous (B, m, n, n) array holding time indices start ..
-    start+m-1, the initial row included in the first.  The last row then
-    moves to slot 0.  Row i steps as `_integrate` steps noise[i], bit for
-    bit.  A failing row raises its error type naming the trajectory and the
-    earliest failing step.  When two rows fail that step, a small block
-    names the first of them, whatever check it failed; a stack names the
-    first row to fail the check that comes first in a step (the jump bound,
-    then a jump at zero rate, then the trace).  Returns the buffer: with the
-    default chunk, the paths (B, steps+1, n, n).
-    """
-    rows, steps = noise.shape
-    n = model.dim
-    chunk = steps if chunk is None else chunk
-    s = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
     buffer = np.empty((rows, chunk + 1, n, n), dtype=complex)
-    buffer[:, 0] = _initial_matrix(rho0, model)
-    stacked = rows >= ENSEMBLE_STACK_ROWS
+    buffer[:, 0] = w
+    traces = None if normalized else np.ones((rows, steps + 1))
+    stacked = run is None and sampling and rows >= ENSEMBLE_STACK_ROWS
     if stacked:
         step = _stack_step(rows, n, dt, _route(scheme), scheme.gain)
-        vecs = buffer.reshape(rows, chunk + 1, 1, n * n)
-        slots = [vecs[:, j] for j in range(chunk + 1)]
+        stack = buffer.reshape(rows, chunk + 1, 1, n * n)
+        slots = [stack[:, j] for j in range(chunk + 1)]
     else:
-        step = _row_step(n, dt, _route(scheme), scheme.gain, True, True)
         vecs = buffer.reshape(rows, chunk + 1, n * n)
-        slots = [list(vecs[:, j]) for j in range(chunk + 1)]
+        if run is None:
+            step = _row_step(n, dt, _route(scheme), scheme.gain, normalized, sampling)
+    writes = sampling and (run is not None or reduce is None)
+    limit, failure, u = steps, None, 0.0
     for start in range(0, steps, chunk):
         stop = min(start + chunk, steps)
-        try:
-            if stacked:
+        if stacked:
+            try:
                 for k, here, there in zip(range(start, stop), slots, slots[1:]):
-                    step(here, s, noise[:, k], there)
-            else:
-                # Python floats, as `_integrate` feeds them, a chunk at a time
-                columns = noise[:, start:stop].T.tolist()
-                for k, here, there, column in zip(range(start, stop), slots, slots[1:], columns):
-                    for i, value in enumerate(column):
-                        step(here[i], s, value, there[i])
-        except (ValidationError, NumericalFailure) as exc:
-            raise type(exc)(f"{_at(k, first + (exc.row if stacked else i))}: {exc}") from None
+                    step(here, s, values[:, k], there)
+            except (ValidationError, NumericalFailure) as exc:
+                failure = k, exc.row, exc
+        else:
+            for i in range(rows):
+                record, vec = values[i], vecs[i]
+                likelihoods = None if traces is None else traces[i]
+                here = vec[0]
+                # Python floats: numpy scalar arithmetic costs microseconds a step
+                for k, value, there in zip(range(start, min(stop, limit)), record[start:stop].tolist(), vec[1:]):
+                    try:
+                        if run is not None:
+                            u = control(k * dt, record[:k])
+                        tr, dy = step(here, s, value, there, u)
+                    except (ValidationError, NumericalFailure) as exc:
+                        limit, failure = k, (k, i, exc)
+                        break
+                    if writes:
+                        record[k] = dy
+                    if likelihoods is not None:
+                        likelihoods[k + 1] = tr
+                    if run is not None:
+                        advance(dy)
+                    here = there
+        if failure is not None:
+            k, i, exc = failure
+            where = f"step {k}" if first is None else f"trajectory {first + i}, step {k}"
+            raise type(exc)(f"{where}: {exc}") from None
         if reduce is not None:
             # einsum on a strided view need not sum in the order it does on
             # a contiguous path, hence the copy
@@ -339,7 +321,7 @@ def _integrate_stack(model: SystemModel, rho0, scheme: MeasurementScheme, dt: fl
             reduce(start + lo, np.ascontiguousarray(buffer[:, lo : stop - start + 1]))
         if stop < steps:
             buffer[:, 0] = buffer[:, stop - start]
-    return buffer
+    return buffer, traces
 
 
 def simulate_homodyne(
@@ -359,10 +341,9 @@ def simulate_homodyne(
     scheme = MeasurementScheme.homodyne() if scheme is None else scheme
     if not scheme.is_diffusive:
         raise ValidationError("simulate_homodyne needs a homodyne or imperfect scheme")
-    steps = _grid(horizon, dt)
-    increments = np.empty(steps)
-    path, _ = _integrate(model, rho0, scheme, dt, increments, law, noise=_noise(scheme, seed, steps, dt))
-    return ObservationRecord(scheme, dt, increments, seed=seed), path
+    values = _noise(scheme, seed, _grid(horizon, dt), dt)[None]
+    paths, _ = _integrate(model, rho0, scheme, dt, values, law)
+    return ObservationRecord(scheme, dt, values[0], seed=seed), paths[0]
 
 
 def simulate_counting(
@@ -377,10 +358,9 @@ def simulate_counting(
     co-evolved normalized filter path."""
     seed = _require_seed(seed)
     scheme = MeasurementScheme.counting()
-    steps = _grid(horizon, dt)
-    increments = np.empty(steps)
-    path, _ = _integrate(model, rho0, scheme, dt, increments, law, noise=_noise(scheme, seed, steps, dt))
-    return ObservationRecord(scheme, dt, increments, seed=seed), path
+    values = _noise(scheme, seed, _grid(horizon, dt), dt)[None]
+    paths, _ = _integrate(model, rho0, scheme, dt, values, law)
+    return ObservationRecord(scheme, dt, values[0], seed=seed), paths[0]
 
 
 @dataclass(frozen=True)
@@ -420,8 +400,9 @@ def replay_record(
         raise ValidationError(f"unknown filter kind {kind!r} (expected auto, bks or zakai)")
     times = record.dt * np.arange(record.steps + 1)
     normalized = kind != "zakai"
-    matrices, likelihoods = _integrate(model, rho0, record.scheme, record.dt, record.increments, law, normalized)
-    return FilterRun(times, matrices, "bks" if normalized else "zakai", likelihoods)
+    paths, likelihoods = _integrate(model, rho0, record.scheme, record.dt, record.increments[None], law, normalized,
+                                    sampling=False)
+    return FilterRun(times, paths[0], "bks" if normalized else "zakai", None if normalized else likelihoods[0])
 
 
 @dataclass(frozen=True)
@@ -460,16 +441,25 @@ class _EnsembleSums:
     """The ensemble's running sums, added a block and a chunk at a time.
 
     Called as `reduce(start, rows)` with rows (B, m, n, n) of B trajectories
-    in index order at time indices start .. start+m-1 (see
-    `_integrate_stack`).  Each time index receives its trajectories in index
-    order, so the sums equal a trajectory-by-trajectory loop bit for bit.
+    in index order at time indices start .. start+m-1 (see `_integrate`).
+    Each time index receives its trajectories in index order, so the sums
+    equal a trajectory-by-trajectory loop bit for bit.  Besides the sums of
+    the values x, which give the means, it keeps the sums of d = x - K and
+    of the squares of d's parts, K being trajectory 0's value at that time
+    index: the variance (sum d^2 - (sum d)^2 / N) / (N - 1) then loses no
+    digits to cancellation when the spread is small beside the mean.  The
+    first call to reach a time index comes from the first block, whose row
+    0 is trajectory 0, and sets K there.
     """
 
     def __init__(self, observables: dict, steps: int, collect_health: bool):
         self.observables = observables
         self.sums = {name: np.zeros(steps + 1, dtype=complex) for name in observables}
+        self.shifts = {name: np.zeros(steps + 1, dtype=complex) for name in observables}
+        self.shifted_sums = {name: np.zeros(steps + 1, dtype=complex) for name in observables}
         self.sums_sq_re = {name: np.zeros(steps + 1) for name in observables}
         self.sums_sq_im = {name: np.zeros(steps + 1) for name in observables}
+        self.shifted = 0  # the time indices whose K is set
         self.audits = [] if collect_health else None
 
     def __call__(self, start: int, rows: np.ndarray) -> None:
@@ -477,11 +467,18 @@ class _EnsembleSums:
         if self.audits is not None:
             self.audits.append(path_health(rows.reshape(b * m, n, n), normalized=True))
         span = slice(start, start + m)
+        fresh = start + m > self.shifted
+        if fresh:
+            self.shifted = start + m
         for name, x in self.observables.items():
             vals = np.einsum("btij,ji->bt", rows, x)
+            if fresh:
+                self.shifts[name][span] = vals[0]
+            shifted = vals - self.shifts[name][span]
             _add_in_order(self.sums[name][span], vals)
-            _add_in_order(self.sums_sq_re[name][span], vals.real**2)
-            _add_in_order(self.sums_sq_im[name][span], vals.imag**2)
+            _add_in_order(self.shifted_sums[name][span], shifted)
+            _add_in_order(self.sums_sq_re[name][span], shifted.real**2)
+            _add_in_order(self.sums_sq_im[name][span], shifted.imag**2)
 
     def health(self) -> PathHealth | None:
         """The worst of every audit (a NaN one wins), or None without health."""
@@ -493,30 +490,26 @@ class _EnsembleSums:
 
 
 def _step_ensemble(model, rho0, scheme, n_trajectories, seed, steps, dt, law, reduce) -> None:
-    """Step the ensemble's trajectories in index order, feeding `reduce`.
+    """Step the ensemble's trajectories in index order, a block at a time
+    through `_integrate`, feeding `reduce`.
 
-    Without a law, blocks of B trajectories step together in chunks of
+    Without a law, blocks of B trajectories step in chunks of
     ENSEMBLE_CHUNK_STEPS steps, B being as large as lets the block's noise
     (B x steps floats) and chunk rows (B x (chunk+1) matrices) fit in
-    ENSEMBLE_BLOCK_BYTES; a block of fewer than ENSEMBLE_STACK_ROWS steps
-    its rows in turn (`_integrate_stack`).  With one, each trajectory's law
-    sees its own record, so trajectories step one at a time (B = 1, one
-    chunk).
+    ENSEMBLE_BLOCK_BYTES; a block of ENSEMBLE_STACK_ROWS or more steps as a
+    stack, a smaller one row by row.  With one, each trajectory's law sees
+    its own record, so blocks hold one trajectory, reduced once as a whole
+    path (chunk = steps).
     """
-
-    def noise(i):
-        return _noise(scheme, derive_seed(seed, i), steps, dt)
-
-    if law is not None:
-        for i in range(n_trajectories):
-            path, _ = _integrate(model, rho0, scheme, dt, np.empty(steps), law, noise=noise(i), trajectory=i)
-            reduce(0, path[None])
-        return
-    chunk = min(steps, ENSEMBLE_CHUNK_STEPS)
-    size = max(1, ENSEMBLE_BLOCK_BYTES // (steps * 8 + (chunk + 1) * model.dim**2 * 16))
+    if law is None:
+        chunk = min(steps, ENSEMBLE_CHUNK_STEPS)
+        size = max(1, ENSEMBLE_BLOCK_BYTES // (steps * 8 + (chunk + 1) * model.dim**2 * 16))
+    else:
+        chunk, size = steps, 1
     for first in range(0, n_trajectories, size):
-        rows = range(first, min(first + size, n_trajectories))
-        _integrate_stack(model, rho0, scheme, dt, np.stack([noise(i) for i in rows]), first, reduce, chunk)
+        noise = np.stack([_noise(scheme, derive_seed(seed, i), steps, dt)
+                          for i in range(first, min(first + size, n_trajectories))])
+        _integrate(model, rho0, scheme, dt, noise, law, first=first, reduce=reduce, chunk=chunk)
 
 
 def ensemble_average(
@@ -556,11 +549,11 @@ def ensemble_average(
     stderrs_im = {}
     n = n_trajectories
     for name in obs:
-        mean = acc.sums[name] / n
-        means[name] = mean
+        means[name] = acc.sums[name] / n
         if n > 1:
-            var_re = np.maximum(acc.sums_sq_re[name] - n * mean.real**2, 0.0) / (n - 1)
-            var_im = np.maximum(acc.sums_sq_im[name] - n * mean.imag**2, 0.0) / (n - 1)
+            shifted = acc.shifted_sums[name]
+            var_re = np.maximum(acc.sums_sq_re[name] - shifted.real**2 / n, 0.0) / (n - 1)
+            var_im = np.maximum(acc.sums_sq_im[name] - shifted.imag**2 / n, 0.0) / (n - 1)
             stderrs_re[name] = np.sqrt(var_re / n)
             stderrs_im[name] = np.sqrt(var_im / n)
         else:
@@ -585,10 +578,6 @@ class InnovationsReport:
     quad_variations: np.ndarray
     lag1_correlations: np.ndarray
     serial_products: np.ndarray
-
-    @property
-    def n_paths(self) -> int:
-        return self.terminal_values.size
 
     @staticmethod
     def _mean_stderr(values: np.ndarray) -> tuple[float, float]:

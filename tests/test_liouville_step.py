@@ -108,7 +108,8 @@ def test_routes_match_reference_kernel(dim, name, law_kind):
 
     if law is None:
         rows = np.stack([trajectories._noise(scheme, derive_seed(seed, i), STEPS, DT) for i in range(3)])
-        paths = trajectories._integrate_stack(model, rho0, scheme, DT, rows)
+        # the loop writes each row's increments over its noise: step a copy
+        paths, _ = trajectories._integrate(model, rho0, scheme, DT, rows.copy())
         for row, stacked in zip(rows, paths):
             reference, _ = reference_integrate(model, rho0, scheme, DT, np.empty(STEPS), noise=row)
             _assert_paths_close(stacked, reference)
@@ -180,9 +181,9 @@ def test_single_matrix_runs_call_no_matmul(monkeypatch):
     replay_record(record, model, rho0, kind="bks")
     assert calls == []
     rows = trajectories.ENSEMBLE_STACK_ROWS
-    trajectories._integrate_stack(model, rho0, MeasurementScheme.homodyne(), DT, np.zeros((rows - 1, STEPS)))
+    trajectories._integrate(model, rho0, MeasurementScheme.homodyne(), DT, np.zeros((rows - 1, STEPS)))
     assert calls == []
-    trajectories._integrate_stack(model, rho0, MeasurementScheme.homodyne(), DT, np.zeros((rows, STEPS)))
+    trajectories._integrate(model, rho0, MeasurementScheme.homodyne(), DT, np.zeros((rows, STEPS)))
     assert len(calls) == 2 * STEPS
 
 

@@ -517,9 +517,11 @@ class TestEnsemble:
 
 
 def _serial_ensemble(model, scheme, observables, n, seed, horizon, dt, rho0, law=None, collect_health=False):
-    """Reference ensemble: one simulate_* run per trajectory, sums in index order."""
+    """Reference ensemble: one simulate_* run per trajectory, sums in index
+    order, the variance's sums taken about trajectory 0's values."""
     steps = int(round(horizon / dt))
     sums = {name: np.zeros(steps + 1, dtype=complex) for name in observables}
+    shifts, shifted_sums = {}, {name: np.zeros(steps + 1, dtype=complex) for name in observables}
     sq_re = {name: np.zeros(steps + 1) for name in observables}
     sq_im = {name: np.zeros(steps + 1) for name in observables}
     herm, eig, trace = 0.0, np.inf, 0.0
@@ -535,15 +537,17 @@ def _serial_ensemble(model, scheme, observables, n, seed, horizon, dt, rho0, law
             trace = max(trace, member.max_trace_defect)
         for name, x in observables.items():
             vals = np.einsum("tij,ji->t", path, np.asarray(x, dtype=complex))
+            shifted = vals - shifts.setdefault(name, vals)
             sums[name] += vals
-            sq_re[name] += vals.real**2
-            sq_im[name] += vals.imag**2
+            shifted_sums[name] += shifted
+            sq_re[name] += shifted.real**2
+            sq_im[name] += shifted.imag**2
     means = {name: sums[name] / n for name in observables}
     stderrs_re, stderrs_im = {}, {}
-    for name, mean in means.items():
+    for name, shifted in shifted_sums.items():
         if n > 1:
-            stderrs_re[name] = np.sqrt(np.maximum(sq_re[name] - n * mean.real**2, 0.0) / (n - 1) / n)
-            stderrs_im[name] = np.sqrt(np.maximum(sq_im[name] - n * mean.imag**2, 0.0) / (n - 1) / n)
+            stderrs_re[name] = np.sqrt(np.maximum(sq_re[name] - shifted.real**2 / n, 0.0) / (n - 1) / n)
+            stderrs_im[name] = np.sqrt(np.maximum(sq_im[name] - shifted.imag**2 / n, 0.0) / (n - 1) / n)
         else:
             stderrs_re[name] = stderrs_im[name] = np.zeros(steps + 1)
     health = bf.PathHealth(herm, eig, trace, True) if collect_health else None
@@ -613,11 +617,12 @@ class TestStackedEnsemble:
         model, rho0, _ = _random_ensemble_case(dim, 60 + dim)
         steps = 150
         noise = np.stack([trajectories._noise(scheme, derive_seed(41, i), steps, 1e-3) for i in range(rows)])
-        paths = trajectories._integrate_stack(model, rho0, scheme, 1e-3, noise)
+        # the loop writes each row's increments over its noise: step copies
+        paths, _ = trajectories._integrate(model, rho0, scheme, 1e-3, noise.copy())
         assert paths.shape == (rows, steps + 1, dim, dim)
         for row, path in zip(noise, paths):
-            want, _ = trajectories._integrate(model, rho0, scheme, 1e-3, np.empty(steps), noise=row)
-            assert np.array_equal(path, want)
+            want, _ = trajectories._integrate(model, rho0, scheme, 1e-3, row[None].copy())
+            assert np.array_equal(path, want[0])
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6])
     @pytest.mark.parametrize("name", list(STACK_SCHEMES))
@@ -635,9 +640,9 @@ class TestStackedEnsemble:
         steps, dim = 100, 8
         monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", _block_bytes(32, steps, dim))
         blocks = []
-        real_stack = trajectories._integrate_stack
+        real_loop = trajectories._integrate
         monkeypatch.setattr(
-            trajectories, "_integrate_stack", lambda *a: blocks.append(len(a[4])) or real_stack(*a)
+            trajectories, "_integrate", lambda *a, **kw: blocks.append(len(a[4])) or real_loop(*a, **kw)
         )
         scheme = STACK_SCHEMES[name]
         model, rho0, observables = _random_ensemble_case(dim, 78)
@@ -654,9 +659,9 @@ class TestStackedEnsemble:
         scheme = STACK_SCHEMES[name]
         model, rho0, observables = _random_ensemble_case(2, 90)
         blocks = []
-        real_stack = trajectories._integrate_stack
+        real_loop = trajectories._integrate
         monkeypatch.setattr(
-            trajectories, "_integrate_stack", lambda *a: blocks.append(len(a[4])) or real_stack(*a)
+            trajectories, "_integrate", lambda *a, **kw: blocks.append(len(a[4])) or real_loop(*a, **kw)
         )
         args = (model, scheme, observables, 10, 23, steps * 1e-3, 1e-3, rho0)
         summary = ensemble_average(*args, collect_health=True)
@@ -674,14 +679,14 @@ class TestStackedEnsemble:
         monkeypatch.setattr(trajectories, "ENSEMBLE_CHUNK_STEPS", chunk)
         monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", _block_bytes(split, steps, 2))
         reduced = []
-        real_stack = trajectories._integrate_stack
+        real_loop = trajectories._integrate
 
-        def spy(*a):
-            reduce = a[6]
-            return real_stack(*a[:6], lambda start, rows: reduced.append((start, rows.shape)) or reduce(start, rows),
-                              *a[7:])
+        def spy(*a, reduce=None, **kw):
+            if reduce is not None:
+                kw["reduce"] = lambda start, rows: reduced.append((start, rows.shape)) or reduce(start, rows)
+            return real_loop(*a, **kw)
 
-        monkeypatch.setattr(trajectories, "_integrate_stack", spy)
+        monkeypatch.setattr(trajectories, "_integrate", spy)
         scheme = STACK_SCHEMES[name]
         model, rho0, observables = _random_ensemble_case(2, 93)
         args = (model, scheme, observables, 10, 31, steps * 1e-3, 1e-3, rho0)
@@ -697,7 +702,7 @@ class TestStackedEnsemble:
         # 32 trajectories of 500 steps at n = 4 fit one block; 400 of 2 000 at
         # n = 2 (the shipped homodyne config) go in blocks of at least 100
         blocks = []
-        monkeypatch.setattr(trajectories, "_integrate_stack", lambda *a: blocks.append(a[4].shape))
+        monkeypatch.setattr(trajectories, "_integrate", lambda *a, **kw: blocks.append(a[4].shape))
         model, rho0, observables = _random_ensemble_case(4, 94)
         ensemble_average(model, MeasurementScheme.homodyne(), observables, 32, 1, 0.5, 1e-3, rho0)
         assert blocks == [(32, 500)]
@@ -713,12 +718,24 @@ class TestStackedEnsemble:
         summary = ensemble_average(*args, law=law, collect_health=True)
         _assert_summary_equal(summary, _serial_ensemble(*args, law=law, collect_health=True), 4, scheme, 0.1, 1e-3)
 
+    def test_law_ensemble_reduces_each_trajectory_once(self, monkeypatch):
+        # each law run is a block of one trajectory, reduced once as its
+        # whole path
+        reduced = []
+        real_call = trajectories._EnsembleSums.__call__
+        monkeypatch.setattr(trajectories._EnsembleSums, "__call__",
+                            lambda acc, start, rows: reduced.append((start, rows.shape)) or real_call(acc, start, rows))
+        model, rho0, observables = _random_ensemble_case(2, 91)
+        law = ControlLaw.from_expression("0.3 * Y - ma(Y, 5)", model.hamiltonian, SIGMA_X)
+        ensemble_average(model, MeasurementScheme.homodyne(), observables, 3, 29, 0.1, 1e-3, rho0, law=law)
+        assert reduced == [(0, (1, 101, 2, 2))] * 3
+
     def test_single_trajectory_is_the_simulated_path(self):
         summary = ensemble_average(DECAY, MeasurementScheme.homodyne(), {"z": SIGMA_Z}, 1, 77, 0.2, 1e-3, PLUS_MIXED)
         _, path = simulate_homodyne(DECAY, PLUS_MIXED, 0.2, 1e-3, seed=derive_seed(77, 0))
         assert np.array_equal(summary.means["z"], np.einsum("tij,ji->t", path, SIGMA_Z.astype(complex)))
         noise = trajectories._noise(MeasurementScheme.homodyne(), derive_seed(77, 0), 200, 1e-3)
-        paths = trajectories._integrate_stack(DECAY, PLUS_MIXED, MeasurementScheme.homodyne(), 1e-3, noise[None])
+        paths, _ = trajectories._integrate(DECAY, PLUS_MIXED, MeasurementScheme.homodyne(), 1e-3, noise[None])
         assert paths.shape == (1,) + path.shape
         assert np.array_equal(paths[0], path)
 
@@ -760,9 +777,7 @@ class TestErrorsNameTheirStep:
         with pytest.raises(bf.ValidationError, match=r"^trajectory 6, step 4: dt: jump probability rate\*dt = 4 "):
             ensemble_average(LADDER, MeasurementScheme.counting(), {}, 10, 5, 8e-2, 1e-2, GROUND3)
         with pytest.raises(bf.ValidationError, match=r"^step 4: dt: jump probability rate\*dt = 4 "):
-            trajectories._integrate(
-                LADDER, GROUND3, MeasurementScheme.counting(), 1e-2, np.empty(8), noise=noise[6]
-            )
+            trajectories._integrate(LADDER, GROUND3, MeasurementScheme.counting(), 1e-2, noise[6:7].copy())
 
     def test_collapse_names_trajectory_and_step_in_ensemble(self):
         # a huge negative increment on trajectory 3 at step 5 drives the
@@ -771,9 +786,9 @@ class TestErrorsNameTheirStep:
         noise = np.zeros((4, 10))
         noise[3, 5] = -1e3
         with pytest.raises(bf.FilterCollapse, match=r"^trajectory 3, step 5: filter trace -.* vanished"):
-            trajectories._integrate_stack(DECAY, PLUS_MIXED, scheme, 1e-3, noise)
+            trajectories._integrate(DECAY, PLUS_MIXED, scheme, 1e-3, noise.copy(), first=0)
         with pytest.raises(bf.FilterCollapse, match=r"^trajectory 3, step 5: filter trace -.* vanished"):
-            trajectories._integrate(DECAY, PLUS_MIXED, scheme, 1e-3, np.empty(10), noise=noise[3], trajectory=3)
+            trajectories._integrate(DECAY, PLUS_MIXED, scheme, 1e-3, noise[3:].copy(), first=3)
 
     @pytest.mark.parametrize(
         "kind, increment, step",
@@ -819,12 +834,13 @@ class TestErrorsNameTheirStep:
         with pytest.raises(bf.FilterCollapse, match="unnormalized filter trace nan"):
             zakai_step_counting(state, 0.0, DECAY, 1e-3)
 
+    @pytest.mark.parametrize("chunk", [1, 3, 7, None], ids=["K1", "K3", "K7", "Ksteps"])
     @pytest.mark.parametrize("rows", [1, 2, 3, 4])
     @pytest.mark.parametrize("case", ["collapse", "zero-rate", "jump-bound"])
-    def test_small_block_names_failing_row(self, case, rows):
+    def test_small_block_names_failing_row(self, case, rows, chunk):
         # the block's last row fails at step 5 and its first, when another,
-        # at step 6: the earliest step is named, with the error `_integrate`
-        # raises for that row
+        # at step 6: the earliest step is named, with the error that row
+        # raises alone, whichever chunk the step limit falls in
         scheme, model, rho0, dt, fill, bad, lag, error = {
             # a huge negative increment drives the renormalized trace below zero
             "collapse": (MeasurementScheme.imperfect(1.5), DECAY, PLUS_MIXED, 1e-3, 0.0, -1e3, 0, bf.FilterCollapse),
@@ -838,9 +854,9 @@ class TestErrorsNameTheirStep:
         noise[0, 6 - lag] = bad
         noise[-1, 5 - lag] = bad
         with pytest.raises(error) as stacked:
-            trajectories._integrate_stack(model, rho0, scheme, dt, noise, first=7)
+            trajectories._integrate(model, rho0, scheme, dt, noise.copy(), first=7, chunk=chunk)
         with pytest.raises(error) as alone:
-            trajectories._integrate(model, rho0, scheme, dt, np.empty(10), noise=noise[-1], trajectory=6 + rows)
+            trajectories._integrate(model, rho0, scheme, dt, noise[-1:].copy(), first=6 + rows)
         assert str(stacked.value) == str(alone.value)
         assert str(stacked.value).startswith(f"trajectory {6 + rows}, step 5: ")
 
@@ -855,17 +871,17 @@ class TestErrorsNameTheirStep:
         model = SystemModel(np.zeros((3, 3)), (channel,))
         rho0 = DensityState(np.diag([1e-12, 0.0, 1.0 - 1e-12]))
         scheme, dt, steps = MeasurementScheme.counting(), 1e-2, 1000
-        quiet, _ = trajectories._integrate(model, rho0, scheme, dt, np.empty(steps), noise=np.ones(steps))
-        rates = np.einsum("tij,ji->t", quiet, channel.T @ channel).real
+        quiet, _ = trajectories._integrate(model, rho0, scheme, dt, np.ones((1, steps)))
+        rates = np.einsum("tij,ji->t", quiet[0], channel.T @ channel).real
         k = int(np.argmax(rates <= bf.filters.ZERO_RATE))
         assert k > 0 and rates[k - 1] > bf.filters.ZERO_RATE
         noise = np.ones((trajectories.ENSEMBLE_STACK_ROWS, k + 1))
         noise[0, k] = -1.0
         noise[1, k - 1] = 0.0
         with pytest.raises(bf.ZeroJumpRate, match=rf"^trajectory 0, step {k}: jump recorded while"):
-            trajectories._integrate_stack(model, rho0, scheme, dt, noise[:2])
+            trajectories._integrate(model, rho0, scheme, dt, noise[:2].copy(), first=0)
         with pytest.raises(bf.ValidationError, match=rf"^trajectory 1, step {k}: dt: jump probability rate\*dt = 0\.25 "):
-            trajectories._integrate_stack(model, rho0, scheme, dt, noise)
+            trajectories._integrate(model, rho0, scheme, dt, noise, first=0)
 
     def test_stacked_kernel_names_zero_rate_row(self):
         # rates 0.875, 1e-15 and 0.875: noise 0.0 draws a jump at any positive rate
