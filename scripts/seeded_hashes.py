@@ -22,7 +22,11 @@ of its increments: feedback_step compares such prefixes, where it trusts
 a record's own immutable increments unread, and the case must hash as its
 "law online" line does.  Per seed, a "law direct" case hashes the values of compiled
 expression laws called directly on a prefix that grows, shrinks and is
-edited in place.
+edited in place.  At each dimension, a "law grammar" case runs a closed
+loop under GRAMMAR_LAW, an expression with t, unary minus, division, a
+constant above 2**53 and a window longer than the early prefixes, on the
+first seed's model, and feeds the same record online, hashing the record,
+the closed-loop path and the online states.
 Each simulated, closed-loop and replayed path also hashes its path_health
 monitors (worst eigenvalue, trace and Hermiticity defects),
 taken on the normalized matrices as the CLI's simulate and filter commands
@@ -124,6 +128,9 @@ from belfilt.operators import SIGMA_MINUS, SIGMA_X, SIGMA_Z
 from belfilt.recordio import write_ensemble_csv, write_master_csv, write_path_csv, write_record
 
 LAW = "0.2 * Y - 0.5 * ma(Y, 50)"
+# every kind of node of the control grammar, where the compiled body could
+# part from the reference evaluator: 2**53 + 1 reads as the float 2**53
+GRAMMAR_LAW = "-(0.3 * Y) + 9007199254740993 / (9007199254740992 + 4 * t) - ma(Y, 40) / (1 + t) - -t"
 DIRECT_LAWS = (LAW, "Y / (2 + t) / (3 - ma(Y, 7) / (1 + Y * Y))", "-Y + -ma(Y, 3) - -t")
 SCHEMES = {
     "homodyne": MeasurementScheme.homodyne(),
@@ -203,6 +210,19 @@ def direct_values(seed: int) -> np.ndarray:
     return np.array(values)
 
 
+def grammar_parts(dim: int, seed: int, horizon: float, dt: float):
+    """The "law grammar" case: a homodyne closed loop under GRAMMAR_LAW on
+    the seed's random model, then its record fed online."""
+    _, model, rho0, _, h1 = next(model_cases(dim, seed))
+    law = ControlLaw.from_expression(GRAMMAR_LAW, model.hamiltonian, h1)
+    scheme = SCHEMES["homodyne"]
+    closed, err = attempt(lambda: simulate(model, rho0, scheme, horizon, dt, seed, law=law))
+    if err:
+        return err
+    states, err = attempt(lambda: online_states(model, rho0, scheme, closed[0], law, dt))
+    return err or (("record", closed[0].increments), ("path", closed[1]), ("path", states))
+
+
 def csv_bytes(directory: Path, write) -> bytes:
     """The bytes write(path) puts in a file."""
     target = directory / "table.csv"
@@ -278,6 +298,7 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
         values, err = attempt(lambda: direct_values(seed))
         yield f"seed{seed} law direct", err or (("law", values),)
     for dim in dims:
+        yield f"n{dim} seed{seeds[0]} random{dim} homodyne law grammar", grammar_parts(dim, seeds[0], horizon, dt)
         for seed in seeds:
             for label, model, rho0, obs, h1 in model_cases(dim, seed):
                 law = ControlLaw.from_expression(LAW, model.hamiltonian, h1)

@@ -154,7 +154,7 @@ _VACUUM = MeasurementScheme(HOMODYNE)
 _COUNTING = MeasurementScheme(COUNTING)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilterState:
     """Filter matrix plus bookkeeping.
 
@@ -584,42 +584,38 @@ _ALLOWED_BINOPS = {ast.Add, ast.Sub, ast.Mult, ast.Div}
 _ALLOWED_UNARY = {ast.UAdd, ast.USub}
 # `_finite_real`'s message for a control value, formatted with t
 _CONTROL_VALUE = "control law returned {} at t = {}"
+# Y and ma(Y, w) in a compiled body, on the cumulative sums sums[:m] of a
+# record prefix of length m: the last sum, and the sum of the last min(w, m)
+# sums over their count (the sum and the division np.mean does, without its
+# dispatch); both 0.0 on the empty prefix
+_LAST_SUM = "(sums.item(m - 1) if m else 0.0)"
+_MOVING_AVERAGE = ("(_float(_reduce(sums[m - {w}:m])) / {w} if m >= {w}"
+                   " else _float(_reduce(sums[:m])) / m if m else 0.0)")
 
 
-def _compile_node(node: ast.AST, expression: str):
-    """A closure f(t, sums, m) evaluating one node of the control grammar,
-    where sums[:m] are the cumulative sums of a record prefix of length m.
-    Arithmetic runs on Python floats, left operand first, as the grammar
+def _lower(node: ast.AST, expression: str) -> ast.expr:
+    """The node of a compiled body that evaluates one node of the control
+    grammar: a number becomes a float constant, t the body's argument, Y
+    and ma(Y, w) their `_LAST_SUM` and `_MOVING_AVERAGE`, a / b the call
+    _divide(a, b), and + - * and unary minus stay Python operators, so that
+    the body runs on Python floats, left operand first, as the grammar
     reads.  A node outside the grammar raises ValidationError naming it;
-    operands compile left first, so the first such node is the one named."""
+    operands lower left first, so the first such node is the one named."""
     if isinstance(node, ast.BinOp) and type(node.op) in _ALLOWED_BINOPS:
-        a, b = _compile_node(node.left, expression), _compile_node(node.right, expression)
-        op = type(node.op)
-        if op is ast.Add:
-            return lambda t, sums, m: a(t, sums, m) + b(t, sums, m)
-        if op is ast.Sub:
-            return lambda t, sums, m: a(t, sums, m) - b(t, sums, m)
-        if op is ast.Mult:
-            return lambda t, sums, m: a(t, sums, m) * b(t, sums, m)
-
-        def divide(t, sums, m):
-            num, den = a(t, sums, m), b(t, sums, m)
-            if den == 0.0:
-                raise ValidationError(f"control expression {expression!r}: division by zero")
-            return num / den
-
-        return divide
+        left, right = _lower(node.left, expression), _lower(node.right, expression)
+        if isinstance(node.op, ast.Div):
+            return ast.Call(ast.Name("_divide", ast.Load()), [left, right], [])
+        return ast.BinOp(left, node.op, right)
     if isinstance(node, ast.UnaryOp) and type(node.op) in _ALLOWED_UNARY:
-        f = _compile_node(node.operand, expression)
-        return f if isinstance(node.op, ast.UAdd) else lambda t, sums, m: -f(t, sums, m)
+        operand = _lower(node.operand, expression)
+        return operand if isinstance(node.op, ast.UAdd) else ast.UnaryOp(ast.USub(), operand)
     # type(), not isinstance: bool is a subclass of int, and no number here
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        value = float(node.value)
-        return lambda t, sums, m: value
+        return ast.Constant(float(node.value))
     if isinstance(node, ast.Name) and node.id == "t":
-        return lambda t, sums, m: t
+        return ast.Name("t", ast.Load())
     if isinstance(node, ast.Name) and node.id == "Y":
-        return lambda t, sums, m: float(sums[m - 1]) if m else 0.0
+        return ast.parse(_LAST_SUM, mode="eval").body
     if (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
@@ -632,30 +628,37 @@ def _compile_node(node: ast.AST, expression: str):
         and type(node.args[1].value) is int
         and node.args[1].value >= 1
     ):
-        window = node.args[1].value
-
-        def moving_average(t, sums, m):
-            if m == 0:
-                return 0.0
-            start = max(m - window, 0)
-            # the sum and the division np.mean does, without its dispatch
-            return float(np.add.reduce(sums[start:m])) / (m - start)
-
-        return moving_average
+        return ast.parse(_MOVING_AVERAGE.format(w=node.args[1].value), mode="eval").body
     raise ValidationError(
         f"control expression {expression!r}: unsupported construct {ast.dump(node)};"
         " the grammar allows numbers, t, Y, ma(Y, window), + - * / and parentheses"
     )
 
 
+def _real_prefix(prefix) -> np.ndarray:
+    """prefix as a one-dimensional float64 array, as np.asarray(prefix,
+    dtype=float) reads it, when its entries are real numbers; a complex
+    entry with imaginary part 0 counts as its real part, as `_finite_real`
+    takes it.  Strings, which numpy would parse, and complex entries with
+    another imaginary part raise ValidationError naming the prefix."""
+    arr = np.asarray(prefix)
+    if arr.dtype.kind in "SU":
+        raise ValidationError(f"record prefix: non-numeric value {prefix!r}")
+    if arr.dtype.kind == "c":
+        if arr.imag.any():  # a NaN imaginary part counts as nonzero
+            raise ValidationError(f"record prefix: non-real value {prefix!r}")
+        arr = arr.real
+    return np.asarray(arr, dtype=float).reshape(-1)
+
+
 class _CompiledControl:
     """A compiled control expression, called as u(t, prefix).
 
-    `body(t, sums, m)` is the expression's closure on the cumulative sums
-    sums[:m] of a record prefix of length m (`_compile_node`); `reads_record`
-    says whether it reads them at all.  A call sums its prefix afresh with
-    np.cumsum; a law run keeps its own sums and evaluates `body` on them
-    (`_LawRun`)."""
+    `body(t, sums, m)` is the expression compiled to one function of the
+    cumulative sums sums[:m] of a record prefix of length m
+    (`compile_control_expression`); `reads_record` says whether it reads
+    them at all.  A call sums its prefix afresh with np.cumsum; a law run
+    keeps its own sums and evaluates `body` on them (`_LawRun`)."""
 
     __slots__ = ("body", "reads_record")
 
@@ -664,7 +667,7 @@ class _CompiledControl:
         self.reads_record = reads_record
 
     def __call__(self, t: float, prefix) -> float:
-        arr = np.asarray(prefix, dtype=float).reshape(-1)
+        arr = _real_prefix(prefix)
         return float(self.body(float(t), np.cumsum(arr) if self.reads_record else None, arr.size))
 
 
@@ -672,15 +675,33 @@ def compile_control_expression(expression: str) -> Callable[[float, np.ndarray],
     """Compile the minimal control grammar over t, cumulative Y, and the
     trailing moving average ma(Y, window) into a callable u(t, prefix).
 
-    The expression is turned into closures once; a call sums its prefix
-    afresh, so u is a pure function of (t, prefix).  Closed loops and
-    `feedback_step` evaluate the closures on record sums their run keeps
-    (`_LawRun`), not through this call."""
+    The expression compiles once, to one code object: the function
+    body(t, sums, m) of the cumulative sums sums[:m] of a prefix of length
+    m, in which every node of the grammar is one Python operation
+    (`_lower`): numbers are float constants, ma(Y, w) is one np.add.reduce
+    over its window, and a division by zero raises ValidationError.  The
+    body reaches no builtins.  A call sums its prefix afresh, so u is a pure
+    function of (t, prefix); its prefix must hold real numbers
+    (`_real_prefix`).  Closed loops and `feedback_step` evaluate the body
+    on record sums their run keeps (`_LawRun`), not through this call.  An
+    expression nested deeper than Python's parser or compiler can take (a
+    sum of about a thousand terms) raises ValidationError."""
     try:
         tree = ast.parse(expression.strip(), mode="eval")
+        function = ast.parse("lambda t, sums, m: 0", mode="eval")
+        function.body.body = _lower(tree.body, expression)
+        code = compile(ast.fix_missing_locations(function), "<control expression>", "eval")
     except SyntaxError as exc:
         raise ValidationError(f"control expression {expression!r}: {exc}") from exc
-    body = _compile_node(tree.body, expression)
+    except RecursionError:
+        raise ValidationError(f"control expression {expression!r}: nested too deeply to compile") from None
+
+    def divide(num: float, den: float) -> float:
+        if den == 0.0:
+            raise ValidationError(f"control expression {expression!r}: division by zero")
+        return num / den
+
+    body = eval(code, {"__builtins__": {}, "_divide": divide, "_float": float, "_reduce": np.add.reduce})
     return _CompiledControl(body, any(isinstance(node, ast.Name) and node.id == "Y" for node in ast.walk(tree)))
 
 
@@ -726,12 +747,14 @@ def _require_law_model(law: ControlLaw, model: SystemModel) -> None:
 
 
 def _leads(prefix: np.ndarray, head: np.ndarray) -> bool:
-    """Whether the float64 array `prefix` is C-contiguous and aligned and
-    starts where `head`, the one-entry view of an aligned float64 array,
-    does: two 8-byte entries aligned to 8 bytes overlap only where they
-    coincide (`_immutable_owner` checks that float64 aligns to its size)."""
+    """Whether the float64 array `prefix`, a view of an aligned float64
+    array whose first entry `head` views, is C-contiguous and aligned and
+    starts where `head` does: such a view lies at or after the array's first
+    entry, and two 8-byte entries aligned to 8 bytes overlap only where they
+    coincide (`_immutable_owner` checks that float64 aligns to its size), so
+    it overlaps `head` only when it starts there."""
     flags = prefix.flags
-    return flags.c_contiguous and flags.aligned and np.may_share_memory(prefix[:1], head)
+    return flags.c_contiguous and flags.aligned and np.may_share_memory(prefix, head)
 
 
 def _agreeing(bits: np.ndarray, record: np.ndarray, k: int) -> int:
@@ -767,7 +790,8 @@ class _LawRun:
     """One run of a control law over a record under one model, scheme, dt
     and normalization: its step matrix `s`, its controlled `_row_step`
     `step`, the state that evaluating the law step after step keeps, and the
-    control u of each step (`control`), which `step` takes.
+    control u of each step (`control`), which `step` takes.  The run is
+    bound for a law and model whose dimensions agree (`_require_law_model`).
 
     `s` is [S0 | C1] (`_step_matrix`): S0 the step matrix of the channel
     with H0, and C1 = -i dt [H1, .].  It is the model's, built once for the
@@ -782,8 +806,8 @@ class _LawRun:
     `sampling` says where the step's dy comes from (`_row_step`), and
     `steps` sizes the sums of an advanced run."""
 
-    __slots__ = ("law", "model", "scheme", "dt", "normalized", "s", "step", "body", "record", "owner", "sums", "size",
-                 "y")
+    __slots__ = ("law", "model", "scheme", "dt", "normalized", "s", "step", "body", "record", "owner", "head", "sums",
+                 "size", "y")
 
     def __init__(self, law: ControlLaw, model: SystemModel, scheme: MeasurementScheme, dt: float,
                  normalized: bool, sampling: bool = False, steps: int = 0):
@@ -799,18 +823,19 @@ class _LawRun:
                 self.sums = np.empty(steps)
         self.record = np.empty(0, dtype=np.int64)  # the followed prefix's bits, unless `owner` holds them
         # an immutable array whose first `size` entries are the followed
-        # prefix (`_immutable_owner`)
-        self.owner = None
+        # prefix (`_immutable_owner`), and the view of its first entry
+        self.owner = self.head = None
         self.size = 0  # the entries of the record summed
-        self.y = 0.0  # an advanced run's last sum
+        self.y = 0.0  # the last of them summed, sums[size - 1]
 
     def serves(self, law: ControlLaw, model: SystemModel, scheme: MeasurementScheme, dt: float,
                normalized: bool) -> bool:
         """Whether a call with these arguments steps as this run does: the
         same law and model objects (whose operators are read-only), an
-        equal scheme and the same dt and normalization."""
+        equal scheme (most often the same object) and the same dt and
+        normalization."""
         return (law is self.law and model is self.model and dt == self.dt and normalized == self.normalized
-                and scheme == self.scheme)
+                and (scheme is self.scheme or scheme == self.scheme))
 
     def advance(self, dy: float) -> None:
         """Extend the sums by the record's next entry dy, one add."""
@@ -835,20 +860,28 @@ class _LawRun:
         increments, over bytes nothing writes to (`_immutable_owner`): a
         C-contiguous, aligned view from its first entry, such as
         `record.increments[:k]`.  The entries followed there cannot have
-        changed, so such a call costs the same at any length.  Any other
+        changed, so such a call costs the same at any length, and one such
+        view one entry longer than the last costs one float add.  Any other
         prefix, a writeable copy of the same entries included, pays the
         compare."""
         if self.sums is None:
             return
         m, k = prefix.size, self.size
+        owner = self.owner
+        # the entries followed are in memory nothing writes to
+        trusted = owner is not None and prefix.base is owner and k <= m and _leads(prefix, self.head)
+        if trusted and m == k + 1 and k < self.record.size:
+            # one add; an owner is only set once entries were summed, so k > 0
+            self.sums[k] = self.y = self.y + prefix.item(k)
+            self.size = m
+            return
         if m > self.record.size:
             capacity = max(m, 2 * self.record.size)
             record, sums = np.empty(capacity, dtype=np.int64), np.empty(capacity)
             record[:k], sums[:k] = self.record[:k], self.sums[:k]
             self.record, self.sums = record, sums
-        owner = self.owner
-        if owner is not None and prefix.base is owner and k <= m and _leads(prefix, owner[:1]):
-            same = k  # the entries followed, in memory nothing writes to
+        if trusted:
+            same = k
         else:
             if owner is not None:
                 # the bits followed in the owner were not copied on the way
@@ -858,6 +891,7 @@ class _LawRun:
             same = _agreeing(bits, self.record, k) if 0 < k <= m else 0
             self.record[same:m] = bits[same:]
             self.owner = _immutable_owner(prefix)
+            self.head = None if self.owner is None else self.owner[:1]
         if same == m:
             return
         tail = self.sums[same:m]
@@ -867,15 +901,21 @@ class _LawRun:
             tail[1:] = prefix[same + 1 :]
             np.cumsum(tail, out=tail)
         self.size = m
+        self.y = tail.item(-1)
 
-    def control(self, t: float, prefix: np.ndarray) -> float:
-        """u at time t after the record `prefix`, to which a compiled law's
-        sums have been advanced or followed, as `ControlLaw.hamiltonian_at`
-        checks it; under a channel map, the S0 columns of `s` are then
-        rebuilt from L_t."""
+    def control(self, t: float, record: np.ndarray, k: int) -> float:
+        """u at time t after the first k entries of `record`, to which a
+        compiled law's sums have been advanced or followed, as
+        `ControlLaw.hamiltonian_at` checks it; under a channel map, the S0
+        columns of `s` are then rebuilt from L_t.  Only a law called on its
+        prefix gets the view record[:k]."""
+        body = self.body
+        if body is not None:
+            u = body(t, self.sums, k)
+            # a compiled body computes a Python float: a finite one is u
+            return u if type(u) is float and math.isfinite(u) else _finite_real(u, _CONTROL_VALUE, t)
         law = self.law
-        if self.body is not None:
-            return _finite_real(self.body(t, self.sums, prefix.size), _CONTROL_VALUE, t)
+        prefix = record[:k]
         u = _finite_real(law.control(float(t), prefix), _CONTROL_VALUE, t)
         if law.channel_map is not None:
             ch = as_operator(law.channel_map(t, prefix), "L_t")
@@ -890,6 +930,7 @@ class _LawRun:
 # One thread's last bound feedback run, a `_LawRun`, reused by the next call
 # it serves.
 _feedback_runs = threading.local()
+_FLOAT64 = np.dtype(np.float64)
 
 
 def feedback_step(
@@ -920,24 +961,40 @@ def feedback_step(
     as `record.increments[:k]`, whose buffer is immutable; any other
     prefix, a writeable copy of the same entries included, pays a bitwise
     compare of the entries followed, about 0.4 ns an entry
-    (`_LawRun.follow`).  Every argument is checked on every call.
+    (`_LawRun.follow`).
+
+    Every argument is checked on every call, in the order dt, state, law,
+    prefix, t and causality, then the control and dY.  The prefix must
+    hold real numbers (`_real_prefix`); a one-dimensional float64 array is
+    taken as it is.  The law's dimension is checked when a run is bound: a
+    call that a bound run serves passes the law and model objects it was
+    checked with, whose operators are read-only.
     """
-    dt = _require_dt(dt)
+    if type(dt) is not float or not 0.0 < dt < math.inf:
+        dt = _require_dt(dt)
     _require_model_state(state, model)
-    _require_law_model(law, model)
     scheme = _VACUUM if scheme is None else scheme
-    prefix = np.asarray(record_prefix, dtype=float).reshape(-1)
-    t = _finite_real(prefix.size * dt if t is None else t, "t: {}")
-    if prefix.size * dt > t * (1.0 + 1e-12) + 1e-12 * dt:
-        raise CausalityViolation(
-            f"record prefix extends to {prefix.size * dt:.6g}, at or beyond the current time {t:.6g}"
-        )
     normalized = state.normalized
     run = getattr(_feedback_runs, "run", None)
-    if run is None or not run.serves(law, model, scheme, dt, normalized):
+    if run is not None and not run.serves(law, model, scheme, dt, normalized):
+        run = None
+    if run is None:
+        _require_law_model(law, model)
+    if type(record_prefix) is np.ndarray and record_prefix.dtype is _FLOAT64 and record_prefix.ndim == 1:
+        prefix = record_prefix
+    else:
+        prefix = _real_prefix(record_prefix)
+    m = prefix.size
+    if t is None:
+        t = m * dt
+    if type(t) is not float or not math.isfinite(t):
+        t = _finite_real(t, "t: {}")
+    if m * dt > t * (1.0 + 1e-12) + 1e-12 * dt:
+        raise CausalityViolation(f"record prefix extends to {m * dt:.6g}, at or beyond the current time {t:.6g}")
+    if run is None:
         run = _feedback_runs.run = _LawRun(law, model, scheme, dt, normalized)
     run.follow(prefix)
-    return _apply(state, dY, run.s, run.step, scheme.kind == COUNTING, normalized, run.control(t, prefix))
+    return _apply(state, dY, run.s, run.step, scheme.kind == COUNTING, normalized, run.control(t, prefix, m))
 
 
 # --- health monitoring ----------------------------------------------------

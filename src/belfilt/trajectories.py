@@ -294,11 +294,14 @@ def _integrate(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, v
                 record, vec = values[i], vecs[i]
                 likelihoods = None if traces is None else traces[i]
                 here = vec[0]
-                # Python floats: numpy scalar arithmetic costs microseconds a step
-                for k, value, there in zip(range(start, min(stop, limit)), record[start:stop].tolist(), vec[1:]):
+                # Python floats, which numpy scalar arithmetic would cost
+                # microseconds a step: a memoryview makes each as it is read,
+                # where a list would hold them all (32 bytes a step); entry k
+                # is read before step k writes its dy there
+                for k, value, there in zip(range(start, min(stop, limit)), memoryview(record[start:stop]), vec[1:]):
                     try:
                         if run is not None:
-                            u = control(k * dt, record[:k])
+                            u = control(k * dt, record, k)
                         tr, dy = step(here, s, value, there, u)
                     except (ValidationError, NumericalFailure) as exc:
                         limit, failure = k, (k, i, exc)

@@ -1,7 +1,9 @@
 """Compiled control laws: bit-identity with the direct evaluator, called
 directly and through a bound law run, the work done per call, the sums a
 closed loop keeps itself, and the run `feedback_step` keeps bound per
-thread."""
+thread; the compiled body as one code object over a grammar sweep, the
+refusal of expressions too deep to compile and of prefixes that are not
+real, and the order of `feedback_step`'s checks."""
 
 import pickle
 import struct
@@ -209,7 +211,8 @@ class TestCompiledLawsMatchDirectEvaluation:
             t = 0.37 + 1e-3 * prefix.size
             with np.errstate(over="ignore", invalid="ignore"):  # sums that overflow, inf - inf
                 bound.follow(prefix)
-                got, want = _outcome(lambda: bound.control(t, prefix)), _outcome(lambda: fresh.control(t, prefix))
+                got, want = (_outcome(lambda: bound.control(t, prefix, prefix.size)),
+                             _outcome(lambda: fresh.control(t, prefix, prefix.size)))
                 expected = reference(t, prefix)
             assert _bits(values[-1]) == _bits(expected), f"call {call}: {values[-1]!r} != {expected!r}"
             assert got[1] == want[1], f"call {call}"
@@ -708,3 +711,227 @@ class TestIdentityEquality:
             assert (a == a) is True and (a == b) is False and (a != b) is True
             keyed = {a: "a", b: "b"}
             assert keyed[a] == "a" and keyed[b] == "b" and hash(a) != hash(b)
+
+
+def _grammar_expression(rng, depth):
+    """A random expression of the control grammar, every node kind in reach."""
+    if depth == 0 or rng.random() < 0.25:
+        leaf = rng.integers(4)
+        if leaf == 0:
+            return "t"
+        if leaf == 1:
+            return "Y"
+        if leaf == 2:
+            return f"ma(Y, {rng.choice([1, 2, 3, 7, 50, 500])})"
+        return str(rng.choice(["0", "0.0", "1", "2.5", "1e-3", "7", "9007199254740993", "1e308"]))
+    kind = rng.integers(3)
+    if kind == 0:
+        op = rng.choice(["+", "-", "*", "/"])
+        return f"{_grammar_expression(rng, depth - 1)} {op} {_grammar_expression(rng, depth - 1)}"
+    if kind == 1:
+        return f"{rng.choice(['-', '+', '- -', '-+'])}{_grammar_expression(rng, depth - 1)}"
+    return f"({_grammar_expression(rng, depth - 1)})"
+
+
+GRAMMAR_EXPRESSIONS = [_grammar_expression(np.random.default_rng(100 + i), 5) for i in range(60)] + [
+    "-t", "0 * -1", "-Y", "- -Y", "-(-(-t))", "-ma(Y, 3) * 0", "t - t", "-(t - t)",
+    "9007199254740993 - 9007199254740992", "ma(Y, 500) / (ma(Y, 2) - ma(Y, 1))", "1 / 0 + 1 / t",
+]
+# time-values and prefixes: -0.0 from -t at t = 0, windows longer than the
+# prefix, a leading -0.0 that np.cumsum keeps
+GRAMMAR_CALLS = [(0.0, RECORD[:0]), (0.0, np.array([-0.0])), (0.37, RECORD[:1]), (0.5, RECORD[:3]),
+                 (1e-3, RECORD[:7]), (0.25, RECORD[:60]), (2.0, np.array([-0.0, 0.0, -0.0])), (0.1, RECORD[:400])]
+
+
+class TestCompiledBody:
+    """The compiled body is one code object that reaches no builtins, and it
+    computes what the reference evaluator does, bit for bit."""
+
+    @pytest.mark.parametrize("expression", GRAMMAR_EXPRESSIONS)
+    def test_matches_reference_bit_for_bit(self, expression):
+        law, reference = compile_control_expression(expression), reference_control(expression)
+        for call, (t, prefix) in enumerate(GRAMMAR_CALLS):
+            got = _outcome(lambda: law(t, prefix))
+            try:
+                expected = reference(t, prefix), None
+            except ZeroDivisionError:
+                expected = None, (bf.ValidationError, f"control expression {expression!r}: division by zero")
+            assert got[1] == expected[1], f"call {call}"
+            assert got[0] is None or _bits(got[0]) == _bits(expected[0]), f"call {call}: {got[0]!r} != {expected[0]!r}"
+
+    def test_signed_zero_and_constants_above_two_to_the_53(self):
+        assert _bits(compile_control_expression("-t")(0.0, [])) == _bits(-0.0)
+        assert _bits(compile_control_expression("0 * -1")(0.0, [])) == _bits(-0.0)
+        assert _bits(compile_control_expression("-Y")(0.0, [])) == _bits(-0.0)
+        assert _bits(compile_control_expression("Y")(0.0, [-0.0])) == _bits(-0.0)
+        # constants are floats: 2**53 + 1 rounds to 2**53
+        assert _bits(compile_control_expression("9007199254740993 - 9007199254740992")(0.0, [])) == _bits(0.0)
+
+    def test_one_code_object_without_builtins(self):
+        body = compile_control_expression("-(0.3 * Y) + ma(Y, 40) / (1 + t) - ma(Y, 2)").body
+        assert not any(isinstance(c, type(body.__code__)) for c in body.__code__.co_consts)
+        assert body.__globals__["__builtins__"] == {}
+        assert set(body.__code__.co_names) <= {"_divide", "_float", "_reduce", "item"}
+
+    @pytest.mark.parametrize("expression", ["Y / (Y - ma(Y, 1))", "1 / (t - t) + 1 / 0", "(1 / 0) / 0"])
+    def test_division_by_zero_message(self, expression):
+        with pytest.raises(bf.ValidationError) as info:
+            compile_control_expression(expression)(0.5, RECORD[:5])
+        assert str(info.value) == f"control expression {expression!r}: division by zero"
+
+    @pytest.mark.parametrize("expression, offender", [
+        ("t ** 2 + x", "BinOp(left=Name(id='t', ctx=Load()), op=Pow(), right=Constant(value=2))"),
+        ("x + t ** 2", "Name(id='x', ctx=Load())"),
+        ("-ma(Y, 0) * f(t)", "Call(func=Name(id='ma', ctx=Load()), args=[Name(id='Y', ctx=Load()), Constant(value=0)],"
+                             " keywords=[])"),
+        ("1 / (t < 2) + 'a'", "Compare(left=Name(id='t', ctx=Load()), ops=[Lt()], comparators=[Constant(value=2)])"),
+    ])
+    def test_first_of_two_bad_nodes_is_named(self, expression, offender):
+        with pytest.raises(bf.ValidationError) as info:
+            compile_control_expression(expression)
+        assert str(info.value) == (f"control expression {expression!r}: unsupported construct {offender};"
+                                   " the grammar allows numbers, t, Y, ma(Y, window), + - * / and parentheses")
+
+    @pytest.mark.parametrize("terms", [1000, 20000])
+    def test_expression_too_deep_is_refused(self, terms):
+        expression = "t" + " + t" * terms
+        with pytest.raises(bf.ValidationError) as info:
+            compile_control_expression(expression)
+        assert str(info.value) == f"control expression {expression!r}: nested too deeply to compile"
+
+    def test_long_expression_still_compiles(self):
+        expression = "Y" + " + t" * 300
+        assert _bits(compile_control_expression(expression)(0.5, RECORD[:9])) == _bits(
+            reference_control(expression)(0.5, RECORD[:9]))
+
+
+NAN_IMAGINARY = np.array([0.1, complex(0.0, np.nan)])
+_NOT_REAL = [
+    (np.array([0.1 + 1j, 0.2]), "non-real value array([0.1+1.j, 0.2+0.j])"),
+    ([0.1, 0.2 + 1e-300j], "non-real value [0.1, (0.2+1e-300j)]"),
+    (NAN_IMAGINARY, f"non-real value {NAN_IMAGINARY!r}"),
+    (np.array(["0.1", "0.2"]), "non-numeric value array(['0.1', '0.2'], dtype='<U3')"),
+    ([b"0.1", b"0.2"], "non-numeric value [b'0.1', b'0.2']"),
+]
+
+
+class TestPrefixMustBeReal:
+    """A record prefix is refused unless its entries are real numbers; a
+    complex entry with imaginary part 0 counts as its real part."""
+
+    @pytest.mark.parametrize("prefix, shown", _NOT_REAL)
+    def test_direct_call_refuses(self, prefix, shown):
+        with pytest.raises(bf.ValidationError) as info:
+            compile_control_expression("Y")(0.5, prefix)
+        assert str(info.value) == f"record prefix: {shown}"
+
+    @pytest.mark.parametrize("prefix, shown", _NOT_REAL)
+    def test_feedback_step_refuses(self, prefix, shown):
+        law = ControlLaw.from_expression("Y", MODEL.hamiltonian, SIGMA_X)
+        with pytest.raises(bf.ValidationError) as info:
+            feedback_step(_start(True), 0.01, law, MODEL, prefix, DT, t=2 * DT)
+        assert str(info.value) == f"record prefix: {shown}"
+
+    @pytest.mark.parametrize("convert", [lambda a: a.astype(complex), lambda a: (a + 0j).tolist(),
+                                         lambda a: a.astype(np.complex64), lambda a: a.tolist()])
+    def test_zero_imaginary_parts_read_as_real(self, convert):
+        expression = "0.2 * Y - 0.5 * ma(Y, 50)"
+        law, twin = (ControlLaw.from_expression(expression, MODEL.hamiltonian, SIGMA_X) for _ in range(2))
+        real = np.asarray(convert(RECORD[:60])).real.astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = law.control(0.5, convert(RECORD[:60]))
+            got = feedback_step(_start(True), 0.01, law, MODEL, convert(RECORD[:60]), DT, t=60 * DT)
+        assert _bits(u) == _bits(reference_control(expression)(0.5, real))
+        expected = feedback_step(_start(True), 0.01, twin, MODEL, real, DT, t=60 * DT)
+        assert got.matrix.tobytes() == expected.matrix.tobytes()
+
+    def test_float64_prefix_is_taken_as_it_is(self, monkeypatch):
+        calls = []
+        real_prefix = filters._real_prefix
+        monkeypatch.setattr(filters, "_real_prefix", lambda prefix: calls.append(prefix) or real_prefix(prefix))
+        law = ControlLaw.from_expression("Y", MODEL.hamiltonian, SIGMA_X)
+        increments = _record()
+        for k in range(5):
+            feedback_step(_start(True), increments[k], law, MODEL, increments[:k], DT, t=k * DT)
+            feedback_step(_start(True), increments[k], law, MODEL, RECORD[:k].copy(), DT, t=k * DT)
+        assert calls == []
+        feedback_step(_start(True), 0.0, law, MODEL, [0.1, 0.2], DT, t=2 * DT)
+        assert calls == [[0.1, 0.2]]
+
+
+LAW3 = ControlLaw.from_expression("Y", np.zeros((3, 3)), np.eye(3))
+WRONG_DIMENSION, LOOK_AHEAD = "a 3 x 3 state or law", "a prefix of 3 entries at t = 2 dt"
+# the arguments of a good call, then bad values in the order feedback_step
+# checks them (dt, state, law, prefix, t, causality, then dY), each with the
+# error it raises; a bad prefix is the one refusal the parent did not make
+GOOD_CALL = dict(state=None, dY=0.01, law=None, model=MODEL, record_prefix=None, dt=DT, t=2 * DT)
+BAD_VALUES = [
+    ("dt", 0.0, bf.ValidationError, "dt must be positive"),
+    ("dt", -DT, bf.ValidationError, "dt must be positive"),
+    ("dt", np.nan, bf.ValidationError, "dt: non-real value nan"),
+    ("dt", "0.001", bf.ValidationError, "dt: non-numeric value '0.001'"),
+    ("state", WRONG_DIMENSION, bf.DimensionMismatch, "state dim 3 != model dim 2"),
+    ("law", WRONG_DIMENSION, bf.DimensionMismatch, "control H0/H1 dim 3 != model dim 2"),
+    ("record_prefix", np.array([0.1 + 1j, 0.2]), bf.ValidationError,
+     "record prefix: non-real value array([0.1+1.j, 0.2+0.j])"),
+    ("t", np.nan, bf.ValidationError, "t: non-real value nan"),
+    ("t", "0.002", bf.ValidationError, "t: non-numeric value '0.002'"),
+    ("record_prefix", LOOK_AHEAD, bf.CausalityViolation,
+     "record prefix extends to 0.003, at or beyond the current time 0.002"),
+    ("dY", np.nan, bf.ValidationError, "increment dY: non-real value nan"),
+]
+
+
+def _call_arguments(bad):
+    """The keyword arguments of a good call, and of the call with each
+    (name, value) of `bad` in place of the good value."""
+    law = ControlLaw.from_expression("0.2 * Y - 0.5 * ma(Y, 50)", MODEL.hamiltonian, SIGMA_X)
+    increments = _record()
+    good = dict(GOOD_CALL, state=_start(True), law=law, record_prefix=increments[:2])
+    kwargs = dict(good)
+    for name, value in bad:
+        if value is WRONG_DIMENSION:
+            value = FilterState(np.eye(3, dtype=complex) / 3) if name == "state" else LAW3
+        elif value is LOOK_AHEAD:
+            value = increments[:3]
+        kwargs[name] = value
+    return good, kwargs
+
+
+def _in_thread(run):
+    out = []
+    thread = threading.Thread(target=lambda: out.append(_outcome(run)))
+    thread.start()
+    thread.join(timeout=60)
+    return out[0]
+
+
+class TestFeedbackRefusals:
+    """Each bad argument, alone or with another, raises the error of the
+    first check it fails, on a fresh thread and on one with a bound run."""
+
+    @staticmethod
+    def _refusal(bad, bound):
+        good, kwargs = _call_arguments(bad)
+
+        def run():
+            if bound:  # binds the run that serves the good arguments
+                feedback_step(**good)
+            return feedback_step(**kwargs)
+
+        return _in_thread(run)[1]
+
+    @pytest.mark.parametrize("bound", [False, True], ids=["fresh", "bound"])
+    @pytest.mark.parametrize("name, value, error, message", BAD_VALUES, ids=lambda v: str(v)[:20])
+    def test_each_bad_argument(self, name, value, error, message, bound):
+        assert self._refusal([(name, value)], bound) == (error, message)
+
+    @pytest.mark.parametrize("bound", [False, True], ids=["fresh", "bound"])
+    def test_pairs_raise_the_earlier_check(self, bound):
+        for i, first in enumerate(BAD_VALUES):
+            for second in BAD_VALUES[i + 1 :]:
+                if first[0] == second[0]:
+                    continue
+                got = self._refusal([first[:2], second[:2]], bound)
+                assert got == first[2:], f"{first[:2]} with {second[:2]}: {got}"
