@@ -16,8 +16,9 @@ same pair under a Python callable law and under the expression law with a
 time-dependent channel map; ensembles with health, with and without the
 expression law, and of two trajectories without a law ("ensemble pair",
 a block small enough to step row by row); semigroup_path on a uniform and
-a non-uniform grid.  At each dimension, one "law online (writeable copy)"
-case feeds the first seed's homodyne record online from a writeable copy
+a non-uniform grid, whose values follow the package's own matrix
+exponential (operators._expm).  At each dimension, one "law online
+(writeable copy)" case feeds the first seed's homodyne record online from a writeable copy
 of its increments: feedback_step compares such prefixes, where it trusts
 a record's own immutable increments unread, and the case must hash as its
 "law online" line does.  Per seed, a "law direct" case hashes the values of compiled
@@ -67,7 +68,7 @@ CSV cases 1 if the bytes differ, 0 if not:
     PYTHONPATH=../old/src python3 scripts/seeded_hashes.py --save before
     PYTHONPATH=src python3 scripts/seeded_hashes.py --against before
 
-The hashes broke four times, by design.  First when the filter step moved to
+The hashes broke five times, by design.  First when the filter step moved to
 Liouville space (one product with a step matrix instead of separate n x n
 products): the summation order changed and outputs moved by about 1e-14;
 tests/test_liouville_step.py holds the step within 1e-12 of the old kernel
@@ -85,14 +86,18 @@ increments by at most 5.6e-17 and health monitors by at most 8.0e-16, with
 no count moved, pinned and unpinned alike; ensemble standard errors where
 every trajectory holds the same value (counting before a first count) went
 from 0 to at most 3.8e-8, the square root of a rounding.  Every other line
-kept its hash.  Last when ensemble variances took their sums about
+kept its hash.  Then when ensemble variances took their sums about
 trajectory 0's value at each time index, which cancels no digits: the
 ensemble lines (stacked, pair, law) and their csv lines alone moved,
 standard errors by at most 3.8e-8 (where every trajectory holds the same
 value, the old sums' square root of a rounding is now 0), and means and
-health monitors not at all, pinned and unpinned alike.  A diff across any
-of these changes is therefore not empty; compare checkouts on the same
-side of them, or use --against.
+health monitors not at all, pinned and unpinned alike.  Last when the
+semigroup's exponential moved from scipy.linalg.expm to the package's own
+Pade scaling and squaring: the 42 semigroup lines alone moved (uniform,
+uniform csv and uneven at every dimension and model), paths by at most
+3.1e-14, pinned and unpinned alike.  A diff across any of these changes
+is therefore not empty; compare checkouts on the same side of them, or use
+--against.
 """
 
 from __future__ import annotations

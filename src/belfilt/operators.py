@@ -7,7 +7,7 @@ Hamiltonian H with coupling channels L_j; the Heisenberg-picture generator is
 
 and ``lindblad_adjoint`` is its trace dual acting on density matrices.  The
 reduced semigroup exp(tL') is evaluated through the matrix exponential of the
-vectorized generator.
+vectorized generator, by scaling and squaring with a Pade approximant.
 
 Qubit helpers use the basis ordering (|g>, |e>), so the lowering operator
 maps |e> to |g> and sigma_z = diag(-1, +1).
@@ -25,6 +25,22 @@ from .errors import DimensionMismatch, ValidationError
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
+
+# Pade orders 3, 5, 7, 9 of exp: (theta_m, b_0..b_m), the [m/m] approximant
+# r_m = (V - U)^-1 (V + U), U the odd and V the even terms of
+# sum_j b_j A^j, being accurate to double precision for ||A||_1 <= theta_m
+# (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179-1193, Table 2.3).
+_PADE_LOW = (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+                           110880.0, 3960.0, 90.0, 1.0)),
+)
+_THETA_13 = 5.371920351148152
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+            129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+            960960.0, 16380.0, 182.0, 1.0)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
@@ -284,6 +300,55 @@ def adjoint_superoperator(model: SystemModel) -> np.ndarray:
     return _liouville(model.hamiltonian, [(ch, dag(ch), dag(ch) @ ch) for ch in model.channels])[0]
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) for a square matrix with a finite 1-norm, by scaling and
+    squaring (Higham 2005, Algorithm 2.3): the lowest Pade order in 3, 5, 7,
+    9 whose theta_m bounds ||a||_1, else order 13 on a / 2^s, s the fewest
+    halvings that bring the norm to theta_13, squared s times.  exp(0) is
+    exactly the identity."""
+    norm = np.linalg.norm(a, 1)
+    eye = np.eye(len(a), dtype=a.dtype)
+    for theta, b in _PADE_LOW:
+        if norm <= theta:
+            powers = [eye, a @ a]
+            while len(powers) < len(b) // 2:
+                powers.append(powers[-1] @ powers[1])
+            u = a @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+            v = sum(b[2 * k] * p for k, p in enumerate(powers))
+            return np.linalg.solve(v - u, v + u)
+    s = max(0, math.ceil(math.log2(norm / _THETA_13)))
+    a = a / 2.0**s
+    a2 = a @ a
+    b = _PADE_13
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _propagator(model: SystemModel, t: float, name: str) -> np.ndarray:
+    """exp(t L') on the row-major vec.  ValidationError naming t as `name`
+    when t L' has no finite 1-norm, or when the exponential has a non-finite
+    entry or does not preserve the trace within TRACE_TOL, as repeated
+    squaring gives once t L' is so large that rounding swamps the result."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        generator = t * adjoint_superoperator(model)
+        if not math.isfinite(np.linalg.norm(generator, 1)):
+            raise ValidationError(f"{name} {t!r}: t L' has a non-finite entry or 1-norm")
+        propagator = _expm(generator)
+        n = model.dim
+        # the rows of the diagonal entries sum to the trace functional vec(I)
+        defect = np.abs(propagator[:: n + 1].sum(axis=0) - np.eye(n).reshape(-1)).max()
+    if not defect <= TRACE_TOL:
+        raise ValidationError(f"{name} {t!r}: exp(t L') is not finite and trace-preserving"
+                              f" within {TRACE_TOL} (trace defect {defect:.3e})")
+    return propagator
+
+
 def semigroup_evolve(rho0: DensityState, model: SystemModel, t: float) -> DensityState:
     """Evolve rho0 for time t >= 0 under exp(t L') via the matrix exponential."""
     if not isinstance(rho0, DensityState):
@@ -292,11 +357,8 @@ def semigroup_evolve(rho0: DensityState, model: SystemModel, t: float) -> Densit
     if t < 0.0:
         raise ValidationError("t must be nonnegative")
     _check_dim(rho0.matrix, model, "rho0")
-    from scipy.linalg import expm  # on first use: scipy.linalg weighs more than the rest of the package
-
     n = model.dim
-    propagator = expm(t * adjoint_superoperator(model))
-    out = (propagator @ rho0.matrix.reshape(-1)).reshape(n, n)
+    out = (_propagator(model, t, "t") @ rho0.matrix.reshape(-1)).reshape(n, n)
     # exact evolution is Hermitian; strip roundoff skew
     return DensityState(0.5 * (out + dag(out)))
 
@@ -320,10 +382,8 @@ def semigroup_path(rho0: DensityState, model: SystemModel, times) -> np.ndarray:
     out = np.empty((ts.size, n, n), dtype=complex)
     diffs = np.diff(ts)
     uniform = ts[0] == 0.0 and ts.size > 1 and diffs.size > 0 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
-    from scipy.linalg import expm  # on first use, as in semigroup_evolve
-
     if uniform:
-        step = expm(diffs[0] * adjoint_superoperator(model))
+        step = _propagator(model, float(diffs[0]), "times: grid step")
         # propagate the vectorized state in place, then strip the roundoff
         # skew of every point at once
         vecs = out.reshape(ts.size, n * n)

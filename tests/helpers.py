@@ -138,10 +138,9 @@ def reference_commutator(h, dt):
 def reference_semigroup_path(rho0, model, times):
     """exp(t L') rho0 at the given times, point by point: on a uniform grid
     from 0, one propagator step and one Hermitian part per point; elsewhere
-    semigroup_evolve at each time."""
-    from scipy.linalg import expm
-
-    from belfilt.operators import DensityState, adjoint_superoperator, semigroup_evolve
+    semigroup_evolve at each time.  The propagator is the package's own
+    exponential, so that the comparison checks the propagation loop."""
+    from belfilt.operators import DensityState, _expm, adjoint_superoperator, semigroup_evolve
 
     if not isinstance(rho0, DensityState):
         rho0 = DensityState(rho0)
@@ -154,7 +153,7 @@ def reference_semigroup_path(rho0, model, times):
         for k, t in enumerate(ts):
             out[k] = semigroup_evolve(rho0, model, t).matrix
         return out
-    step = expm(diffs[0] * adjoint_superoperator(model))
+    step = _expm(diffs[0] * adjoint_superoperator(model))
     vec = rho0.matrix.reshape(-1).copy()
     out[0] = rho0.matrix
     for k in range(1, ts.size):

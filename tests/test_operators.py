@@ -1,6 +1,7 @@
 """Operator algebra, generators, and the reduced semigroup."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,12 @@ import belfilt as bf
 from belfilt.operators import (
     SIGMA_MINUS,
     SIGMA_Z,
+    _PADE_LOW,
+    _THETA_13,
     DensityState,
     SystemModel,
+    _expm,
+    adjoint_superoperator,
     dag,
     lindblad_adjoint,
     lindblad_heisenberg,
@@ -252,19 +257,70 @@ class TestSemigroup:
         for t, m in zip(times, path):
             assert np.allclose(m, semigroup_evolve(rho, model, t).matrix, atol=1e-10)
 
-    def test_import_leaves_scipy_linalg_unloaded(self):
-        # only the semigroup needs the matrix exponential, so scipy.linalg
-        # loads on its first use and not with the package
-        code = ("import sys, belfilt, belfilt.cli; before = 'scipy.linalg' in sys.modules;"
-                " belfilt.semigroup_path(belfilt.DensityState([[1, 0], [0, 0]]),"
-                " belfilt.SystemModel([[0, 0], [0, 0]], ([[0, 1], [0, 0]],)), [0.0, 0.1]);"
-                " print(before, 'scipy.linalg' in sys.modules)")
+    @pytest.mark.parametrize("t", [1e200, 1e308])
+    @pytest.mark.parametrize("call, name", [
+        (lambda rho, model, t: semigroup_evolve(rho, model, t), "t"),
+        (lambda rho, model, t: semigroup_path(rho, model, [0.0, t]), "times: grid step"),
+        (lambda rho, model, t: semigroup_path(rho, model, [0.0, 1.0, t]), "t"),
+    ], ids=["semigroup_evolve", "uniform grid", "uneven grid"])
+    @pytest.mark.parametrize("model", [_DECAY, random_model(2, np.random.default_rng(1))], ids=["decay", "random"])
+    def test_huge_time_raises_naming_it(self, call, name, t, model):
+        # repeated squaring at such t keeps no digit: the exponential
+        # overflows or rounds to zero, and must not pass as a state
+        with pytest.raises(bf.ValidationError, match="^" + re.escape(f"{name} {t!r}: ")):
+            call(DensityState.maximally_mixed(2), model, t)
+
+    def test_scipy_is_no_package_dependency(self):
+        # scipy is a test and benchmark tool only: neither the package's
+        # dependencies nor its source may name it
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+
+        src = Path(bf.__file__).resolve().parent
+        with open(src.parents[1] / "pyproject.toml", "rb") as f:
+            project = tomllib.load(f)["project"]
+        assert not [d for d in project["dependencies"] if d.lower().startswith("scipy")]
+        assert any(d.lower().startswith("scipy") for d in project["optional-dependencies"]["dev"])
+        assert [p.name for p in sorted(src.rglob("*.py")) if "scipy" in p.read_text(encoding="utf-8")] == []
+
+    def test_import_leaves_scipy_linalg_unloaded(self, tmp_path):
+        # the package runs on numpy alone: no scipy module loads with it, in
+        # the semigroup, in the CLI's master command or in the property suites
+        config = Path(bf.__file__).resolve().parents[2] / "configs" / "qubit_homodyne.json"
+        code = ("import sys, belfilt, belfilt.cli, belfilt.verify;"
+                " rho = belfilt.DensityState([[1, 0], [0, 0]]);"
+                " model = belfilt.SystemModel([[0, 0], [0, 0]], ([[0, 1], [0, 0]],));"
+                " belfilt.semigroup_path(rho, model, [0.0, 0.1]); belfilt.semigroup_evolve(rho, model, 0.3);"
+                f" assert belfilt.cli.run(['master', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}]) == 0;"
+                " assert belfilt.verify.run_all(verbose=False);"
+                " print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(bf.__file__).resolve().parents[1]),
                                                           env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["False", "True"]
+        assert done.stdout.splitlines()[-1] == "[]"
+
+
+class TestExpm:
+    # 1-norms that run each Pade order (0.9 theta_m), order 13 unscaled, and
+    # order 13 after 1 to 8 halvings
+    NORMS = (0.0, 1e-12, *(0.9 * theta for theta, _ in _PADE_LOW), 0.9 * _THETA_13, 1e1, 1e2, 1e3)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_matches_scipy_on_generators(self, dim, channels):
+        from scipy.linalg import expm
+
+        generator = adjoint_superoperator(random_model(dim, np.random.default_rng(100 * dim + channels), channels))
+        norm = np.linalg.norm(generator, 1)  # at dim 1, L' is 0 up to rounding
+        for target in self.NORMS:
+            a = generator * (target / norm) if norm else generator
+            expected = expm(a)
+            assert np.linalg.norm(_expm(a) - expected, 1) <= 1e-12 * np.linalg.norm(expected, 1), target
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 9, 64])
+    def test_zero_gives_the_identity_exactly(self, dim):
+        assert np.array_equal(_expm(np.zeros((dim, dim), dtype=complex)), np.eye(dim))
 
 
 class TestSemigroupPathBitForBit:
