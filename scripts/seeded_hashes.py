@@ -17,7 +17,12 @@ time-dependent channel map; ensembles with health, with and without the
 expression law, and of two trajectories without a law ("ensemble pair",
 a block small enough to step row by row); semigroup_path on a uniform and
 a non-uniform grid, whose values follow the package's own matrix
-exponential (operators._expm).  At each dimension, one "law online
+exponential (operators._expm).  At each dimension, on the first seed's
+random model and start, a "semigroup evolve" case hashes semigroup_evolve
+at three times, and a "semigroup closed" case semigroup_path under the
+model's Hamiltonian without channels, on a uniform and a non-uniform
+grid, so that closed systems, whose generator is the Hamiltonian block
+alone, are covered too.  At each dimension, one "law online
 (writeable copy)" case feeds the first seed's homodyne record online from a writeable copy
 of its increments: feedback_step compares such prefixes, where it trusts
 a record's own immutable increments unread, and the case must hash as its
@@ -97,7 +102,10 @@ Pade scaling and squaring: the 42 semigroup lines alone moved (uniform,
 uniform csv and uneven at every dimension and model), paths by at most
 3.1e-14, pinned and unpinned alike.  A diff across any of these changes
 is therefore not empty; compare checkouts on the same side of them, or use
---against.
+--against.  Building the semigroup's generator once per call, its
+Hamiltonian part from the block the step matrices use, moved no line,
+"semigroup evolve" and "semigroup closed" included, pinned and unpinned
+alike.
 """
 
 from __future__ import annotations
@@ -124,6 +132,7 @@ from belfilt import (
     random_hermitian,
     random_model,
     replay_record,
+    semigroup_evolve,
     semigroup_path,
     simulate_counting,
     simulate_homodyne,
@@ -228,6 +237,26 @@ def grammar_parts(dim: int, seed: int, horizon: float, dt: float):
     return err or (("record", closed[0].increments), ("path", closed[1]), ("path", states))
 
 
+def uneven_times(dt: float) -> np.ndarray:
+    """The non-uniform grid of the "semigroup uneven" and "semigroup closed"
+    cases: 0 and seven steps growing from 5 dt to 15 dt."""
+    return np.concatenate(([0.0], np.cumsum(np.linspace(0.5, 1.5, 7) * dt * 10)))
+
+
+def semigroup_parts(dim: int, seed: int, horizon: float, dt: float):
+    """The "semigroup evolve" and "semigroup closed" cases on the seed's
+    random model and start: semigroup_evolve at three times, then
+    semigroup_path under the model's Hamiltonian without channels on a
+    uniform and a non-uniform grid."""
+    _, model, rho0, _, _ = next(model_cases(dim, seed))
+    closed = SystemModel(model.hamiltonian)
+    uniform = dt * np.arange(int(round(horizon / dt)) + 1)
+    states, err = attempt(lambda: [semigroup_evolve(rho0, model, t).matrix for t in (0.0, horizon / 7, horizon)])
+    yield "semigroup evolve", err or tuple(("path", m) for m in states)
+    paths, err = attempt(lambda: [semigroup_path(rho0, closed, times) for times in (uniform, uneven_times(dt))])
+    yield "semigroup closed", err or tuple(("path", m) for m in paths)
+
+
 def csv_bytes(directory: Path, write) -> bytes:
     """The bytes write(path) puts in a file."""
     target = directory / "table.csv"
@@ -304,6 +333,8 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
         yield f"seed{seed} law direct", err or (("law", values),)
     for dim in dims:
         yield f"n{dim} seed{seeds[0]} random{dim} homodyne law grammar", grammar_parts(dim, seeds[0], horizon, dt)
+        for label, parts in semigroup_parts(dim, seeds[0], horizon, dt):
+            yield f"n{dim} seed{seeds[0]} random{dim} {label}", parts
         for seed in seeds:
             for label, model, rho0, obs, h1 in model_cases(dim, seed):
                 law = ControlLaw.from_expression(LAW, model.hamiltonian, h1)
@@ -359,8 +390,8 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
                 yield f"n{dim} seed{seed} {label} semigroup uniform", (("path", master),)
                 yield f"n{dim} seed{seed} {label} semigroup uniform csv", (
                     ("csv", csv_bytes(scratch, lambda p: write_master_csv(p, times, series(master, obs)))),)
-                uneven = np.concatenate(([0.0], np.cumsum(np.linspace(0.5, 1.5, 7) * dt * 10)))
-                yield f"n{dim} seed{seed} {label} semigroup uneven", (("path", semigroup_path(rho0, model, uneven)),)
+                yield f"n{dim} seed{seed} {label} semigroup uneven", (
+                    ("path", semigroup_path(rho0, model, uneven_times(dt))),)
 
 
 SAVED = "outputs.npz"

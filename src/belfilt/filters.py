@@ -268,7 +268,7 @@ def _model_matrix(model: SystemModel, phase: float, counting: bool, dt: float, l
     key = (phase, counting, dt)
     held = model._derived.get(slot)
     if held is None or held[0] != key or held[1] is not h or held[2] is not control:
-        s = _step_matrix(_liouville(None, (model.single_channel_parts(phase),)), counting, dt, h, control)
+        s = _step_matrix(_liouville((model.single_channel_parts(phase),)), counting, dt, h, control)
         held = model._derived[slot] = (key, h, control, s)
     return held[3]
 
@@ -668,7 +668,7 @@ class _CompiledControl:
 
     def __call__(self, t: float, prefix) -> float:
         arr = _real_prefix(prefix)
-        return float(self.body(float(t), np.cumsum(arr) if self.reads_record else None, arr.size))
+        return float(self.body(_finite_real(t, "t: {}"), np.cumsum(arr) if self.reads_record else None, arr.size))
 
 
 def compile_control_expression(expression: str) -> Callable[[float, np.ndarray], float]:
@@ -681,17 +681,19 @@ def compile_control_expression(expression: str) -> Callable[[float, np.ndarray],
     (`_lower`): numbers are float constants, ma(Y, w) is one np.add.reduce
     over its window, and a division by zero raises ValidationError.  The
     body reaches no builtins.  A call sums its prefix afresh, so u is a pure
-    function of (t, prefix); its prefix must hold real numbers
+    function of (t, prefix); t must be a finite real number, as
+    `feedback_step` takes it, and the prefix must hold real numbers
     (`_real_prefix`).  Closed loops and `feedback_step` evaluate the body
     on record sums their run keeps (`_LawRun`), not through this call.  An
     expression nested deeper than Python's parser or compiler can take (a
-    sum of about a thousand terms) raises ValidationError."""
+    sum of about a thousand terms), or with an integer constant beyond the
+    float range, raises ValidationError."""
     try:
         tree = ast.parse(expression.strip(), mode="eval")
         function = ast.parse("lambda t, sums, m: 0", mode="eval")
         function.body.body = _lower(tree.body, expression)
         code = compile(ast.fix_missing_locations(function), "<control expression>", "eval")
-    except SyntaxError as exc:
+    except (SyntaxError, OverflowError) as exc:  # OverflowError: an int constant past the float range
         raise ValidationError(f"control expression {expression!r}: {exc}") from exc
     except RecursionError:
         raise ValidationError(f"control expression {expression!r}: nested too deeply to compile") from None
@@ -736,8 +738,10 @@ class ControlLaw:
 
     def hamiltonian_at(self, t: float, prefix) -> tuple[np.ndarray, float]:
         """H_t = H0 + u H1 and u, for u = control(t, prefix) a finite real
-        number; a complex u with zero imaginary part counts as its real part."""
-        u = _finite_real(self.control(float(t), prefix), _CONTROL_VALUE, t)
+        number; a complex u with zero imaginary part counts as its real part.
+        t must be a finite real number, as `feedback_step` takes it."""
+        t = _finite_real(t, "t: {}")
+        u = _finite_real(self.control(t, prefix), _CONTROL_VALUE, t)
         return self.h0 + u * self.h1, u
 
 
@@ -921,7 +925,7 @@ class _LawRun:
             ch = as_operator(law.channel_map(t, prefix), "L_t")
             if ch.shape[0] != self.model.dim:
                 raise DimensionMismatch(f"L_t dim {ch.shape[0]} != model dim {self.model.dim}")
-            blocks = _liouville(None, (_channel_parts(ch, self.scheme.phase),))
+            blocks = _liouville((_channel_parts(ch, self.scheme.phase),))
             s0 = _step_matrix(blocks, self.scheme.kind == COUNTING, self.dt, law.h0)
             self.s[:, : s0.shape[1]] = s0
         return u

@@ -198,16 +198,9 @@ class SystemModel:
         return self.channels[0]
 
     def single_channel_parts(self, phase: float = 0.0):
-        """(L, L*, L*L) for the single channel, with L rotated by exp(i phase).
-
-        The Grammian L*L is phase invariant.  Results are memoized; the model
-        is immutable, so the cache is sound.
-        """
-        key = float(phase)
-        cache = self._derived
-        if key not in cache:
-            cache[key] = _channel_parts(self.channel, key)
-        return cache[key]
+        """(L, L*, L*L) for the single channel, with L rotated by exp(i phase)
+        (`_channel_parts`).  The Grammian L*L is phase invariant."""
+        return _channel_parts(self.channel, float(phase))
 
 
 def _channel_parts(channel: np.ndarray, phase: float):
@@ -257,22 +250,19 @@ def lindblad_adjoint(rho_like, model: SystemModel) -> np.ndarray:
     return out
 
 
-def _liouville(h, channels=()):
+def _liouville(channels, d=0.0):
     """Superoperator blocks, as n^2 x n^2 matrices acting on the row-major
     vec(r), for which vec(a r b) = kron(a, b^T) vec(r).
 
-    Returns (D, G, J): D is the adjoint generator
-    -i(H r - r H) + sum_j (Lj r Lj* - {Lj*Lj, r}/2) of the Hamiltonian h
-    (None for none) and the channels, each given by its parts (L, L*, L*L);
-    G (r -> L r + r L*) and J (r -> L r L*) belong to the last channel.
-    This function and `_commutator`, which builds the Hamiltonian part
-    -i dt [H, .] of a step matrix directly, are the only places that know
-    the vec convention."""
-    n = len(channels[0][0]) if h is None else len(h)
-    eye = np.eye(n, dtype=complex)
-    d = 0.0 if h is None else -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    Returns (D, G, J): D is d plus the dissipator
+    sum_j (Lj r Lj* - {Lj*Lj, r}/2) of the channels, each given by its parts
+    (L, L*, L*L) (`_channel_parts`); G (r -> L r + r L*) and J (r -> L r L*)
+    belong to the last channel.  This function and `_commutator`, which
+    builds the Hamiltonian part -i dt [H, .] of the generator and of a step
+    matrix, are the only places that know the vec convention."""
     g = j = None
     for ch, chd, grammian in channels:
+        eye = np.eye(len(ch), dtype=complex)
         j = np.kron(ch, chd.T)
         g = np.kron(ch, eye) + np.kron(eye, chd.T)
         d = d + j - 0.5 * (np.kron(grammian, eye) + np.kron(eye, grammian.T))
@@ -297,7 +287,7 @@ def _commutator(h, dt: float):
 
 def adjoint_superoperator(model: SystemModel) -> np.ndarray:
     """Vectorized (row-major) matrix of the adjoint generator, n^2 x n^2."""
-    return _liouville(model.hamiltonian, [(ch, dag(ch), dag(ch) @ ch) for ch in model.channels])[0]
+    return _liouville([_channel_parts(ch, 0.0) for ch in model.channels], _commutator(model.hamiltonian, 1.0))[0]
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -330,23 +320,42 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _propagator(model: SystemModel, t: float, name: str) -> np.ndarray:
-    """exp(t L') on the row-major vec.  ValidationError naming t as `name`
-    when t L' has no finite 1-norm, or when the exponential has a non-finite
-    entry or does not preserve the trace within TRACE_TOL, as repeated
-    squaring gives once t L' is so large that rounding swamps the result."""
+def _generator(rho0: DensityState, model: SystemModel) -> np.ndarray:
+    """L' of `model` (`adjoint_superoperator`), to evolve rho0 by:
+    DimensionMismatch when rho0 has another dimension.  Entries that
+    overflow are left to `_propagator` to report."""
+    _check_dim(rho0.matrix, model, "rho0")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return adjoint_superoperator(model)
+
+
+def _propagator(generator: np.ndarray, t: float, name: str) -> np.ndarray:
+    """exp(t L') on the row-major vec, for the generator L'.
+    ValidationError naming t as `name` when t L' has no finite 1-norm, or
+    when the exponential has a non-finite entry or does not preserve the
+    trace within TRACE_TOL, as repeated squaring gives once t L' is so large
+    that rounding swamps the result."""
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        generator = t * adjoint_superoperator(model)
+        generator = t * generator
         if not math.isfinite(np.linalg.norm(generator, 1)):
             raise ValidationError(f"{name} {t!r}: t L' has a non-finite entry or 1-norm")
         propagator = _expm(generator)
-        n = model.dim
+        n = math.isqrt(len(propagator))
         # the rows of the diagonal entries sum to the trace functional vec(I)
         defect = np.abs(propagator[:: n + 1].sum(axis=0) - np.eye(n).reshape(-1)).max()
     if not defect <= TRACE_TOL:
         raise ValidationError(f"{name} {t!r}: exp(t L') is not finite and trace-preserving"
                               f" within {TRACE_TOL} (trace defect {defect:.3e})")
     return propagator
+
+
+def _states(rho0: DensityState, generator: np.ndarray, times):
+    """exp(t L') rho0 for each t of `times`, under one generator L'
+    (`_generator`): one exponential and one DensityState check a point."""
+    for t in times:
+        out = (_propagator(generator, t, "t") @ rho0.matrix.reshape(-1)).reshape(rho0.dim, -1)
+        # exact evolution is Hermitian; strip roundoff skew
+        yield DensityState(0.5 * (out + dag(out)))
 
 
 def semigroup_evolve(rho0: DensityState, model: SystemModel, t: float) -> DensityState:
@@ -356,17 +365,14 @@ def semigroup_evolve(rho0: DensityState, model: SystemModel, t: float) -> Densit
     t = _finite_real(t, "t: {}")
     if t < 0.0:
         raise ValidationError("t must be nonnegative")
-    _check_dim(rho0.matrix, model, "rho0")
-    n = model.dim
-    out = (_propagator(model, t, "t") @ rho0.matrix.reshape(-1)).reshape(n, n)
-    # exact evolution is Hermitian; strip roundoff skew
-    return DensityState(0.5 * (out + dag(out)))
+    return next(_states(rho0, _generator(rho0, model), [t]))
 
 
 def semigroup_path(rho0: DensityState, model: SystemModel, times) -> np.ndarray:
     """Density matrices of exp(t L') rho0 at the given times, shape (m, n, n).
 
-    A uniform grid starting at 0 reuses a single one-step propagator.
+    A uniform grid starting at 0 reuses a single one-step propagator; any
+    other grid takes one exponential a point (`_states`).
     """
     if not isinstance(rho0, DensityState):
         rho0 = DensityState(rho0)
@@ -378,26 +384,24 @@ def semigroup_path(rho0: DensityState, model: SystemModel, times) -> np.ndarray:
     ts = ts.astype(float, copy=False)
     if np.any(~np.isfinite(ts)) or np.any(ts < 0.0):
         raise ValidationError("times must be finite and nonnegative")
-    n = model.dim
-    out = np.empty((ts.size, n, n), dtype=complex)
+    generator = _generator(rho0, model)
     diffs = np.diff(ts)
     uniform = ts[0] == 0.0 and ts.size > 1 and diffs.size > 0 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
-    if uniform:
-        step = _propagator(model, float(diffs[0]), "times: grid step")
-        # propagate the vectorized state in place, then strip the roundoff
-        # skew of every point at once
-        vecs = out.reshape(ts.size, n * n)
-        vecs[0] = rho0.matrix.reshape(-1)
-        # the bound `dot` makes the zgemv the `np.matmul` gufunc would, at
-        # less than half its per-call cost on small n
-        propagate = step.dot
-        for before, after in zip(vecs, vecs[1:]):
-            propagate(before, after)
-        np.multiply(0.5, np.add(out, out.conj().swapaxes(1, 2), out=out), out=out)
-        out[0] = rho0.matrix
-    else:
-        for k, t in enumerate(ts):
-            out[k] = semigroup_evolve(rho0, model, t).matrix
+    if not uniform:
+        return np.array([state.matrix for state in _states(rho0, generator, ts.tolist())])
+    step = _propagator(generator, float(diffs[0]), "times: grid step")
+    out = np.empty((ts.size, model.dim, model.dim), dtype=complex)
+    # propagate the vectorized state in place, then strip the roundoff skew
+    # of every point at once
+    vecs = out.reshape(ts.size, -1)
+    vecs[0] = rho0.matrix.reshape(-1)
+    # the bound `dot` makes the zgemv the `np.matmul` gufunc would, at less
+    # than half its per-call cost on small n
+    propagate = step.dot
+    for before, after in zip(vecs, vecs[1:]):
+        propagate(before, after)
+    np.multiply(0.5, np.add(out, out.conj().swapaxes(1, 2), out=out), out=out)
+    out[0] = rho0.matrix
     return out
 
 

@@ -122,6 +122,24 @@ def reference_control(expression):
     return control
 
 
+def reference_liouville(h, channels=()):
+    """(D, G, J) as `operators._liouville` built them when it also took the
+    Hamiltonian, every block by np.kron on the row-major vec, for which
+    vec(a r b) = kron(a, b^T) vec(r): D = -i(H r - r H) + sum_j (Lj r Lj* -
+    {Lj*Lj, r}/2) for h (None for none) and the channels, each given by its
+    parts (L, L*, L*L); G (r -> L r + r L*) and J (r -> L r L*) belong to
+    the last channel."""
+    n = len(channels[0][0]) if h is None else len(h)
+    eye = np.eye(n, dtype=complex)
+    d = 0.0 if h is None else -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    g = j = None
+    for ch, chd, grammian in channels:
+        j = np.kron(ch, chd.T)
+        g = np.kron(ch, eye) + np.kron(eye, chd.T)
+        d = d + j - 0.5 * (np.kron(grammian, eye) + np.kron(eye, grammian.T))
+    return d, g, j
+
+
 def reference_commutator(h, dt):
     """-i dt [H, .] on the row-major vec, gathered: the entry ((a, b), (c, d))
     is g[a n + c] [b = d] - g[d n + b] [a = c] for g = [vec(-i dt H), 0],
@@ -138,9 +156,10 @@ def reference_commutator(h, dt):
 def reference_semigroup_path(rho0, model, times):
     """exp(t L') rho0 at the given times, point by point: on a uniform grid
     from 0, one propagator step and one Hermitian part per point; elsewhere
-    semigroup_evolve at each time.  The propagator is the package's own
-    exponential, so that the comparison checks the propagation loop."""
-    from belfilt.operators import DensityState, _expm, adjoint_superoperator, semigroup_evolve
+    the exponential at each time and its Hermitian part.  The propagator is
+    the package's own exponential, so that the comparison checks the
+    propagation loop."""
+    from belfilt.operators import DensityState, _expm, adjoint_superoperator
 
     if not isinstance(rho0, DensityState):
         rho0 = DensityState(rho0)
@@ -151,7 +170,8 @@ def reference_semigroup_path(rho0, model, times):
     uniform = ts[0] == 0.0 and ts.size > 1 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
     if not uniform:
         for k, t in enumerate(ts):
-            out[k] = semigroup_evolve(rho0, model, t).matrix
+            m = (_expm(float(t) * adjoint_superoperator(model)) @ rho0.matrix.reshape(-1)).reshape(n, n)
+            out[k] = 0.5 * (m + dag(m))
         return out
     step = _expm(diffs[0] * adjoint_superoperator(model))
     vec = rho0.matrix.reshape(-1).copy()

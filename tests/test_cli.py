@@ -204,6 +204,14 @@ class TestCliCommands:
         assert run(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: control expression {expression!r}: nested too deeply to compile\n"
 
+    def test_control_expression_constant_out_of_range_exits_one_on_one_line(self, tmp_path, capsys):
+        expression = "1" + "0" * 400 + " * t"
+        cfg_path = write_config(tmp_path, qubit_config(control_expression=expression,
+                                                       control_h1=[[0, 1, 1.0, 0.0], [1, 0, 1.0, 0.0]]))
+        assert run(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (f"error: control expression {expression!r}:"
+                                           " int too large to convert to float\n")
+
     def test_foreign_record_exits_one(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, qubit_config())
         out = tmp_path / "sim"

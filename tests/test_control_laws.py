@@ -410,6 +410,19 @@ class TestControlValues:
         with pytest.raises(bf.ValidationError, match=rf"^control law returned non-numeric value {shown} at t = 0.25$"):
             self._law(value).hamiltonian_at(0.25, np.zeros(3))
 
+    @pytest.mark.parametrize("t,shown", [("0.5", "non-numeric value '0.5'"), (float("nan"), "non-real value nan"),
+                                         (None, "non-numeric value None")])
+    def test_t_refused_as_feedback_step_refuses_it(self, t, shown):
+        # a compiled u(t, prefix) and hamiltonian_at read t as feedback_step
+        # does, compiled or callable law alike
+        compiled = compile_control_expression("t + Y")
+        law = ControlLaw(compiled, 0.5 * SIGMA_Z, SIGMA_X)
+        for call in (lambda: compiled(t, [0.1]), lambda: law.hamiltonian_at(t, []),
+                     lambda: self._law(1.0).hamiltonian_at(t, np.zeros(3))):
+            with pytest.raises(bf.ValidationError) as info:
+                call()
+            assert str(info.value) == f"t: {shown}"
+
 
 def _prefix_law(law):
     """The same law as a plain callable, which the loops call on each step's
@@ -798,6 +811,12 @@ class TestCompiledBody:
         with pytest.raises(bf.ValidationError) as info:
             compile_control_expression(expression)
         assert str(info.value) == f"control expression {expression!r}: nested too deeply to compile"
+
+    @pytest.mark.parametrize("expression", ["1" + "0" * 400 + " * t", "t / 1" + "0" * 309])
+    def test_constant_beyond_the_float_range_is_refused(self, expression):
+        with pytest.raises(bf.ValidationError) as info:
+            compile_control_expression(expression)
+        assert str(info.value) == f"control expression {expression!r}: int too large to convert to float"
 
     def test_long_expression_still_compiles(self):
         expression = "Y" + " + t" * 300

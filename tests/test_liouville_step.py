@@ -15,7 +15,7 @@ from belfilt.filters import ControlLaw, FilterState, MeasurementScheme, feedback
 from belfilt.operators import random_density, random_hermitian, random_model
 from belfilt.trajectories import derive_seed, replay_record, simulate_homodyne
 
-from helpers import reference_commutator, reference_integrate
+from helpers import reference_commutator, reference_integrate, reference_liouville
 
 TOL = 1e-12
 DT = 2.5e-3
@@ -233,14 +233,14 @@ def test_constant_law_runs_match_static_model(dim):
 @pytest.mark.parametrize("dt", [1e-3, 0.37, 2.0])
 def test_commutator_block_is_the_hamiltonian_part_of_liouville(dim, dt):
     """`_commutator` builds dt times the Hamiltonian part of
-    `operators._liouville`.  `_step_matrix` adds it to the A' block and, for
-    a law's H1, appends it as the C1 block (S holds both transposed), and
-    the columns outside those blocks stay as they are without a
-    Hamiltonian."""
+    `reference_liouville`, the former `operators._liouville`.  `_step_matrix`
+    adds it to the A' block and, for a law's H1, appends it as the C1 block
+    (S holds both transposed), and the columns outside those blocks stay as
+    they are without a Hamiltonian."""
     h = random_hermitian(dim, np.random.default_rng(70 + dim), scale=3.0)
     n2 = dim * dim
     block = filters._commutator(h, dt)
-    expected = dt * operators._liouville(h)[0]
+    expected = dt * reference_liouville(h)[0]
     assert np.max(np.abs(block - expected)) <= 1e-15 * np.linalg.norm(h, 2)
     zeros = np.zeros((n2, n2))
     for counting in (False, True):
@@ -266,7 +266,7 @@ def test_step_matrices_match_reference_commutator(dim, monkeypatch):
         law = ControlLaw.from_expression("Y", model.hamiltonian, h1)
         for counting in (False, True):
             for phase in (0.0, 0.7):
-                blocks = operators._liouville(None, (model.single_channel_parts(phase),))
+                blocks = operators._liouville((model.single_channel_parts(phase),))
                 for dt in (1e-3, 1 / 3, 0.37, 2.0):
                     for control in (None, law):
                         s = filters._model_matrix(model, phase, counting, dt, control)
@@ -278,11 +278,11 @@ def test_step_matrices_match_reference_commutator(dim, monkeypatch):
 
 
 def test_step_matrix_holds_every_block():
-    """vec(r) @ S against the blocks built from `_liouville` with H."""
+    """vec(r) @ S against the blocks built from `reference_liouville` with H."""
     model, rho0, _ = _case(3, "none")
     dt = 0.01
     r = rho0.matrix.reshape(-1)
-    d, g, j = operators._liouville(model.hamiltonian, (model.single_channel_parts(0.0),))
+    d, g, j = reference_liouville(model.hamiltonian, (model.single_channel_parts(0.0),))
     drift = np.eye(9) + dt * d
     for counting, measured in ((False, g), (True, j)):
         p = r @ filters._model_matrix(model, 0.0, counting, dt)
@@ -316,7 +316,7 @@ def _rebuilt_law_run(model, rho0, scheme, dt, increments, law, normalized):
     rows = np.empty((increments.size + 1, n * n), dtype=complex)
     rows[0] = rho0.matrix.reshape(-1)
     traces = np.ones(increments.size + 1)
-    model_blocks = operators._liouville(None, (model.single_channel_parts(scheme.phase),))
+    model_blocks = operators._liouville((model.single_channel_parts(scheme.phase),))
     for k in range(increments.size):
         t, prefix = k * dt, increments[:k]
         h, _ = law.hamiltonian_at(t, prefix)
@@ -324,7 +324,7 @@ def _rebuilt_law_run(model, rho0, scheme, dt, increments, law, normalized):
             blocks = model_blocks
         else:
             channel = operators.as_operator(law.channel_map(t, prefix), "L_t")
-            blocks = operators._liouville(None, (operators._channel_parts(channel, scheme.phase),))
+            blocks = operators._liouville((operators._channel_parts(channel, scheme.phase),))
         traces[k + 1], _ = step(rows[k], filters._step_matrix(blocks, counting, dt, h), float(increments[k]),
                                 rows[k + 1])
     return rows.reshape(-1, n, n), traces

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import belfilt as bf
+from belfilt import operators
 from belfilt.operators import (
     SIGMA_MINUS,
     SIGMA_Z,
@@ -19,7 +20,10 @@ from belfilt.operators import (
     _THETA_13,
     DensityState,
     SystemModel,
+    _channel_parts,
+    _commutator,
     _expm,
+    _liouville,
     adjoint_superoperator,
     dag,
     lindblad_adjoint,
@@ -30,7 +34,7 @@ from belfilt.operators import (
     semigroup_evolve,
     semigroup_path,
 )
-from helpers import heisenberg_generator, hermitian_basis, reference_semigroup_path
+from helpers import heisenberg_generator, hermitian_basis, reference_liouville, reference_semigroup_path
 
 I2 = np.eye(2, dtype=complex)
 _DECAY = SystemModel(SIGMA_Z, (SIGMA_MINUS,))
@@ -180,6 +184,29 @@ class TestLindbladAdjoint:
         assert abs(np.trace(lindblad_adjoint(w, model))) <= 1e-12
 
 
+class TestLiouvilleBlocks:
+    """`_liouville` and `adjoint_superoperator` against `reference_liouville`,
+    the np.kron blocks as `_liouville` built them with the Hamiltonian."""
+
+    @pytest.mark.parametrize("phase", [0.0, 0.7])
+    @pytest.mark.parametrize("channels", [0, 1, 2, 3])
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_blocks_match_the_kron_reference(self, dim, channels, phase):
+        model = random_model(dim, np.random.default_rng(200 * dim + channels), channels)
+        parts = [_channel_parts(ch, phase) for ch in model.channels]
+        if channels:
+            for block, expected in zip(_liouville(parts), reference_liouville(None, parts)):
+                assert block.tobytes() == expected.tobytes()
+        else:
+            assert _liouville(parts) == (0.0, None, None)
+        # the Hamiltonian part may differ from the reference in the sign of
+        # an exact zero, never in a value
+        assert np.array_equal(_liouville(parts, _commutator(model.hamiltonian, 1.0))[0],
+                              reference_liouville(model.hamiltonian, parts)[0])
+        kron_parts = [(ch, dag(ch), dag(ch) @ ch) for ch in model.channels]
+        assert np.array_equal(adjoint_superoperator(model), reference_liouville(model.hamiltonian, kron_parts)[0])
+
+
 class TestSemigroup:
     def test_t_zero_is_identity(self, rng):
         model = random_model(3, rng)
@@ -248,6 +275,25 @@ class TestSemigroup:
         model = random_model(2, rng)
         with pytest.raises(bf.ValidationError):
             semigroup_evolve(random_density(2, rng), model, float("nan"))
+
+    @pytest.mark.parametrize("call", [
+        lambda rho, model: semigroup_evolve(rho, model, 0.3),
+        lambda rho, model: semigroup_path(rho, model, [0.0, 0.1, 0.2]),
+        lambda rho, model: semigroup_path(rho, model, [0.0, 0.1, 0.3]),
+    ], ids=["semigroup_evolve", "uniform grid", "uneven grid"])
+    def test_rho0_of_another_dimension_refused(self, call):
+        with pytest.raises(bf.DimensionMismatch, match=r"^rho0 dim 3 != model dim 2$"):
+            call(DensityState.maximally_mixed(3), _DECAY)
+
+    @pytest.mark.parametrize("times", [[0.0, 0.1, 0.2], [0.0, 0.1, 0.15, 0.4, 1.0], [0.3], [0.7, 0.2]])
+    def test_path_builds_the_generator_once(self, times, monkeypatch):
+        calls = []
+        real = operators.adjoint_superoperator
+        monkeypatch.setattr(operators, "adjoint_superoperator", lambda model: calls.append(1) or real(model))
+        semigroup_path(DensityState.maximally_mixed(2), _DECAY, times)
+        assert len(calls) == 1
+        semigroup_evolve(DensityState.maximally_mixed(2), _DECAY, 0.3)
+        assert len(calls) == 2
 
     def test_path_matches_pointwise_evolution(self, rng):
         model = random_model(2, rng)
