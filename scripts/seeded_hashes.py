@@ -32,7 +32,11 @@ edited in place.  At each dimension, a "law grammar" case runs a closed
 loop under GRAMMAR_LAW, an expression with t, unary minus, division, a
 constant above 2**53 and a window longer than the early prefixes, on the
 first seed's model, and feeds the same record online, hashing the record,
-the closed-loop path and the online states.
+the closed-loop path and the online states.  Three "config" cases come
+first: what belfilt.config.load_config builds from each shipped config
+(configs/*.json) and from SIGNED_CONFIG, whose numbers take every sign,
+-0.0 included, as integers and decimals: its matrices, scheme, dt, T and
+other keys.
 Each simulated, closed-loop and replayed path also hashes its path_health
 monitors (worst eigenvalue, trace and Hermiticity defects),
 taken on the normalized matrices as the CLI's simulate and filter commands
@@ -105,13 +109,16 @@ is therefore not empty; compare checkouts on the same side of them, or use
 --against.  Building the semigroup's generator once per call, its
 Hamiltonian part from the block the step matrices use, moved no line,
 "semigroup evolve" and "semigroup closed" included, pinned and unpinned
-alike.
+alike; nor did reading every number of a config through the package's
+one pair of readers (operators._finite_real and _require_integer), the
+"config" cases included.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
@@ -138,6 +145,7 @@ from belfilt import (
     simulate_homodyne,
 )
 import belfilt.trajectories
+from belfilt.config import load_config
 from belfilt.operators import SIGMA_MINUS, SIGMA_X, SIGMA_Z
 from belfilt.recordio import write_ensemble_csv, write_master_csv, write_path_csv, write_record
 
@@ -152,6 +160,27 @@ SCHEMES = {
     "counting": MeasurementScheme.counting(),
 }
 STACKED = (3, 8)
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# a config whose numbers take every sign, -0.0 included, and both JSON
+# forms (integers and decimals), in its matrices and its scalar keys
+SIGNED_CONFIG = {
+    "dim": 3,
+    "hamiltonian": [[0, 0, -0.0, 0.0], [0, 1, 0.25, -0.5], [1, 0, 0.25, 0.5], [1, 1, -1, -0.0],
+                    [1, 2, -0.0, -0.125], [2, 1, 0.0, 0.125], [2, 2, 0.75, 0]],
+    "channels": [[[0, 1, 0.5, -0.0], [1, 2, -0.25, 0.5], [2, 0, -0.0, -1]]],
+    "rho0": [[0, 0, 0.5, -0.0], [1, 1, 0.25, 0.0], [2, 2, 0.25, 0], [0, 1, -0.125, 0.0625],
+             [1, 0, -0.125, -0.0625], [0, 2, -0.0, -0.0], [2, 0, 0.0, 0.0]],
+    "scheme": "imperfect",
+    "kappa": 1,
+    "phase": -0.0,
+    "dt": 0.01,
+    "T": 1,
+    "seed": 3,
+    "n_trajectories": 2,
+    "observables": {"neg": [[0, 0, -1, -0.0], [2, 2, -0.0, 0]], "mix": [[0, 2, -0.5, 0.25], [2, 0, -0.5, -0.25]]},
+    "control_expression": "0.5 * Y - t",
+    "control_h1": [[0, 1, -0.5, -0.0], [1, 0, -0.5, 0.0]],
+}
 
 
 def digest(*parts) -> str:
@@ -257,6 +286,24 @@ def semigroup_parts(dim: int, seed: int, horizon: float, dt: float):
     yield "semigroup closed", err or tuple(("path", m) for m in paths)
 
 
+def config_cases(scratch: Path):
+    """(name, parts) of the "config" cases: what load_config builds from
+    each shipped config and from SIGNED_CONFIG, its matrices as paths (the
+    observables by name) and its scheme, dt, T and other keys as values."""
+    signed = scratch / "signed.json"
+    signed.write_text(json.dumps(SIGNED_CONFIG))
+    for path in (*sorted(CONFIGS.glob("*.json")), signed):
+        cfg, err = attempt(lambda: load_config(path))
+        if err:
+            yield f"config {path.name}", err
+            continue
+        matrices = [cfg.hamiltonian, *cfg.channels, cfg.rho0.matrix, cfg.control_h1]
+        matrices += [cfg.observables[name] for name in sorted(cfg.observables)]
+        values = (cfg.dim, cfg.scheme.kind, cfg.scheme.kappa, cfg.scheme.phase, cfg.dt, cfg.horizon, cfg.seed,
+                  cfg.n_trajectories, sorted(cfg.observables), cfg.control_expression, cfg.filter_kind)
+        yield f"config {path.name}", (*(("path", m) for m in matrices), ("config", repr(values)))
+
+
 def csv_bytes(directory: Path, write) -> bytes:
     """The bytes write(path) puts in a file."""
     target = directory / "table.csv"
@@ -328,6 +375,7 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
     mean, csv, ...) say which values --against compares how.  A case that
     raised has the parts (error, type) and (error, message).  CSV files are
     written to `scratch` and read back as bytes."""
+    yield from config_cases(scratch)
     for seed in seeds:
         values, err = attempt(lambda: direct_values(seed))
         yield f"seed{seed} law direct", err or (("law", values),)

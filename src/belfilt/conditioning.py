@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonCommutingGenerators, NondemolitionViolation, ValidationError
-from .operators import DensityState, as_operator, dag
+from .operators import DensityState, _frozen, as_operator, dag
 
 COMMUTATION_TOL = 1e-9
 PROJECTION_TOL = 1e-10
@@ -61,15 +61,8 @@ class CommutativeAlgebra:
         labels = np.asarray(self.labels, dtype=complex)
         if labels.ndim != 2 or labels.shape[1] != len(projs):
             raise ValidationError(f"labels must have shape (n_generators, {len(projs)})")
-        frozen = []
-        for p in projs:
-            q = np.array(p)
-            q.setflags(write=False)
-            frozen.append(q)
-        labels = np.array(labels)
-        labels.setflags(write=False)
-        object.__setattr__(self, "projections", tuple(frozen))
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "projections", tuple(_frozen(p) for p in projs))
+        object.__setattr__(self, "labels", _frozen(labels))
 
     @classmethod
     def trivial(cls, dim: int) -> "CommutativeAlgebra":

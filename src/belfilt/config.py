@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .filters import ControlLaw, MeasurementScheme
-from .operators import DensityState, SystemModel
+from .operators import DensityState, SystemModel, _finite_real, _require_integer
 from .trajectories import _require_seed
 
 _KNOWN_KEYS = {
@@ -54,7 +54,8 @@ _KNOWN_KEYS = {
 
 
 def matrix_from_entries(entries, dim: int, name: str) -> np.ndarray:
-    """Dense matrix from a sparse (row, col, re, im) list."""
+    """Dense matrix from a sparse (row, col, re, im) list: integer indices
+    (`_require_integer`) and finite real parts (`_finite_real`)."""
     out = np.zeros((dim, dim), dtype=complex)
     if not isinstance(entries, list):
         raise ValidationError(f"{name}: expected a list of [row, col, re, im] entries")
@@ -63,19 +64,16 @@ def matrix_from_entries(entries, dim: int, name: str) -> np.ndarray:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 4):
             raise ValidationError(f"{name}: entry {i} must be [row, col, re, im]")
         row, col, re, im = entry
-        if not (isinstance(row, int) and isinstance(col, int)):
-            raise ValidationError(f"{name}: entry {i}: row/col must be integers")
+        where = f"{name}: entry {i}"
+        row, col = _require_integer(row, f"{where}: row"), _require_integer(col, f"{where}: col")
         if not (0 <= row < dim and 0 <= col < dim):
-            raise ValidationError(f"{name}: entry {i}: index ({row}, {col}) out of range for dim {dim}")
+            raise ValidationError(f"{where}: index ({row}, {col}) out of range for dim {dim}")
         if (row, col) in seen:
-            raise ValidationError(f"{name}: entry {i}: duplicate index ({row}, {col})")
+            raise ValidationError(f"{where}: duplicate index ({row}, {col})")
         seen.add((row, col))
-        try:
-            out[row, col] = float(re) + 1j * float(im)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{name}: entry {i}: non-numeric value") from exc
-    if not np.all(np.isfinite(out)):
-        raise ValidationError(f"{name}: entries must be finite")
+        # `where` is a format argument, not part of the format: an observable's name may hold braces
+        re = _finite_real(re, "{1}: re: {0}", where)
+        out[row, col] = re + 1j * _finite_real(im, "{1}: im: {0}", where)
     return out
 
 
@@ -119,17 +117,15 @@ class RunConfig:
             raise ValidationError(f"channels: filtering requires exactly one channel, got {len(self.channels)}")
 
 
-def _require_number(raw: dict, key: str, default=None, positive=False, integer=False):
+def _require_positive(raw: dict, key: str, default=None, integer=False):
+    """raw[key], or `default` when absent, as a positive integer
+    (`_require_integer`) or finite real (`_finite_real`)."""
     if key not in raw:
         if default is None:
             raise ValidationError(f"{key}: missing required key")
         return default
-    val = raw[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ValidationError(f"{key}: expected a number, got {val!r}")
-    if integer and not isinstance(val, int):
-        raise ValidationError(f"{key}: expected an integer, got {val!r}")
-    if positive and val <= 0:
+    val = _require_integer(raw[key], key) if integer else _finite_real(raw[key], "{1}: {0}", key)
+    if val <= 0:
         raise ValidationError(f"{key}: must be positive, got {val!r}")
     return val
 
@@ -141,11 +137,11 @@ def config_from_dict(raw: dict) -> RunConfig:
         if key not in _KNOWN_KEYS:
             raise ValidationError(f"{key}: unknown config key")
 
-    dim = _require_number(raw, "dim", positive=True, integer=True)
-    dt = float(_require_number(raw, "dt", positive=True))
-    horizon = float(_require_number(raw, "T", positive=True))
-    seed = _require_seed(_require_number(raw, "seed", default=0, integer=True))
-    n_traj = _require_number(raw, "n_trajectories", default=1, positive=True, integer=True)
+    dim = _require_positive(raw, "dim", integer=True)
+    dt = _require_positive(raw, "dt")
+    horizon = _require_positive(raw, "T")
+    seed = _require_seed(raw.get("seed", 0))
+    n_traj = _require_positive(raw, "n_trajectories", default=1, integer=True)
 
     if "hamiltonian" not in raw:
         raise ValidationError("hamiltonian: missing required key")
@@ -158,20 +154,16 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     if "rho0" not in raw:
         raise ValidationError("rho0: missing required key")
+    rho0 = matrix_from_entries(raw["rho0"], dim, "rho0")
     try:
-        rho0 = DensityState(matrix_from_entries(raw["rho0"], dim, "rho0"))
+        rho0 = DensityState(rho0)
     except ValidationError as exc:
         raise ValidationError(f"rho0: {exc}") from exc
 
     kind = raw.get("scheme")
     if kind is None:
         raise ValidationError("scheme: missing required key")
-    try:
-        scheme = MeasurementScheme(kind, float(raw.get("kappa", 0.0)), float(raw.get("phase", 0.0)))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ValidationError):
-            raise
-        raise ValidationError(f"scheme: {exc}") from exc
+    scheme = MeasurementScheme(kind, raw.get("kappa", 0.0), raw.get("phase", 0.0))
 
     observables_raw = raw.get("observables", {})
     if not isinstance(observables_raw, dict):
@@ -197,10 +189,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ValidationError(f"filter_kind: expected auto, bks or zakai, got {filter_kind!r}")
 
     # Validate the model eagerly so errors carry the config key.
-    try:
-        SystemModel(hamiltonian, channels)
-    except ValidationError as exc:
-        raise ValidationError(str(exc)) from exc
+    SystemModel(hamiltonian, channels)
     if control_expression is not None:
         ControlLaw.from_expression(control_expression, hamiltonian, control_h1)
 
@@ -232,6 +221,6 @@ def load_config(path) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"config: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json's decode errors, and its refusal of an int past 4300 digits
         raise ValidationError(f"config: invalid JSON in {path}: {exc}") from exc
     return config_from_dict(raw)

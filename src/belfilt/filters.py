@@ -79,6 +79,7 @@ from .operators import (
     HERMITICITY_TOL,
     SystemModel,
     _channel_parts,
+    _check_dim,
     _commutator,
     _finite_real,
     _frozen,
@@ -199,11 +200,6 @@ def _require_dt(dt: float) -> float:
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
     return dt
-
-
-def _require_model_state(state: FilterState, model: SystemModel) -> None:
-    if state.matrix.shape[0] != model.dim:
-        raise DimensionMismatch(f"state dim {state.matrix.shape[0]} != model dim {model.dim}")
 
 
 def _diffusive_scheme(scheme: MeasurementScheme | None) -> MeasurementScheme:
@@ -429,26 +425,21 @@ def _stack_step(b: int, n: int, dt: float, kind: str, gain: float):
         np.divide(coef, per_row, out=quot_re)
         np.matmul(quot, blocks, out=out)
 
-    def homodyne(r, s, noise, out):
+    homodyne = kind == HOMODYNE
+
+    def diffusive(r, s, noise, out):
         np.matmul(r, s, out=p)
         np.multiply(m, dt, out=mdt)
         np.add(mdt, noise, out=dy)
-        np.subtract(dy, mdt, out=a1)  # c = dy - m dt
+        if homodyne:
+            np.subtract(dy, mdt, out=a1)  # c = dy - m dt
+        else:
+            np.multiply(dy, gain, out=a1)
         np.multiply(a1, m, out=cm)
-        np.negative(cm, out=a2)
+        if homodyne:
+            np.negative(cm, out=a2)  # imperfect keeps a2 = 0
         np.add(trace_a, cm, out=tr)
-        np.multiply(a2, trace_r, out=term)
-        np.add(tr, term, out=tr)
-        finish(out, dy)
-
-    def imperfect(r, s, noise, out):
-        np.matmul(r, s, out=p)
-        np.multiply(m, dt, out=dy)
-        np.add(dy, noise, out=dy)
-        np.multiply(dy, gain, out=a1)
-        np.multiply(a1, m, out=term)
-        np.add(trace_a, term, out=tr)
-        np.multiply(a2, trace_r, out=term)  # a2 = 0, yet 0 tr(r) may be -0 or NaN
+        np.multiply(a2, trace_r, out=term)  # 0 tr(r) may be -0 or NaN
         np.add(tr, term, out=tr)
         finish(out, dy)
 
@@ -478,7 +469,7 @@ def _stack_step(b: int, n: int, dt: float, kind: str, gain: float):
         np.add(tr, term, out=tr)
         finish(out, jump)
 
-    return count_step if counting else homodyne if kind == HOMODYNE else imperfect
+    return count_step if counting else diffusive
 
 
 def _apply(state: FilterState, dY, s, step, counting: bool, normalized: bool, u: float = 0.0):
@@ -497,7 +488,7 @@ def _apply(state: FilterState, dY, s, step, counting: bool, normalized: bool, u:
 
 def _model_step(state: FilterState, dY, model: SystemModel, dt: float, scheme: MeasurementScheme, normalized: bool):
     dt = _require_dt(dt)
-    _require_model_state(state, model)
+    _check_dim(state.matrix, model, "state")
     counting = scheme.kind == COUNTING
     s = _model_matrix(model, scheme.phase, counting, dt)
     step = _row_step(model.dim, dt, _route(scheme), scheme.gain, normalized, False)
@@ -745,11 +736,6 @@ class ControlLaw:
         return self.h0 + u * self.h1, u
 
 
-def _require_law_model(law: ControlLaw, model: SystemModel) -> None:
-    if law.h0.shape[0] != model.dim:
-        raise DimensionMismatch(f"control H0/H1 dim {law.h0.shape[0]} != model dim {model.dim}")
-
-
 def _leads(prefix: np.ndarray, head: np.ndarray) -> bool:
     """Whether the float64 array `prefix`, a view of an aligned float64
     array whose first entry `head` views, is C-contiguous and aligned and
@@ -795,7 +781,7 @@ class _LawRun:
     and normalization: its step matrix `s`, its controlled `_row_step`
     `step`, the state that evaluating the law step after step keeps, and the
     control u of each step (`control`), which `step` takes.  The run is
-    bound for a law and model whose dimensions agree (`_require_law_model`).
+    bound for a law and model whose dimensions agree (`_check_dim`).
 
     `s` is [S0 | C1] (`_step_matrix`): S0 the step matrix of the channel
     with H0, and C1 = -i dt [H1, .].  It is the model's, built once for the
@@ -923,8 +909,7 @@ class _LawRun:
         u = _finite_real(law.control(float(t), prefix), _CONTROL_VALUE, t)
         if law.channel_map is not None:
             ch = as_operator(law.channel_map(t, prefix), "L_t")
-            if ch.shape[0] != self.model.dim:
-                raise DimensionMismatch(f"L_t dim {ch.shape[0]} != model dim {self.model.dim}")
+            _check_dim(ch, self.model, "L_t")
             blocks = _liouville((_channel_parts(ch, self.scheme.phase),))
             s0 = _step_matrix(blocks, self.scheme.kind == COUNTING, self.dt, law.h0)
             self.s[:, : s0.shape[1]] = s0
@@ -976,14 +961,14 @@ def feedback_step(
     """
     if type(dt) is not float or not 0.0 < dt < math.inf:
         dt = _require_dt(dt)
-    _require_model_state(state, model)
+    _check_dim(state.matrix, model, "state")
     scheme = _VACUUM if scheme is None else scheme
     normalized = state.normalized
     run = getattr(_feedback_runs, "run", None)
     if run is not None and not run.serves(law, model, scheme, dt, normalized):
         run = None
     if run is None:
-        _require_law_model(law, model)
+        _check_dim(law.h0, model, "control H0/H1")
     if type(record_prefix) is np.ndarray and record_prefix.dtype is _FLOAT64 and record_prefix.ndim == 1:
         prefix = record_prefix
     else:

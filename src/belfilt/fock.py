@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationRadiusExceeded, ValidationError
-from .operators import _finite_real
+from .operators import _finite_real, _frozen, _require_integer
 
 DEFAULT_CUTOFF = 30
 DEFAULT_RADIUS = 1.0
@@ -49,17 +49,18 @@ class ModeTruncation:
         amp = complex(self.amplitude)
         if not (np.isfinite(amp.real) and np.isfinite(amp.imag)):
             raise ValidationError("amplitude must be finite")
-        if int(self.cutoff) < 1:
+        cutoff, radius = _require_integer(self.cutoff, "cutoff"), _finite_real(self.radius, "radius: {}")
+        if cutoff < 1:
             raise ValidationError("cutoff must be at least 1")
-        if self.radius <= 0:
+        if radius <= 0:
             raise ValidationError("radius must be positive")
-        if abs(amp) > self.radius * _RADIUS_SLACK:
+        if abs(amp) > radius * _RADIUS_SLACK:
             raise TruncationRadiusExceeded(
-                f"|amplitude| = {abs(amp):.6g} exceeds the truncation-safety radius {self.radius:.6g}"
+                f"|amplitude| = {abs(amp):.6g} exceeds the truncation-safety radius {radius:.6g}"
             )
         object.__setattr__(self, "amplitude", amp)
-        object.__setattr__(self, "cutoff", int(self.cutoff))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "radius", radius)
 
     def scaled(self, factor: float) -> "ModeTruncation":
         return ModeTruncation(factor * self.amplitude, self.cutoff, self.radius)
@@ -77,9 +78,7 @@ class FockVector:
             raise ValidationError("need at least two photon layers")
         if not np.all(np.isfinite(c)):
             raise ValidationError("coefficients must be finite")
-        c = np.array(c)
-        c.setflags(write=False)
-        object.__setattr__(self, "coefficients", c)
+        object.__setattr__(self, "coefficients", _frozen(c))
 
     @property
     def cutoff(self) -> int:
@@ -186,9 +185,7 @@ class StepFunction:
             raise ValidationError("grid needs at least 2 steps")
         if not np.all(np.isfinite(v)):
             raise ValidationError("step values must be finite")
-        v = np.array(v)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _frozen(v))
         object.__setattr__(self, "dt", dt)
 
     @property
@@ -239,6 +236,7 @@ def weyl_qsde_check(f: StepFunction, g: StepFunction, h: StepFunction, halvings:
     """
     if not (f.steps == g.steps == h.steps) or not (f.dt == g.dt == h.dt):
         raise ValidationError("f, g, h must share one grid")
+    halvings = _require_integer(halvings, "halvings")
     if halvings < 0:
         raise ValidationError("halvings must be nonnegative")
 

@@ -31,7 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .operators import SystemModel, as_operator, dag, lindblad_heisenberg
+from .operators import SystemModel, _check_dim, _frozen, as_operator, dag, lindblad_heisenberg
 
 
 class Differential(enum.Enum):
@@ -83,9 +83,7 @@ class ItoSpec:
                 dim = m.shape[0]
             elif m.shape[0] != dim:
                 raise DimensionMismatch(f"coefficient of {sym.value} has mismatched dimension")
-            m = np.array(m)
-            m.setflags(write=False)
-            coeffs[sym] = m
+            coeffs[sym] = _frozen(m)
         object.__setattr__(self, "coefficients", MappingProxyType(coeffs))
         object.__setattr__(self, "flowed", frozenset(self.flowed))
         object.__setattr__(self, "_dim", dim)
@@ -109,11 +107,6 @@ class ItoSpec:
         return max(float(np.max(np.abs(c))) for c in self.coefficients.values())
 
 
-def _check_square(m, name):
-    out = as_operator(m, name)
-    return out
-
-
 def ito_contract(x: ItoSpec, y: ItoSpec) -> ItoSpec:
     """The pure correction term dX dY, contracted through the Ito table."""
     out: dict = {}
@@ -135,8 +128,8 @@ def product_rule(x: ItoSpec, y: ItoSpec, x0, y0) -> ItoSpec:
     `x0`, `y0` are the current values of the two processes; operator
     coefficients multiply in the stated left/right order.
     """
-    x0 = _check_square(x0, "X0")
-    y0 = _check_square(y0, "Y0")
+    x0 = as_operator(x0, "X0")
+    y0 = as_operator(y0, "Y0")
     if x0.shape != y0.shape:
         raise DimensionMismatch("X0 and Y0 must share a dimension")
     for spec in (x, y):
@@ -191,8 +184,7 @@ def flow_coefficients(x, model: SystemModel) -> ItoSpec:
     with every coefficient understood under the flow.
     """
     x = as_operator(x, "X")
-    if x.shape[0] != model.dim:
-        raise DimensionMismatch(f"X dim {x.shape[0]} != model dim {model.dim}")
+    _check_dim(x, model, "X")
     eye = np.eye(model.dim, dtype=complex)
     du = hp_unitary_spec(model)
     dud = hp_adjoint_spec(model)

@@ -76,24 +76,52 @@ def as_operator(m, name: str = "operator") -> np.ndarray:
     return arr
 
 
+def _beyond_floats(value) -> str:
+    """What a value beyond the float range is, without printing it: Python
+    refuses to print an int of more than 4300 digits, so an int reads as its
+    digit count."""
+    if not isinstance(value, int):
+        return "value beyond the float range"
+    n = abs(value)
+    digits = int((n.bit_length() - 1) * math.log10(2.0)) + 1  # the digits of 2**(bits - 1), n's or one fewer
+    return f"integer of {digits + (n >= 10**digits)} digits, beyond the float range"
+
+
 def _finite_real(value, message: str, *args) -> float:
     """value as a finite Python float: its real part when its imaginary part
     is 0.  Otherwise ValidationError(message.format(what, *args)), `what`
-    being what the value is not: "non-numeric value ..." or "non-real
-    value ..."."""
+    being what the value is not: "non-numeric value ..." (a str, bytes or
+    bool among them), "non-real value ..." or, for one beyond the float
+    range, `_beyond_floats`'s description.  Every number read from outside
+    the package is read here or by `_require_integer`."""
     if isinstance(value, float) and math.isfinite(value):
         return float(value)
     try:
-        if isinstance(value, (str, bytes)):  # complex() would parse them
+        if isinstance(value, (str, bytes, bool, np.bool_)):  # complex() would take them
             raise TypeError
         z = complex(value)
     except (TypeError, ValueError):
         raise ValidationError(message.format(f"non-numeric value {value!r}", *args)) from None
+    except OverflowError:
+        raise ValidationError(message.format(_beyond_floats(value), *args)) from None
     if z.imag != 0.0:
         raise ValidationError(message.format(f"non-real value {value!r}", *args))
     if not math.isfinite(z.real):
         raise ValidationError(message.format(f"non-real value {z.real!r}", *args))
     return z.real
+
+
+def _require_integer(value, name: str) -> int:
+    """value as an int, when it is an integer (a numpy one reads as int), not
+    a bool, within the float range; otherwise ValidationError naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name}: expected an integer, got {value!r}")
+    value = int(value)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValidationError(f"{name}: {_beyond_floats(value)}") from None
+    return value
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
@@ -379,7 +407,7 @@ def semigroup_path(rho0: DensityState, model: SystemModel, times) -> np.ndarray:
     ts = np.asarray(times)
     if ts.ndim != 1 or ts.size == 0:
         raise ValidationError("times must be a nonempty 1-d array")
-    if ts.dtype.kind not in "biuf":  # no str is parsed, no imaginary part dropped
+    if ts.dtype.kind not in "iuf":  # no str is parsed, no bool taken, no imaginary part dropped
         ts = np.array([_finite_real(t, "times: {}") for t in ts.tolist()])
     ts = ts.astype(float, copy=False)
     if np.any(~np.isfinite(ts)) or np.any(ts < 0.0):

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalFailure, ValidationError
+from .errors import NumericalFailure, ValidationError
 from .filters import (
     COUNTING,
     MAX_JUMP_PROBABILITY,  # noqa: F401 (public here too, as the sampler's bound)
@@ -62,13 +62,12 @@ from .filters import (
     _LawRun,
     _model_matrix,
     _require_dt,
-    _require_law_model,
     _route,
     _row_step,
     _stack_step,
     path_health,
 )
-from .operators import DensityState, SystemModel, _finite_real, as_operator
+from .operators import DensityState, SystemModel, _check_dim, _finite_real, _require_integer, as_operator
 
 GENERATOR_NAME = f"pcg64-splitmix64/numpy-{np.__version__}"
 # Byte budget of one block of ensemble trajectories stepped together: its
@@ -93,14 +92,6 @@ ENSEMBLE_STACK_ROWS = 5
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-
-
-def _require_integer(value, name: str) -> int:
-    """value as an int, when it is an integer (a numpy one reads as int), not
-    a bool; otherwise ValidationError naming `name`."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name}: expected an integer, got {value!r}")
-    return int(value)
 
 
 def _require_seed(seed) -> int:
@@ -210,8 +201,7 @@ def _expectation_series(matrices, x) -> np.ndarray:
 def _initial_matrix(rho0, model: SystemModel) -> np.ndarray:
     if not isinstance(rho0, DensityState):
         rho0 = DensityState(rho0)
-    if rho0.dim != model.dim:
-        raise DimensionMismatch(f"rho0 dim {rho0.dim} != model dim {model.dim}")
+    _check_dim(rho0.matrix, model, "rho0")
     return rho0.matrix
 
 
@@ -264,7 +254,7 @@ def _integrate(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, v
     if law is None:
         s = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
     else:
-        _require_law_model(law, model)
+        _check_dim(law.h0, model, "control H0/H1")
         run = _LawRun(law, model, scheme, dt, normalized, sampling, steps)
         s, step, control, advance = run.s, run.step, run.control, run.advance
     buffer = np.empty((rows, chunk + 1, n, n), dtype=complex)
@@ -541,8 +531,7 @@ def ensemble_average(
         raise ValidationError("n_trajectories must be at least 1")
     obs = {name: as_operator(x, f"observable {name!r}") for name, x in observables.items()}
     for name, x in obs.items():
-        if x.shape[0] != model.dim:
-            raise DimensionMismatch(f"observable {name!r} dim {x.shape[0]} != model dim {model.dim}")
+        _check_dim(x, model, f"observable {name!r}")
     steps = _grid(horizon, dt)
     times = dt * np.arange(steps + 1)
     acc = _EnsembleSums(obs, steps, collect_health)

@@ -1,0 +1,207 @@
+"""One input policy: every number taken from outside the package, through a
+JSON config or an API argument, is read by `operators._finite_real` (reals)
+or `operators._require_integer` (integers), and refused the same way: a
+str, a bool, an integer beyond the float range or a non-finite value raises
+ValidationError naming what was read, and the CLI prints it on one line."""
+
+import json
+
+import numpy as np
+import pytest
+
+import belfilt as bf
+from belfilt.cli import run
+from belfilt.config import config_from_dict, load_config
+from belfilt.filters import ControlLaw, FilterState, MeasurementScheme, feedback_step, zakai_step_homodyne
+from belfilt.fock import ModeTruncation, StepFunction, counting_char_function, quadrature_char_function, weyl_qsde_check
+from belfilt.ito import flow_coefficients
+from belfilt.operators import SIGMA_MINUS, SIGMA_X, DensityState, SystemModel, semigroup_evolve, semigroup_path
+from belfilt.trajectories import ObservationRecord, derive_seed, ensemble_average, simulate_homodyne
+
+HUGE = 10**400
+BEYOND = "integer of 401 digits, beyond the float range"
+# where a config value goes, replaced in the JSON text by each literal
+SLOT = "@value@"
+RHO0 = [[0, 0, 0.5, 0.0], [0, 1, 0.375, 0.0], [1, 0, 0.375, 0.0], [1, 1, 0.5, 0.0]]
+
+
+def qubit_config(**overrides):
+    cfg = {"dim": 2, "hamiltonian": [], "channels": [[[0, 1, 1.0, 0.0]]], "rho0": RHO0, "scheme": "homodyne",
+           "dt": 1e-3, "T": 0.1, "seed": 7, "observables": {"z": [[0, 0, -1.0, 0.0], [1, 1, 1.0, 0.0]]}}
+    cfg.update(overrides)
+    return cfg
+
+
+def with_entry(part: int, rest: list) -> list:
+    """A matrix whose entry 0 holds SLOT as its row, col, re or im, then `rest`."""
+    entry = [0, 0, 1.0, 0.0]
+    entry[part] = SLOT
+    return [entry, *rest]
+
+
+def _config_sites():
+    """(id, config overrides holding SLOT, the refusal's opening, whether
+    the key is read as an integer)."""
+    sites = [(key, {key: SLOT}, f"{key}: ", key in ("dim", "seed", "n_trajectories"))
+             for key in ("dim", "dt", "T", "seed", "n_trajectories")]
+    sites += [("kappa", {"scheme": "imperfect", "kappa": SLOT}, "scheme: kappa: ", False),
+              ("phase", {"phase": SLOT}, "scheme: phase: ", False)]
+    for part, label in enumerate(("row", "col", "re", "im")):
+        matrices = {
+            "hamiltonian": {"hamiltonian": with_entry(part, [])},
+            "channels[0]": {"channels": [with_entry(part, [])]},
+            "rho0": {"rho0": with_entry(part, RHO0[1:])},
+            "observables[z]": {"observables": {"z": with_entry(part, [[1, 1, 1.0, 0.0]])}},
+            "control_h1": {"control_expression": "t", "control_h1": with_entry(part, [])},
+        }
+        sites += [(f"{name} {label}", overrides, f"{name}: entry 0: {label}: ", part < 2)
+                  for name, overrides in matrices.items()]
+    return sites
+
+
+# JSON literal -> what the refusal says of it, by the reader of the key
+LITERALS = {
+    "str": ('"0.5"', "non-numeric value '0.5'", "expected an integer, got '0.5'"),
+    "bool": ("true", "non-numeric value True", "expected an integer, got True"),
+    "int-beyond-floats": (str(HUGE), BEYOND, BEYOND),
+    "1e400": ("1e400", "non-real value inf", "expected an integer, got inf"),
+}
+
+MODEL = SystemModel(np.zeros((2, 2)), (SIGMA_MINUS,))
+RHO = DensityState.maximally_mixed(2)
+STATE = FilterState.from_density(RHO)
+LAW = ControlLaw.from_expression("t", np.zeros((2, 2)), SIGMA_X)
+MODE = ModeTruncation(0.5)
+STEPS = StepFunction(0.1, [1.0, 1.0])
+HOMODYNE = MeasurementScheme.homodyne()
+
+# (id, call with the value, opening, whether an integer is read)
+API_SITES = [
+    ("scheme kappa", lambda v: MeasurementScheme("imperfect", v), "scheme: kappa: ", False),
+    ("scheme phase", lambda v: MeasurementScheme("homodyne", 0.0, v), "scheme: phase: ", False),
+    ("mix weight", lambda v: RHO.mix_with_identity(v), "weight: ", False),
+    ("semigroup_evolve t", lambda v: semigroup_evolve(RHO, MODEL, v), "t: ", False),
+    ("semigroup_path times", lambda v: semigroup_path(RHO, MODEL, np.array([0.0, v], dtype=object)), "times: ", False),
+    ("zakai step dY", lambda v: zakai_step_homodyne(STATE, v, MODEL, 1e-3), "increment dY: ", False),
+    ("zakai step dt", lambda v: zakai_step_homodyne(STATE, 0.0, MODEL, v), "dt: ", False),
+    ("feedback_step dY", lambda v: feedback_step(STATE, v, LAW, MODEL, [], 1e-3), "increment dY: ", False),
+    ("feedback_step dt", lambda v: feedback_step(STATE, 0.0, LAW, MODEL, [], v), "dt: ", False),
+    ("feedback_step t", lambda v: feedback_step(STATE, 0.0, LAW, MODEL, [], 1e-3, t=v), "t: ", False),
+    ("compiled law t", lambda v: LAW.control(v, []), "t: ", False),
+    ("hamiltonian_at t", lambda v: LAW.hamiltonian_at(v, []), "t: ", False),
+    ("simulate T", lambda v: simulate_homodyne(MODEL, RHO, v, 1e-3, 0), "T: ", False),
+    ("simulate dt", lambda v: simulate_homodyne(MODEL, RHO, 0.01, v, 0), "dt: ", False),
+    ("simulate seed", lambda v: simulate_homodyne(MODEL, RHO, 0.01, 1e-3, v), "seed: ", True),
+    ("ensemble n_trajectories", lambda v: ensemble_average(MODEL, HOMODYNE, {}, v, 0, 0.01, 1e-3, RHO),
+     "n_trajectories: ", True),
+    ("record dt", lambda v: ObservationRecord(HOMODYNE, v, [0.0]), "record dt: ", False),
+    ("record seed", lambda v: ObservationRecord(HOMODYNE, 1e-3, [0.0], v), "seed: ", True),
+    ("derive_seed base", lambda v: derive_seed(v, 0), "seed: ", True),
+    ("derive_seed index", lambda v: derive_seed(0, v), "trajectory index: ", True),
+    ("fock cutoff", lambda v: ModeTruncation(0.5, cutoff=v), "cutoff: ", True),
+    ("fock radius", lambda v: ModeTruncation(0.5, radius=v), "radius: ", False),
+    ("quadrature x", lambda v: quadrature_char_function(MODE, v), "x: ", False),
+    ("counting x", lambda v: counting_char_function(MODE, v), "x: ", False),
+    ("step function dt", lambda v: StepFunction(v, [1.0, 1.0]), "dt: ", False),
+    ("weyl halvings", lambda v: weyl_qsde_check(STEPS, STEPS, STEPS, halvings=v), "halvings: ", True),
+]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("literal", sorted(LITERALS))
+    @pytest.mark.parametrize("overrides,opening,integer", [site[1:] for site in _config_sites()],
+                             ids=[site[0] for site in _config_sites()])
+    def test_config_value_names_its_key_and_cli_exits_one(self, tmp_path, capsys, overrides, opening, integer,
+                                                          literal):
+        text, as_real, as_integer = LITERALS[literal]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(qubit_config(**overrides)).replace(json.dumps(SLOT), text))
+        with pytest.raises(bf.ValidationError) as info:
+            load_config(path)
+        assert str(info.value) == opening + (as_integer if integer else as_real)
+        assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    def test_observable_name_with_braces_is_named_as_it_is(self):
+        with pytest.raises(bf.ValidationError) as info:
+            config_from_dict(qubit_config(observables={"a{0}{": [[0, 0, "x", 0.0]]}))
+        assert str(info.value) == "observables[a{0}{]: entry 0: re: non-numeric value 'x'"
+
+    @pytest.mark.parametrize("value", [HUGE, True, np.True_], ids=["int-beyond-floats", "bool", "numpy-bool"])
+    @pytest.mark.parametrize("call,opening,integer", [site[1:] for site in API_SITES], ids=[s[0] for s in API_SITES])
+    def test_api_argument_names_itself(self, call, opening, integer, value):
+        if value is HUGE:
+            what = BEYOND
+        else:
+            what = f"expected an integer, got {value!r}" if integer else f"non-numeric value {value!r}"
+        with pytest.raises(bf.ValidationError) as info:
+            call(value)
+        assert str(info.value) == opening + what
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"radius": float("nan")}, "radius: non-real value nan"),
+        ({"radius": float("inf")}, "radius: non-real value inf"),
+        ({"cutoff": 2.7}, "cutoff: expected an integer, got 2.7"),
+        ({"cutoff": "3"}, "cutoff: expected an integer, got '3'"),
+    ])
+    def test_mode_truncation(self, kwargs, message):
+        # a NaN radius would have turned the truncation-radius check off
+        with pytest.raises(bf.ValidationError) as info:
+            ModeTruncation(5.0, **kwargs)
+        assert str(info.value) == message
+
+    def test_boolean_times(self):
+        with pytest.raises(bf.ValidationError) as info:
+            semigroup_path(RHO, MODEL, np.array([False, True]))
+        assert str(info.value) == "times: non-numeric value False"
+
+
+class TestIntegersPastPrinting:
+    """Python will not print an int of more than 4300 digits: such an int
+    is described by its digit count, never printed."""
+
+    @pytest.mark.parametrize("digits", [310, 4300, 4301, 5001])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_digit_count(self, digits, sign):
+        for value, count in ((10 ** (digits - 1), digits), (10**digits - 1, digits)):
+            with pytest.raises(bf.ValidationError) as info:
+                derive_seed(0, sign * value)
+            assert str(info.value) == f"trajectory index: integer of {count} digits, beyond the float range"
+
+    @pytest.mark.parametrize("call,opening", [
+        (lambda v: derive_seed(v, 0), "seed: "),
+        (lambda v: simulate_homodyne(MODEL, RHO, 0.01, 1e-3, v), "seed: "),
+        (lambda v: config_from_dict(qubit_config(seed=v)), "seed: "),
+        (lambda v: config_from_dict(qubit_config(n_trajectories=-v)), "n_trajectories: "),
+        (lambda v: config_from_dict(qubit_config(T=v)), "T: "),
+        (lambda v: semigroup_evolve(RHO, MODEL, v), "t: "),
+    ])
+    def test_refused_by_digit_count(self, call, opening):
+        with pytest.raises(bf.ValidationError) as info:
+            call(10**5000)
+        assert str(info.value) == opening + "integer of 5001 digits, beyond the float range"
+
+    def test_json_literal_past_the_parser_limit(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(qubit_config(seed=SLOT)).replace(json.dumps(SLOT), "1" * 5000))
+        with pytest.raises(bf.ValidationError, match=r"^config: invalid JSON in .*4300 digits"):
+            load_config(path)
+        assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: invalid JSON in ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: simulate_homodyne(MODEL, DensityState.maximally_mixed(3), 0.01, 1e-3, 0), "rho0 dim 3 != model dim 2"),
+    (lambda: ensemble_average(MODEL, HOMODYNE, {"x": np.eye(3)}, 2, 0, 0.01, 1e-3, RHO),
+     "observable 'x' dim 3 != model dim 2"),
+    (lambda: simulate_homodyne(MODEL, RHO, 0.01, 1e-3, 0, law=ControlLaw.from_expression("t", np.eye(3), np.eye(3))),
+     "control H0/H1 dim 3 != model dim 2"),
+    (lambda: zakai_step_homodyne(FilterState.from_density(DensityState.maximally_mixed(3)), 0.0, MODEL, 1e-3),
+     "state dim 3 != model dim 2"),
+    (lambda: flow_coefficients(np.eye(3), MODEL), "X dim 3 != model dim 2"),
+], ids=["rho0", "observable", "law", "state", "ito X"])
+def test_dimension_refusals(call, message):
+    with pytest.raises(bf.DimensionMismatch) as info:
+        call()
+    assert str(info.value) == message
