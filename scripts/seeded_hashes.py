@@ -22,7 +22,11 @@ random model and start, a "semigroup evolve" case hashes semigroup_evolve
 at three times, and a "semigroup closed" case semigroup_path under the
 model's Hamiltonian without channels, on a uniform and a non-uniform
 grid, so that closed systems, whose generator is the Hamiltonian block
-alone, are covered too.  At each dimension, one "law online
+alone, are covered too.  At n = 8, on the first seed's random model, a
+"law ensemble (chunked)" case runs a two-trajectory homodyne ensemble under
+the expression law over CHUNKED's 2100 steps, more than one chunk of a
+law ensemble's block (2047 steps at n = 8), so that each trajectory is
+reduced in two chunks.  At each dimension, one "law online
 (writeable copy)" case feeds the first seed's homodyne record online from a writeable copy
 of its increments: feedback_step compares such prefixes, where it trusts
 a record's own immutable increments unread, and the case must hash as its
@@ -111,7 +115,10 @@ Hamiltonian part from the block the step matrices use, moved no line,
 "semigroup evolve" and "semigroup closed" included, pinned and unpinned
 alike; nor did reading every number of a config through the package's
 one pair of readers (operators._finite_real and _require_integer), the
-"config" cases included.
+"config" cases included.  Nor did adding each chunk of an ensemble's
+sums by one accumulate into one array, nor stepping law ensembles in
+chunks: the "law ensemble (chunked)" line equals a run on a checkout that
+reduced each law trajectory once, pinned and unpinned alike.
 """
 
 from __future__ import annotations
@@ -160,6 +167,9 @@ SCHEMES = {
     "counting": MeasurementScheme.counting(),
 }
 STACKED = (3, 8)
+# the "law ensemble (chunked)" case: its dimension and steps, more than the
+# 2047 steps of one chunk of a law ensemble's block at n = 8
+CHUNKED = (8, 2100)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # a config whose numbers take every sign, -0.0 included, and both JSON
 # forms (integers and decimals), in its matrices and its scalar keys
@@ -270,6 +280,19 @@ def uneven_times(dt: float) -> np.ndarray:
     """The non-uniform grid of the "semigroup uneven" and "semigroup closed"
     cases: 0 and seven steps growing from 5 dt to 15 dt."""
     return np.concatenate(([0.0], np.cumsum(np.linspace(0.5, 1.5, 7) * dt * 10)))
+
+
+def chunked_law_parts(seed: int, dt: float):
+    """The "law ensemble (chunked)" case: a two-trajectory homodyne ensemble
+    with health under LAW on the seed's random model at CHUNKED's dimension,
+    over CHUNKED's steps, so that each trajectory is reduced in two chunks
+    (checkouts from before law chunks reduced it once, with the same bits)."""
+    dim, steps = CHUNKED
+    _, model, rho0, obs, h1 = next(model_cases(dim, seed))
+    law = ControlLaw.from_expression(LAW, model.hamiltonian, h1)
+    summary, err = attempt(lambda: ensemble_average(model, SCHEMES["homodyne"], obs, 2, seed, steps * dt, dt, rho0,
+                                                    law=law, collect_health=True))
+    return err or ensemble_parts(summary)
 
 
 def semigroup_parts(dim: int, seed: int, horizon: float, dt: float):
@@ -383,6 +406,8 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
         yield f"n{dim} seed{seeds[0]} random{dim} homodyne law grammar", grammar_parts(dim, seeds[0], horizon, dt)
         for label, parts in semigroup_parts(dim, seeds[0], horizon, dt):
             yield f"n{dim} seed{seeds[0]} random{dim} {label}", parts
+        if dim == CHUNKED[0]:
+            yield f"n{dim} seed{seeds[0]} random{dim} homodyne law ensemble (chunked)", chunked_law_parts(seeds[0], dt)
         for seed in seeds:
             for label, model, rho0, obs, h1 in model_cases(dim, seed):
                 law = ControlLaw.from_expression(LAW, model.hamiltonian, h1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonCommutingGenerators, NondemolitionViolation, ValidationError
-from .operators import DensityState, _frozen, as_operator, dag
+from .operators import DensityState, _frozen, _require_integer, as_operator, dag
 
 COMMUTATION_TOL = 1e-9
 PROJECTION_TOL = 1e-10
@@ -66,6 +66,7 @@ class CommutativeAlgebra:
 
     @classmethod
     def trivial(cls, dim: int) -> "CommutativeAlgebra":
+        dim = _require_integer(dim, "dim", minimum=1)
         return cls((np.eye(dim, dtype=complex),), np.ones((1, 1), dtype=complex))
 
     @property

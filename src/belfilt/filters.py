@@ -626,18 +626,23 @@ def _lower(node: ast.AST, expression: str) -> ast.expr:
     )
 
 
-def _real_prefix(prefix) -> np.ndarray:
-    """prefix as a one-dimensional float64 array, as np.asarray(prefix,
-    dtype=float) reads it, when its entries are real numbers; a complex
-    entry with imaginary part 0 counts as its real part, as `_finite_real`
-    takes it.  Strings, which numpy would parse, and complex entries with
-    another imaginary part raise ValidationError naming the prefix."""
+def _real_prefix(prefix, name: str = "record prefix") -> np.ndarray:
+    """A record's entries, prefix or increments, as a one-dimensional
+    float64 array, as np.asarray(prefix, dtype=float) reads them, when they
+    are real numbers; a complex entry with imaginary part 0 counts as its
+    real part, as `_finite_real` takes it.  Strings, which numpy would
+    parse, and complex entries with another imaginary part raise
+    ValidationError naming `name` and the entries; bool and object entries
+    are read one by one through `_finite_real`, so that no bool is taken
+    and an int beyond the float range is refused by its digit count."""
     arr = np.asarray(prefix)
     if arr.dtype.kind in "SU":
-        raise ValidationError(f"record prefix: non-numeric value {prefix!r}")
+        raise ValidationError(f"{name}: non-numeric value {prefix!r}")
+    if arr.dtype.kind in "bO":
+        return np.array([_finite_real(v, f"{name}: {{}}") for v in arr.reshape(-1).tolist()], dtype=float)
     if arr.dtype.kind == "c":
         if arr.imag.any():  # a NaN imaginary part counts as nonzero
-            raise ValidationError(f"record prefix: non-real value {prefix!r}")
+            raise ValidationError(f"{name}: non-real value {prefix!r}")
         arr = arr.real
     return np.asarray(arr, dtype=float).reshape(-1)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationRadiusExceeded, ValidationError
-from .operators import _finite_real, _frozen, _require_integer
+from .operators import _finite_complex, _finite_real, _frozen, _require_integer
 
 DEFAULT_CUTOFF = 30
 DEFAULT_RADIUS = 1.0
@@ -46,12 +46,8 @@ class ModeTruncation:
     radius: float = DEFAULT_RADIUS
 
     def __post_init__(self):
-        amp = complex(self.amplitude)
-        if not (np.isfinite(amp.real) and np.isfinite(amp.imag)):
-            raise ValidationError("amplitude must be finite")
-        cutoff, radius = _require_integer(self.cutoff, "cutoff"), _finite_real(self.radius, "radius: {}")
-        if cutoff < 1:
-            raise ValidationError("cutoff must be at least 1")
+        amp = _finite_complex(self.amplitude, "amplitude: {}")
+        cutoff, radius = _require_integer(self.cutoff, "cutoff", minimum=1), _finite_real(self.radius, "radius: {}")
         if radius <= 0:
             raise ValidationError("radius must be positive")
         if abs(amp) > radius * _RADIUS_SLACK:

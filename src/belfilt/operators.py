@@ -87,23 +87,33 @@ def _beyond_floats(value) -> str:
     return f"integer of {digits + (n >= 10**digits)} digits, beyond the float range"
 
 
+def _number(value, message: str, *args) -> complex:
+    """value as a Python complex, when it is a number: a str, bytes or bool
+    (which complex() would take) and any other non-number raise
+    ValidationError(message.format("non-numeric value ...", *args)), a
+    value beyond the float range ValidationError with `_beyond_floats`'s
+    description.  `_finite_real` and `_finite_complex` read through it."""
+    try:
+        if isinstance(value, (str, bytes, bool, np.bool_)):
+            raise TypeError
+        return complex(value)
+    except (TypeError, ValueError):
+        raise ValidationError(message.format(f"non-numeric value {value!r}", *args)) from None
+    except OverflowError:
+        raise ValidationError(message.format(_beyond_floats(value), *args)) from None
+
+
 def _finite_real(value, message: str, *args) -> float:
     """value as a finite Python float: its real part when its imaginary part
     is 0.  Otherwise ValidationError(message.format(what, *args)), `what`
     being what the value is not: "non-numeric value ..." (a str, bytes or
     bool among them), "non-real value ..." or, for one beyond the float
-    range, `_beyond_floats`'s description.  Every number read from outside
-    the package is read here or by `_require_integer`."""
+    range, `_beyond_floats`'s description (`_number`).  Every number read
+    from outside the package is read here, by `_finite_complex` or by
+    `_require_integer`."""
     if isinstance(value, float) and math.isfinite(value):
         return float(value)
-    try:
-        if isinstance(value, (str, bytes, bool, np.bool_)):  # complex() would take them
-            raise TypeError
-        z = complex(value)
-    except (TypeError, ValueError):
-        raise ValidationError(message.format(f"non-numeric value {value!r}", *args)) from None
-    except OverflowError:
-        raise ValidationError(message.format(_beyond_floats(value), *args)) from None
+    z = _number(value, message, *args)
     if z.imag != 0.0:
         raise ValidationError(message.format(f"non-real value {value!r}", *args))
     if not math.isfinite(z.real):
@@ -111,9 +121,20 @@ def _finite_real(value, message: str, *args) -> float:
     return z.real
 
 
-def _require_integer(value, name: str) -> int:
+def _finite_complex(value, message: str, *args) -> complex:
+    """value as a finite Python complex, refused as `_finite_real` refuses
+    a non-number or one beyond the float range (`_number`), and with
+    "non-finite value ..." when a part is infinite or NaN."""
+    z = _number(value, message, *args)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValidationError(message.format(f"non-finite value {value!r}", *args))
+    return z
+
+
+def _require_integer(value, name: str, minimum: int | None = None) -> int:
     """value as an int, when it is an integer (a numpy one reads as int), not
-    a bool, within the float range; otherwise ValidationError naming `name`."""
+    a bool, within the float range and, given a minimum, at least that;
+    otherwise ValidationError naming `name`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{name}: expected an integer, got {value!r}")
     value = int(value)
@@ -121,6 +142,8 @@ def _require_integer(value, name: str) -> int:
         float(value)
     except OverflowError:
         raise ValidationError(f"{name}: {_beyond_floats(value)}") from None
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be at least {minimum}")
     return value
 
 
@@ -168,6 +191,7 @@ class DensityState:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityState":
+        dim = _require_integer(dim, "dim", minimum=1)
         return cls(np.eye(dim, dtype=complex) / dim)
 
     @property

@@ -35,8 +35,9 @@ rows per trajectory, not its paths, and each chunk of steps is reduced once
 for the whole block: observables' running sums, in trajectory order, and
 the health audit.  ENSEMBLE_BLOCK_BYTES bounds a block's up-front noise plus
 its chunk rows.  Under a control law each trajectory's law sees its own
-record, so an ensemble's blocks hold one trajectory, reduced once as a
-whole path.
+record, so an ensemble's blocks hold one trajectory, whose chunk holds as
+many rows as fit ENSEMBLE_BLOCK_BYTES: its memory is bounded at any horizon
+too, and a horizon under the chunk is reduced once as a whole path.
 
 Reproducibility: every trajectory's generator is numpy PCG64 keyed by a
 splitmix64-mixed seed, `derive_seed(base_seed, index)`, which is
@@ -61,6 +62,7 @@ from .filters import (
     _FrozenBytes,
     _LawRun,
     _model_matrix,
+    _real_prefix,
     _require_dt,
     _route,
     _row_step,
@@ -73,10 +75,12 @@ GENERATOR_NAME = f"pcg64-splitmix64/numpy-{np.__version__}"
 # Byte budget of one block of ensemble trajectories stepped together: its
 # noise, drawn up front (B x steps floats), and its chunk buffer (B x (chunk+1)
 # matrices).  It bounds the ensemble's extra memory whatever the horizon,
-# whether the block steps as a stack or row by row.
+# whether the block steps as a stack or row by row.  A block under a control
+# law, one trajectory whose law reads its whole record, spends it on chunk
+# rows alone.
 ENSEMBLE_BLOCK_BYTES = 2 * 2**20
 # Steps per chunk: a block's rows are reduced (observables and health) once
-# per chunk.  A reduction is a few dozen numpy calls, so 64 steps keep it a
+# per chunk.  A reduction is a dozen or so numpy calls, so 64 steps keep it a
 # small share of the stepping; longer chunks would leave less of the budget
 # for trajectories.
 ENSEMBLE_CHUNK_STEPS = 64
@@ -125,7 +129,8 @@ def derive_seed(base_seed: int, index: int) -> int:
 class ObservationRecord:
     """A measurement record on a uniform grid: increments dY per step.  The
     seed is one `simulate_*` takes (`_require_seed`).  The increments are
-    immutable; a copied or unpickled record is built and checked afresh."""
+    finite real numbers, read as a record prefix is (`filters._real_prefix`),
+    and immutable; a copied or unpickled record is built and checked afresh."""
 
     scheme: MeasurementScheme
     dt: float
@@ -136,7 +141,7 @@ class ObservationRecord:
         dt = _finite_real(self.dt, "record dt: {}")
         if dt <= 0:
             raise ValidationError("record dt must be positive")
-        inc = np.asarray(self.increments, dtype=float).reshape(-1)
+        inc = _real_prefix(self.increments, "record increments")
         if not np.all(np.isfinite(inc)):
             raise ValidationError("record increments must be finite")
         if self.scheme.kind == COUNTING and inc.size and not np.all((inc == 0.0) | (inc == 1.0)):
@@ -422,36 +427,30 @@ class EnsembleSummary:
         return self.stderrs_re[name]
 
 
-def _add_in_order(running: np.ndarray, vals: np.ndarray) -> None:
-    """running += vals[0], then vals[1], ...: the row-by-row sum, bit for bit.
-
-    An accumulate is sequential by definition; `sum` and `add.reduce` pair
-    rows up instead (the latter on a one-column chunk)."""
-    running[...] = np.add.accumulate(np.concatenate((running[None], vals)), axis=0)[-1]
-
-
 class _EnsembleSums:
     """The ensemble's running sums, added a block and a chunk at a time.
 
     Called as `reduce(start, rows)` with rows (B, m, n, n) of B trajectories
     in index order at time indices start .. start+m-1 (see `_integrate`).
     Each time index receives its trajectories in index order, so the sums
-    equal a trajectory-by-trajectory loop bit for bit.  Besides the sums of
-    the values x, which give the means, it keeps the sums of d = x - K and
-    of the squares of d's parts, K being trajectory 0's value at that time
-    index: the variance (sum d^2 - (sum d)^2 / N) / (N - 1) then loses no
-    digits to cancellation when the spread is small beside the mean.  The
-    first call to reach a time index comes from the first block, whose row
-    0 is trajectory 0, and sets K there.
+    equal a trajectory-by-trajectory loop bit for bit.  `sums`, of shape
+    (observables, 3, steps + 1), holds per observable the sums of the values
+    x, which give the means, of d = x - K and of the squares of d's parts,
+    packed as d.re^2 + i d.im^2 (complex addition is componentwise, so each
+    part sums as a float would), K being trajectory 0's value at that time
+    index (`shifts`): the variance (sum d^2 - (sum d)^2 / N) / (N - 1) then
+    loses no digits to cancellation when the spread is small beside the
+    mean.  The first call to reach a time index comes from the first block,
+    whose row 0 is trajectory 0, and sets K there.  A call writes the span's
+    sums and its B trajectories' terms into one (B + 1, observables, 3, m)
+    array and adds them by one accumulate, which is sequential by
+    definition, where `sum` and `add.reduce` may pair rows up.
     """
 
     def __init__(self, observables: dict, steps: int, collect_health: bool):
-        self.observables = observables
-        self.sums = {name: np.zeros(steps + 1, dtype=complex) for name in observables}
-        self.shifts = {name: np.zeros(steps + 1, dtype=complex) for name in observables}
-        self.shifted_sums = {name: np.zeros(steps + 1, dtype=complex) for name in observables}
-        self.sums_sq_re = {name: np.zeros(steps + 1) for name in observables}
-        self.sums_sq_im = {name: np.zeros(steps + 1) for name in observables}
+        self.observables = list(observables.values())
+        self.sums = np.zeros((len(self.observables), 3, steps + 1), dtype=complex)
+        self.shifts = np.zeros((len(self.observables), steps + 1), dtype=complex)
         self.shifted = 0  # the time indices whose K is set
         self.audits = [] if collect_health else None
 
@@ -463,15 +462,20 @@ class _EnsembleSums:
         fresh = start + m > self.shifted
         if fresh:
             self.shifted = start + m
-        for name, x in self.observables.items():
-            vals = np.einsum("btij,ji->bt", rows, x)
+        terms = np.empty((b + 1, len(self.observables), 3, m), dtype=complex)
+        terms[0] = self.sums[:, :, span]
+        for o, x in enumerate(self.observables):
+            # one einsum an observable: one over all of them sums in another
+            # order, which moves the values' bits
+            vals = terms[1:, o, 0] = np.einsum("btij,ji->bt", rows, x)
             if fresh:
-                self.shifts[name][span] = vals[0]
-            shifted = vals - self.shifts[name][span]
-            _add_in_order(self.sums[name][span], vals)
-            _add_in_order(self.shifted_sums[name][span], shifted)
-            _add_in_order(self.sums_sq_re[name][span], shifted.real**2)
-            _add_in_order(self.sums_sq_im[name][span], shifted.imag**2)
+                self.shifts[o, span] = vals[0]
+            shifted = np.subtract(vals, self.shifts[o, span], out=terms[1:, o, 1])
+            # a complex array's float view holds its parts in turn
+            np.square(shifted.view(float), out=terms[1:, o, 2].view(float))
+        # in place: a fresh output of B + 1 rows (200 kB at B = 32 and two
+        # observables) made the call slower than the accumulates it replaces
+        self.sums[:, :, span] = np.add.accumulate(terms, axis=0, out=terms)[-1]
 
     def health(self) -> PathHealth | None:
         """The worst of every audit (a NaN one wins), or None without health."""
@@ -491,14 +495,17 @@ def _step_ensemble(model, rho0, scheme, n_trajectories, seed, steps, dt, law, re
     (B x steps floats) and chunk rows (B x (chunk+1) matrices) fit in
     ENSEMBLE_BLOCK_BYTES; a block of ENSEMBLE_STACK_ROWS or more steps as a
     stack, a smaller one row by row.  With one, each trajectory's law sees
-    its own record, so blocks hold one trajectory, reduced once as a whole
-    path (chunk = steps).
+    its own record, so blocks hold one trajectory, stepped in chunks of as
+    many rows as fit ENSEMBLE_BLOCK_BYTES, never fewer than
+    ENSEMBLE_CHUNK_STEPS (32767 steps at n = 2, 2047 at n = 8); a shorter
+    horizon is reduced once as a whole path.
     """
+    row_bytes = model.dim**2 * 16
     if law is None:
         chunk = min(steps, ENSEMBLE_CHUNK_STEPS)
-        size = max(1, ENSEMBLE_BLOCK_BYTES // (steps * 8 + (chunk + 1) * model.dim**2 * 16))
+        size = max(1, ENSEMBLE_BLOCK_BYTES // (steps * 8 + (chunk + 1) * row_bytes))
     else:
-        chunk, size = steps, 1
+        chunk, size = min(steps, max(ENSEMBLE_CHUNK_STEPS, ENSEMBLE_BLOCK_BYTES // row_bytes - 1)), 1
     for first in range(0, n_trajectories, size):
         noise = np.stack([_noise(scheme, derive_seed(seed, i), steps, dt)
                           for i in range(first, min(first + size, n_trajectories))])
@@ -526,9 +533,7 @@ def ensemble_average(
     as int), not bools, and seed is below 2**64.
     """
     seed = _require_seed(seed)
-    n_trajectories = _require_integer(n_trajectories, "n_trajectories")
-    if n_trajectories < 1:
-        raise ValidationError("n_trajectories must be at least 1")
+    n_trajectories = _require_integer(n_trajectories, "n_trajectories", minimum=1)
     obs = {name: as_operator(x, f"observable {name!r}") for name, x in observables.items()}
     for name, x in obs.items():
         _check_dim(x, model, f"observable {name!r}")
@@ -536,22 +541,14 @@ def ensemble_average(
     times = dt * np.arange(steps + 1)
     acc = _EnsembleSums(obs, steps, collect_health)
     _step_ensemble(model, rho0, scheme, n_trajectories, seed, steps, dt, law, acc)
-    means = {}
-    stderrs_re = {}
-    stderrs_im = {}
     n = n_trajectories
-    for name in obs:
-        means[name] = acc.sums[name] / n
-        if n > 1:
-            shifted = acc.shifted_sums[name]
-            var_re = np.maximum(acc.sums_sq_re[name] - shifted.real**2 / n, 0.0) / (n - 1)
-            var_im = np.maximum(acc.sums_sq_im[name] - shifted.imag**2 / n, 0.0) / (n - 1)
-            stderrs_re[name] = np.sqrt(var_re / n)
-            stderrs_im[name] = np.sqrt(var_im / n)
-        else:
-            stderrs_re[name] = np.zeros(steps + 1)
-            stderrs_im[name] = np.zeros(steps + 1)
-    return EnsembleSummary(times, means, stderrs_re, stderrs_im, n, scheme, acc.health())
+    totals, shifted, squares = acc.sums.transpose(1, 0, 2)
+    # per observable, the standard errors of the real and imaginary parts in
+    # turn, from the float views of their sums
+    stderrs = (np.sqrt(np.maximum(squares.view(float) - shifted.view(float)**2 / n, 0.0) / (n - 1) / n) if n > 1
+               else np.zeros((len(obs), 2 * (steps + 1))))
+    return EnsembleSummary(times, dict(zip(obs, totals / n)), dict(zip(obs, stderrs[:, 0::2])),
+                           dict(zip(obs, stderrs[:, 1::2])), n, scheme, acc.health())
 
 
 @dataclass(frozen=True)

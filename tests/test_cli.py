@@ -552,3 +552,83 @@ class TestShippedDemos:
         lines = compared.stdout.splitlines()
         assert "n2 seed1 random2 homodyne ensemble stacked  path 0.0e+00  stderr 1.0e-03  health 2.5e-03" in lines
         assert "n2 seed1 decay-diag counting simulate  path 0.0e+00  record 0.0e+00  health 5.0e-04" in lines
+
+
+def _without(key):
+    cfg = qubit_config()
+    del cfg[key]
+    return cfg
+
+
+def _config_args(cfg):
+    """A master job on the config `cfg`, written as JSON."""
+    return lambda tmp_path, monkeypatch: ["master", "--config", str(write_config(tmp_path, cfg)),
+                                          "--out", str(tmp_path / "out")]
+
+
+def _record_args(lines):
+    """A filter job over a record file of `lines` and the qubit config."""
+    def args(tmp_path, monkeypatch):
+        record = tmp_path / "record.csv"
+        record.write_text("\n".join(lines) + "\n")
+        return ["filter", "--config", str(write_config(tmp_path, qubit_config())), "--record", str(record),
+                "--out", str(tmp_path / "out")]
+    return args
+
+
+def _dt_mismatch(tmp_path, monkeypatch):
+    record = tmp_path / "record.csv"
+    write_record(ObservationRecord(MeasurementScheme.homodyne(), 2e-3, np.zeros(50)), record)
+    return ["filter", "--config", str(write_config(tmp_path, qubit_config())), "--record", str(record),
+            "--out", str(tmp_path / "out")]
+
+
+def _trace_drift(tmp_path, monkeypatch):
+    monkeypatch.setattr(bf.cli, "path_health", lambda matrices, normalized: bf.PathHealth(0.0, 0.0, 1e-6, True))
+    return ["simulate", "--config", str(write_config(tmp_path, qubit_config())), "--out", str(tmp_path / "out")]
+
+
+RECORD_META = ["# format: belfilt-record-v1", "# scheme: homodyne", "# dt: 0.001", "# steps: 1", "# seed: 0",
+               "# kappa: 0", "# phase: 0"]
+# (id, the job's arguments from (tmp_path, monkeypatch), exit code, the
+# error line's opening, which names the key, field or check refused)
+DOCUMENTED_REFUSALS = [
+    *((f"missing {key}", _config_args(_without(key)), 1, f"error: {key}: missing required key")
+      for key in ("dim", "dt", "T", "hamiltonian", "rho0", "scheme")),
+    ("top level not an object", _config_args([qubit_config()]), 1, "error: config: top level must be an object"),
+    ("channels not a list", _config_args(qubit_config(channels={"0": []})), 1,
+     "error: channels: expected a list of matrices"),
+    ("observables not an object", _config_args(qubit_config(observables=[])), 1,
+     "error: observables: expected an object of name -> entries"),
+    ("matrix not a list", _config_args(qubit_config(hamiltonian={})), 1,
+     "error: hamiltonian: expected a list of [row, col, re, im] entries"),
+    ("entry not a quadruple", _config_args(qubit_config(rho0=[[0, 0, 1.0]])), 1,
+     "error: rho0: entry 0 must be [row, col, re, im]"),
+    ("control_expression not a string", _config_args(qubit_config(control_expression=1, control_h1=[])), 1,
+     "error: control_expression: expected a string"),
+    ("control_h1 without an expression", _config_args(qubit_config(control_h1=[[0, 1, 1.0, 0.0]])), 1,
+     "error: control_h1: set without control_expression"),
+    ("bad filter_kind", _config_args(qubit_config(filter_kind="kalman")), 1,
+     "error: filter_kind: expected auto, bks or zakai, got 'kalman'"),
+    ("unreadable config", lambda tmp_path, monkeypatch: ["master", "--config", str(tmp_path / "absent.json")], 1,
+     "error: config: cannot read "),
+    ("not a record file", _record_args(["# format: belfilt-path-v1", "t,dY", "0.001,0"]), 1,
+     "error: not a record file (format 'belfilt-path-v1')"),
+    ("wrong record header", _record_args([*RECORD_META, "t,dZ", "0.001,0"]), 1,
+     "error: line 8: expected header 't,dY'"),
+    ("missing record metadata key", _record_args([*RECORD_META[:2], *RECORD_META[3:], "t,dY", "0.001,0"]), 1,
+     "error: missing metadata key 'dt'"),
+    ("no trajectories", lambda tmp_path, monkeypatch: [
+        "ensemble", "--config", str(write_config(tmp_path, qubit_config())), "--trajectories", "0",
+        "--out", str(tmp_path / "out")], 1, "error: trajectories: must be at least 1"),
+    ("record and config dt differ", _dt_mismatch, 1, "error: dt: record step 0.002 != config step 0.001"),
+    ("trace drift", _trace_drift, 2, "numerical failure: normalized trace drifted by 1.000e-06"),
+]
+
+
+@pytest.mark.parametrize("arguments, code, opening", [case[1:] for case in DOCUMENTED_REFUSALS],
+                         ids=[case[0] for case in DOCUMENTED_REFUSALS])
+def test_documented_refusal_names_its_key(tmp_path, monkeypatch, capsys, arguments, code, opening):
+    assert run(arguments(tmp_path, monkeypatch)) == code
+    err = capsys.readouterr().err
+    assert err.startswith(opening) and err.count("\n") == 1, err

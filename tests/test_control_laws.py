@@ -831,6 +831,10 @@ _NOT_REAL = [
     (NAN_IMAGINARY, f"non-real value {NAN_IMAGINARY!r}"),
     (np.array(["0.1", "0.2"]), "non-numeric value array(['0.1', '0.2'], dtype='<U3')"),
     ([b"0.1", b"0.2"], "non-numeric value [b'0.1', b'0.2']"),
+    # bool and object entries are read one by one (`_finite_real`)
+    ([True, True], "non-numeric value True"),
+    ([0.1, 10**400], "integer of 401 digits, beyond the float range"),
+    ([0.1, None], "non-numeric value None"),
 ]
 
 

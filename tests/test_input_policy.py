@@ -11,6 +11,7 @@ import pytest
 
 import belfilt as bf
 from belfilt.cli import run
+from belfilt.conditioning import CommutativeAlgebra
 from belfilt.config import config_from_dict, load_config
 from belfilt.filters import ControlLaw, FilterState, MeasurementScheme, feedback_step, zakai_step_homodyne
 from belfilt.fock import ModeTruncation, StepFunction, counting_char_function, quadrature_char_function, weyl_qsde_check
@@ -96,8 +97,16 @@ API_SITES = [
      "n_trajectories: ", True),
     ("record dt", lambda v: ObservationRecord(HOMODYNE, v, [0.0]), "record dt: ", False),
     ("record seed", lambda v: ObservationRecord(HOMODYNE, 1e-3, [0.0], v), "seed: ", True),
+    ("record increments", lambda v: ObservationRecord(HOMODYNE, 1e-3, np.array([0.0, v], dtype=object)),
+     "record increments: ", False),
+    ("compiled law prefix", lambda v: LAW.control(0.5, np.array([0.0, v], dtype=object)), "record prefix: ", False),
+    ("feedback_step prefix", lambda v: feedback_step(STATE, 0.0, LAW, MODEL, np.array([v], dtype=object), 1e-3),
+     "record prefix: ", False),
+    ("maximally_mixed dim", lambda v: DensityState.maximally_mixed(v), "dim: ", True),
+    ("trivial algebra dim", lambda v: CommutativeAlgebra.trivial(v), "dim: ", True),
     ("derive_seed base", lambda v: derive_seed(v, 0), "seed: ", True),
     ("derive_seed index", lambda v: derive_seed(0, v), "trajectory index: ", True),
+    ("fock amplitude", lambda v: ModeTruncation(v), "amplitude: ", False),
     ("fock cutoff", lambda v: ModeTruncation(0.5, cutoff=v), "cutoff: ", True),
     ("fock radius", lambda v: ModeTruncation(0.5, radius=v), "radius: ", False),
     ("quadrature x", lambda v: quadrature_char_function(MODE, v), "x: ", False),
@@ -149,6 +158,52 @@ class TestRefusals:
         with pytest.raises(bf.ValidationError) as info:
             ModeTruncation(5.0, **kwargs)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("amplitude,message", [
+        ("0.5", "amplitude: non-numeric value '0.5'"),
+        (None, "amplitude: non-numeric value None"),
+        (complex(np.nan, 0.0), "amplitude: non-finite value (nan+0j)"),
+        (complex(0.0, np.inf), "amplitude: non-finite value infj"),
+    ])
+    def test_mode_amplitude(self, amplitude, message):
+        with pytest.raises(bf.ValidationError) as info:
+            ModeTruncation(amplitude)
+        assert str(info.value) == message
+
+    def test_mode_amplitude_is_complex(self):
+        assert ModeTruncation(np.complex64(0.25 - 0.5j)).amplitude == 0.25 - 0.5j
+        assert ModeTruncation(1).amplitude == 1.0 and type(ModeTruncation(1).amplitude) is complex
+
+    @pytest.mark.parametrize("build", [DensityState.maximally_mixed, CommutativeAlgebra.trivial],
+                             ids=["maximally_mixed", "trivial"])
+    @pytest.mark.parametrize("dim,message", [
+        (2.5, "dim: expected an integer, got 2.5"),
+        ("2", "dim: expected an integer, got '2'"),
+        (0, "dim must be at least 1"),
+        (-3, "dim must be at least 1"),
+    ])
+    def test_dimension(self, build, dim, message):
+        with pytest.raises(bf.ValidationError) as info:
+            build(dim)
+        assert str(info.value) == message
+        assert build(np.int64(3)).dim == 3
+
+    @pytest.mark.parametrize("increments,message", [
+        (["0.5"], "record increments: non-numeric value ['0.5']"),
+        ([True, False], "record increments: non-numeric value True"),
+        ([0.5, 10**400], "record increments: integer of 401 digits, beyond the float range"),
+        ([0.5 + 1j], "record increments: non-real value [(0.5+1j)]"),
+        ([0.5, None], "record increments: non-numeric value None"),
+        ([0.5, np.inf], "record increments must be finite"),
+    ])
+    def test_record_increments(self, increments, message):
+        with pytest.raises(bf.ValidationError) as info:
+            ObservationRecord(HOMODYNE, 1e-3, increments)
+        assert str(info.value) == message
+
+    def test_record_increments_with_zero_imaginary_parts_read_as_real(self):
+        record = ObservationRecord(HOMODYNE, 1e-3, [0.5 + 0j, np.complex128(-0.25)])
+        assert record.increments.tolist() == [0.5, -0.25]
 
     def test_boolean_times(self):
         with pytest.raises(bf.ValidationError) as info:

@@ -730,6 +730,37 @@ class TestStackedEnsemble:
         ensemble_average(model, MeasurementScheme.homodyne(), observables, 3, 29, 0.1, 1e-3, rho0, law=law)
         assert reduced == [(0, (1, 101, 2, 2))] * 3
 
+    @pytest.mark.parametrize("budget_rows, chunk", [(100, 99), (1, trajectories.ENSEMBLE_CHUNK_STEPS)])
+    def test_law_ensemble_past_its_chunk_reduces_in_chunks(self, monkeypatch, budget_rows, chunk):
+        # a law block's chunk holds as many rows as the budget does, never
+        # fewer than ENSEMBLE_CHUNK_STEPS, and the summary keeps its bits
+        reduced = []
+        real_call = trajectories._EnsembleSums.__call__
+        monkeypatch.setattr(trajectories._EnsembleSums, "__call__",
+                            lambda acc, start, rows: reduced.append((start, rows.shape)) or real_call(acc, start, rows))
+        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", budget_rows * 2**2 * 16)
+        model, rho0, observables = _random_ensemble_case(2, 91)
+        law = ControlLaw.from_expression("0.3 * Y - ma(Y, 5)", model.hamiltonian, SIGMA_X)
+        scheme, steps = MeasurementScheme.homodyne(), 250
+        args = (model, scheme, observables, 3, 29, steps * 1e-3, 1e-3, rho0)
+        summary = ensemble_average(*args, law=law, collect_health=True)
+        assert reduced == [(k + (k > 0), (1, min(k + chunk, steps) - k + (k == 0), 2, 2))
+                           for k in range(0, steps, chunk)] * 3
+        reference = _serial_ensemble(*args, law=law, collect_health=True)
+        _assert_summary_equal(summary, reference, 3, scheme, steps * 1e-3, 1e-3)
+
+    @pytest.mark.parametrize("dim, steps, chunk", [(2, 40_000, 32_767), (8, 3_000, 2_047), (2, 500, 500)])
+    def test_law_chunk_fits_the_block_budget(self, monkeypatch, dim, steps, chunk):
+        # one law trajectory's rows are bounded by ENSEMBLE_BLOCK_BYTES, not
+        # by its horizon: about 1 GB for 10**6 steps at n = 8 otherwise
+        blocks = []
+        monkeypatch.setattr(trajectories, "_integrate", lambda *a, **kw: blocks.append((a[4].shape, kw["chunk"])))
+        model, rho0, observables = _random_ensemble_case(dim, 95)
+        law = ControlLaw.from_expression("Y", model.hamiltonian, model.hamiltonian)
+        ensemble_average(model, MeasurementScheme.homodyne(), observables, 2, 1, steps * 1e-3, 1e-3, rho0, law=law)
+        assert blocks == [((1, steps), chunk)] * 2
+        assert (chunk + 1) * dim**2 * 16 <= trajectories.ENSEMBLE_BLOCK_BYTES
+
     def test_single_trajectory_is_the_simulated_path(self):
         summary = ensemble_average(DECAY, MeasurementScheme.homodyne(), {"z": SIGMA_Z}, 1, 77, 0.2, 1e-3, PLUS_MIXED)
         _, path = simulate_homodyne(DECAY, PLUS_MIXED, 0.2, 1e-3, seed=derive_seed(77, 0))
