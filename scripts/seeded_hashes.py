@@ -30,7 +30,12 @@ reduced in two chunks.  At each dimension, one "law online
 (writeable copy)" case feeds the first seed's homodyne record online from a writeable copy
 of its increments: feedback_step compares such prefixes, where it trusts
 a record's own immutable increments unread, and the case must hash as its
-"law online" line does.  Per seed, a "law direct" case hashes the values of compiled
+"law online" line does.  At each dimension and scheme, on the first
+seed's random model, a "law online (state re-fed)" case feeds the same
+record online handing each state to two calls, the second's result going
+on, and must hash as its "law online" line does; a "law online (zakai)"
+case feeds it to the unnormalized filter, hashing every state and
+likelihood.  Per seed, a "law direct" case hashes the values of compiled
 expression laws called directly on a prefix that grows, shrinks and is
 edited in place.  At each dimension, a "law grammar" case runs a closed
 loop under GRAMMAR_LAW, an expression with t, unary minus, division, a
@@ -118,7 +123,12 @@ one pair of readers (operators._finite_real and _require_integer), the
 "config" cases included.  Nor did adding each chunk of an ensemble's
 sums by one accumulate into one array, nor stepping law ensembles in
 chunks: the "law ensemble (chunked)" line equals a run on a checkout that
-reduced each law trajectory once, pinned and unpinned alike.
+reduced each law trajectory once, pinned and unpinned alike.  Nor did
+adding the chunk by one reduce, reducing small ensemble blocks in chunks
+as large as the block budget, or serving a bound feedback_step call
+through one method of its run that builds its state without
+FilterState.__init__: the "law online (state re-fed)" and "law online
+(zakai)" lines equal a run of this script on a checkout from before.
 """
 
 from __future__ import annotations
@@ -222,17 +232,23 @@ def simulate(model, rho0, scheme, horizon, dt, seed, law=None):
     return simulate_homodyne(model, rho0, horizon, dt, seed, scheme=scheme, law=law)
 
 
-def online_states(model, rho0, scheme, record, law, dt, copied=False):
-    """Every state of the record fed online, one feedback_step per increment;
-    `copied` hands over the prefixes of a writeable copy of the increments."""
-    state = FilterState.from_density(rho0)
-    states = [state.matrix]
+def online_parts(model, rho0, scheme, record, law, dt, copied=False, normalized=True, refed=False):
+    """The case parts of the record fed online, one feedback_step per
+    increment: every state, and the likelihoods of an unnormalized (Zakai)
+    run.  `copied` hands over the prefixes of a writeable copy of the
+    increments; `refed` hands each state to two calls, the second's result
+    going on, so that a state is fed again after the run stepped it."""
+    state = FilterState.from_density(rho0, normalized)
+    states = [state]
     inc = record.increments
     prefixes = np.array(inc) if copied else inc
     for k in range(inc.size):
+        if refed:
+            feedback_step(state, inc[k], law, model, prefixes[:k], dt, scheme, k * dt)
         state = feedback_step(state, inc[k], law, model, prefixes[:k], dt, scheme, k * dt)
-        states.append(state.matrix)
-    return np.stack(states)
+        states.append(state)
+    parts = (("path", np.stack([s.matrix for s in states])),)
+    return parts if normalized else (*parts, ("likelihood", np.array([s.likelihood for s in states])))
 
 
 def other_laws(model, h1):
@@ -272,8 +288,8 @@ def grammar_parts(dim: int, seed: int, horizon: float, dt: float):
     closed, err = attempt(lambda: simulate(model, rho0, scheme, horizon, dt, seed, law=law))
     if err:
         return err
-    states, err = attempt(lambda: online_states(model, rho0, scheme, closed[0], law, dt))
-    return err or (("record", closed[0].increments), ("path", closed[1]), ("path", states))
+    online, err = attempt(lambda: online_parts(model, rho0, scheme, closed[0], law, dt))
+    return err or (("record", closed[0].increments), ("path", closed[1]), *online)
 
 
 def uneven_times(dt: float) -> np.ndarray:
@@ -433,18 +449,25 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
                     yield f"{tag} law simulate", err or (("record", closed[0].increments), ("path", closed[1]),
                                                          *audit_parts(closed[1]))
                     if not err:
-                        states, err = attempt(lambda: online_states(model, rho0, scheme, closed[0], law, dt))
-                        yield f"{tag} law online", err or (("path", states),)
+                        online, err = attempt(lambda: online_parts(model, rho0, scheme, closed[0], law, dt))
+                        yield f"{tag} law online", err or online
                         if seed == seeds[0] and label == f"random{dim}" and sname == "homodyne":
-                            copied, err = attempt(lambda: online_states(model, rho0, scheme, closed[0], law, dt, True))
-                            yield f"{tag} law online (writeable copy)", err or (("path", copied),)
+                            online, err = attempt(lambda: online_parts(model, rho0, scheme, closed[0], law, dt, True))
+                            yield f"{tag} law online (writeable copy)", err or online
+                        if seed == seeds[0] and label == f"random{dim}":
+                            online, err = attempt(lambda: online_parts(model, rho0, scheme, closed[0], law, dt,
+                                                                       refed=True))
+                            yield f"{tag} law online (state re-fed)", err or online
+                            online, err = attempt(lambda: online_parts(model, rho0, scheme, closed[0], law, dt,
+                                                                       normalized=False))
+                            yield f"{tag} law online (zakai)", err or online
                     for lname, other in other_laws(model, h1):
                         closed, err = attempt(lambda: simulate(model, rho0, scheme, horizon, dt, seed, law=other))
                         yield f"{tag} {lname} law simulate", err or (
                             ("record", closed[0].increments), ("path", closed[1]), *audit_parts(closed[1]))
                         if not err:
-                            states, err = attempt(lambda: online_states(model, rho0, scheme, closed[0], other, dt))
-                            yield f"{tag} {lname} law online", err or (("path", states),)
+                            online, err = attempt(lambda: online_parts(model, rho0, scheme, closed[0], other, dt))
+                            yield f"{tag} {lname} law online", err or online
                     for ename, count, with_law in (("stacked", trajectories, False), ("law", trajectories, True),
                                                    ("pair", 2, False)):
                         summary, err = attempt(lambda: ensemble_average(

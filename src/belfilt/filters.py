@@ -84,6 +84,7 @@ from .operators import (
     _finite_real,
     _frozen,
     _liouville,
+    _refuse_bools,
     as_operator,
     dag,
     hermiticity_defect,
@@ -193,6 +194,14 @@ class FilterState:
 
     def hermiticity_defect(self) -> float:
         return hermiticity_defect(self.matrix)
+
+
+# A FilterState built as `__init__` builds one, without its call: a new
+# object and its three slots set through their descriptors, which the frozen
+# `__setattr__` does not guard (`_apply`).
+_new_object = object.__new__
+_set_matrix, _set_normalized, _set_likelihood = (
+    FilterState.matrix.__set__, FilterState.normalized.__set__, FilterState.likelihood.__set__)
 
 
 def _require_dt(dt: float) -> float:
@@ -344,13 +353,17 @@ def _row_step(n: int, dt: float, kind: str, gain: float, normalized: bool, sampl
     counting = kind == COUNTING
     jumps = counting and normalized
     width = 4 if controlled else 3
-    coef = np.empty(width, dtype=complex)  # complex, so that the product casts nothing
+    # the coefficient row is complex, so that the product casts nothing, and
+    # written through its real view `re`: a float store costs less than a
+    # complex one, and the imaginary parts stay the +0.0 complex stores give
+    coef = np.zeros(width, dtype=complex)
+    re = coef.real
     p = np.empty(3 + width * n * n, dtype=complex)
-    traces, blocks = p[:3].real, p[3:].reshape(width, n * n)
+    traces, blocks = p[:3].real.tolist, p[3:].reshape(width, n * n)
 
     def step(row, s, value, out, u=0.0):
         row.dot(s, p)
-        trace_a, m, trace_r = traces.tolist()
+        trace_a, m, trace_r = traces()
         dy = _sample(m, value, dt, counting) if sampling else value
         a0, a1, a2 = coefficients(dy, dt, gain, m)
         if jumps and dy == 1.0:
@@ -361,13 +374,13 @@ def _row_step(n: int, dt: float, kind: str, gain: float, normalized: bool, sampl
         if normalized:
             if not tr > COLLAPSE_TRACE:  # NaN fails too
                 _refuse(True, FilterCollapse, _vanished, tr, dy, a0, trace_a, a1, m)
-            coef[0], coef[1], coef[2] = a0 / tr, a1 / tr, a2 / tr
+            re[0], re[1], re[2] = a0 / tr, a1 / tr, a2 / tr
         else:
             if not 0.0 < tr < math.inf:
                 _refuse(True, FilterCollapse, _NOT_POSITIVE_FINITE, tr)
-            coef[0], coef[1], coef[2] = a0, a1, a2
+            re[0], re[1], re[2] = a0, a1, a2
         if controlled:
-            coef[3] = a0 * u / tr if normalized else a0 * u
+            re[3] = a0 * u / tr if normalized else a0 * u
         coef.dot(blocks, out)
         return tr, dy
 
@@ -472,18 +485,32 @@ def _stack_step(b: int, n: int, dt: float, kind: str, gain: float):
     return count_step if counting else diffusive
 
 
+def _increment(dY, counting: bool) -> float:
+    """dY as a finite Python float (`_finite_real`), 0 or 1 when `counting`."""
+    if isinstance(dY, float) and math.isfinite(dY) and not counting:
+        return float(dY)  # what `_finite_real` makes of it
+    dy = _finite_real(dY, "increment dY: {}")
+    if counting and dy not in (0.0, 1.0):
+        raise ValidationError(f"counting increment must be 0 or 1, got {dY!r}")
+    return dy
+
+
 def _apply(state: FilterState, dY, s, step, counting: bool, normalized: bool, u: float = 0.0):
     """Step state.matrix once with the step matrix s and a `_row_step` step
     (under the control u, for a controlled one), for dY a finite real number
     (0 or 1 when `counting`); normalized results keep the incoming
-    likelihood."""
-    dy = _finite_real(dY, "increment dY: {}")
-    if counting and dy not in (0.0, 1.0):
-        raise ValidationError(f"counting increment must be 0 or 1, got {dY!r}")
+    likelihood.  The step writes the flat view of a fresh matrix, and the
+    next state is built without `FilterState.__init__`, which validates
+    nothing."""
+    dy = _increment(dY, counting)
     w = state.matrix
-    new = np.empty(w.size, dtype=complex)
-    tr, _ = step(w.reshape(-1), s, dy, new, u)
-    return FilterState(new.reshape(w.shape), normalized, state.likelihood if normalized else tr)
+    matrix = np.empty(w.shape, dtype=complex)
+    tr, _ = step(w.ravel(), s, dy, matrix.ravel(), u)
+    out = _new_object(FilterState)
+    _set_matrix(out, matrix)
+    _set_normalized(out, normalized)
+    _set_likelihood(out, state.likelihood if normalized else tr)
+    return out
 
 
 def _model_step(state: FilterState, dY, model: SystemModel, dt: float, scheme: MeasurementScheme, normalized: bool):
@@ -634,12 +661,17 @@ def _real_prefix(prefix, name: str = "record prefix") -> np.ndarray:
     parse, and complex entries with another imaginary part raise
     ValidationError naming `name` and the entries; bool and object entries
     are read one by one through `_finite_real`, so that no bool is taken
-    and an int beyond the float range is refused by its digit count."""
+    and an int beyond the float range is refused by its digit count; a
+    bool among the numbers of a list or tuple, which numpy reads as one, is
+    refused too (`_refuse_bools`), when the entries hold a 0 or a 1, the
+    only values a bool becomes."""
     arr = np.asarray(prefix)
     if arr.dtype.kind in "SU":
         raise ValidationError(f"{name}: non-numeric value {prefix!r}")
     if arr.dtype.kind in "bO":
         return np.array([_finite_real(v, f"{name}: {{}}") for v in arr.reshape(-1).tolist()], dtype=float)
+    if isinstance(prefix, (list, tuple)) and ((arr == 0.0) | (arr == 1.0)).any():
+        _refuse_bools(prefix, f"{name}: {{}}")
     if arr.dtype.kind == "c":
         if arr.imag.any():  # a NaN imaginary part counts as nonzero
             raise ValidationError(f"{name}: non-real value {prefix!r}")
@@ -801,13 +833,15 @@ class _LawRun:
     `sampling` says where the step's dy comes from (`_row_step`), and
     `steps` sizes the sums of an advanced run."""
 
-    __slots__ = ("law", "model", "scheme", "dt", "normalized", "s", "step", "body", "record", "owner", "head", "sums",
-                 "size", "y")
+    __slots__ = ("law", "model", "scheme", "dt", "normalized", "shape", "counting", "s", "step", "body", "record",
+                 "owner", "head", "sums", "size", "y")
 
     def __init__(self, law: ControlLaw, model: SystemModel, scheme: MeasurementScheme, dt: float,
                  normalized: bool, sampling: bool = False, steps: int = 0):
         self.law, self.model, self.scheme, self.dt, self.normalized = law, model, scheme, dt, normalized
-        self.s = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt, law)
+        self.shape = (model.dim, model.dim)
+        self.counting = scheme.kind == COUNTING
+        self.s = _model_matrix(model, scheme.phase, self.counting, dt, law)
         self.step = _row_step(model.dim, dt, _route(scheme), scheme.gain, normalized, sampling, True)
         self.body = self.sums = None
         if law.channel_map is not None:
@@ -823,15 +857,6 @@ class _LawRun:
         self.size = 0  # the entries of the record summed
         self.y = 0.0  # the last of them summed, sums[size - 1]
 
-    def serves(self, law: ControlLaw, model: SystemModel, scheme: MeasurementScheme, dt: float,
-               normalized: bool) -> bool:
-        """Whether a call with these arguments steps as this run does: the
-        same law and model objects (whose operators are read-only), an
-        equal scheme (most often the same object) and the same dt and
-        normalization."""
-        return (law is self.law and model is self.model and dt == self.dt and normalized == self.normalized
-                and (scheme is self.scheme or scheme == self.scheme))
-
     def advance(self, dy: float) -> None:
         """Extend the sums by the record's next entry dy, one add."""
         sums = self.sums
@@ -845,9 +870,8 @@ class _LawRun:
     def follow(self, prefix: np.ndarray) -> None:
         """Make the sums those of `prefix`, bit for bit as np.cumsum gives
         them.  A prefix that extends the followed one bit for bit sums only
-        its new entries (one add for one entry more); any other prefix, one
-        that shrinks, diverges or was edited in place, is summed from its
-        first entry.
+        its new entries; any other prefix, one that shrinks, diverges or was
+        edited in place, is summed from its first entry.
 
         Telling the two apart costs a bitwise compare of the entries
         followed, about 0.4 ns an entry, except for a prefix that leads the
@@ -855,21 +879,16 @@ class _LawRun:
         increments, over bytes nothing writes to (`_immutable_owner`): a
         C-contiguous, aligned view from its first entry, such as
         `record.increments[:k]`.  The entries followed there cannot have
-        changed, so such a call costs the same at any length, and one such
-        view one entry longer than the last costs one float add.  Any other
-        prefix, a writeable copy of the same entries included, pays the
-        compare."""
+        changed, so such a call costs the same at any length (and `feed`
+        sums one such view one entry longer than the last by one add,
+        before it calls this).  Any other prefix, a writeable copy of the
+        same entries included, pays the compare."""
         if self.sums is None:
             return
         m, k = prefix.size, self.size
         owner = self.owner
         # the entries followed are in memory nothing writes to
         trusted = owner is not None and prefix.base is owner and k <= m and _leads(prefix, self.head)
-        if trusted and m == k + 1 and k < self.record.size:
-            # one add; an owner is only set once entries were summed, so k > 0
-            self.sums[k] = self.y = self.y + prefix.item(k)
-            self.size = m
-            return
         if m > self.record.size:
             capacity = max(m, 2 * self.record.size)
             record, sums = np.empty(capacity, dtype=np.int64), np.empty(capacity)
@@ -916,9 +935,25 @@ class _LawRun:
             ch = as_operator(law.channel_map(t, prefix), "L_t")
             _check_dim(ch, self.model, "L_t")
             blocks = _liouville((_channel_parts(ch, self.scheme.phase),))
-            s0 = _step_matrix(blocks, self.scheme.kind == COUNTING, self.dt, law.h0)
+            s0 = _step_matrix(blocks, self.counting, self.dt, law.h0)
             self.s[:, : s0.shape[1]] = s0
         return u
+
+    def feed(self, state: FilterState, dY, prefix: np.ndarray, t: float) -> FilterState:
+        """The rest of a `feedback_step` call that this run serves, once dt,
+        the state, the law, the prefix, t and causality are checked: follow
+        the prefix, take the control u at t, check dY and step the state
+        (`_apply`).  A leading record view one entry longer than the last,
+        an online call's prefix, is summed here by one add."""
+        m, k, owner = prefix.size, self.size, self.owner
+        # an owner is only set once entries were summed, so k > 0
+        if (owner is not None and m == k + 1 and prefix.base is owner and k < self.record.size
+                and _leads(prefix, self.head)):
+            self.sums[k] = self.y = self.y + prefix.item(k)
+            self.size = m
+        else:
+            self.follow(prefix)
+        return _apply(state, dY, self.s, self.step, self.counting, self.normalized, self.control(t, prefix, m))
 
 
 # One thread's last bound feedback run, a `_LawRun`, reused by the next call
@@ -966,14 +1001,17 @@ def feedback_step(
     """
     if type(dt) is not float or not 0.0 < dt < math.inf:
         dt = _require_dt(dt)
-    _check_dim(state.matrix, model, "state")
     scheme = _VACUUM if scheme is None else scheme
-    normalized = state.normalized
+    w = state.matrix
     run = getattr(_feedback_runs, "run", None)
-    if run is not None and not run.serves(law, model, scheme, dt, normalized):
-        run = None
-    if run is None:
+    if (run is not None and law is run.law and model is run.model and dt == run.dt
+            and state.normalized == run.normalized and (scheme is run.scheme or scheme == run.scheme)):
+        if w.shape != run.shape:
+            _check_dim(w, model, "state")
+    else:
+        _check_dim(w, model, "state")
         _check_dim(law.h0, model, "control H0/H1")
+        run = None
     if type(record_prefix) is np.ndarray and record_prefix.dtype is _FLOAT64 and record_prefix.ndim == 1:
         prefix = record_prefix
     else:
@@ -986,9 +1024,8 @@ def feedback_step(
     if m * dt > t * (1.0 + 1e-12) + 1e-12 * dt:
         raise CausalityViolation(f"record prefix extends to {m * dt:.6g}, at or beyond the current time {t:.6g}")
     if run is None:
-        run = _feedback_runs.run = _LawRun(law, model, scheme, dt, normalized)
-    run.follow(prefix)
-    return _apply(state, dY, run.s, run.step, scheme.kind == COUNTING, normalized, run.control(t, prefix, m))
+        run = _feedback_runs.run = _LawRun(law, model, scheme, dt, state.normalized)
+    return run.feed(state, dY, prefix, t)
 
 
 # --- health monitoring ----------------------------------------------------

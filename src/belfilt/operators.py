@@ -121,6 +121,24 @@ def _finite_real(value, message: str, *args) -> float:
     return z.real
 
 
+# The item types no bool can hide among (`_refuse_bools`).
+_PLAIN_NUMBERS = frozenset((float, int, np.float64, np.int64))
+
+
+def _refuse_bools(values, message: str, *args) -> None:
+    """Refuse a bool among the items of a list or tuple, nested ones
+    included, with ValidationError(message.format("non-numeric value ...",
+    *args)), as `_finite_real` refuses one: np.asarray reads it as 0.0 or
+    1.0 beside numbers.  Other values, arrays among them, are not read; a
+    list of Python or numpy floats and ints is passed at C speed."""
+    if isinstance(values, (list, tuple)) and not _PLAIN_NUMBERS.issuperset(map(type, values)):
+        for v in values:
+            if isinstance(v, (list, tuple)):
+                _refuse_bools(v, message, *args)
+            elif isinstance(v, (bool, np.bool_)) or (isinstance(v, np.ndarray) and v.dtype.kind == "b"):
+                raise ValidationError(message.format(f"non-numeric value {v!r}", *args))
+
+
 def _finite_complex(value, message: str, *args) -> complex:
     """value as a finite Python complex, refused as `_finite_real` refuses
     a non-number or one beyond the float range (`_number`), and with
@@ -433,6 +451,7 @@ def semigroup_path(rho0: DensityState, model: SystemModel, times) -> np.ndarray:
         raise ValidationError("times must be a nonempty 1-d array")
     if ts.dtype.kind not in "iuf":  # no str is parsed, no bool taken, no imaginary part dropped
         ts = np.array([_finite_real(t, "times: {}") for t in ts.tolist()])
+    _refuse_bools(times, "times: {}")
     ts = ts.astype(float, copy=False)
     if np.any(~np.isfinite(ts)) or np.any(ts < 0.0):
         raise ValidationError("times must be finite and nonnegative")

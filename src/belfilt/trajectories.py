@@ -30,14 +30,16 @@ the loop extends them by one add a step (`advance`), so a closed-loop step
 costs the same at any horizon; other laws are called on each step's record
 prefix.  Only unnormalized (Zakai) runs keep the trace of each step, their
 likelihoods.  Every trajectory draws its own noise and steps the same bits
-in either mode and in any block.  An ensemble keeps ENSEMBLE_CHUNK_STEPS + 1
-rows per trajectory, not its paths, and each chunk of steps is reduced once
-for the whole block: observables' running sums, in trajectory order, and
-the health audit.  ENSEMBLE_BLOCK_BYTES bounds a block's up-front noise plus
-its chunk rows.  Under a control law each trajectory's law sees its own
-record, so an ensemble's blocks hold one trajectory, whose chunk holds as
-many rows as fit ENSEMBLE_BLOCK_BYTES: its memory is bounded at any horizon
-too, and a horizon under the chunk is reduced once as a whole path.
+in either mode and in any block.  An ensemble keeps a chunk of rows per
+trajectory, not its paths, and each chunk of steps is reduced once for the
+whole block: observables' running sums, in trajectory order, and the health
+audit.  A stacked block's chunk is ENSEMBLE_CHUNK_STEPS steps, and
+ENSEMBLE_BLOCK_BYTES bounds its up-front noise plus its chunk rows.  Under a
+control law each trajectory's law sees its own record, so an ensemble's
+blocks hold one trajectory.  A block stepped row by row, under a law or too
+small to stack, has a chunk of as many rows as fit ENSEMBLE_BLOCK_BYTES: its
+memory is bounded at any horizon too, and a horizon under the chunk is
+reduced once as a whole path.
 
 Reproducibility: every trajectory's generator is numpy PCG64 keyed by a
 splitmix64-mixed seed, `derive_seed(base_seed, index)`, which is
@@ -74,10 +76,10 @@ from .operators import DensityState, SystemModel, _check_dim, _finite_real, _req
 GENERATOR_NAME = f"pcg64-splitmix64/numpy-{np.__version__}"
 # Byte budget of one block of ensemble trajectories stepped together: its
 # noise, drawn up front (B x steps floats), and its chunk buffer (B x (chunk+1)
-# matrices).  It bounds the ensemble's extra memory whatever the horizon,
-# whether the block steps as a stack or row by row.  A block under a control
-# law, one trajectory whose law reads its whole record, spends it on chunk
-# rows alone.
+# matrices) when it steps as a stack.  It bounds the ensemble's extra memory
+# whatever the horizon.  A block stepped row by row (under a control law, one
+# trajectory whose law reads its whole record, or too small to stack) spends
+# it on chunk rows alone, beside its noise.
 ENSEMBLE_BLOCK_BYTES = 2 * 2**20
 # Steps per chunk: a block's rows are reduced (observables and health) once
 # per chunk.  A reduction is a dozen or so numpy calls, so 64 steps keep it a
@@ -443,8 +445,10 @@ class _EnsembleSums:
     mean.  The first call to reach a time index comes from the first block,
     whose row 0 is trajectory 0, and sets K there.  A call writes the span's
     sums and its B trajectories' terms into one (B + 1, observables, 3, m)
-    array and adds them by one accumulate, which is sequential by
-    definition, where `sum` and `add.reduce` may pair rows up.
+    array and adds its rows by one `np.add.reduce` over the first axis.
+    numpy pairs terms up only along the innermost axis of a reduction, so
+    over the outermost it adds row after row, in order (tests pin this
+    against a Python loop).
     """
 
     def __init__(self, observables: dict, steps: int, collect_health: bool):
@@ -473,9 +477,7 @@ class _EnsembleSums:
             shifted = np.subtract(vals, self.shifts[o, span], out=terms[1:, o, 1])
             # a complex array's float view holds its parts in turn
             np.square(shifted.view(float), out=terms[1:, o, 2].view(float))
-        # in place: a fresh output of B + 1 rows (200 kB at B = 32 and two
-        # observables) made the call slower than the accumulates it replaces
-        self.sums[:, :, span] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+        self.sums[:, :, span] = np.add.reduce(terms, axis=0)
 
     def health(self) -> PathHealth | None:
         """The worst of every audit (a NaN one wins), or None without health."""
@@ -490,25 +492,30 @@ def _step_ensemble(model, rho0, scheme, n_trajectories, seed, steps, dt, law, re
     """Step the ensemble's trajectories in index order, a block at a time
     through `_integrate`, feeding `reduce`.
 
-    Without a law, blocks of B trajectories step in chunks of
-    ENSEMBLE_CHUNK_STEPS steps, B being as large as lets the block's noise
-    (B x steps floats) and chunk rows (B x (chunk+1) matrices) fit in
-    ENSEMBLE_BLOCK_BYTES; a block of ENSEMBLE_STACK_ROWS or more steps as a
-    stack, a smaller one row by row.  With one, each trajectory's law sees
-    its own record, so blocks hold one trajectory, stepped in chunks of as
-    many rows as fit ENSEMBLE_BLOCK_BYTES, never fewer than
-    ENSEMBLE_CHUNK_STEPS (32767 steps at n = 2, 2047 at n = 8); a shorter
-    horizon is reduced once as a whole path.
+    Without a law, blocks hold B trajectories, B being as large as lets the
+    block's noise (B x steps floats) and the chunk rows of a stack
+    (B x (ENSEMBLE_CHUNK_STEPS+1) matrices) fit in ENSEMBLE_BLOCK_BYTES.  A
+    block of ENSEMBLE_STACK_ROWS or more steps as a stack, in chunks of
+    ENSEMBLE_CHUNK_STEPS steps.  With a law, each trajectory's law sees its
+    own record, so blocks hold one trajectory.  A block stepped row by row
+    (under a law, or of fewer than ENSEMBLE_STACK_ROWS trajectories) pays
+    for a reduction as a stack does, without a stack's steps to spread it
+    over, so it is chunked by the budget: as many rows as fit
+    ENSEMBLE_BLOCK_BYTES, never fewer than ENSEMBLE_CHUNK_STEPS (32767
+    steps for one trajectory at n = 2, 2047 at n = 8); a shorter horizon is
+    reduced once as a whole path.
     """
     row_bytes = model.dim**2 * 16
+    size = 1
     if law is None:
-        chunk = min(steps, ENSEMBLE_CHUNK_STEPS)
-        size = max(1, ENSEMBLE_BLOCK_BYTES // (steps * 8 + (chunk + 1) * row_bytes))
-    else:
-        chunk, size = min(steps, max(ENSEMBLE_CHUNK_STEPS, ENSEMBLE_BLOCK_BYTES // row_bytes - 1)), 1
+        size = max(1, ENSEMBLE_BLOCK_BYTES // (steps * 8 + (min(steps, ENSEMBLE_CHUNK_STEPS) + 1) * row_bytes))
     for first in range(0, n_trajectories, size):
-        noise = np.stack([_noise(scheme, derive_seed(seed, i), steps, dt)
-                          for i in range(first, min(first + size, n_trajectories))])
+        rows = min(size, n_trajectories - first)
+        if law is None and rows >= ENSEMBLE_STACK_ROWS:
+            chunk = min(steps, ENSEMBLE_CHUNK_STEPS)
+        else:
+            chunk = min(steps, max(ENSEMBLE_CHUNK_STEPS, ENSEMBLE_BLOCK_BYTES // (rows * row_bytes) - 1))
+        noise = np.stack([_noise(scheme, derive_seed(seed, i), steps, dt) for i in range(first, first + rows)])
         _integrate(model, rho0, scheme, dt, noise, law, first=first, reduce=reduce, chunk=chunk)
 
 

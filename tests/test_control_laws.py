@@ -3,7 +3,8 @@ directly and through a bound law run, the work done per call, the sums a
 closed loop keeps itself, and the run `feedback_step` keeps bound per
 thread; the compiled body as one code object over a grammar sweep, the
 refusal of expressions too deep to compile and of prefixes that are not
-real, and the order of `feedback_step`'s checks."""
+real, the order of `feedback_step`'s checks, and the calls a bound run
+serves stepping as `_apply` does."""
 
 import pickle
 import struct
@@ -104,6 +105,16 @@ def _record_shift():
         yield from (src[:k], src[1 : k + 1], src[: k + 1])
 
 
+def _record_shift_on():
+    # a view one entry on and one entry longer than the last prefix has its
+    # owner and the size of a one-add extension, but does not lead it (the
+    # first prefix makes room for the sums of the later ones)
+    src = _record()
+    yield src[:100]
+    for k in (1, 2, 3, 60, 61):
+        yield from (src[:k], src[1 : k + 2], src[: k + 1], src[: k + 2])
+
+
 def _record_strided():
     # src[::2][:1] is a leading view; longer strided views are not
     src = _record()
@@ -167,8 +178,8 @@ def _record_overflow():
 
 
 SEQUENCES = [_grow, _jump_ahead, _shrink, _diverge, _edit_in_place, _negative_zero, _non_finite, _record_grow,
-             _record_shift, _record_strided, _record_misaligned, _record_empty_between, _two_records, _pickled_record,
-             _writeable_then_record, _record_overflow]
+             _record_shift, _record_shift_on, _record_strided, _record_misaligned, _record_empty_between, _two_records,
+             _pickled_record, _writeable_then_record, _record_overflow]
 
 
 def _bits(u):
@@ -958,3 +969,96 @@ class TestFeedbackRefusals:
                     continue
                 got = self._refusal([first[:2], second[:2]], bound)
                 assert got == first[2:], f"{first[:2]} with {second[:2]}: {got}"
+
+
+def _refed(state, call):
+    """Each state handed to two calls, the second's result going on."""
+    call(state)
+    return call(state)
+
+
+def _copied(state, call):
+    """Each state handed over as an equal copy of itself."""
+    return call(FilterState(state.matrix.copy(), state.normalized, state.likelihood))
+
+
+class TestServedCalls:
+    """A call that a bound run serves follows its prefix, with one add for
+    a record view one entry longer than the last: each must give the matrix
+    bits `_apply` gives on a reference run bound for the same arguments, and
+    the normalization and likelihood a FilterState must carry.  Every call
+    after the first is served."""
+
+    @pytest.mark.parametrize("name, value, error, message", BAD_VALUES, ids=lambda v: str(v)[:20])
+    def test_each_bad_argument_one_entry_on(self, name, value, error, message):
+        # the bound run's last prefix is one entry shorter than the good
+        # call's, the case a served call sums by one add: the refusal is
+        # the same, and the good call after it steps as a fresh run does
+        good, kwargs = _call_arguments([(name, value)])
+        first = dict(good, record_prefix=good["record_prefix"][:1], t=DT)
+
+        def bound():
+            feedback_step(**first)
+            refused = _outcome(lambda: feedback_step(**kwargs))[1]
+            return refused, TestBoundFeedbackRun._outputs([feedback_step(**good)])
+
+        def fresh():
+            feedback_step(**first)
+            return TestBoundFeedbackRun._outputs([feedback_step(**good)])
+
+        refused, outputs = _in_thread(bound)[0]
+        assert refused == (error, message)
+        assert outputs == _in_thread(fresh)[0]
+
+    @pytest.mark.parametrize("sequence", SEQUENCES, ids=lambda s: s.__name__.strip("_"))
+    def test_prefix_sequences_match_fresh_runs(self, sequence):
+        # each call steps as a run bound for it alone: the same bits, or
+        # the same refusal
+        law = ControlLaw.from_expression("0.2 * Y - 0.5 * ma(Y, 50)", MODEL.hamiltonian, SIGMA_X)
+        homodyne = bf.MeasurementScheme.homodyne()
+        # a state that does not commute with H1, so that u moves the step
+        state = FilterState(DensityState.from_vector([1.0, 0.3 + 0.4j]).matrix.copy())
+        for call, prefix in enumerate(sequence()):
+            t = 0.37 + 1e-3 * np.size(prefix)
+
+            def fresh():
+                run = _LawRun(law, MODEL, homodyne, DT, True)
+                arr = filters._real_prefix(prefix)
+                run.follow(arr)
+                return filters._apply(state, 0.01, run.s, run.step, False, True, run.control(t, arr, arr.size))
+
+            with np.errstate(over="ignore", invalid="ignore"):  # sums that overflow, inf - inf
+                got, want = _outcome(lambda: feedback_step(state, 0.01, law, MODEL, prefix, DT, t=t)), _outcome(fresh)
+            assert got[1] == want[1], f"call {call}"
+            assert (got[0] is None) == (want[0] is None), f"call {call}"
+            assert got[0] is None or got[0].matrix.tobytes() == want[0].matrix.tobytes(), f"call {call}"
+
+    @pytest.mark.parametrize("hand_over", [_refed, _copied, lambda state, call: call(state)],
+                             ids=["state fed twice", "equal copy", "as returned"])
+    @pytest.mark.parametrize("normalized", [True, False], ids=["bks", "zakai"])
+    def test_states_match_apply(self, hand_over, normalized):
+        law = ControlLaw.from_expression("0.2 * Y - 0.5 * ma(Y, 50)", MODEL.hamiltonian, SIGMA_X)
+        homodyne = bf.MeasurementScheme.homodyne()
+        increments = _record()
+        reference = _LawRun(law, MODEL, homodyne, DT, normalized)
+        state, checked = _start(normalized), 0
+        for k in range(120):
+            prefix, t = increments[:k], k * DT
+
+            def call(given):
+                nonlocal checked
+                got = feedback_step(given, increments[k], law, MODEL, prefix, DT, t=t)
+                reference.follow(prefix)
+                u = reference.control(t, prefix, k)
+                want = filters._apply(given, increments[k], reference.s, reference.step, False, normalized, u)
+                assert type(got) is FilterState
+                assert got.matrix.shape == want.matrix.shape and got.matrix.tobytes() == want.matrix.tobytes()
+                assert got.normalized is normalized
+                # a normalized step keeps the incoming likelihood
+                assert _bits(got.likelihood) == _bits(given.likelihood if normalized else want.likelihood)
+                checked += 1
+                return got
+
+            state = hand_over(state, call)
+        assert checked >= 120
+        assert normalized or _bits(state.likelihood) != _bits(1.0)

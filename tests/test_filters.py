@@ -299,6 +299,24 @@ _PUBLIC_STEPS = {
 }
 
 
+@pytest.mark.parametrize("entry", list(_PUBLIC_STEPS))
+def test_step_builds_its_state_as_init_would(entry):
+    # steps build their FilterState without __init__: a fresh matrix, the
+    # step's normalization, and the incoming likelihood when normalized,
+    # else the trace stepped to
+    normalized = not entry.startswith("zakai")
+    matrix = DensityState.from_vector([1.0, 0.3 + 0.4j]).matrix.copy()
+    out = _PUBLIC_STEPS[entry](FilterState(matrix, normalized, 0.25), 0.0)
+    assert type(out) is FilterState and out.normalized is normalized
+    m = out.matrix
+    assert m.shape == (2, 2) and m.dtype == complex and m.flags.c_contiguous and m.flags.writeable
+    assert not np.shares_memory(m, matrix)
+    if normalized:
+        assert out.likelihood == 0.25
+    else:
+        assert out.likelihood == pytest.approx(out.trace_real(), rel=1e-12)
+
+
 class TestNonFiniteInputsRefused:
     """No step returns a NaN state in silence: an increment that is not a
     finite real number is refused before the step, and a normalized trace

@@ -205,6 +205,23 @@ class TestRefusals:
         record = ObservationRecord(HOMODYNE, 1e-3, [0.5 + 0j, np.complex128(-0.25)])
         assert record.increments.tolist() == [0.5, -0.25]
 
+    @pytest.mark.parametrize("value", [True, np.True_, np.array(True), False, np.False_],
+                             ids=["bool", "numpy-bool", "bool-array", "false", "numpy-false"])
+    @pytest.mark.parametrize("call,opening", [
+        (lambda v: ObservationRecord(HOMODYNE, 1e-3, [0.5, v]), "record increments: "),
+        (lambda v: ObservationRecord(HOMODYNE, 1e-3, ((0.5,), (v,))), "record increments: "),
+        (lambda v: LAW.control(0.5, [0.5, v]), "record prefix: "),
+        (lambda v: feedback_step(STATE, 0.0, LAW, MODEL, [0.5, v], 1e-3, t=2e-3), "record prefix: "),
+        (lambda v: semigroup_path(RHO, MODEL, [0.5, v]), "times: "),
+    ], ids=["record increments", "nested record increments", "compiled law prefix", "feedback_step prefix",
+            "semigroup_path times"])
+    def test_bool_beside_numbers(self, call, opening, value):
+        # np.asarray reads a bool in a list of numbers as 0.0 or 1.0, and
+        # the list holds no other 0 or 1
+        with pytest.raises(bf.ValidationError) as info:
+            call(value)
+        assert str(info.value) == opening + f"non-numeric value {value!r}"
+
     def test_boolean_times(self):
         with pytest.raises(bf.ValidationError) as info:
             semigroup_path(RHO, MODEL, np.array([False, True]))

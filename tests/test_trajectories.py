@@ -435,7 +435,51 @@ class TestOneKernel:
             assert np.array_equal(run.likelihoods, np.array(likelihoods))
 
 
+def _in_order_sums(blocks, observables):
+    """The reducer's sums, one Python complex add at a time: per time index,
+    the values x of each block's trajectories in index order, x - K and
+    (x - K).re^2 + i (x - K).im^2, K being trajectory 0's value."""
+    values = [np.stack([np.einsum("btij,ji->bt", rows, x) for x in observables]) for rows in blocks]
+    o_count, _, m = values[0].shape
+    sums = [[[0j] * m for _ in range(3)] for _ in range(o_count)]
+    for o in range(o_count):
+        for t in range(m):
+            shift = complex(values[0][o, 0, t])
+            for block in values:
+                for x in block[o, :, t].tolist():
+                    d = x - shift
+                    sums[o][0][t] += x
+                    sums[o][1][t] += d
+                    sums[o][2][t] += complex(d.real * d.real, d.imag * d.imag)
+    return np.array(sums)
+
+
 class TestEnsemble:
+    @pytest.mark.parametrize("m, count", [(1, 1), (3, 2), (70, 1)])
+    def test_reducer_adds_rows_in_order(self, m, count):
+        # the trajectories of two blocks of 10, their values spread over 16
+        # decades, so that adding a time index's rows in turn and adding
+        # them pairwise give other sums: the reducer must add them in turn
+        rng = np.random.default_rng(m)
+        observables = [np.diag([1.0, 0.0]), np.diag([0.0, 1j])][:count]
+        blocks = []
+        for _ in range(2):
+            scale = 10.0 ** rng.integers(-8, 9, size=(10, m, 2, 2))
+            blocks.append((rng.normal(size=(10, m, 2, 2)) + 1j * rng.normal(size=(10, m, 2, 2))) * scale)
+        # the real part of the first observable, where every order of the
+        # adds shows: 1 is lost beside 1e16 in turn, but not in pairs
+        blocks[0][:, :, 0, 0].real = np.array([1e16, 1.0, -1e16] + [1.0] * 7)[:, None]
+        acc = trajectories._EnsembleSums(dict(enumerate(observables)), m - 1, False)
+        for rows in blocks:
+            acc(0, rows)
+        want = _in_order_sums(blocks, observables)
+        assert acc.sums.tobytes() == want.tobytes()
+        # the data tell the orders apart: numpy's pairwise sum of one block
+        # plus the running sums differs from the sum in turn
+        first = np.einsum("btij,ji->bt", blocks[0], observables[0])
+        rows = np.concatenate([np.zeros((1, m)), first]).T.copy()
+        assert np.add.reduce(rows, axis=1).tobytes() != _in_order_sums(blocks[:1], observables[:1])[0, 0].tobytes()
+
     def test_single_trajectory_matches_direct_run(self):
         summary = ensemble_average(
             DECAY, MeasurementScheme.homodyne(), {"z": SIGMA_Z}, 1, 77, 0.2, 1e-3, PLUS_MIXED
@@ -692,11 +736,42 @@ class TestStackedEnsemble:
         args = (model, scheme, observables, 10, 31, steps * 1e-3, 1e-3, rho0)
         summary = ensemble_average(*args, collect_health=True)
         _assert_summary_equal(summary, _serial_ensemble(*args, collect_health=True), 10, scheme, steps * 1e-3, 1e-3)
-        # each block reduces time indices 0 .. steps once, in chunks of `chunk` rows
-        sizes = [min(split, 10 - first) for first in range(0, 10, split)]
-        bounds = [(start, min(start + chunk, steps)) for start in range(0, steps, chunk)]
-        want = [(start + (start > 0), (b, stop - start + (start == 0), 2, 2)) for b in sizes for start, stop in bounds]
+        # each block reduces time indices 0 .. steps once, in chunks of
+        # `chunk` rows when it steps as a stack, and of as many rows as fit
+        # the budget, never fewer, when it steps row by row
+        budget = trajectories.ENSEMBLE_BLOCK_BYTES
+        want = []
+        for b in [min(split, 10 - first) for first in range(0, 10, split)]:
+            rows = chunk if b >= trajectories.ENSEMBLE_STACK_ROWS else min(steps, max(chunk, budget // (b * 64) - 1))
+            want += [(start + (start > 0), (b, min(start + rows, steps) - start + (start == 0), 2, 2))
+                     for start in range(0, steps, rows)]
         assert reduced == want
+
+    @pytest.mark.parametrize("name", list(STACK_SCHEMES))
+    def test_small_block_reduces_by_the_budget(self, name, monkeypatch):
+        # a block too small to stack reduces as many rows as the budget
+        # holds: its whole horizon by default, and in chunks under a budget
+        # that splits it, with the same bits
+        reduced = []
+        real_call = trajectories._EnsembleSums.__call__
+        monkeypatch.setattr(trajectories._EnsembleSums, "__call__",
+                            lambda acc, start, rows: reduced.append((start, rows.shape)) or real_call(acc, start, rows))
+        model, rho0, observables = _random_ensemble_case(2, 96)
+        steps = 300
+        args = (model, STACK_SCHEMES[name], observables, 2, 33, steps * 1e-3, 1e-3, rho0)
+        whole = ensemble_average(*args, collect_health=True)
+        assert reduced == [(0, (2, steps + 1, 2, 2))]
+        reduced.clear()
+        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", _block_bytes(2, steps, 2))
+        chunk = trajectories.ENSEMBLE_BLOCK_BYTES // (2 * 64) - 1
+        split = ensemble_average(*args, collect_health=True)
+        assert len(reduced) == 3
+        assert reduced == [(k + (k > 0), (2, min(k + chunk, steps) - k + (k == 0), 2, 2))
+                           for k in range(0, steps, chunk)]
+        for part in ("means", "stderrs_re", "stderrs_im"):
+            for key, value in getattr(whole, part).items():
+                assert getattr(split, part)[key].tobytes() == value.tobytes()
+        assert split.health == whole.health
 
     def test_budget_counts_noise_and_chunk_rows(self, monkeypatch):
         # 32 trajectories of 500 steps at n = 4 fit one block; 400 of 2 000 at
