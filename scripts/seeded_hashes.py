@@ -45,7 +45,12 @@ the closed-loop path and the online states.  Three "config" cases come
 first: what belfilt.config.load_config builds from each shipped config
 (configs/*.json) and from SIGNED_CONFIG, whose numbers take every sign,
 -0.0 included, as integers and decimals: its matrices, scheme, dt, T and
-other keys.
+other keys.  Then one "inputs (lists and int arrays)" case hands the first
+seed's random models, starts and observables at every dimension over as
+nested Python lists and int arrays, and hashes what the package builds and
+computes from them.  At each dimension, on the first seed's random model,
+"replay (empty record)" cases replay a zero-step homodyne record with the
+bks and zakai filters.
 Each simulated, closed-loop and replayed path also hashes its path_health
 monitors (worst eigenvalue, trace and Hermiticity defects),
 taken on the normalized matrices as the CLI's simulate and filter commands
@@ -128,7 +133,12 @@ adding the chunk by one reduce, reducing small ensemble blocks in chunks
 as large as the block budget, or serving a bound feedback_step call
 through one method of its run that builds its state without
 FilterState.__init__: the "law online (state re-fed)" and "law online
-(zakai)" lines equal a run of this script on a checkout from before.
+(zakai)" lines equal a run of this script on a checkout from before.  Nor
+did reading every outside matrix, state and observable through one entry
+reader (operators._entries): the "inputs (lists and int arrays)" line
+equals a run of this script on a checkout from before, pinned and
+unpinned alike, where the "replay (empty record)" lines hash the
+ValueError such checkouts raised.
 """
 
 from __future__ import annotations
@@ -146,11 +156,14 @@ from belfilt import (
     DensityState,
     FilterState,
     MeasurementScheme,
+    ObservationRecord,
     SystemModel,
     compile_control_expression,
     derive_seed,
     ensemble_average,
     feedback_step,
+    lindblad_adjoint,
+    lindblad_heisenberg,
     path_health,
     random_density,
     random_hermitian,
@@ -325,6 +338,46 @@ def semigroup_parts(dim: int, seed: int, horizon: float, dt: float):
     yield "semigroup closed", err or tuple(("path", m) for m in paths)
 
 
+def empty_replay_parts(dim: int, seed: int):
+    """The "replay (empty record)" cases: bks and zakai replays of a
+    zero-step homodyne record on the seed's random model, which give the
+    start alone (checkouts from before raised for them)."""
+    _, model, rho0, _, _ = next(model_cases(dim, seed))
+    empty = ObservationRecord(SCHEMES["homodyne"], 1e-3, [])
+    for kind in ("bks", "zakai"):
+        replay, err = attempt(lambda: replay_record(empty, model, rho0, kind=kind))
+        yield f"replay (empty record) {kind}", err or (("path", replay.matrices), ("likelihood", replay.likelihoods))
+
+
+def listed_parts(seed: int, dims):
+    """The "inputs (lists and int arrays)" case: at each dimension, the
+    seed's random model, start and observables handed over as nested Python
+    lists and int arrays, and what the package builds and computes from
+    them: the model's and a law's operators, the state and one built from a
+    list vector, both generators' values, expectations and a replay's, a
+    path audit and a short ensemble."""
+    parts = []
+    for dim in dims:
+        _, model, rho0, obs, h1 = next(model_cases(dim, seed))
+        listed = SystemModel(model.hamiltonian.tolist(), [c.tolist() for c in model.channels])
+        state = DensityState(rho0.matrix.tolist())
+        counts = np.diag(np.arange(dim))  # an int array
+        law = ControlLaw.from_expression(LAW, counts.tolist(), h1.tolist())
+        record = ObservationRecord(SCHEMES["homodyne"], 5e-3, np.random.default_rng(seed).normal(0.0, 0.07, 40))
+        replay = replay_record(record, listed, state.matrix.tolist())
+        summary = ensemble_average(listed, SCHEMES["homodyne"], {"h": obs["h"].tolist(), "n": counts}, 2, seed,
+                                   0.05, 5e-3, rho0.matrix.tolist())
+        vector = DensityState.from_vector(list(range(1, dim + 1)))
+        parts += [("path", listed.hamiltonian), *(("path", c) for c in listed.channels), ("path", state.matrix),
+                  ("path", law.h0), ("path", law.h1), ("path", vector.matrix),
+                  ("path", lindblad_heisenberg(counts, listed)),
+                  ("path", lindblad_adjoint(state.matrix.tolist(), listed)),
+                  ("path", np.array([state.expectation(counts), state.expectation(obs["h"].tolist())])),
+                  ("path", replay.expectations(counts.tolist())), *health_parts(path_health(replay.matrices.tolist())),
+                  *ensemble_parts(summary)]
+    return parts
+
+
 def config_cases(scratch: Path):
     """(name, parts) of the "config" cases: what load_config builds from
     each shipped config and from SIGNED_CONFIG, its matrices as paths (the
@@ -415,6 +468,8 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
     raised has the parts (error, type) and (error, message).  CSV files are
     written to `scratch` and read back as bytes."""
     yield from config_cases(scratch)
+    inputs, err = attempt(lambda: listed_parts(seeds[0], dims))
+    yield f"seed{seeds[0]} inputs (lists and int arrays)", err or inputs
     for seed in seeds:
         values, err = attempt(lambda: direct_values(seed))
         yield f"seed{seed} law direct", err or (("law", values),)
@@ -422,6 +477,8 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
         yield f"n{dim} seed{seeds[0]} random{dim} homodyne law grammar", grammar_parts(dim, seeds[0], horizon, dt)
         for label, parts in semigroup_parts(dim, seeds[0], horizon, dt):
             yield f"n{dim} seed{seeds[0]} random{dim} {label}", parts
+        for label, parts in empty_replay_parts(dim, seeds[0]):
+            yield f"n{dim} seed{seeds[0]} random{dim} homodyne {label}", parts
         if dim == CHUNKED[0]:
             yield f"n{dim} seed{seeds[0]} random{dim} homodyne law ensemble (chunked)", chunked_law_parts(seeds[0], dt)
         for seed in seeds:

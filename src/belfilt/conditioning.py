@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonCommutingGenerators, NondemolitionViolation, ValidationError
-from .operators import DensityState, _frozen, _require_integer, as_operator, dag
+from .operators import DensityState, _entries, _frozen, _operator, _require_integer, _state, as_operator, dag
 
 COMMUTATION_TOL = 1e-9
 PROJECTION_TOL = 1e-10
@@ -58,7 +58,7 @@ class CommutativeAlgebra:
                     raise ValidationError(f"projections {k}, {l}: not orthogonal")
         if np.max(np.abs(sum(projs) - np.eye(dim))) > PROJECTION_TOL:
             raise ValidationError("projections do not sum to the identity")
-        labels = np.asarray(self.labels, dtype=complex)
+        labels = _entries(self.labels, "labels")
         if labels.ndim != 2 or labels.shape[1] != len(projs):
             raise ValidationError(f"labels must have shape (n_generators, {len(projs)})")
         object.__setattr__(self, "projections", tuple(_frozen(p) for p in projs))
@@ -83,13 +83,13 @@ class CommutativeAlgebra:
 
     def coefficients(self, a) -> np.ndarray:
         """Block coefficients trace(P_k A) / rank(P_k) of an algebra element."""
-        a = as_operator(a, "A")
+        a = _operator(a, self.dim, "A", "algebra")
         ranks = self.ranks
         return np.array([np.trace(p @ a) / r for p, r in zip(self.projections, ranks)])
 
     def element(self, coeffs) -> np.ndarray:
         """Assemble sum_k c_k P_k."""
-        coeffs = np.asarray(coeffs, dtype=complex)
+        coeffs = _entries(coeffs, "coefficients")
         if coeffs.shape != (self.n_blocks,):
             raise ValidationError(f"need {self.n_blocks} coefficients")
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -172,13 +172,8 @@ def conditional_expectation(a, algebra: CommutativeAlgebra, rho: DensityState) -
     an A is incompatible with the recorded observations and conditioning it
     is physically meaningless.
     """
-    a = as_operator(a, "A")
-    if a.shape[0] != algebra.dim:
-        raise ValidationError(f"A dim {a.shape[0]} != algebra dim {algebra.dim}")
-    if not isinstance(rho, DensityState):
-        rho = DensityState(rho)
-    if rho.dim != algebra.dim:
-        raise ValidationError(f"state dim {rho.dim} != algebra dim {algebra.dim}")
+    a = _operator(a, algebra.dim, "A", "algebra")
+    rho = _state(rho, algebra.dim, "state", "algebra")
     worst = 0.0
     for p in algebra.projections:
         worst = max(worst, float(np.linalg.norm(a @ p - p @ a, 2)))
@@ -233,9 +228,6 @@ class ClassicalRepresentation:
 
 
 def classical_representation(algebra: CommutativeAlgebra, rho: DensityState) -> ClassicalRepresentation:
-    if not isinstance(rho, DensityState):
-        rho = DensityState(rho)
-    if rho.dim != algebra.dim:
-        raise ValidationError(f"state dim {rho.dim} != algebra dim {algebra.dim}")
+    rho = _state(rho, algebra.dim, "state", "algebra")
     probs = np.array([np.trace(rho.matrix @ p).real for p in algebra.projections])
     return ClassicalRepresentation(probs, algebra.labels, algebra.ranks)

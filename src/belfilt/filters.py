@@ -76,16 +76,17 @@ from .errors import (
     ZeroJumpRate,
 )
 from .operators import (
-    HERMITICITY_TOL,
     SystemModel,
     _channel_parts,
     _check_dim,
     _commutator,
     _finite_real,
     _frozen,
+    _hermitian,
     _liouville,
+    _operator,
     _refuse_bools,
-    as_operator,
+    _stack,
     dag,
     hermiticity_defect,
     DensityState,
@@ -182,7 +183,7 @@ class FilterState:
         return float(np.trace(self.matrix).real)
 
     def expectation(self, x) -> complex:
-        return complex(np.trace(self.matrix @ x))
+        return complex(np.trace(self.matrix @ _operator(x, self.dim, "observable", "state")))
 
     def min_eigenvalue(self) -> float:
         """The lowest eigenvalue of the Hermitian part; NaN when an entry is
@@ -515,7 +516,7 @@ def _apply(state: FilterState, dY, s, step, counting: bool, normalized: bool, u:
 
 def _model_step(state: FilterState, dY, model: SystemModel, dt: float, scheme: MeasurementScheme, normalized: bool):
     dt = _require_dt(dt)
-    _check_dim(state.matrix, model, "state")
+    _check_dim(state.matrix, model.dim, "state")
     counting = scheme.kind == COUNTING
     s = _model_matrix(model, scheme.phase, counting, dt)
     step = _row_step(model.dim, dt, _route(scheme), scheme.gain, normalized, False)
@@ -716,6 +717,8 @@ def compile_control_expression(expression: str) -> Callable[[float, np.ndarray],
     expression nested deeper than Python's parser or compiler can take (a
     sum of about a thousand terms), or with an integer constant beyond the
     float range, raises ValidationError."""
+    if not isinstance(expression, str):
+        raise ValidationError(f"control expression: expected a string, got {expression!r}")
     try:
         tree = ast.parse(expression.strip(), mode="eval")
         function = ast.parse("lambda t, sums, m: 0", mode="eval")
@@ -749,12 +752,7 @@ class ControlLaw:
     channel_map: Callable[[float, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        h0 = as_operator(self.h0, "H0")
-        h1 = as_operator(self.h1, "H1")
-        if hermiticity_defect(h0) > HERMITICITY_TOL:
-            raise ValidationError("H0: not Hermitian")
-        if hermiticity_defect(h1) > HERMITICITY_TOL:
-            raise ValidationError("H1: not Hermitian")
+        h0, h1 = _hermitian(self.h0, "H0"), _hermitian(self.h1, "H1")
         if h0.shape != h1.shape:
             raise DimensionMismatch("H0 and H1 must share a dimension")
         object.__setattr__(self, "h0", _frozen(h0))
@@ -932,8 +930,7 @@ class _LawRun:
         prefix = record[:k]
         u = _finite_real(law.control(float(t), prefix), _CONTROL_VALUE, t)
         if law.channel_map is not None:
-            ch = as_operator(law.channel_map(t, prefix), "L_t")
-            _check_dim(ch, self.model, "L_t")
+            ch = _operator(law.channel_map(t, prefix), self.model.dim, "L_t")
             blocks = _liouville((_channel_parts(ch, self.scheme.phase),))
             s0 = _step_matrix(blocks, self.counting, self.dt, law.h0)
             self.s[:, : s0.shape[1]] = s0
@@ -1007,10 +1004,10 @@ def feedback_step(
     if (run is not None and law is run.law and model is run.model and dt == run.dt
             and state.normalized == run.normalized and (scheme is run.scheme or scheme == run.scheme)):
         if w.shape != run.shape:
-            _check_dim(w, model, "state")
+            _check_dim(w, model.dim, "state")
     else:
-        _check_dim(w, model, "state")
-        _check_dim(law.h0, model, "control H0/H1")
+        _check_dim(w, model.dim, "state")
+        _check_dim(law.h0, model.dim, "control H0/H1")
         run = None
     if type(record_prefix) is np.ndarray and record_prefix.dtype is _FLOAT64 and record_prefix.ndim == 1:
         prefix = record_prefix
@@ -1147,11 +1144,7 @@ def path_health(matrices, normalized: bool = True) -> PathHealth:
     A stack with a non-finite entry reports the eigenvalue NaN, so that
     positivity fails.
     """
-    arr = np.asarray(matrices, dtype=complex)
-    if arr.ndim == 2:
-        arr = arr[None]
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ValidationError("expected a stack of square matrices")
+    arr = _stack(matrices, "matrices")
     if arr.size == 0:
         raise ValidationError(f"expected a nonempty stack of matrices, got shape {arr.shape}")
     if arr.shape[1] == 2:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationRadiusExceeded, ValidationError
-from .operators import _finite_complex, _finite_real, _frozen, _require_integer
+from .operators import _entries, _finite_complex, _finite_real, _frozen, _require_integer
 
 DEFAULT_CUTOFF = 30
 DEFAULT_RADIUS = 1.0
@@ -69,7 +69,7 @@ class FockVector:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=complex).reshape(-1)
+        c = _entries(self.coefficients, "coefficients").reshape(-1)
         if c.size < 2:
             raise ValidationError("need at least two photon layers")
         if not np.all(np.isfinite(c)):
@@ -176,7 +176,7 @@ class StepFunction:
         dt = _finite_real(self.dt, "dt: {}")
         if dt <= 0:
             raise ValidationError("dt must be positive and finite")
-        v = np.asarray(self.values, dtype=complex).reshape(-1)
+        v = _entries(self.values, "step values").reshape(-1)
         if v.size < 2:
             raise ValidationError("grid needs at least 2 steps")
         if not np.all(np.isfinite(v)):

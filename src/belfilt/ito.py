@@ -31,7 +31,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationError
-from .operators import SystemModel, _check_dim, _frozen, as_operator, dag, lindblad_heisenberg
+from .operators import SystemModel, _frozen, _operator, as_operator, dag, lindblad_heisenberg
 
 
 class Differential(enum.Enum):
@@ -183,8 +183,7 @@ def flow_coefficients(x, model: SystemModel) -> ItoSpec:
 
     with every coefficient understood under the flow.
     """
-    x = as_operator(x, "X")
-    _check_dim(x, model, "X")
+    x = _operator(x, model.dim, "X")
     eye = np.eye(model.dim, dtype=complex)
     du = hp_unitary_spec(model)
     dud = hp_adjoint_spec(model)

@@ -64,18 +64,6 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b + b @ a
 
 
-def as_operator(m, name: str = "operator") -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting non-finite entries."""
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{name}: expected a square matrix, got shape {arr.shape}")
-    if arr.shape[0] < 1:
-        raise ValidationError(f"{name}: dimension must be at least 1")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name}: entries must be finite")
-    return arr
-
-
 def _beyond_floats(value) -> str:
     """What a value beyond the float range is, without printing it: Python
     refuses to print an int of more than 4300 digits, so an int reads as its
@@ -122,7 +110,7 @@ def _finite_real(value, message: str, *args) -> float:
 
 
 # The item types no bool can hide among (`_refuse_bools`).
-_PLAIN_NUMBERS = frozenset((float, int, np.float64, np.int64))
+_PLAIN_NUMBERS = frozenset((float, int, complex, np.float64, np.int64, np.complex128))
 
 
 def _refuse_bools(values, message: str, *args) -> None:
@@ -130,7 +118,8 @@ def _refuse_bools(values, message: str, *args) -> None:
     included, with ValidationError(message.format("non-numeric value ...",
     *args)), as `_finite_real` refuses one: np.asarray reads it as 0.0 or
     1.0 beside numbers.  Other values, arrays among them, are not read; a
-    list of Python or numpy floats and ints is passed at C speed."""
+    list of Python or numpy floats, ints and complex numbers is passed at C
+    speed."""
     if isinstance(values, (list, tuple)) and not _PLAIN_NUMBERS.issuperset(map(type, values)):
         for v in values:
             if isinstance(v, (list, tuple)):
@@ -165,6 +154,82 @@ def _require_integer(value, name: str, minimum: int | None = None) -> int:
     return value
 
 
+def _entries(values, name: str) -> np.ndarray:
+    """values as a complex ndarray of their own shape: every outside matrix,
+    stack or vector is read here.  A numeric array passes at C speed, with
+    no copy when complex; a list or tuple of numbers is converted by numpy,
+    a bool among them refused (`_refuse_bools`).  Str, bytes, bool and
+    object entries are read one by one through `_finite_complex`, a list's
+    as given (numpy reads a 0 beside "1" as "0"), and a ragged nesting is
+    refused; every refusal is a ValidationError naming `name`."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise ValidationError(f"{name}: ragged nesting, not an array") from None
+    if arr.dtype.kind in "iufc":
+        _refuse_bools(values, "{1}: {0}", name)
+        return arr.astype(complex, copy=False)
+    if not isinstance(values, np.ndarray):
+        arr = np.array(values, dtype=object)
+    return np.array([_finite_complex(v, "{1}: {0}", name) for v in arr.reshape(-1).tolist()],
+                    dtype=complex).reshape(arr.shape)
+
+
+def as_operator(m, name: str = "operator") -> np.ndarray:
+    """A square complex matrix with finite entries, read by `_entries`;
+    otherwise ValidationError naming `name`."""
+    arr = _entries(m, name)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"{name}: expected a square matrix, got shape {arr.shape}")
+    if arr.shape[0] < 1:
+        raise ValidationError(f"{name}: dimension must be at least 1")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"{name}: entries must be finite")
+    return arr
+
+
+def _stack(values, name: str) -> np.ndarray:
+    """A stack of square matrices, shape (m, n, n), read by `_entries`; one
+    matrix reads as a stack of one."""
+    arr = _entries(values, name)
+    if arr.ndim == 2:
+        arr = arr[None]
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise ValidationError(f"{name}: expected a stack of square matrices, got shape {arr.shape}")
+    return arr
+
+
+def _hermitian(m, name: str) -> np.ndarray:
+    """A Hermitian operator (`as_operator`), within HERMITICITY_TOL."""
+    h = as_operator(m, name)
+    defect = hermiticity_defect(h)
+    if defect > HERMITICITY_TOL:
+        raise ValidationError(f"{name}: not Hermitian (defect {defect:.3e})")
+    return h
+
+
+def _check_dim(x: np.ndarray, dim: int, name: str, owner: str = "model") -> None:
+    """DimensionMismatch unless the matrix, or stack of matrices, x acts on
+    dimension `dim`, the owner's."""
+    if x.shape[-1] != dim:
+        raise DimensionMismatch(f"{name} dim {x.shape[-1]} != {owner} dim {dim}")
+
+
+def _operator(m, dim: int, name: str, owner: str = "model") -> np.ndarray:
+    """An operator (`as_operator`) of dimension `dim` (`_check_dim`)."""
+    x = as_operator(m, name)
+    _check_dim(x, dim, name, owner)
+    return x
+
+
+def _state(rho, dim: int, name: str, owner: str = "model") -> "DensityState":
+    """rho as a DensityState, which it may already be, of dimension `dim`."""
+    if not isinstance(rho, DensityState):
+        rho = DensityState(rho)
+    _check_dim(rho.matrix, dim, name, owner)
+    return rho
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - dag(m)))) if m.size else 0.0
 
@@ -187,10 +252,7 @@ class DensityState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_operator(self.matrix, "density matrix")
-        defect = hermiticity_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise ValidationError(f"density matrix: not Hermitian (defect {defect:.3e})")
+        m = _hermitian(self.matrix, "density matrix")
         tr = np.trace(m)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValidationError(f"density matrix: trace {tr} is not 1 within {TRACE_TOL}")
@@ -201,7 +263,7 @@ class DensityState:
 
     @classmethod
     def from_vector(cls, psi) -> "DensityState":
-        v = np.asarray(psi, dtype=complex).reshape(-1)
+        v = _entries(psi, "state vector").reshape(-1)
         norm2 = float(np.vdot(v, v).real)
         if norm2 <= 0.0:
             raise ValidationError("state vector: zero norm")
@@ -217,9 +279,7 @@ class DensityState:
         return self.matrix.shape[0]
 
     def expectation(self, x) -> complex:
-        x = as_operator(x, "observable")
-        if x.shape[0] != self.dim:
-            raise DimensionMismatch(f"observable dim {x.shape[0]} != state dim {self.dim}")
+        x = _operator(x, self.dim, "observable", "state")
         return complex(np.trace(self.matrix @ x))
 
     def mix_with_identity(self, weight: float) -> "DensityState":
@@ -245,14 +305,8 @@ class SystemModel:
     channels: tuple = ()
 
     def __post_init__(self):
-        h = as_operator(self.hamiltonian, "hamiltonian")
-        defect = hermiticity_defect(h)
-        if defect > HERMITICITY_TOL:
-            raise ValidationError(f"hamiltonian: not Hermitian (defect {defect:.3e})")
-        chans = tuple(as_operator(c, f"channel {i}") for i, c in enumerate(self.channels))
-        for i, c in enumerate(chans):
-            if c.shape != h.shape:
-                raise DimensionMismatch(f"channel {i} dim {c.shape[0]} != hamiltonian dim {h.shape[0]}")
+        h = _hermitian(self.hamiltonian, "hamiltonian")
+        chans = tuple(_operator(c, len(h), f"channel {i}", "hamiltonian") for i, c in enumerate(self.channels))
         object.__setattr__(self, "hamiltonian", _frozen(h))
         object.__setattr__(self, "channels", tuple(_frozen(c) for c in chans))
         object.__setattr__(self, "_derived", {})
@@ -286,15 +340,9 @@ def _channel_parts(channel: np.ndarray, phase: float):
     return ch, chd, gram
 
 
-def _check_dim(x: np.ndarray, model: SystemModel, name: str) -> None:
-    if x.shape[0] != model.dim:
-        raise DimensionMismatch(f"{name} dim {x.shape[0]} != model dim {model.dim}")
-
-
 def lindblad_heisenberg(x, model: SystemModel) -> np.ndarray:
     """Heisenberg-picture generator i[H,X] + sum_j (Lj* X Lj - {Lj*Lj, X}/2)."""
-    x = as_operator(x, "X")
-    _check_dim(x, model, "X")
+    x = _operator(x, model.dim, "X")
     h = model.hamiltonian
     out = 1j * (h @ x - x @ h)
     for ch in model.channels:
@@ -309,8 +357,7 @@ def lindblad_adjoint(rho_like, model: SystemModel) -> np.ndarray:
 
     Satisfies trace(L'(w) X) = trace(w L(X)) for every X.
     """
-    w = as_operator(rho_like, "rho")
-    _check_dim(w, model, "rho")
+    w = _operator(rho_like, model.dim, "rho")
     h = model.hamiltonian
     out = -1j * (h @ w - w @ h)
     for ch in model.channels:
@@ -390,11 +437,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _generator(rho0: DensityState, model: SystemModel) -> np.ndarray:
-    """L' of `model` (`adjoint_superoperator`), to evolve rho0 by:
-    DimensionMismatch when rho0 has another dimension.  Entries that
-    overflow are left to `_propagator` to report."""
-    _check_dim(rho0.matrix, model, "rho0")
+def _generator(model: SystemModel) -> np.ndarray:
+    """L' of `model` (`adjoint_superoperator`).  Entries that overflow are
+    left to `_propagator` to report."""
     with np.errstate(over="ignore", invalid="ignore"):
         return adjoint_superoperator(model)
 
@@ -430,12 +475,11 @@ def _states(rho0: DensityState, generator: np.ndarray, times):
 
 def semigroup_evolve(rho0: DensityState, model: SystemModel, t: float) -> DensityState:
     """Evolve rho0 for time t >= 0 under exp(t L') via the matrix exponential."""
-    if not isinstance(rho0, DensityState):
-        rho0 = DensityState(rho0)
+    rho0 = _state(rho0, model.dim, "rho0")
     t = _finite_real(t, "t: {}")
     if t < 0.0:
         raise ValidationError("t must be nonnegative")
-    return next(_states(rho0, _generator(rho0, model), [t]))
+    return next(_states(rho0, _generator(model), [t]))
 
 
 def semigroup_path(rho0: DensityState, model: SystemModel, times) -> np.ndarray:
@@ -444,8 +488,7 @@ def semigroup_path(rho0: DensityState, model: SystemModel, times) -> np.ndarray:
     A uniform grid starting at 0 reuses a single one-step propagator; any
     other grid takes one exponential a point (`_states`).
     """
-    if not isinstance(rho0, DensityState):
-        rho0 = DensityState(rho0)
+    rho0 = _state(rho0, model.dim, "rho0")
     ts = np.asarray(times)
     if ts.ndim != 1 or ts.size == 0:
         raise ValidationError("times must be a nonempty 1-d array")
@@ -455,7 +498,7 @@ def semigroup_path(rho0: DensityState, model: SystemModel, times) -> np.ndarray:
     ts = ts.astype(float, copy=False)
     if np.any(~np.isfinite(ts)) or np.any(ts < 0.0):
         raise ValidationError("times must be finite and nonnegative")
-    generator = _generator(rho0, model)
+    generator = _generator(model)
     diffs = np.diff(ts)
     uniform = ts[0] == 0.0 and ts.size > 1 and diffs.size > 0 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
     if not uniform:

@@ -71,7 +71,7 @@ from .filters import (
     _stack_step,
     path_health,
 )
-from .operators import DensityState, SystemModel, _check_dim, _finite_real, _require_integer, as_operator
+from .operators import SystemModel, _check_dim, _finite_real, _operator, _require_integer, _stack, _state
 
 GENERATOR_NAME = f"pcg64-splitmix64/numpy-{np.__version__}"
 # Byte budget of one block of ensemble trajectories stepped together: its
@@ -140,6 +140,8 @@ class ObservationRecord:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.scheme, MeasurementScheme):
+            raise ValidationError(f"record scheme: expected a MeasurementScheme, got {self.scheme!r}")
         dt = _finite_real(self.dt, "record dt: {}")
         if dt <= 0:
             raise ValidationError("record dt must be positive")
@@ -205,13 +207,6 @@ def _expectation_series(matrices, x) -> np.ndarray:
     return np.einsum("tij,ji->t", matrices, x)
 
 
-def _initial_matrix(rho0, model: SystemModel) -> np.ndarray:
-    if not isinstance(rho0, DensityState):
-        rho0 = DensityState(rho0)
-    _check_dim(rho0.matrix, model, "rho0")
-    return rho0.matrix
-
-
 def _noise(scheme: MeasurementScheme, seed: int, steps: int, dt: float) -> np.ndarray:
     """One trajectory's noise, drawn up front from its own generator: scaled
     Wiener increments for diffusive schemes, uniforms for counting."""
@@ -253,7 +248,7 @@ def _integrate(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, v
     fail the check that comes first in a step (the jump bound, then a jump
     at zero rate, then the trace).
     """
-    w = _initial_matrix(rho0, model)
+    w = _state(rho0, model.dim, "rho0").matrix
     rows, steps = values.shape
     n = model.dim
     chunk = steps if chunk is None else chunk
@@ -261,7 +256,7 @@ def _integrate(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, v
     if law is None:
         s = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
     else:
-        _check_dim(law.h0, model, "control H0/H1")
+        _check_dim(law.h0, model.dim, "control H0/H1")
         run = _LawRun(law, model, scheme, dt, normalized, sampling, steps)
         s, step, control, advance = run.s, run.step, run.control, run.advance
     buffer = np.empty((rows, chunk + 1, n, n), dtype=complex)
@@ -278,7 +273,7 @@ def _integrate(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, v
             step = _row_step(n, dt, _route(scheme), scheme.gain, normalized, sampling)
     writes = sampling and (run is not None or reduce is None)
     limit, failure, u = steps, None, 0.0
-    for start in range(0, steps, chunk):
+    for start in range(0, steps, max(chunk, 1)):  # chunk is 0 only when steps is
         stop = min(start + chunk, steps)
         if stacked:
             try:
@@ -379,7 +374,7 @@ class FilterRun:
         return self.matrices / self.likelihoods[:, None, None]
 
     def expectations(self, observable) -> np.ndarray:
-        x = as_operator(observable, "observable")
+        x = _operator(observable, self.matrices.shape[-1], "observable", "path")
         return _expectation_series(self.normalized_matrices(), x)
 
 
@@ -541,9 +536,7 @@ def ensemble_average(
     """
     seed = _require_seed(seed)
     n_trajectories = _require_integer(n_trajectories, "n_trajectories", minimum=1)
-    obs = {name: as_operator(x, f"observable {name!r}") for name, x in observables.items()}
-    for name, x in obs.items():
-        _check_dim(x, model, f"observable {name!r}")
+    obs = {name: _operator(x, model.dim, f"observable {name!r}") for name, x in observables.items()}
     steps = _grid(horizon, dt)
     times = dt * np.arange(steps + 1)
     acc = _EnsembleSums(obs, steps, collect_health)
@@ -622,7 +615,7 @@ def innovations_stats(records, paths, model: SystemModel) -> InnovationsReport:
         records = [records]
         paths = [paths]
     records = list(records)
-    paths = [np.asarray(p, dtype=complex) for p in paths]
+    paths = [_stack(p, f"path {idx}") for idx, p in enumerate(paths)]
     if not records:
         raise ValidationError("need at least one record")
     if len(records) != len(paths):
@@ -637,6 +630,7 @@ def innovations_stats(records, paths, model: SystemModel) -> InnovationsReport:
     lag1 = np.empty(len(records))
     serial = np.empty(len(records))
     for idx, (rec, path) in enumerate(zip(records, paths)):
+        _check_dim(path, model.dim, f"path {idx}")
         if path.shape[0] != rec.steps + 1:
             raise ValidationError(f"path {idx}: length {path.shape[0]} does not match record steps {rec.steps}")
         pre = path[:-1]

@@ -191,6 +191,17 @@ class TestCliCommands:
         ]) == 0
         assert (out_a / "path.csv").read_text() == (out_b / "path.csv").read_text()
 
+    @pytest.mark.parametrize("kind", ["bks", "zakai"])
+    def test_filter_of_an_empty_record_writes_the_start(self, tmp_path, capsys, kind):
+        cfg_path = write_config(tmp_path, qubit_config(filter_kind=kind))
+        record = tmp_path / "empty.csv"
+        write_record(ObservationRecord(MeasurementScheme.homodyne(), 1e-3, []), record)
+        assert run(["filter", "--config", str(cfg_path), "--record", str(record), "--out", str(tmp_path / "f")]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [line for line in (tmp_path / "f" / "path.csv").read_text().splitlines() if not line.startswith("#")]
+        # the header, then t = 0 and tr(rho0 Z) = 0
+        assert len(rows) == 2 and rows[1].split(",")[:3] == ["0", "0", "0"]
+
     def test_bad_hamiltonian_exits_one_naming_field(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, qubit_config(hamiltonian=[[0, 1, 1.0, 0.0]]))
         assert run(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 1

@@ -2,7 +2,10 @@
 JSON config or an API argument, is read by `operators._finite_real` (reals)
 or `operators._require_integer` (integers), and refused the same way: a
 str, a bool, an integer beyond the float range or a non-finite value raises
-ValidationError naming what was read, and the CLI prints it on one line."""
+ValidationError naming what was read, and the CLI prints it on one line.
+Every outside matrix, stack or vector (an operator, a state, an
+observable) is read entry by entry by the same policy, through
+`operators._entries`."""
 
 import json
 
@@ -11,13 +14,17 @@ import pytest
 
 import belfilt as bf
 from belfilt.cli import run
-from belfilt.conditioning import CommutativeAlgebra
+from belfilt.conditioning import CommutativeAlgebra, conditional_expectation, joint_spectral_projections
 from belfilt.config import config_from_dict, load_config
-from belfilt.filters import ControlLaw, FilterState, MeasurementScheme, feedback_step, zakai_step_homodyne
-from belfilt.fock import ModeTruncation, StepFunction, counting_char_function, quadrature_char_function, weyl_qsde_check
+from belfilt.filters import (ControlLaw, FilterState, MeasurementScheme, compile_control_expression, feedback_step,
+                             path_health, zakai_step_homodyne)
+from belfilt.fock import (FockVector, ModeTruncation, StepFunction, counting_char_function, quadrature_char_function,
+                          weyl_qsde_check)
 from belfilt.ito import flow_coefficients
-from belfilt.operators import SIGMA_MINUS, SIGMA_X, DensityState, SystemModel, semigroup_evolve, semigroup_path
-from belfilt.trajectories import ObservationRecord, derive_seed, ensemble_average, simulate_homodyne
+from belfilt.operators import (SIGMA_MINUS, SIGMA_X, DensityState, SystemModel, as_operator, lindblad_adjoint,
+                               lindblad_heisenberg, semigroup_evolve, semigroup_path)
+from belfilt.trajectories import (ObservationRecord, derive_seed, ensemble_average, innovations_stats, replay_record,
+                                  simulate_homodyne)
 
 HUGE = 10**400
 BEYOND = "integer of 401 digits, beyond the float range"
@@ -75,6 +82,9 @@ LAW = ControlLaw.from_expression("t", np.zeros((2, 2)), SIGMA_X)
 MODE = ModeTruncation(0.5)
 STEPS = StepFunction(0.1, [1.0, 1.0])
 HOMODYNE = MeasurementScheme.homodyne()
+REC = ObservationRecord(HOMODYNE, 1e-3, [0.1, -0.2])
+REPLAY = replay_record(REC, MODEL, RHO)
+ALGEBRA = CommutativeAlgebra.trivial(2)
 
 # (id, call with the value, opening, whether an integer is read)
 API_SITES = [
@@ -272,8 +282,133 @@ class TestIntegersPastPrinting:
     (lambda: zakai_step_homodyne(FilterState.from_density(DensityState.maximally_mixed(3)), 0.0, MODEL, 1e-3),
      "state dim 3 != model dim 2"),
     (lambda: flow_coefficients(np.eye(3), MODEL), "X dim 3 != model dim 2"),
-], ids=["rho0", "observable", "law", "state", "ito X"])
+    (lambda: REPLAY.expectations(np.eye(3)), "observable dim 3 != path dim 2"),
+    (lambda: STATE.expectation(np.eye(3)), "observable dim 3 != state dim 2"),
+    (lambda: innovations_stats(REC, REPLAY.matrices, SystemModel(np.zeros((3, 3)), (np.eye(3),))),
+     "path 0 dim 2 != model dim 3"),
+    (lambda: ALGEBRA.coefficients(np.eye(3)), "A dim 3 != algebra dim 2"),
+], ids=["rho0", "observable", "law", "state", "ito X", "replay expectations", "filter state expectation",
+        "innovations path", "algebra coefficients"])
 def test_dimension_refusals(call, message):
     with pytest.raises(bf.DimensionMismatch) as info:
         call()
     assert str(info.value) == message
+
+
+OBJECT = object()
+# (id, an input no operator reader takes, what the refusal says of it)
+MATRIX_INPUTS = [
+    ("str entry", [[0, "1"], ["1", 0]], "non-numeric value '1'"),
+    ("bool entry", [[0, True], [True, 0]], "non-numeric value True"),
+    ("bool array", np.array([[False, True], [True, False]]), "non-numeric value False"),
+    ("ragged nesting", [[0, 1], [1]], "ragged nesting, not an array"),
+    ("int-beyond-floats", [[HUGE, 0], [0, 0]], BEYOND),
+    ("object", OBJECT, f"non-numeric value {OBJECT!r}"),
+]
+# (id, call with the input, the name its refusal opens with)
+MATRIX_SITES = [
+    ("hamiltonian", lambda v: SystemModel(v, ()), "hamiltonian"),
+    ("channel", lambda v: SystemModel(np.zeros((2, 2)), (v,)), "channel 0"),
+    ("law H0", lambda v: ControlLaw(LAW.control, v, SIGMA_X), "H0"),
+    ("law H1", lambda v: ControlLaw(LAW.control, np.zeros((2, 2)), v), "H1"),
+    ("DensityState", DensityState, "density matrix"),
+    ("from_vector", DensityState.from_vector, "state vector"),
+    ("ensemble observable", lambda v: ensemble_average(MODEL, HOMODYNE, {"x": v}, 2, 0, 0.01, 1e-3, RHO),
+     "observable 'x'"),
+    ("DensityState.expectation", RHO.expectation, "observable"),
+    ("FilterState.expectation", STATE.expectation, "observable"),
+    ("FilterRun.expectations", REPLAY.expectations, "observable"),
+    ("lindblad_heisenberg", lambda v: lindblad_heisenberg(v, MODEL), "X"),
+    ("lindblad_adjoint", lambda v: lindblad_adjoint(v, MODEL), "rho"),
+    ("semigroup_evolve rho0", lambda v: semigroup_evolve(v, MODEL, 0.1), "density matrix"),
+    ("semigroup_path rho0", lambda v: semigroup_path(v, MODEL, [0.0, 0.1]), "density matrix"),
+    ("path_health", path_health, "matrices"),
+    ("innovations path", lambda v: innovations_stats(REC, v, MODEL), "path 0"),
+    ("conditioning generator", lambda v: joint_spectral_projections([v]), "generator 0"),
+    ("conditioning state", lambda v: conditional_expectation(np.eye(2), ALGEBRA, v), "density matrix"),
+    ("conditioning A", lambda v: conditional_expectation(v, ALGEBRA, RHO), "A"),
+    ("algebra coefficients", ALGEBRA.coefficients, "A"),
+    ("ito X", lambda v: flow_coefficients(v, MODEL), "X"),
+    ("as_operator", as_operator, "operator"),
+    ("fock vector", FockVector, "coefficients"),
+    ("step function", lambda v: StepFunction(0.1, v), "step values"),
+    ("algebra labels", lambda v: CommutativeAlgebra((np.eye(2),), v), "labels"),
+    ("algebra element", ALGEBRA.element, "coefficients"),
+]
+
+
+class TestOperatorInputs:
+    @pytest.mark.parametrize("value,what", [i[1:] for i in MATRIX_INPUTS], ids=[i[0] for i in MATRIX_INPUTS])
+    @pytest.mark.parametrize("call,name", [s[1:] for s in MATRIX_SITES], ids=[s[0] for s in MATRIX_SITES])
+    def test_entries_refused_naming_the_operator(self, call, name, value, what):
+        with pytest.raises(bf.ValidationError) as info:
+            call(value)
+        assert type(info.value) is bf.ValidationError
+        assert str(info.value) == f"{name}: {what}"
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: path_health(np.zeros(3)), "matrices: expected a stack of square matrices, got shape (3,)"),
+        (lambda: path_health(np.zeros((4, 2, 3))),
+         "matrices: expected a stack of square matrices, got shape (4, 2, 3)"),
+        (lambda: innovations_stats(REC, np.zeros((3, 2)), MODEL),
+         "path 0: expected a stack of square matrices, got shape (1, 3, 2)"),
+    ], ids=["path_health vector", "path_health non-square", "innovations path"])
+    def test_stack_shape_refused(self, call, message):
+        with pytest.raises(bf.ValidationError) as info:
+            call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("call,name", [
+        (lambda m: SystemModel(m, ()), "hamiltonian"),
+        (lambda m: ControlLaw(LAW.control, m, SIGMA_X), "H0"),
+        (lambda m: ControlLaw(LAW.control, np.zeros((2, 2)), m), "H1"),
+        (lambda m: DensityState(m + 0.5 * np.eye(2)), "density matrix"),
+    ])
+    def test_not_hermitian_gives_the_defect(self, call, name):
+        with pytest.raises(bf.ValidationError) as info:
+            call(np.array([[0.0, 0.25], [0.0, 0.0]]))
+        assert str(info.value) == f"{name}: not Hermitian (defect 2.500e-01)"
+
+    @pytest.mark.parametrize("value", [
+        [[0.5, -0.25], [-0.25, 0.5]],
+        [[1, 0], [0, -3]],
+        [[0.5 + 0.25j, 0], [1j, -0.0]],
+        ((1, 2.5), (0.5j, 4)),
+        [[np.float64(0.1), np.int64(2)], [np.complex128(3 - 1e-300j), 4.0]],
+        [np.array([0.1, 0.2]), np.array([0.3, 0.4])],
+        np.array([[1, 2], [3, 4]]),
+        np.array([[1, 2], [3, 4]], dtype=np.uint8),
+        np.array([[0.1, 0.2], [0.3, 0.4]]),
+        np.array([[0.1, 0.2], [0.3, 0.4]], dtype=np.float32),
+        np.array([[1 + 2j, 0.1], [0, 3]], dtype=np.complex64),
+    ], ids=["float list", "int list", "complex list", "tuples", "numpy scalars", "list of arrays", "int array",
+            "uint8 array", "float array", "float32 array", "complex64 array"])
+    def test_numbers_read_bit_for_bit_as_numpy_reads_them(self, value):
+        got = as_operator(value)
+        assert got.dtype == complex and got.tobytes() == np.asarray(value, dtype=complex).tobytes()
+        hermitian = np.asarray(value, dtype=complex) + np.conj(np.asarray(value, dtype=complex)).T
+        listed = SystemModel(hermitian.tolist(), (value,))
+        assert listed.hamiltonian.tobytes() == hermitian.tobytes()
+        assert listed.channels[0].tobytes() == got.tobytes()
+
+    def test_complex_array_is_taken_without_a_copy(self):
+        m = np.eye(2, dtype=complex)
+        assert as_operator(m) is m
+
+    @pytest.mark.parametrize("vector", [[1, 2], [1.0, 2.0], np.array([1, 2]), (1 + 0j, 2)])
+    def test_vectors_and_states_read_bit_for_bit(self, vector):
+        want = DensityState.from_vector(np.array([1.0, 2.0]))
+        assert DensityState.from_vector(vector).matrix.tobytes() == want.matrix.tobytes()
+        assert DensityState(want.matrix.tolist()).matrix.tobytes() == want.matrix.tobytes()
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: ObservationRecord("homodyne", 1e-3, [0.1]),
+         "record scheme: expected a MeasurementScheme, got 'homodyne'"),
+        (lambda: compile_control_expression(5), "control expression: expected a string, got 5"),
+        (lambda: ControlLaw.from_expression(5, np.zeros((2, 2)), SIGMA_X),
+         "control expression: expected a string, got 5"),
+    ], ids=["record scheme", "compiled expression", "law expression"])
+    def test_wrong_type_argument(self, call, message):
+        with pytest.raises(bf.ValidationError) as info:
+            call()
+        assert str(info.value) == message

@@ -282,6 +282,22 @@ class TestReplayKinds:
         with pytest.raises(bf.ValidationError, match="filter kind"):
             replay_record(rec, DECAY, PLUS_MIXED, kind="fancy")
 
+    @pytest.mark.parametrize("kind", ["auto", "bks", "zakai"])
+    @pytest.mark.parametrize("with_law", [False, True], ids=["no law", "law"])
+    def test_empty_record_replays_to_the_start(self, kind, with_law):
+        # a zero-step record, which recordio writes and reads back, gives
+        # the start alone
+        law = ControlLaw.from_expression("0.2 * Y - t", np.zeros((2, 2)), SIGMA_X) if with_law else None
+        for scheme in (MeasurementScheme.homodyne(), MeasurementScheme.counting()):
+            run = replay_record(ObservationRecord(scheme, 1e-3, []), DECAY, PLUS_MIXED, kind=kind, law=law)
+            assert run.times.tolist() == [0.0]
+            assert run.matrices.shape == (1, 2, 2)
+            assert np.array_equal(run.matrices[0], PLUS_MIXED.matrix)
+            if kind == "zakai":
+                assert run.likelihoods.tolist() == [1.0]
+            else:
+                assert run.likelihoods is None
+
     def test_expectation_series(self):
         rec, path = simulate_homodyne(DECAY, PLUS_MIXED, 0.1, 1e-3, seed=8)
         run = replay_record(rec, DECAY, PLUS_MIXED)
