@@ -25,8 +25,15 @@ grid, so that closed systems, whose generator is the Hamiltonian block
 alone, are covered too.  At n = 8, on the first seed's random model, a
 "law ensemble (chunked)" case runs a two-trajectory homodyne ensemble under
 the expression law over CHUNKED's 2100 steps, more than one chunk of a
-law ensemble's block (2047 steps at n = 8), so that each trajectory is
-reduced in two chunks.  At each dimension, one "law online
+law ensemble's block (511 steps at n = 8), so that each trajectory is
+reduced in several chunks.  At each dimension, on the first seed's random
+model, "cli" cases run the CLI itself (belfilt.cli.run) over CLI_STEPS's
+steps, more than one chunk of a CLI run at that dimension: per scheme, one
+hashes the bytes simulate writes (record.csv, path.csv) and those filter
+writes from that record (bks, and zakai with its likelihood column), and
+"cli master" the bytes master writes; each also hashes the commands' exit
+codes and error lines, so that a refused run (the homodyne runs breach
+positivity at the default dt) is compared too.  At each dimension, one "law online
 (writeable copy)" case feeds the first seed's homodyne record online from a writeable copy
 of its increments: feedback_step compares such prefixes, where it trusts
 a record's own immutable increments unread, and the case must hash as its
@@ -86,7 +93,8 @@ prints its largest deviation of filter matrices (and ensemble means), of
 ensemble standard errors, of likelihoods relative to their size, of record
 increments, of health monitors (worst eigenvalue, trace and Hermiticity
 defects, of serial paths and of ensembles) and of control values, and for
-CSV cases 1 if the bytes differ, 0 if not:
+CSV cases 1 if the bytes (or, in a "cli" case, the exit codes and error
+lines) differ, 0 if not:
 
     PYTHONPATH=../old/src python3 scripts/seeded_hashes.py --save before
     PYTHONPATH=src python3 scripts/seeded_hashes.py --against before
@@ -138,13 +146,18 @@ did reading every outside matrix, state and observable through one entry
 reader (operators._entries): the "inputs (lists and int arrays)" line
 equals a run of this script on a checkout from before, pinned and
 unpinned alike, where the "replay (empty record)" lines hash the
-ValueError such checkouts raised.
+ValueError such checkouts raised.  Nor did streaming the CLI's simulate,
+filter and master through one chunked reducer: the "cli" lines equal a run
+of this script on a checkout from before, which wrote whole paths, pinned
+and unpinned alike.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -174,8 +187,9 @@ from belfilt import (
     simulate_counting,
     simulate_homodyne,
 )
+import belfilt.cli
 import belfilt.trajectories
-from belfilt.config import load_config
+from belfilt.config import load_config, matrix_to_entries
 from belfilt.operators import SIGMA_MINUS, SIGMA_X, SIGMA_Z
 from belfilt.recordio import write_ensemble_csv, write_master_csv, write_path_csv, write_record
 
@@ -191,8 +205,14 @@ SCHEMES = {
 }
 STACKED = (3, 8)
 # the "law ensemble (chunked)" case: its dimension and steps, more than the
-# 2047 steps of one chunk of a law ensemble's block at n = 8
+# 511 steps of one chunk of a law ensemble's block at n = 8 (2047 on
+# checkouts from before a chunk's copies counted against the block budget)
 CHUNKED = (8, 2100)
+# the "cli" cases: the steps of each CLI run at a dimension, more than one
+# chunk of a CLI run there (8191, 3639, 2047, 909 and 511 steps at n = 2,
+# 3, 4, 6 and 8) and not a multiple of it; CLI_STEPS_ELSEWHERE at others
+CLI_STEPS = {2: 9000, 3: 4000, 4: 2500, 6: 1000, 8: 600}
+CLI_STEPS_ELSEWHERE = 600
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # a config whose numbers take every sign, -0.0 included, and both JSON
 # forms (integers and decimals), in its matrices and its scalar keys
@@ -322,6 +342,46 @@ def chunked_law_parts(seed: int, dt: float):
     summary, err = attempt(lambda: ensemble_average(model, SCHEMES["homodyne"], obs, 2, seed, steps * dt, dt, rho0,
                                                     law=law, collect_health=True))
     return err or ensemble_parts(summary)
+
+
+def cli_run(argv) -> tuple:
+    """(exit code, error output) of one in-process CLI command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = belfilt.cli.run([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def cli_cases(dim: int, seed: int, dt: float, scratch: Path):
+    """(label, parts) of the "cli" cases at one dimension: on the seed's
+    random model over CLI_STEPS's steps, per scheme, the bytes the CLI's
+    simulate writes (record, then path) and those its filter writes from
+    that record (bks, then zakai), and last the bytes its master writes;
+    each case also hashes its commands' exit codes and error lines."""
+    _, model, rho0, obs, _ = next(model_cases(dim, seed))
+    steps = CLI_STEPS.get(dim, CLI_STEPS_ELSEWHERE)
+    raw = {"dim": dim, "hamiltonian": matrix_to_entries(model.hamiltonian),
+           "channels": [matrix_to_entries(model.channel)], "rho0": matrix_to_entries(rho0.matrix), "dt": dt,
+           "T": steps * dt, "seed": seed, "observables": {name: matrix_to_entries(x) for name, x in obs.items()}}
+    for sname, scheme in SCHEMES.items():
+        here = scratch / f"cli-{dim}-{sname}"
+        configs = {}
+        for kind in ("bks", "zakai"):
+            configs[kind] = here / f"{kind}.json"
+            configs[kind].parent.mkdir(parents=True, exist_ok=True)
+            configs[kind].write_text(json.dumps(dict(raw, scheme=scheme.kind, kappa=scheme.kappa, phase=scheme.phase,
+                                                     filter_kind=kind)))
+        outcomes, err = attempt(lambda: [cli_run(["simulate", "--config", configs["bks"], "--out", here / "sim"])] + [
+            cli_run(["filter", "--config", configs[kind], "--record", here / "sim" / "record.csv", "--out", here / kind])
+            for kind in ("bks", "zakai") if (here / "sim" / "record.csv").exists()])
+        files = [here / "sim" / "record.csv", here / "sim" / "path.csv", here / "bks" / "path.csv",
+                 here / "zakai" / "path.csv"]
+        yield f"{sname} cli csv", err or (*(("csv", f.read_bytes()) for f in files if f.exists()),
+                                          ("exit", repr(outcomes).encode()))
+    outcome, err = attempt(lambda: cli_run(["master", "--config", configs["bks"], "--out", here / "master"]))
+    master = here / "master" / "master.csv"
+    yield "cli master csv", err or (*((("csv", master.read_bytes()),) if master.exists() else ()),
+                                    ("exit", repr(outcome).encode()))
 
 
 def semigroup_parts(dim: int, seed: int, horizon: float, dt: float):
@@ -481,6 +541,8 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
             yield f"n{dim} seed{seeds[0]} random{dim} homodyne {label}", parts
         if dim == CHUNKED[0]:
             yield f"n{dim} seed{seeds[0]} random{dim} homodyne law ensemble (chunked)", chunked_law_parts(seeds[0], dt)
+        for label, parts in cli_cases(dim, seeds[0], dt, scratch):
+            yield f"n{dim} seed{seeds[0]} random{dim} {label}", parts
         for seed in seeds:
             for label, model, rho0, obs, h1 in model_cases(dim, seed):
                 law = ControlLaw.from_expression(LAW, model.hamiltonian, h1)
@@ -551,9 +613,10 @@ SAVED = "outputs.npz"
 # roles compared by --against: the largest absolute deviation of filter
 # matrices and ensemble means, of ensemble standard errors, of likelihoods
 # relative to their size, of record increments (a moved count shows as 1), of
-# health monitors and of control values; CSV bytes read 0 when equal, 1 when not
+# health monitors and of control values; CSV bytes, and the CLI's exit codes
+# and error lines, read 0 when equal, 1 when not
 DEVIATIONS = {"path": ("path", "mean"), "stderr": ("stderr",), "likelihood": ("likelihood",), "record": ("record",),
-              "health": ("health",), "law": ("law",), "csv": ("csv",)}
+              "health": ("health",), "law": ("law",), "csv": ("csv", "exit")}
 
 
 def save(directory: Path, outcomes) -> None:
@@ -565,7 +628,7 @@ def save(directory: Path, outcomes) -> None:
 
 
 def deviation(role: str, value, saved) -> float:
-    if role == "csv":
+    if role in ("csv", "exit"):
         return float(value != saved.item())
     if role == "likelihood":
         return float(np.max(np.abs(value - saved) / np.abs(saved), initial=0.0))

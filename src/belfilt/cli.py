@@ -14,14 +14,24 @@ simulate and ensemble; --trajectories <N> for ensemble.  The environment
 variable BELFILT_OUT overrides the default output directory.  Exit codes:
 0 success, 1 usage, configuration or validation error, 2 numerical failure
 (filter collapse or positivity breach).
+
+simulate, filter and master step their runs a chunk at a time
+(`trajectories._row_chunk`) and hand each chunk to one reducer (`_Rows`),
+which audits it and appends its CSV rows, so that a run's memory does not
+grow with its horizon beyond its record and likelihoods (8 bytes a step
+each).  The table is written under a temporary name in the output
+directory and lands by os.replace only when the run succeeds (`_landing`):
+a run refused with exit 2 leaves no output file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,24 +39,33 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import NumericalFailure, PositivityBreach, ValidationError
-from .filters import COUNTING, PathHealth, path_health
-from .operators import semigroup_path
+from .filters import PathHealth, _worst_health, path_health
+from .operators import _semigroup
 from .recordio import (
+    MASTER_FORMAT,
+    PATH_FORMAT,
+    _create,
+    _ExpectationTable,
     read_record,
     write_ensemble_csv,
-    write_master_csv,
-    write_path_csv,
     write_record,
 )
 from .trajectories import (
     _expectation_series,
     _grid,
+    _integrate,
     _require_seed,
+    _row_chunk,
+    _simulate,
     ensemble_average,
-    replay_record,
-    simulate_counting,
-    simulate_homodyne,
 )
+
+# Whole-path entry points the commands no longer call, since they stream
+# their runs; kept as attributes of this module, where benchmarks/tracing.py
+# wraps them by name.
+from .operators import semigroup_path  # noqa: F401
+from .recordio import write_master_csv, write_path_csv  # noqa: F401
+from .trajectories import replay_record, simulate_counting, simulate_homodyne  # noqa: F401
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,25 +133,70 @@ def _check_health(health: PathHealth) -> None:
         raise NumericalFailure(f"normalized trace drifted by {health.max_trace_defect:.3e} (tolerance 1e-9)")
 
 
+class _Rows:
+    """The CLI's reducer, called as `reduce(start, rows)` by the loops of
+    `trajectories._integrate` (rows (1, m, n, n), and the likelihoods
+    (1, m) of a Zakai run) and `operators._semigroup` (rows (m, n, n)).
+
+    Each chunk becomes rows of the expectation table `table`
+    (`recordio._ExpectationTable`) at the times k dt of its indices k, the
+    entries of dt * np.arange(steps + 1): a Zakai chunk is divided by its
+    likelihoods first, then, with `audit`, audited by `path_health`, and
+    each observable's series taken on it.  `health` combines the audits as
+    one audit of the whole path reports it (`filters._worst_health`), so
+    that a run holds one chunk of matrices and one chunk of text at a time,
+    and writes the bytes a whole-path run does.
+    """
+
+    def __init__(self, table, observables: dict, dt: float, audit: bool):
+        self.table = table
+        self.observables = list(observables.values())
+        self.dt = dt
+        self.audits = [] if audit else None
+
+    def __call__(self, start: int, rows: np.ndarray, likelihoods=None) -> None:
+        matrices = rows.reshape(-1, *rows.shape[-2:])
+        if likelihoods is not None:
+            likelihoods = likelihoods[0]
+            matrices = matrices / likelihoods[:, None, None]
+        if self.audits is not None:
+            self.audits.append(path_health(matrices, normalized=True))
+        series = [_expectation_series(matrices, x) for x in self.observables]
+        self.table.rows(self.dt * np.arange(start, start + len(matrices)), series, likelihoods)
+
+    def health(self) -> PathHealth:
+        return _worst_health(self.audits)
+
+
+@contextlib.contextmanager
+def _landing(target: Path):
+    """The open file of a table that lands at `target` only when the block
+    ends without an error: it is written under a temporary name in the same
+    directory and moved to `target` by os.replace, or removed."""
+    part = target.with_name(f".{target.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with _create(part) as fh:
+            yield fh
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
+    os.replace(part, target)
+
+
 def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     cfg.require_single_channel()
-    model = cfg.model()
-    law = cfg.law()
-    if cfg.scheme.kind == COUNTING:
-        record, path = simulate_counting(model, cfg.rho0, cfg.horizon, cfg.dt, cfg.seed, law=law)
-    else:
-        record, path = simulate_homodyne(model, cfg.rho0, cfg.horizon, cfg.dt, cfg.seed, scheme=cfg.scheme, law=law)
-    _check_health(path_health(path, normalized=True))
+    model, law = cfg.model(), cfg.law()
+    steps = _grid(cfg.horizon, cfg.dt)
     out = _out_dir(args)
-    write_record(record, out / "record.csv", config_hash=cfg.config_hash)
-    times = cfg.dt * np.arange(record.steps + 1)
-    write_path_csv(
-        out / "path.csv",
-        times,
-        {name: _expectation_series(path, x) for name, x in cfg.observables.items()},
-        extra_meta={"config_hash": cfg.config_hash, "seed": cfg.seed, "filter": "bks"},
-    )
+    meta = {"config_hash": cfg.config_hash, "seed": cfg.seed, "filter": "bks"}
+    # once the last chunk's audit passes, record.csv is written, then path.csv lands
+    with _landing(out / "path.csv") as fh:
+        rows = _Rows(_ExpectationTable(fh, PATH_FORMAT, cfg.observables, meta), cfg.observables, cfg.dt, audit=True)
+        record, _ = _simulate(model, cfg.rho0, cfg.scheme, cfg.horizon, cfg.dt, cfg.seed, law, rows,
+                              _row_chunk(steps, 1, model.dim))
+        _check_health(rows.health())
+        write_record(record, out / "record.csv", config_hash=cfg.config_hash)
     print(f"simulate: wrote {out / 'record.csv'} and {out / 'path.csv'} ({record.steps} steps)")
     return 0
 
@@ -147,18 +211,17 @@ def _cmd_filter(args) -> int:
         )
     if abs(record.dt - cfg.dt) > 1e-12 * max(record.dt, cfg.dt):
         raise ValidationError(f"dt: record step {record.dt} != config step {cfg.dt}")
-    run = replay_record(record, cfg.model(), cfg.rho0, kind=cfg.filter_kind, law=cfg.law())
-    matrices = run.normalized_matrices()
-    _check_health(path_health(matrices, normalized=True))
+    model, law = cfg.model(), cfg.law()
+    kind = "zakai" if cfg.filter_kind == "zakai" else "bks"
     out = _out_dir(args)
-    write_path_csv(
-        out / "path.csv",
-        run.times,
-        {name: _expectation_series(matrices, x) for name, x in cfg.observables.items()},
-        likelihoods=run.likelihoods,
-        extra_meta={"config_hash": cfg.config_hash, "seed": record.seed, "filter": run.kind},
-    )
-    print(f"filter: wrote {out / 'path.csv'} ({run.kind}, {record.steps} steps)")
+    meta = {"config_hash": cfg.config_hash, "seed": record.seed, "filter": kind}
+    with _landing(out / "path.csv") as fh:
+        table = _ExpectationTable(fh, PATH_FORMAT, cfg.observables, meta, likelihood=kind == "zakai")
+        rows = _Rows(table, cfg.observables, record.dt, audit=True)
+        _integrate(model, cfg.rho0, record.scheme, record.dt, record.increments[None], law, kind == "bks",
+                   sampling=False, reduce=rows, chunk=_row_chunk(record.steps, 1, model.dim))
+        _check_health(rows.health())
+    print(f"filter: wrote {out / 'path.csv'} ({kind}, {record.steps} steps)")
     return 0
 
 
@@ -189,14 +252,11 @@ def _cmd_master(args) -> int:
     model = cfg.model()
     steps = _grid(cfg.horizon, cfg.dt)
     times = cfg.dt * np.arange(steps + 1)
-    path = semigroup_path(cfg.rho0, model, times)
     out = _out_dir(args)
-    write_master_csv(
-        out / "master.csv",
-        times,
-        {name: _expectation_series(path, x) for name, x in cfg.observables.items()},
-        extra_meta={"config_hash": cfg.config_hash},
-    )
+    with _landing(out / "master.csv") as fh:
+        rows = _Rows(_ExpectationTable(fh, MASTER_FORMAT, cfg.observables, {"config_hash": cfg.config_hash}),
+                     cfg.observables, cfg.dt, audit=False)
+        _semigroup(cfg.rho0, model, times, rows, _row_chunk(steps, 1, model.dim))
     print(f"master: wrote {out / 'master.csv'} ({steps} steps)")
     return 0
 

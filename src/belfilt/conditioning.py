@@ -194,7 +194,10 @@ class ClassicalRepresentation:
     """Finite classical probability model of (algebra, state).
 
     Outcome k has probability trace(rho P_k); ``values[j, k]`` is the value
-    the j-th generator takes there.
+    the j-th generator takes there, and ``ranks[k]`` the rank of P_k.  The
+    probabilities are a vector of finite real numbers and the values a
+    matrix of finite numbers, read by `operators._entries`; the ranks are
+    positive integers (`operators._require_integer`), one an outcome.
     """
 
     probabilities: np.ndarray
@@ -202,14 +205,28 @@ class ClassicalRepresentation:
     ranks: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=float)
+        p = _entries(self.probabilities, "probabilities")
+        if p.ndim != 1:
+            raise ValidationError(f"probabilities: expected a vector, got shape {p.shape}")
+        if not np.all(np.isfinite(p)) or p.imag.any():
+            raise ValidationError("probabilities: entries must be finite real numbers")
+        p = np.ascontiguousarray(p.real)
         if np.any(p < -1e-12):
             raise ValidationError(f"negative outcome probability {p.min():.3e}")
         if abs(p.sum() - 1.0) > 1e-10:
             raise ValidationError(f"probabilities sum to {p.sum()}, not 1")
+        values = _entries(self.values, "values")
+        if values.ndim != 2 or values.shape[1] != p.size:
+            raise ValidationError(f"values: expected shape (n_generators, {p.size}), got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("values: entries must be finite")
+        ranks = np.array(self.ranks, dtype=object)
+        if ranks.shape != p.shape:
+            raise ValidationError(f"ranks: expected {p.size} ranks, got shape {ranks.shape}")
         object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
-        object.__setattr__(self, "ranks", np.asarray(self.ranks, dtype=int))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ranks", np.array([_require_integer(r, "ranks", minimum=1) for r in ranks.tolist()],
+                                                   dtype=int))
 
     @property
     def n_outcomes(self) -> int:

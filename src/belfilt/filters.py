@@ -85,8 +85,9 @@ from .operators import (
     _hermitian,
     _liouville,
     _operator,
-    _refuse_bools,
+    _real_prefix,
     _stack,
+    _state,
     dag,
     hermiticity_defect,
     DensityState,
@@ -173,7 +174,9 @@ class FilterState:
 
     @classmethod
     def from_density(cls, rho: DensityState, normalized: bool = True) -> "FilterState":
-        return cls(np.array(rho.matrix), normalized, 1.0)
+        """A filter state at rho, a DensityState or any matrix
+        `operators._state` takes; anything else raises ValidationError."""
+        return cls(np.array(_state(rho, None, "rho").matrix), normalized, 1.0)
 
     @property
     def dim(self) -> int:
@@ -652,32 +655,6 @@ def _lower(node: ast.AST, expression: str) -> ast.expr:
         f"control expression {expression!r}: unsupported construct {ast.dump(node)};"
         " the grammar allows numbers, t, Y, ma(Y, window), + - * / and parentheses"
     )
-
-
-def _real_prefix(prefix, name: str = "record prefix") -> np.ndarray:
-    """A record's entries, prefix or increments, as a one-dimensional
-    float64 array, as np.asarray(prefix, dtype=float) reads them, when they
-    are real numbers; a complex entry with imaginary part 0 counts as its
-    real part, as `_finite_real` takes it.  Strings, which numpy would
-    parse, and complex entries with another imaginary part raise
-    ValidationError naming `name` and the entries; bool and object entries
-    are read one by one through `_finite_real`, so that no bool is taken
-    and an int beyond the float range is refused by its digit count; a
-    bool among the numbers of a list or tuple, which numpy reads as one, is
-    refused too (`_refuse_bools`), when the entries hold a 0 or a 1, the
-    only values a bool becomes."""
-    arr = np.asarray(prefix)
-    if arr.dtype.kind in "SU":
-        raise ValidationError(f"{name}: non-numeric value {prefix!r}")
-    if arr.dtype.kind in "bO":
-        return np.array([_finite_real(v, f"{name}: {{}}") for v in arr.reshape(-1).tolist()], dtype=float)
-    if isinstance(prefix, (list, tuple)) and ((arr == 0.0) | (arr == 1.0)).any():
-        _refuse_bools(prefix, f"{name}: {{}}")
-    if arr.dtype.kind == "c":
-        if arr.imag.any():  # a NaN imaginary part counts as nonzero
-            raise ValidationError(f"{name}: non-real value {prefix!r}")
-        arr = arr.real
-    return np.asarray(arr, dtype=float).reshape(-1)
 
 
 class _CompiledControl:
@@ -1169,3 +1146,13 @@ def path_health(matrices, normalized: bool = True) -> PathHealth:
         lowest = math.nan
     trace_defect = float(np.max(np.abs(traces - 1.0))) if normalized else 0.0
     return PathHealth(herm, lowest, trace_defect, normalized)
+
+
+def _worst_health(audits) -> PathHealth:
+    """The audit of a normalized path from the audits of its pieces
+    (`path_health`): the largest Hermiticity and trace defects and the
+    lowest eigenvalue, a NaN winning each, as one audit of the whole path
+    reports them."""
+    herm, lowest, trace = np.array([(h.max_hermiticity_defect, h.min_eigenvalue, h.max_trace_defect)
+                                    for h in audits]).T
+    return PathHealth(float(herm.max()), float(lowest.min()), float(trace.max()), True)

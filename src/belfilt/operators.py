@@ -128,6 +128,32 @@ def _refuse_bools(values, message: str, *args) -> None:
                 raise ValidationError(message.format(f"non-numeric value {v!r}", *args))
 
 
+def _real_prefix(prefix, name: str = "record prefix") -> np.ndarray:
+    """A record's entries, prefix or increments, or a grid of times, as a
+    one-dimensional float64 array, as np.asarray(prefix, dtype=float) reads
+    them, when they are real numbers; a complex entry with imaginary part 0
+    counts as its real part, as `_finite_real` takes it.  Strings, which numpy would
+    parse, and complex entries with another imaginary part raise
+    ValidationError naming `name` and the entries; bool and object entries
+    are read one by one through `_finite_real`, so that no bool is taken
+    and an int beyond the float range is refused by its digit count; a
+    bool among the numbers of a list or tuple, which numpy reads as one, is
+    refused too (`_refuse_bools`), when the entries hold a 0 or a 1, the
+    only values a bool becomes."""
+    arr = np.asarray(prefix)
+    if arr.dtype.kind in "SU":
+        raise ValidationError(f"{name}: non-numeric value {prefix!r}")
+    if arr.dtype.kind in "bO":
+        return np.array([_finite_real(v, f"{name}: {{}}") for v in arr.reshape(-1).tolist()], dtype=float)
+    if isinstance(prefix, (list, tuple)) and ((arr == 0.0) | (arr == 1.0)).any():
+        _refuse_bools(prefix, f"{name}: {{}}")
+    if arr.dtype.kind == "c":
+        if arr.imag.any():  # a NaN imaginary part counts as nonzero
+            raise ValidationError(f"{name}: non-real value {prefix!r}")
+        arr = arr.real
+    return np.asarray(arr, dtype=float).reshape(-1)
+
+
 def _finite_complex(value, message: str, *args) -> complex:
     """value as a finite Python complex, refused as `_finite_real` refuses
     a non-number or one beyond the float range (`_number`), and with
@@ -222,11 +248,13 @@ def _operator(m, dim: int, name: str, owner: str = "model") -> np.ndarray:
     return x
 
 
-def _state(rho, dim: int, name: str, owner: str = "model") -> "DensityState":
-    """rho as a DensityState, which it may already be, of dimension `dim`."""
+def _state(rho, dim: int | None, name: str, owner: str = "model") -> "DensityState":
+    """rho as a DensityState, which it may already be, of dimension `dim`
+    unless that is None."""
     if not isinstance(rho, DensityState):
         rho = DensityState(rho)
-    _check_dim(rho.matrix, dim, name, owner)
+    if dim is not None:
+        _check_dim(rho.matrix, dim, name, owner)
     return rho
 
 
@@ -482,41 +510,77 @@ def semigroup_evolve(rho0: DensityState, model: SystemModel, t: float) -> Densit
     return next(_states(rho0, _generator(model), [t]))
 
 
-def semigroup_path(rho0: DensityState, model: SystemModel, times) -> np.ndarray:
-    """Density matrices of exp(t L') rho0 at the given times, shape (m, n, n).
+def _uniform(ts: np.ndarray, piece: int) -> bool:
+    """Whether the finite grid ts starts at 0 and has more than one point,
+    its steps all np.allclose to the first (rtol 1e-12, atol 0), tested on
+    `piece` steps at a time: the test is entrywise, so that the pieces give
+    the whole grid's answer without a temporary of its length."""
+    if ts[0] != 0.0 or ts.size < 2:
+        return False
+    first = ts[1] - ts[0]
+    return all(np.allclose(np.diff(ts[lo : lo + piece + 1]), first, rtol=1e-12, atol=0.0)
+               for lo in range(0, ts.size - 1, piece))
 
-    A uniform grid starting at 0 reuses a single one-step propagator; any
-    other grid takes one exponential a point (`_states`).
+
+def _semigroup(rho0: DensityState, model: SystemModel, times, reduce=None, chunk=None) -> np.ndarray:
+    """The semigroup loop: exp(t L') rho0 at each of the m `times`, a chunk
+    at a time, under one contract with `trajectories._integrate`.
+
+    A uniform grid starting at 0 propagates the vectorized state point to
+    point with a single one-step propagator, and each point's roundoff skew
+    is stripped as its chunk is done (the next chunk goes on from the raw
+    vector); any other grid takes one exponential a point (`_states`).  The
+    buffer holds chunk + 1 points (chunk = m - 1 by default).  After every
+    `chunk` steps, and after the last, `reduce(start, rows)` gets the
+    points not yet reduced: rows (m', n, n) at indices start .. start+m'-1,
+    the first point included in the first call.  Returns the buffer, with
+    the default chunk the whole path (m, n, n).
     """
     rho0 = _state(rho0, model.dim, "rho0")
-    ts = np.asarray(times)
-    if ts.ndim != 1 or ts.size == 0:
+    if np.ndim(times) != 1 or np.size(times) == 0:
         raise ValidationError("times must be a nonempty 1-d array")
-    if ts.dtype.kind not in "iuf":  # no str is parsed, no bool taken, no imaginary part dropped
-        ts = np.array([_finite_real(t, "times: {}") for t in ts.tolist()])
-    _refuse_bools(times, "times: {}")
-    ts = ts.astype(float, copy=False)
-    if np.any(~np.isfinite(ts)) or np.any(ts < 0.0):
+    ts = _real_prefix(times, "times")
+    if not np.isfinite(ts).all() or (ts < 0.0).any():
         raise ValidationError("times must be finite and nonnegative")
+    steps = ts.size - 1
+    chunk = steps if chunk is None else min(chunk, steps)
     generator = _generator(model)
-    diffs = np.diff(ts)
-    uniform = ts[0] == 0.0 and ts.size > 1 and diffs.size > 0 and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0)
-    if not uniform:
-        return np.array([state.matrix for state in _states(rho0, generator, ts.tolist())])
-    step = _propagator(generator, float(diffs[0]), "times: grid step")
-    out = np.empty((ts.size, model.dim, model.dim), dtype=complex)
-    # propagate the vectorized state in place, then strip the roundoff skew
-    # of every point at once
-    vecs = out.reshape(ts.size, -1)
-    vecs[0] = rho0.matrix.reshape(-1)
-    # the bound `dot` makes the zgemv the `np.matmul` gufunc would, at less
-    # than half its per-call cost on small n
-    propagate = step.dot
-    for before, after in zip(vecs, vecs[1:]):
-        propagate(before, after)
-    np.multiply(0.5, np.add(out, out.conj().swapaxes(1, 2), out=out), out=out)
-    out[0] = rho0.matrix
-    return out
+    uniform = _uniform(ts, max(chunk, 1))
+    buffer = np.empty((chunk + 1, model.dim, model.dim), dtype=complex)
+    vecs = buffer.reshape(chunk + 1, -1)
+    if uniform:
+        # the bound `dot` makes the zgemv the `np.matmul` gufunc would, at
+        # less than half its per-call cost on small n
+        propagate = _propagator(generator, float(ts[1] - ts[0]), "times: grid step").dot
+        vecs[0] = rho0.matrix.reshape(-1)
+    else:
+        points = _states(rho0, generator, map(float, ts))
+    for start in range(0, max(steps, 1), max(chunk, 1)):
+        stop = min(start + chunk, steps)
+        lo = 1 if start else 0
+        if uniform:
+            for before, after in zip(vecs, vecs[1 : stop - start + 1]):
+                propagate(before, after)
+            last = vecs[stop - start].copy()
+            rows = buffer[lo : stop - start + 1]
+            np.multiply(0.5, np.add(rows, rows.conj().swapaxes(1, 2), out=rows), out=rows)
+            if not start:
+                buffer[0] = rho0.matrix
+        else:
+            for j in range(lo, stop - start + 1):
+                buffer[j] = next(points).matrix
+            rows = buffer[lo : stop - start + 1]
+        if reduce is not None:
+            reduce(start + lo, rows)
+        if uniform and stop < steps:
+            vecs[0] = last
+    return buffer
+
+
+def semigroup_path(rho0: DensityState, model: SystemModel, times) -> np.ndarray:
+    """Density matrices of exp(t L') rho0 at the given times, shape (m, n, n):
+    the semigroup loop (`_semigroup`) in one chunk."""
+    return _semigroup(rho0, model, times)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -30,16 +30,23 @@ the loop extends them by one add a step (`advance`), so a closed-loop step
 costs the same at any horizon; other laws are called on each step's record
 prefix.  Only unnormalized (Zakai) runs keep the trace of each step, their
 likelihoods.  Every trajectory draws its own noise and steps the same bits
-in either mode and in any block.  An ensemble keeps a chunk of rows per
-trajectory, not its paths, and each chunk of steps is reduced once for the
-whole block: observables' running sums, in trajectory order, and the health
-audit.  A stacked block's chunk is ENSEMBLE_CHUNK_STEPS steps, and
-ENSEMBLE_BLOCK_BYTES bounds its up-front noise plus its chunk rows.  Under a
-control law each trajectory's law sees its own record, so an ensemble's
-blocks hold one trajectory.  A block stepped row by row, under a law or too
-small to stack, has a chunk of as many rows as fit ENSEMBLE_BLOCK_BYTES: its
-memory is bounded at any horizon too, and a horizon under the chunk is
-reduced once as a whole path.
+in either mode and in any block.  Each increment drawn row by row is
+written over its noise, so that the row becomes the record, except in an
+ensemble's law-free blocks, whose records nobody reads.
+
+A run given a reducer keeps a chunk of rows per trajectory, not its paths,
+and hands each chunk to the reducer once: an ensemble's running sums of
+observables, in trajectory order, and its health audit, or the CLI's
+expectation rows, audit and CSV rows.  A stacked block's chunk is
+ENSEMBLE_CHUNK_STEPS steps, and ENSEMBLE_BLOCK_BYTES bounds its up-front
+noise plus its chunk rows.  Under a control law each trajectory's law sees
+its own record, so an ensemble's blocks hold one trajectory.  Every run
+stepped row by row (a CLI run, a law block, a block too small to stack) has
+one chunk rule (`_row_chunk`): as many rows as fit ENSEMBLE_BLOCK_BYTES with
+their three full-size copies, so that its memory is bounded at any horizon;
+a horizon under the chunk is reduced once as a whole path.  The public
+`simulate_*` and `replay_record` are the loop without a reducer, in one
+chunk.
 
 Reproducibility: every trajectory's generator is numpy PCG64 keyed by a
 splitmix64-mixed seed, `derive_seed(base_seed, index)`, which is
@@ -64,22 +71,32 @@ from .filters import (
     _FrozenBytes,
     _LawRun,
     _model_matrix,
-    _real_prefix,
     _require_dt,
     _route,
     _row_step,
     _stack_step,
+    _worst_health,
     path_health,
 )
-from .operators import SystemModel, _check_dim, _finite_real, _operator, _require_integer, _stack, _state
+from .operators import (
+    SystemModel,
+    _check_dim,
+    _finite_real,
+    _operator,
+    _real_prefix,
+    _require_integer,
+    _stack,
+    _state,
+)
 
 GENERATOR_NAME = f"pcg64-splitmix64/numpy-{np.__version__}"
 # Byte budget of one block of ensemble trajectories stepped together: its
 # noise, drawn up front (B x steps floats), and its chunk buffer (B x (chunk+1)
 # matrices) when it steps as a stack.  It bounds the ensemble's extra memory
-# whatever the horizon.  A block stepped row by row (under a control law, one
-# trajectory whose law reads its whole record, or too small to stack) spends
-# it on chunk rows alone, beside its noise.
+# whatever the horizon.  A run stepped row by row (a CLI run, a block under a
+# control law, one trajectory whose law reads its whole record, or a block
+# too small to stack) spends it on its chunk rows and their copies, beside
+# its noise (`_row_chunk`).
 ENSEMBLE_BLOCK_BYTES = 2 * 2**20
 # Steps per chunk: a block's rows are reduced (observables and health) once
 # per chunk.  A reduction is a dozen or so numpy calls, so 64 steps keep it a
@@ -131,7 +148,7 @@ def derive_seed(base_seed: int, index: int) -> int:
 class ObservationRecord:
     """A measurement record on a uniform grid: increments dY per step.  The
     seed is one `simulate_*` takes (`_require_seed`).  The increments are
-    finite real numbers, read as a record prefix is (`filters._real_prefix`),
+    finite real numbers, read as a record prefix is (`operators._real_prefix`),
     and immutable; a copied or unpickled record is built and checked afresh."""
 
     scheme: MeasurementScheme
@@ -229,17 +246,20 @@ def _integrate(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, v
     values[:, k].  Any other run steps its rows in turn, each through a
     whole chunk before the next, through the single-matrix step
     (`_row_step`) or, under a law, the law run's (`filters._LawRun`;
-    `values` then has one row).  Where a law reads its row, or the caller
-    keeps the buffer (no `reduce`), each increment drawn row by row is
-    written over its noise, so that the row becomes the record.  The buffer
-    holds chunk + 1 rows per trajectory (chunk = steps by default).  After
+    `values` then has one row).  Each increment drawn row by row is written
+    over its noise, so that the row becomes the record, unless the run is an
+    ensemble's law-free block (`first` given, no law), whose records nobody
+    reads.  The buffer holds chunk + 1 rows per trajectory (chunk = steps by
+    default; `_row_chunk` is the rule of runs stepped row by row).  After
     every `chunk` steps, and after the last, `reduce(start, rows)` gets the
     rows not yet reduced: a C-contiguous (B, m, n, n) array holding time
-    indices start .. start+m-1, the initial row included in the first.  The
+    indices start .. start+m-1, the initial row included in the first; an
+    unnormalized run's reducer also gets their likelihoods (B, m),
+    `reduce(start, rows, likelihoods)`, which the loop keeps whole.  The
     last row then moves to slot 0.  Returns the buffer, with the default
     chunk the paths (B, steps+1, n, n), and for unnormalized runs the
     likelihoods (B, steps+1), None for normalized ones.  A row steps the
-    same bits in either mode and in any block.
+    same bits in either mode, in any block and in any chunk.
 
     A failing step raises its error type naming the step and, with `first`,
     the trajectory first + i.  After row i fails at step k, later rows step
@@ -271,9 +291,10 @@ def _integrate(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, v
         vecs = buffer.reshape(rows, chunk + 1, n * n)
         if run is None:
             step = _row_step(n, dt, _route(scheme), scheme.gain, normalized, sampling)
-    writes = sampling and (run is not None or reduce is None)
+    writes = sampling and (run is not None or first is None)
     limit, failure, u = steps, None, 0.0
-    for start in range(0, steps, max(chunk, 1)):  # chunk is 0 only when steps is
+    # chunk is 0 only when steps is; a run of no steps reduces its initial row
+    for start in range(0, max(steps, 1), max(chunk, 1)):
         stop = min(start + chunk, steps)
         if stacked:
             try:
@@ -313,10 +334,36 @@ def _integrate(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, v
             # einsum on a strided view need not sum in the order it does on
             # a contiguous path, hence the copy
             lo = 1 if start else 0
-            reduce(start + lo, np.ascontiguousarray(buffer[:, lo : stop - start + 1]))
+            rows_done = np.ascontiguousarray(buffer[:, lo : stop - start + 1])
+            if traces is None:
+                reduce(start + lo, rows_done)
+            else:
+                reduce(start + lo, rows_done, traces[:, start + lo : stop + 1])
         if stop < steps:
             buffer[:, 0] = buffer[:, stop - start]
     return buffer, traces
+
+
+def _row_chunk(steps: int, rows: int, n: int) -> int:
+    """Steps per chunk of a run of `rows` trajectories stepped row by row,
+    n x n matrices: as many as let the chunk's rows and their three
+    full-size copies (the loop's contiguous copy for the reducer, the
+    audit's Hermitian part and adjoint), 4 (chunk + 1) rows n^2 complex
+    entries, fit ENSEMBLE_BLOCK_BYTES, never fewer than ENSEMBLE_CHUNK_STEPS
+    (8191 steps for one trajectory at n = 2, 511 at n = 8), and at most the
+    horizon."""
+    return min(steps, max(ENSEMBLE_CHUNK_STEPS, ENSEMBLE_BLOCK_BYTES // (4 * rows * n * n * 16) - 1))
+
+
+def _simulate(model: SystemModel, rho0, scheme: MeasurementScheme, horizon: float, dt: float, seed: int,
+              law=None, reduce=None, chunk=None):
+    """The loop of `simulate_homodyne` and `simulate_counting`: one
+    trajectory's noise, seeded by `seed` (as `_require_seed` gives it),
+    stepped through `_integrate` with `reduce` and `chunk`.  Returns the
+    record and the loop's buffer, the path (steps+1, n, n) in one chunk."""
+    values = _noise(scheme, seed, _grid(horizon, dt), dt)[None]
+    paths, _ = _integrate(model, rho0, scheme, dt, values, law, reduce=reduce, chunk=chunk)
+    return ObservationRecord(scheme, dt, values[0], seed=seed), paths[0]
 
 
 def simulate_homodyne(
@@ -336,9 +383,7 @@ def simulate_homodyne(
     scheme = MeasurementScheme.homodyne() if scheme is None else scheme
     if not scheme.is_diffusive:
         raise ValidationError("simulate_homodyne needs a homodyne or imperfect scheme")
-    values = _noise(scheme, seed, _grid(horizon, dt), dt)[None]
-    paths, _ = _integrate(model, rho0, scheme, dt, values, law)
-    return ObservationRecord(scheme, dt, values[0], seed=seed), paths[0]
+    return _simulate(model, rho0, scheme, horizon, dt, seed, law)
 
 
 def simulate_counting(
@@ -351,11 +396,7 @@ def simulate_counting(
 ):
     """Sample one counting record (jump probability rate*dt per step) and its
     co-evolved normalized filter path."""
-    seed = _require_seed(seed)
-    scheme = MeasurementScheme.counting()
-    values = _noise(scheme, seed, _grid(horizon, dt), dt)[None]
-    paths, _ = _integrate(model, rho0, scheme, dt, values, law)
-    return ObservationRecord(scheme, dt, values[0], seed=seed), paths[0]
+    return _simulate(model, rho0, MeasurementScheme.counting(), horizon, dt, _require_seed(seed), law)
 
 
 @dataclass(frozen=True)
@@ -475,12 +516,9 @@ class _EnsembleSums:
         self.sums[:, :, span] = np.add.reduce(terms, axis=0)
 
     def health(self) -> PathHealth | None:
-        """The worst of every audit (a NaN one wins), or None without health."""
-        if self.audits is None:
-            return None
-        herm, lowest, trace = np.array([(h.max_hermiticity_defect, h.min_eigenvalue, h.max_trace_defect)
-                                        for h in self.audits]).T
-        return PathHealth(float(herm.max()), float(lowest.min()), float(trace.max()), True)
+        """The worst of every audit (`filters._worst_health`), or None
+        without health."""
+        return None if self.audits is None else _worst_health(self.audits)
 
 
 def _step_ensemble(model, rho0, scheme, n_trajectories, seed, steps, dt, law, reduce) -> None:
@@ -495,21 +533,18 @@ def _step_ensemble(model, rho0, scheme, n_trajectories, seed, steps, dt, law, re
     own record, so blocks hold one trajectory.  A block stepped row by row
     (under a law, or of fewer than ENSEMBLE_STACK_ROWS trajectories) pays
     for a reduction as a stack does, without a stack's steps to spread it
-    over, so it is chunked by the budget: as many rows as fit
-    ENSEMBLE_BLOCK_BYTES, never fewer than ENSEMBLE_CHUNK_STEPS (32767
-    steps for one trajectory at n = 2, 2047 at n = 8); a shorter horizon is
-    reduced once as a whole path.
+    over, so it is chunked by the budget (`_row_chunk`); a shorter horizon
+    is reduced once as a whole path.
     """
-    row_bytes = model.dim**2 * 16
     size = 1
     if law is None:
-        size = max(1, ENSEMBLE_BLOCK_BYTES // (steps * 8 + (min(steps, ENSEMBLE_CHUNK_STEPS) + 1) * row_bytes))
+        size = max(1, ENSEMBLE_BLOCK_BYTES // (steps * 8 + (min(steps, ENSEMBLE_CHUNK_STEPS) + 1) * model.dim**2 * 16))
     for first in range(0, n_trajectories, size):
         rows = min(size, n_trajectories - first)
         if law is None and rows >= ENSEMBLE_STACK_ROWS:
             chunk = min(steps, ENSEMBLE_CHUNK_STEPS)
         else:
-            chunk = min(steps, max(ENSEMBLE_CHUNK_STEPS, ENSEMBLE_BLOCK_BYTES // (rows * row_bytes) - 1))
+            chunk = _row_chunk(steps, rows, model.dim)
         noise = np.stack([_noise(scheme, derive_seed(seed, i), steps, dt) for i in range(first, first + rows)])
         _integrate(model, rho0, scheme, dt, noise, law, first=first, reduce=reduce, chunk=chunk)
 

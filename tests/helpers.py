@@ -355,7 +355,7 @@ def reference_read_record(path):
 
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    meta, header_idx = _parse_metadata(lines)
+    meta, header_idx, _ = _parse_metadata(lines)
     if meta.get("format") != RECORD_FORMAT:
         raise RecordFormatError(f"not a record file (format {meta.get('format')!r})")
     if lines[header_idx].strip() != "t,dY":

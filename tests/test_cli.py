@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 import belfilt as bf
 from belfilt.cli import run
-from belfilt.config import config_from_dict, load_config, matrix_from_entries
+from belfilt.config import config_from_dict, load_config, matrix_from_entries, matrix_to_entries
 from belfilt.filters import MeasurementScheme
-from belfilt.recordio import read_metadata, read_record, write_record
+from belfilt.recordio import read_metadata, read_record, write_master_csv, write_path_csv, write_record
 from belfilt.trajectories import ObservationRecord
 
 
@@ -280,14 +281,19 @@ class TestCliCommands:
     def test_non_finite_path_is_a_positivity_breach(self, tmp_path, capsys, monkeypatch):
         # a NaN on the diagonal used to audit as eigenvalue 0.0; it must fail
         # the positivity gate, whose breach exits 2 before anything is written
-        real = bf.simulate_homodyne
+        real = bf.cli._simulate
 
-        def poisoned(*args, **kwargs):
-            record, path = real(*args, **kwargs)
-            path[3, 0, 0] = np.nan
-            return record, path
+        def poisoned(*args):
+            *head, reduce, chunk = args
 
-        monkeypatch.setattr("belfilt.cli.simulate_homodyne", poisoned)
+            def poisoning(start, rows):
+                if start == 0:
+                    rows[0, 3, 0, 0] = np.nan
+                reduce(start, rows)
+
+            return real(*head, poisoning, chunk)
+
+        monkeypatch.setattr("belfilt.cli._simulate", poisoned)
         out = tmp_path / "out"
         assert run(["simulate", "--config", str(write_config(tmp_path, qubit_config())), "--out", str(out)]) == 2
         assert "minimum filter eigenvalue nan fell below" in capsys.readouterr().err
@@ -493,6 +499,14 @@ class TestShippedDemos:
         assert done.returncode == 0, done.stderr
         assert sorted(p.name for p in out.iterdir()) == ["master.csv", "path.csv", "record.csv"]
 
+    def test_cli_memory_prints_each_run(self, tmp_path):
+        done = self._run("cli_memory.py", "--dims", "2", "--steps", "30", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        header, *rows = done.stdout.splitlines()
+        assert header.startswith("n = 2: peak RSS (MB) at 30 steps")
+        assert [row.split()[:-1] for row in rows] == [["simulate"], ["filter", "bks"], ["filter", "zakai"], ["master"]]
+        assert all(float(row.split()[-1]) > 0 for row in rows)
+
     def test_code_lines_totals_its_files(self, tmp_path):
         done = self._run("code_lines.py", cwd=tmp_path)
         assert done.returncode == 0, done.stderr
@@ -592,6 +606,174 @@ def _dt_mismatch(tmp_path, monkeypatch):
     write_record(ObservationRecord(MeasurementScheme.homodyne(), 2e-3, np.zeros(50)), record)
     return ["filter", "--config", str(write_config(tmp_path, qubit_config())), "--record", str(record),
             "--out", str(tmp_path / "out")]
+
+
+def _chunked(monkeypatch, chunk: int, dim: int = 2) -> None:
+    """Budgets under which one trajectory at dimension `dim` steps in chunks
+    of `chunk` steps (`trajectories._row_chunk`); at dim 2 record files are
+    also read and written chunk + 1 lines at a time (`recordio._piece_rows`)."""
+    monkeypatch.setattr(bf.trajectories, "ENSEMBLE_CHUNK_STEPS", 1)
+    monkeypatch.setattr(bf.trajectories, "ENSEMBLE_BLOCK_BYTES", 4 * (chunk + 1) * dim**2 * 16)
+
+
+def _random_config(dim: int, seed: int, **overrides) -> dict:
+    """A config of a random model, start and observable at dimension `dim`."""
+    rng = np.random.default_rng(seed)
+    model = bf.random_model(dim, rng, scale=0.5)
+    rho0 = bf.random_density(dim, rng).mix_with_identity(0.25)
+    cfg = qubit_config(dim=dim, hamiltonian=matrix_to_entries(model.hamiltonian),
+                       channels=[matrix_to_entries(model.channel)], rho0=matrix_to_entries(rho0.matrix),
+                       observables={"h": matrix_to_entries(bf.random_hermitian(dim, rng)),
+                                    "d": matrix_to_entries(np.diag(np.arange(dim, dtype=float)))})
+    cfg.update(overrides)
+    return cfg
+
+
+def _whole_path_outputs(cfg_paths, out):
+    """What simulate, filter and master write under the configs
+    cfg_paths[kind] (kind bks or zakai), through the public whole-path
+    functions and writers: out/<command or kind>/<file>.csv."""
+    cfg = load_config(cfg_paths["bks"])
+    model, law, rho0 = cfg.model(), cfg.law(), cfg.rho0
+    for part in ("simulate", "bks", "zakai", "master"):
+        (out / part).mkdir(parents=True)
+    if cfg.scheme.kind == "counting":
+        record, path = bf.simulate_counting(model, rho0, cfg.horizon, cfg.dt, cfg.seed, law=law)
+    else:
+        record, path = bf.simulate_homodyne(model, rho0, cfg.horizon, cfg.dt, cfg.seed, scheme=cfg.scheme, law=law)
+    write_record(record, out / "simulate" / "record.csv", config_hash=cfg.config_hash)
+    times = cfg.dt * np.arange(record.steps + 1)
+    write_path_csv(out / "simulate" / "path.csv", times,
+                   {name: np.einsum("tij,ji->t", path, x) for name, x in cfg.observables.items()},
+                   extra_meta={"config_hash": cfg.config_hash, "seed": cfg.seed, "filter": "bks"})
+    for kind in ("bks", "zakai"):
+        replay = bf.replay_record(record, model, rho0, kind=kind, law=law)
+        write_path_csv(out / kind / "path.csv", replay.times,
+                       {name: replay.expectations(x) for name, x in cfg.observables.items()},
+                       likelihoods=replay.likelihoods,
+                       extra_meta={"config_hash": load_config(cfg_paths[kind]).config_hash, "seed": record.seed,
+                                   "filter": kind})
+    master = bf.semigroup_path(rho0, model, times)
+    write_master_csv(out / "master" / "master.csv", times,
+                     {name: np.einsum("tij,ji->t", master, x) for name, x in cfg.observables.items()},
+                     extra_meta={"config_hash": cfg.config_hash})
+
+
+def _files(directory: Path) -> dict:
+    return {str(path.relative_to(directory)): path.read_bytes() for path in sorted(directory.rglob("*"))
+            if path.is_file()}
+
+
+STREAMED_CASES = {
+    "homodyne": qubit_config(observables={"z": [[0, 0, -1.0, 0.0], [1, 1, 1.0, 0.0]],
+                                          "x": [[0, 1, 1.0, 0.0], [1, 0, 1.0, 0.0]]}),
+    "counting": qubit_config(scheme="counting", dt=1e-2, rho0=[[0, 0, 0.125, 0.0], [1, 1, 0.875, 0.0]]),
+    "law": qubit_config(control_expression="0.5 * t - 0.2 * ma(Y, 3)", control_h1=[[0, 1, 1.0, 0.0], [1, 0, 1.0, 0.0]]),
+    "imperfect n=3": _random_config(3, 5, scheme="imperfect", kappa=0.5, phase=0.3),
+}
+
+
+class TestStreamedRuns:
+    """simulate, filter and master step in chunks (`cli._Rows`): what they
+    write does not depend on the chunk, and a refused run leaves no file."""
+
+    @pytest.mark.parametrize("steps", [21, 23], ids=["multiple", "not-multiple"])
+    @pytest.mark.parametrize("case", list(STREAMED_CASES))
+    def test_chunks_write_the_whole_path_bytes(self, tmp_path, monkeypatch, capsys, case, steps):
+        cfg = dict(STREAMED_CASES[case])
+        cfg["T"] = steps * cfg["dt"]
+        cfg_paths = {kind: write_config(tmp_path, dict(cfg, filter_kind=kind), f"{kind}.json") for kind in ("bks", "zakai")}
+        _whole_path_outputs(cfg_paths, tmp_path / "whole")
+        _chunked(monkeypatch, 7, cfg["dim"])
+        out = tmp_path / "streamed"
+        assert run(["simulate", "--config", str(cfg_paths["bks"]), "--out", str(out / "simulate")]) == 0
+        for kind in ("bks", "zakai"):
+            assert run(["filter", "--config", str(cfg_paths[kind]), "--record", str(out / "simulate" / "record.csv"),
+                        "--out", str(out / kind)]) == 0
+        assert run(["master", "--config", str(cfg_paths["bks"]), "--out", str(out / "master")]) == 0
+        assert capsys.readouterr().err == ""
+        streamed, whole = _files(out), _files(tmp_path / "whole")
+        assert sorted(streamed) == ["bks/path.csv", "master/master.csv", "simulate/path.csv", "simulate/record.csv",
+                                    "zakai/path.csv"]
+        assert streamed == whole
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("command", ["simulate", "filter", "filter zero-rate"])
+    def test_refused_run_leaves_no_file(self, tmp_path, monkeypatch, capsys, command, chunk):
+        # the breach config of test_health_breach_exits_two_before_writing,
+        # and a count from the ground state, whose rate is 0: the run fails
+        # after chunks have been written under the temporary name
+        if command == "filter zero-rate":
+            cfg_path = write_config(tmp_path, qubit_config(scheme="counting", T=0.01, rho0=[[0, 0, 1.0, 0.0]]))
+            record = ObservationRecord(MeasurementScheme.counting(), 1e-3, np.eye(10)[7], seed=0)
+        else:
+            cfg_path = write_config(tmp_path, qubit_config(
+                channels=[[[0, 1, 3.0, 0.0]]], rho0=[[0, 0, 0.5, 0.0], [0, 1, 0.5, 0.0], [1, 0, 0.5, 0.0], [1, 1, 0.5, 0.0]],
+                dt=1e-2, seed=2))
+            loaded = load_config(cfg_path)
+            record, _ = bf.simulate_homodyne(loaded.model(), loaded.rho0, loaded.horizon, loaded.dt, loaded.seed)
+        write_record(record, tmp_path / "record.csv")
+        _chunked(monkeypatch, chunk)
+        extra = [] if command == "simulate" else ["--record", str(tmp_path / "record.csv")]
+        out = tmp_path / "out"
+        assert run([command.split()[0], "--config", str(cfg_path), *extra, "--out", str(out)]) == 2
+        assert ("jump recorded" if command == "filter zero-rate" else "minimum filter eigenvalue") in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("row, edit, message", [
+        (5, lambda line: line + ",0", "expected two columns t,dY"),
+        (5, lambda line: line.replace(",", ",abc"), "non-numeric value: could not convert string to float: 'abc"),
+        (5, lambda line: line.split(",")[0] + ",nan", "non-finite increment"),
+        (6, lambda line: "0.5," + line.split(",")[1], "time column 0.5 does not match step grid value 0.007"),
+        (7, lambda line: line.split(",")[0] + ",0.5", "counting increment 0.5 is not 0 or 1"),
+    ], ids=["columns", "non-numeric", "non-finite", "off-grid", "counting"])
+    def test_read_record_names_the_line_in_a_later_piece(self, tmp_path, monkeypatch, row, edit, message):
+        # 12 data rows parsed 4 lines at a time (and read 128 characters at
+        # a time), blank lines among them: the faulty row lies in the second
+        # or third piece of the body, after a clean first piece, and a later
+        # fault does not move which error is named
+        target = tmp_path / "record.csv"
+        write_record(ObservationRecord(MeasurementScheme.counting(), 1e-3, np.eye(12)[2], seed=3), target)
+        lines = target.read_text().splitlines()
+        header = lines.index("t,dY")
+        data = lines[header + 1:]
+        data[row] = edit(data[row])
+        data[row + 2] = data[row + 2] + ",9"
+        body = data[:2] + ["", "  "] + data[2:]
+        target.write_text("\n".join(lines[: header + 1] + body) + "\n")
+        with pytest.raises(bf.RecordFormatError) as whole:
+            read_record(target)
+        _chunked(monkeypatch, 3)
+        assert bf.recordio._piece_rows(2) == 4
+        with pytest.raises(bf.RecordFormatError) as pieces:
+            read_record(target)
+        assert str(pieces.value) == str(whole.value)
+        assert str(whole.value).startswith(f"line {header + 4 + row}: {message}")
+
+    def test_read_record_counts_rows_before_parsing(self, tmp_path, monkeypatch):
+        target = tmp_path / "record.csv"
+        write_record(ObservationRecord(MeasurementScheme.homodyne(), 1e-3, np.zeros(12)), target)
+        text = target.read_text()
+        target.write_text(text.replace("0.002,0\n", "0.002,abc\n") + "0.013,0\n")
+        _chunked(monkeypatch, 3)
+        with pytest.raises(bf.RecordFormatError, match="^declared steps = 12 but found 13 data rows$"):
+            read_record(target)
+
+    def test_streamed_simulate_memory_does_not_grow_with_the_horizon(self, tmp_path, monkeypatch):
+        # chunks of 64 steps at n = 8 hold 64 KiB of matrices; the whole
+        # path of 1200 steps would hold 1.2 MiB.  The record (8 bytes a
+        # step, and its copy) is all that grows
+        _chunked(monkeypatch, 64, 8)
+        peaks = []
+        for steps in (300, 1200):
+            cfg_path = write_config(tmp_path, _random_config(8, 9, T=steps * 1e-3, scheme="imperfect", kappa=0.5))
+            tracemalloc.start()
+            try:
+                assert run(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def _trace_drift(tmp_path, monkeypatch):

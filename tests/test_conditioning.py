@@ -5,6 +5,7 @@ import pytest
 
 import belfilt as bf
 from belfilt.conditioning import (
+    ClassicalRepresentation,
     CommutativeAlgebra,
     classical_representation,
     conditional_expectation,
@@ -227,3 +228,29 @@ class TestClassicalRepresentation:
         rep = classical_representation(algebra, random_density(5, rng))
         assert abs(rep.probabilities.sum() - 1.0) <= 1e-10
         assert np.all(rep.probabilities >= -1e-12)
+
+    @pytest.mark.parametrize("probabilities, values, ranks, opening", [
+        (["0.5", "0.5"], [[1.0, 2.0]], [1, 1], "probabilities: non-numeric value '0.5'"),
+        ([0.5, 0.5], [[True, 2]], [1, 1], "values: non-numeric value True"),
+        ([0.5, 0.5], [[1.0, 2.0]], [1.7, 1], "ranks: expected an integer, got 1.7"),
+        ([0.5, 0.5], [[1.0, 2.0]], [True, 1], "ranks: expected an integer, got True"),
+        ([0.5, 0.5], [[1.0, 2.0]], [0, 1], "ranks must be at least 1"),
+        ([0.5, 0.5j], [[1.0, 2.0]], [1, 1], "probabilities: entries must be finite real numbers"),
+        ([[0.5, 0.5]], [[1.0, 2.0]], [1, 1], "probabilities: expected a vector"),
+        ([0.5, 0.5], [1.0, 2.0], [1, 1], "values: expected shape (n_generators, 2)"),
+        ([0.5, 0.5], [[1.0, np.inf]], [1, 1], "values: entries must be finite"),
+        ([0.5, 0.5], [[1.0, 2.0]], [1], "ranks: expected 2 ranks"),
+    ], ids=["str-probability", "bool-value", "fractional-rank", "bool-rank", "zero-rank", "complex-probability",
+            "probability-matrix", "value-vector", "infinite-value", "too-few-ranks"])
+    def test_refuses_what_the_input_policy_refuses(self, probabilities, values, ranks, opening):
+        # numpy read these as [0.5, 0.5], [[1, 2]] and [1, 1]
+        with pytest.raises(bf.ValidationError) as info:
+            ClassicalRepresentation(probabilities, values, ranks)
+        assert str(info.value).startswith(opening)
+
+    def test_reads_numbers_as_given(self):
+        rep = ClassicalRepresentation([0.25, np.float64(0.75)], np.array([[1, 2]]), np.array([1, 3]))
+        assert rep.probabilities.dtype == float and rep.probabilities.tolist() == [0.25, 0.75]
+        assert rep.values.dtype == complex and rep.values.tolist() == [[1, 2]]
+        assert rep.ranks.dtype == int and rep.ranks.tolist() == [1, 3]
+        assert rep.moment(1) == 1.75

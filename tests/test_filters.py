@@ -42,6 +42,26 @@ def fstate(rho, normalized=True):
     return FilterState.from_density(rho) if normalized else FilterState(rho.matrix, normalized=False)
 
 
+class TestFromDensity:
+    def test_takes_a_density_state_or_a_density_matrix(self):
+        rho = DensityState(np.diag([0.25, 0.75]))
+        for given in (rho, rho.matrix, [[0.25, 0], [0, 0.75]]):
+            state = FilterState.from_density(given, normalized=False)
+            assert state.matrix.tolist() == rho.matrix.tolist() and state.matrix.flags.writeable
+            assert not state.normalized and state.likelihood == 1.0
+
+    @pytest.mark.parametrize("value, message", [
+        (np.diag([0.5, 0.25]), "density matrix: trace (0.75+0j) is not 1 within 1e-10"),
+        ("rho", "density matrix: non-numeric value 'rho'"),
+        (None, "density matrix: non-numeric value None"),
+    ], ids=["ndarray not a state", "str", "none"])
+    def test_refuses_what_is_not_a_state(self, value, message):
+        # the matrix was read as `rho.matrix`, an AttributeError for these
+        with pytest.raises(bf.ValidationError) as info:
+            FilterState.from_density(value)
+        assert str(info.value).startswith(message)
+
+
 class TestSchemeValidation:
     def test_kinds(self):
         for kind in ("homodyne", "imperfect", "counting"):

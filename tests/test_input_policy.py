@@ -312,6 +312,7 @@ MATRIX_SITES = [
     ("law H0", lambda v: ControlLaw(LAW.control, v, SIGMA_X), "H0"),
     ("law H1", lambda v: ControlLaw(LAW.control, np.zeros((2, 2)), v), "H1"),
     ("DensityState", DensityState, "density matrix"),
+    ("FilterState.from_density", FilterState.from_density, "density matrix"),
     ("from_vector", DensityState.from_vector, "state vector"),
     ("ensemble observable", lambda v: ensemble_average(MODEL, HOMODYNE, {"x": v}, 2, 0, 0.01, 1e-3, RHO),
      "observable 'x'"),

@@ -396,3 +396,18 @@ class TestSemigroupPathBitForBit:
         model = random_model(2, rng)
         rho = random_density(2, rng)
         assert np.array_equal(semigroup_path(rho, model, [0.0]), reference_semigroup_path(rho, model, [0.0]))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("times", [1e-3 * np.arange(22), np.array([0.0, 0.1, 0.15, 0.4, 1.0, 1.05, 2.0])],
+                             ids=["uniform", "uneven"])
+    def test_chunks_reduce_the_whole_path(self, chunk, times):
+        # the loop hands each chunk of points to `reduce` once, in order,
+        # with the bits of the whole path, and goes on from a raw vector
+        rng = np.random.default_rng(17)
+        model = random_model(3, rng)
+        rho = random_density(3, rng)
+        starts, rows = [], []
+        operators._semigroup(rho, model, times, lambda start, part: starts.append(start) or rows.append(part.copy()),
+                             chunk)
+        assert starts == [0, *range(chunk + 1, len(times), chunk)]
+        assert np.array_equal(np.concatenate(rows), semigroup_path(rho, model, times))

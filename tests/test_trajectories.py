@@ -758,7 +758,7 @@ class TestStackedEnsemble:
         budget = trajectories.ENSEMBLE_BLOCK_BYTES
         want = []
         for b in [min(split, 10 - first) for first in range(0, 10, split)]:
-            rows = chunk if b >= trajectories.ENSEMBLE_STACK_ROWS else min(steps, max(chunk, budget // (b * 64) - 1))
+            rows = chunk if b >= trajectories.ENSEMBLE_STACK_ROWS else min(steps, max(chunk, budget // (4 * b * 64) - 1))
             want += [(start + (start > 0), (b, min(start + rows, steps) - start + (start == 0), 2, 2))
                      for start in range(0, steps, rows)]
         assert reduced == want
@@ -778,8 +778,8 @@ class TestStackedEnsemble:
         whole = ensemble_average(*args, collect_health=True)
         assert reduced == [(0, (2, steps + 1, 2, 2))]
         reduced.clear()
-        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", _block_bytes(2, steps, 2))
-        chunk = trajectories.ENSEMBLE_BLOCK_BYTES // (2 * 64) - 1
+        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", 4 * _block_bytes(2, steps, 2))
+        chunk = trajectories.ENSEMBLE_BLOCK_BYTES // (4 * 2 * 64) - 1
         split = ensemble_average(*args, collect_health=True)
         assert len(reduced) == 3
         assert reduced == [(k + (k > 0), (2, min(k + chunk, steps) - k + (k == 0), 2, 2))
@@ -821,10 +821,11 @@ class TestStackedEnsemble:
         ensemble_average(model, MeasurementScheme.homodyne(), observables, 3, 29, 0.1, 1e-3, rho0, law=law)
         assert reduced == [(0, (1, 101, 2, 2))] * 3
 
-    @pytest.mark.parametrize("budget_rows, chunk", [(100, 99), (1, trajectories.ENSEMBLE_CHUNK_STEPS)])
+    @pytest.mark.parametrize("budget_rows, chunk", [(400, 99), (1, trajectories.ENSEMBLE_CHUNK_STEPS)])
     def test_law_ensemble_past_its_chunk_reduces_in_chunks(self, monkeypatch, budget_rows, chunk):
-        # a law block's chunk holds as many rows as the budget does, never
-        # fewer than ENSEMBLE_CHUNK_STEPS, and the summary keeps its bits
+        # a law block's chunk holds as many rows as the budget does with
+        # three copies of each, never fewer than ENSEMBLE_CHUNK_STEPS, and
+        # the summary keeps its bits
         reduced = []
         real_call = trajectories._EnsembleSums.__call__
         monkeypatch.setattr(trajectories._EnsembleSums, "__call__",
@@ -840,7 +841,7 @@ class TestStackedEnsemble:
         reference = _serial_ensemble(*args, law=law, collect_health=True)
         _assert_summary_equal(summary, reference, 3, scheme, steps * 1e-3, 1e-3)
 
-    @pytest.mark.parametrize("dim, steps, chunk", [(2, 40_000, 32_767), (8, 3_000, 2_047), (2, 500, 500)])
+    @pytest.mark.parametrize("dim, steps, chunk", [(2, 40_000, 8_191), (8, 3_000, 511), (2, 500, 500)])
     def test_law_chunk_fits_the_block_budget(self, monkeypatch, dim, steps, chunk):
         # one law trajectory's rows are bounded by ENSEMBLE_BLOCK_BYTES, not
         # by its horizon: about 1 GB for 10**6 steps at n = 8 otherwise
