@@ -33,7 +33,9 @@ hashes the bytes simulate writes (record.csv, path.csv) and those filter
 writes from that record (bks, and zakai with its likelihood column), and
 "cli master" the bytes master writes; each also hashes the commands' exit
 codes and error lines, so that a refused run (the homodyne runs breach
-positivity at the default dt) is compared too.  At each dimension, one "law online
+positivity at the default dt) is compared too.  At n = 2, a "cli master
+(fine grid)" case hashes what master writes over FINE_MASTER's grid of
+9000 steps of dt = 1e-3.  At each dimension, one "law online
 (writeable copy)" case feeds the first seed's homodyne record online from a writeable copy
 of its increments: feedback_step compares such prefixes, where it trusts
 a record's own immutable increments unread, and the case must hash as its
@@ -149,7 +151,11 @@ unpinned alike, where the "replay (empty record)" lines hash the
 ValueError such checkouts raised.  Nor did streaming the CLI's simulate,
 filter and master through one chunked reducer: the "cli" lines equal a run
 of this script on a checkout from before, which wrote whole paths, pinned
-and unpinned alike.
+and unpinned alike.  Nor did handing master's grid to the semigroup loop as
+its step and step count, never tested for uniformity again: every line but
+"cli master (fine grid)" equals a run of this script on a checkout from
+before, pinned and unpinned alike; that one's uniformity test refused the
+grid, so that it took one exponential a point.
 """
 
 from __future__ import annotations
@@ -213,6 +219,10 @@ CHUNKED = (8, 2100)
 # 3, 4, 6 and 8) and not a multiple of it; CLI_STEPS_ELSEWHERE at others
 CLI_STEPS = {2: 9000, 3: 4000, 4: 2500, 6: 1000, 8: 600}
 CLI_STEPS_ELSEWHERE = 600
+# the "cli master (fine grid)" case: its dimension, dt and steps, past the
+# 8001 steps of dt = 1e-3 up to which checkouts that tested the CLI's
+# master grid for uniformity found it uniform
+FINE_MASTER = (2, 1e-3, 9000)
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # a config whose numbers take every sign, -0.0 included, and both JSON
 # forms (integers and decimals), in its matrices and its scalar keys
@@ -352,11 +362,20 @@ def cli_run(argv) -> tuple:
     return code, err.getvalue()
 
 
+def master_parts(config: Path, out: Path):
+    """The bytes the CLI's master writes under `config` to `out`, and its
+    exit code and error lines."""
+    outcome, err = attempt(lambda: cli_run(["master", "--config", config, "--out", out]))
+    master = out / "master.csv"
+    return err or (*((("csv", master.read_bytes()),) if master.exists() else ()), ("exit", repr(outcome).encode()))
+
+
 def cli_cases(dim: int, seed: int, dt: float, scratch: Path):
     """(label, parts) of the "cli" cases at one dimension: on the seed's
     random model over CLI_STEPS's steps, per scheme, the bytes the CLI's
     simulate writes (record, then path) and those its filter writes from
-    that record (bks, then zakai), and last the bytes its master writes;
+    that record (bks, then zakai), then the bytes its master writes, and at
+    FINE_MASTER's dimension those master writes over FINE_MASTER's grid;
     each case also hashes its commands' exit codes and error lines."""
     _, model, rho0, obs, _ = next(model_cases(dim, seed))
     steps = CLI_STEPS.get(dim, CLI_STEPS_ELSEWHERE)
@@ -378,10 +397,12 @@ def cli_cases(dim: int, seed: int, dt: float, scratch: Path):
                  here / "zakai" / "path.csv"]
         yield f"{sname} cli csv", err or (*(("csv", f.read_bytes()) for f in files if f.exists()),
                                           ("exit", repr(outcomes).encode()))
-    outcome, err = attempt(lambda: cli_run(["master", "--config", configs["bks"], "--out", here / "master"]))
-    master = here / "master" / "master.csv"
-    yield "cli master csv", err or (*((("csv", master.read_bytes()),) if master.exists() else ()),
-                                    ("exit", repr(outcome).encode()))
+    yield "cli master csv", master_parts(configs["bks"], here / "master")
+    if dim == FINE_MASTER[0]:
+        _, fine_dt, fine_steps = FINE_MASTER
+        fine = scratch / f"cli-{dim}-fine.json"
+        fine.write_text(json.dumps(dict(raw, scheme="homodyne", dt=fine_dt, T=fine_steps * fine_dt)))
+        yield "cli master (fine grid) csv", master_parts(fine, scratch / f"cli-{dim}-fine")
 
 
 def semigroup_parts(dim: int, seed: int, horizon: float, dt: float):

@@ -19,19 +19,17 @@ simulate, filter and master step their runs a chunk at a time
 (`trajectories._row_chunk`) and hand each chunk to one reducer (`_Rows`),
 which audits it and appends its CSV rows, so that a run's memory does not
 grow with its horizon beyond its record and likelihoods (8 bytes a step
-each).  The table is written under a temporary name in the output
-directory and lands by os.replace only when the run succeeds (`_landing`):
-a run refused with exit 2 leaves no output file.
+each); master holds no grid.  The table is written under a temporary name
+in the output directory and lands by os.replace only when the run succeeds
+(`recordio._landing`): a run refused with exit 2 leaves no output file.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys
-import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,8 +42,8 @@ from .operators import _semigroup
 from .recordio import (
     MASTER_FORMAT,
     PATH_FORMAT,
-    _create,
     _ExpectationTable,
+    _landing,
     read_record,
     write_ensemble_csv,
     write_record,
@@ -168,33 +166,17 @@ class _Rows:
         return _worst_health(self.audits)
 
 
-@contextlib.contextmanager
-def _landing(target: Path):
-    """The open file of a table that lands at `target` only when the block
-    ends without an error: it is written under a temporary name in the same
-    directory and moved to `target` by os.replace, or removed."""
-    part = target.with_name(f".{target.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    try:
-        with _create(part) as fh:
-            yield fh
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
-    os.replace(part, target)
-
-
 def _cmd_simulate(args) -> int:
     cfg = _apply_overrides(load_config(args.config), args)
     cfg.require_single_channel()
     model, law = cfg.model(), cfg.law()
-    steps = _grid(cfg.horizon, cfg.dt)
+    _grid(cfg.horizon, cfg.dt)  # a T off the dt grid is refused before the output directory is made
     out = _out_dir(args)
     meta = {"config_hash": cfg.config_hash, "seed": cfg.seed, "filter": "bks"}
     # once the last chunk's audit passes, record.csv is written, then path.csv lands
     with _landing(out / "path.csv") as fh:
         rows = _Rows(_ExpectationTable(fh, PATH_FORMAT, cfg.observables, meta), cfg.observables, cfg.dt, audit=True)
-        record, _ = _simulate(model, cfg.rho0, cfg.scheme, cfg.horizon, cfg.dt, cfg.seed, law, rows,
-                              _row_chunk(steps, 1, model.dim))
+        record, _ = _simulate(model, cfg.rho0, cfg.scheme, cfg.horizon, cfg.dt, cfg.seed, law, rows)
         _check_health(rows.health())
         write_record(record, out / "record.csv", config_hash=cfg.config_hash)
     print(f"simulate: wrote {out / 'record.csv'} and {out / 'path.csv'} ({record.steps} steps)")
@@ -219,7 +201,7 @@ def _cmd_filter(args) -> int:
         table = _ExpectationTable(fh, PATH_FORMAT, cfg.observables, meta, likelihood=kind == "zakai")
         rows = _Rows(table, cfg.observables, record.dt, audit=True)
         _integrate(model, cfg.rho0, record.scheme, record.dt, record.increments[None], law, kind == "bks",
-                   sampling=False, reduce=rows, chunk=_row_chunk(record.steps, 1, model.dim))
+                   sampling=False, reduce=rows)
         _check_health(rows.health())
     print(f"filter: wrote {out / 'path.csv'} ({kind}, {record.steps} steps)")
     return 0
@@ -251,12 +233,11 @@ def _cmd_master(args) -> int:
     cfg = load_config(args.config)
     model = cfg.model()
     steps = _grid(cfg.horizon, cfg.dt)
-    times = cfg.dt * np.arange(steps + 1)
     out = _out_dir(args)
     with _landing(out / "master.csv") as fh:
         rows = _Rows(_ExpectationTable(fh, MASTER_FORMAT, cfg.observables, {"config_hash": cfg.config_hash}),
                      cfg.observables, cfg.dt, audit=False)
-        _semigroup(cfg.rho0, model, times, rows, _row_chunk(steps, 1, model.dim))
+        _semigroup(cfg.rho0, model, cfg.dt, steps, rows, _row_chunk(steps, 1, model.dim))
     print(f"master: wrote {out / 'master.csv'} ({steps} steps)")
     return 0
 

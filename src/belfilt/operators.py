@@ -510,31 +510,50 @@ def semigroup_evolve(rho0: DensityState, model: SystemModel, t: float) -> Densit
     return next(_states(rho0, _generator(model), [t]))
 
 
-def _uniform(ts: np.ndarray, piece: int) -> bool:
-    """Whether the finite grid ts starts at 0 and has more than one point,
-    its steps all np.allclose to the first (rtol 1e-12, atol 0), tested on
-    `piece` steps at a time: the test is entrywise, so that the pieces give
-    the whole grid's answer without a temporary of its length."""
-    if ts[0] != 0.0 or ts.size < 2:
-        return False
-    first = ts[1] - ts[0]
-    return all(np.allclose(np.diff(ts[lo : lo + piece + 1]), first, rtol=1e-12, atol=0.0)
-               for lo in range(0, ts.size - 1, piece))
+def _semigroup(rho0: DensityState, model: SystemModel, dt: float, steps: int, reduce=None, chunk=None) -> np.ndarray:
+    """The semigroup loop: exp(k dt L') rho0 at k = 0 .. steps (steps >= 1),
+    a chunk at a time, under one contract with `trajectories._integrate`;
+    rho0 is a DensityState of the model's dimension, read by the caller.
+
+    The vectorized state goes point to point through a single one-step
+    propagator exp(dt L'), and each point's roundoff skew is stripped as its
+    chunk is done (the next chunk goes on from the raw vector).  The buffer
+    holds chunk + 1 points (chunk = steps by default).  After every `chunk`
+    steps, and after the last, `reduce(start, rows)` gets the points not
+    yet reduced: rows (m', n, n) at indices start .. start+m'-1, the first
+    point included in the first call.  Returns the buffer, with the default
+    chunk the whole path (steps + 1, n, n).
+    """
+    chunk = steps if chunk is None else min(chunk, steps)
+    # the bound `dot` makes the zgemv the `np.matmul` gufunc would, at less
+    # than half its per-call cost on small n
+    propagate = _propagator(_generator(model), dt, "times: grid step").dot
+    buffer = np.empty((chunk + 1, model.dim, model.dim), dtype=complex)
+    vecs = buffer.reshape(chunk + 1, -1)
+    vecs[0] = rho0.matrix.reshape(-1)
+    for start in range(0, steps, chunk):
+        stop = min(start + chunk, steps)
+        lo = 1 if start else 0
+        for before, after in zip(vecs, vecs[1 : stop - start + 1]):
+            propagate(before, after)
+        last = vecs[stop - start].copy()
+        rows = buffer[lo : stop - start + 1]
+        np.multiply(0.5, np.add(rows, rows.conj().swapaxes(1, 2), out=rows), out=rows)
+        if not start:
+            buffer[0] = rho0.matrix
+        if reduce is not None:
+            reduce(start + lo, rows)
+        if stop < steps:
+            vecs[0] = last
+    return buffer
 
 
-def _semigroup(rho0: DensityState, model: SystemModel, times, reduce=None, chunk=None) -> np.ndarray:
-    """The semigroup loop: exp(t L') rho0 at each of the m `times`, a chunk
-    at a time, under one contract with `trajectories._integrate`.
+def semigroup_path(rho0: DensityState, model: SystemModel, times) -> np.ndarray:
+    """Density matrices of exp(t L') rho0 at the given times, shape (m, n, n).
 
-    A uniform grid starting at 0 propagates the vectorized state point to
-    point with a single one-step propagator, and each point's roundoff skew
-    is stripped as its chunk is done (the next chunk goes on from the raw
-    vector); any other grid takes one exponential a point (`_states`).  The
-    buffer holds chunk + 1 points (chunk = m - 1 by default).  After every
-    `chunk` steps, and after the last, `reduce(start, rows)` gets the
-    points not yet reduced: rows (m', n, n) at indices start .. start+m'-1,
-    the first point included in the first call.  Returns the buffer, with
-    the default chunk the whole path (m, n, n).
+    A uniform grid starting at 0 is the semigroup loop (`_semigroup`) in
+    one chunk, reusing a single one-step propagator; any other grid takes
+    one exponential a point (`_states`).
     """
     rho0 = _state(rho0, model.dim, "rho0")
     if np.ndim(times) != 1 or np.size(times) == 0:
@@ -542,45 +561,10 @@ def _semigroup(rho0: DensityState, model: SystemModel, times, reduce=None, chunk
     ts = _real_prefix(times, "times")
     if not np.isfinite(ts).all() or (ts < 0.0).any():
         raise ValidationError("times must be finite and nonnegative")
-    steps = ts.size - 1
-    chunk = steps if chunk is None else min(chunk, steps)
-    generator = _generator(model)
-    uniform = _uniform(ts, max(chunk, 1))
-    buffer = np.empty((chunk + 1, model.dim, model.dim), dtype=complex)
-    vecs = buffer.reshape(chunk + 1, -1)
-    if uniform:
-        # the bound `dot` makes the zgemv the `np.matmul` gufunc would, at
-        # less than half its per-call cost on small n
-        propagate = _propagator(generator, float(ts[1] - ts[0]), "times: grid step").dot
-        vecs[0] = rho0.matrix.reshape(-1)
-    else:
-        points = _states(rho0, generator, map(float, ts))
-    for start in range(0, max(steps, 1), max(chunk, 1)):
-        stop = min(start + chunk, steps)
-        lo = 1 if start else 0
-        if uniform:
-            for before, after in zip(vecs, vecs[1 : stop - start + 1]):
-                propagate(before, after)
-            last = vecs[stop - start].copy()
-            rows = buffer[lo : stop - start + 1]
-            np.multiply(0.5, np.add(rows, rows.conj().swapaxes(1, 2), out=rows), out=rows)
-            if not start:
-                buffer[0] = rho0.matrix
-        else:
-            for j in range(lo, stop - start + 1):
-                buffer[j] = next(points).matrix
-            rows = buffer[lo : stop - start + 1]
-        if reduce is not None:
-            reduce(start + lo, rows)
-        if uniform and stop < steps:
-            vecs[0] = last
-    return buffer
-
-
-def semigroup_path(rho0: DensityState, model: SystemModel, times) -> np.ndarray:
-    """Density matrices of exp(t L') rho0 at the given times, shape (m, n, n):
-    the semigroup loop (`_semigroup`) in one chunk."""
-    return _semigroup(rho0, model, times)
+    diffs = np.diff(ts)
+    if ts[0] == 0.0 and diffs.size and np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0):
+        return _semigroup(rho0, model, float(diffs[0]), diffs.size)
+    return np.array([state.matrix for state in _states(rho0, _generator(model), ts.tolist())])
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -5,14 +5,20 @@ tag, package version, generator name, seed, config hash, scheme data)
 sufficient to reproduce the run, followed by a CSV header row and data.
 Floats are serialized with 17 significant digits, so read(write(x)) is
 bit-exact for binary64.  No timestamps: identical runs produce identical
-bytes.
+bytes.  Every table is written under a temporary name beside its target and
+lands by os.replace only when it is whole (`_landing`): a write that fails
+leaves no file, and a file already at the target keeps its bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import threading
 from collections import deque
 from itertools import chain, islice, repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -104,9 +110,21 @@ class _Table:
         self.text((self.row * len(table)) % tuple(table.ravel().tolist()))
 
 
-def _create(path):
-    """`path` opened for writing a table: UTF-8 text with '\\n' line ends."""
-    return open(path, "w", encoding="utf-8", newline="\n")
+@contextlib.contextmanager
+def _landing(path):
+    """The open file of a table that lands at `path` only when the block
+    ends without an error: UTF-8 text with '\\n' line ends, written under a
+    temporary name in the same directory and moved to `path` by os.replace,
+    or removed."""
+    target = Path(path)
+    part = target.with_name(f".{target.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(part, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(part, target)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def write_record(record: ObservationRecord, path, config_hash: str = "-") -> None:
@@ -125,7 +143,7 @@ def write_record(record: ObservationRecord, path, config_hash: str = "-") -> Non
         },
     )
     rows = _piece_rows(2)
-    with _create(path) as fh:
+    with _landing(path) as fh:
         table = _Table(fh, lines, ["t", "dY"])
         for lo in range(0, record.steps, rows):
             hi = min(lo + rows, record.steps)
@@ -267,7 +285,7 @@ class _ExpectationTable(_Table):
 
 def write_path_csv(path, times, expectations: dict, likelihoods=None, extra_meta=None) -> None:
     """Filter path: t, Re/Im of each named expectation, likelihood if given."""
-    with _create(path) as fh:
+    with _landing(path) as fh:
         table = _ExpectationTable(fh, PATH_FORMAT, expectations, extra_meta, likelihoods is not None)
         table.rows(times, expectations.values(), likelihoods)
 
@@ -279,10 +297,10 @@ def write_ensemble_csv(path, summary, extra_meta=None) -> None:
         data += [np.real(means), np.imag(means), summary.stderrs_re[name], summary.stderrs_im[name]]
     meta = {"n_trajectories": summary.n_trajectories}
     meta.update(extra_meta or {})
-    with _create(path) as fh:
+    with _landing(path) as fh:
         _Table(fh, _metadata_lines(ENSEMBLE_FORMAT, meta), columns).write(data)
 
 
 def write_master_csv(path, times, expectations: dict, extra_meta=None) -> None:
-    with _create(path) as fh:
+    with _landing(path) as fh:
         _ExpectationTable(fh, MASTER_FORMAT, expectations, extra_meta).rows(times, expectations.values())

@@ -37,16 +37,16 @@ ensemble's law-free blocks, whose records nobody reads.
 A run given a reducer keeps a chunk of rows per trajectory, not its paths,
 and hands each chunk to the reducer once: an ensemble's running sums of
 observables, in trajectory order, and its health audit, or the CLI's
-expectation rows, audit and CSV rows.  A stacked block's chunk is
-ENSEMBLE_CHUNK_STEPS steps, and ENSEMBLE_BLOCK_BYTES bounds its up-front
-noise plus its chunk rows.  Under a control law each trajectory's law sees
-its own record, so an ensemble's blocks hold one trajectory.  Every run
-stepped row by row (a CLI run, a law block, a block too small to stack) has
-one chunk rule (`_row_chunk`): as many rows as fit ENSEMBLE_BLOCK_BYTES with
-their three full-size copies, so that its memory is bounded at any horizon;
-a horizon under the chunk is reduced once as a whole path.  The public
-`simulate_*` and `replay_record` are the loop without a reducer, in one
-chunk.
+expectation rows, audit and CSV rows.  The loop sets the chunk from the
+run: a stacked block's is ENSEMBLE_CHUNK_STEPS steps, and
+ENSEMBLE_BLOCK_BYTES bounds its up-front noise plus its chunk rows.  Under
+a control law each trajectory's law sees its own record, so an ensemble's
+blocks hold one trajectory.  Every run stepped row by row (a CLI run, a
+law block, a block too small to stack) has one chunk rule (`_row_chunk`):
+as many rows as fit ENSEMBLE_BLOCK_BYTES with their three full-size
+copies, so that its memory is bounded at any horizon; a horizon under the
+chunk is reduced once as a whole path.  The public `simulate_*` and
+`replay_record` are the loop without a reducer, in one chunk.
 
 Reproducibility: every trajectory's generator is numpy PCG64 keyed by a
 splitmix64-mixed seed, `derive_seed(base_seed, index)`, which is
@@ -234,7 +234,7 @@ def _noise(scheme: MeasurementScheme, seed: int, steps: int, dt: float) -> np.nd
 
 
 def _integrate(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, values, law=None, normalized=True,
-               sampling=True, first=None, reduce=None, chunk=None):
+               sampling=True, first=None, reduce=None):
     """The integration loop: step the filter from rho0 over each row of `values`.
 
     Row i of `values`, shape (B, steps), is one trajectory's noise, from
@@ -249,15 +249,17 @@ def _integrate(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, v
     `values` then has one row).  Each increment drawn row by row is written
     over its noise, so that the row becomes the record, unless the run is an
     ensemble's law-free block (`first` given, no law), whose records nobody
-    reads.  The buffer holds chunk + 1 rows per trajectory (chunk = steps by
-    default; `_row_chunk` is the rule of runs stepped row by row).  After
-    every `chunk` steps, and after the last, `reduce(start, rows)` gets the
+    reads.  The buffer holds chunk + 1 rows per trajectory: without a
+    reducer the chunk is the whole horizon; with one, a stack's is
+    ENSEMBLE_CHUNK_STEPS steps and a run stepped row by row takes the
+    budget's (`_row_chunk`), both at most the horizon.  After every chunk
+    of steps, and after the last, `reduce(start, rows)` gets the
     rows not yet reduced: a C-contiguous (B, m, n, n) array holding time
     indices start .. start+m-1, the initial row included in the first; an
     unnormalized run's reducer also gets their likelihoods (B, m),
     `reduce(start, rows, likelihoods)`, which the loop keeps whole.  The
-    last row then moves to slot 0.  Returns the buffer, with the default
-    chunk the paths (B, steps+1, n, n), and for unnormalized runs the
+    last row then moves to slot 0.  Returns the buffer, without a reducer
+    the paths (B, steps+1, n, n), and for unnormalized runs the
     likelihoods (B, steps+1), None for normalized ones.  A row steps the
     same bits in either mode, in any block and in any chunk.
 
@@ -271,7 +273,6 @@ def _integrate(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, v
     w = _state(rho0, model.dim, "rho0").matrix
     rows, steps = values.shape
     n = model.dim
-    chunk = steps if chunk is None else chunk
     run = None
     if law is None:
         s = _model_matrix(model, scheme.phase, scheme.kind == COUNTING, dt)
@@ -279,10 +280,13 @@ def _integrate(model: SystemModel, rho0, scheme: MeasurementScheme, dt: float, v
         _check_dim(law.h0, model.dim, "control H0/H1")
         run = _LawRun(law, model, scheme, dt, normalized, sampling, steps)
         s, step, control, advance = run.s, run.step, run.control, run.advance
+    stacked = run is None and sampling and rows >= ENSEMBLE_STACK_ROWS
+    chunk = steps
+    if reduce is not None:
+        chunk = min(steps, ENSEMBLE_CHUNK_STEPS) if stacked else _row_chunk(steps, rows, n)
     buffer = np.empty((rows, chunk + 1, n, n), dtype=complex)
     buffer[:, 0] = w
     traces = None if normalized else np.ones((rows, steps + 1))
-    stacked = run is None and sampling and rows >= ENSEMBLE_STACK_ROWS
     if stacked:
         step = _stack_step(rows, n, dt, _route(scheme), scheme.gain)
         stack = buffer.reshape(rows, chunk + 1, 1, n * n)
@@ -356,13 +360,13 @@ def _row_chunk(steps: int, rows: int, n: int) -> int:
 
 
 def _simulate(model: SystemModel, rho0, scheme: MeasurementScheme, horizon: float, dt: float, seed: int,
-              law=None, reduce=None, chunk=None):
+              law=None, reduce=None):
     """The loop of `simulate_homodyne` and `simulate_counting`: one
     trajectory's noise, seeded by `seed` (as `_require_seed` gives it),
-    stepped through `_integrate` with `reduce` and `chunk`.  Returns the
-    record and the loop's buffer, the path (steps+1, n, n) in one chunk."""
+    stepped through `_integrate` with `reduce`.  Returns the record and the
+    loop's buffer, without a reducer the path (steps+1, n, n)."""
     values = _noise(scheme, seed, _grid(horizon, dt), dt)[None]
-    paths, _ = _integrate(model, rho0, scheme, dt, values, law, reduce=reduce, chunk=chunk)
+    paths, _ = _integrate(model, rho0, scheme, dt, values, law, reduce=reduce)
     return ObservationRecord(scheme, dt, values[0], seed=seed), paths[0]
 
 
@@ -533,20 +537,16 @@ def _step_ensemble(model, rho0, scheme, n_trajectories, seed, steps, dt, law, re
     own record, so blocks hold one trajectory.  A block stepped row by row
     (under a law, or of fewer than ENSEMBLE_STACK_ROWS trajectories) pays
     for a reduction as a stack does, without a stack's steps to spread it
-    over, so it is chunked by the budget (`_row_chunk`); a shorter horizon
-    is reduced once as a whole path.
+    over, so the loop chunks it by the budget (`_row_chunk`); a shorter
+    horizon is reduced once as a whole path.
     """
     size = 1
     if law is None:
         size = max(1, ENSEMBLE_BLOCK_BYTES // (steps * 8 + (min(steps, ENSEMBLE_CHUNK_STEPS) + 1) * model.dim**2 * 16))
     for first in range(0, n_trajectories, size):
         rows = min(size, n_trajectories - first)
-        if law is None and rows >= ENSEMBLE_STACK_ROWS:
-            chunk = min(steps, ENSEMBLE_CHUNK_STEPS)
-        else:
-            chunk = _row_chunk(steps, rows, model.dim)
         noise = np.stack([_noise(scheme, derive_seed(seed, i), steps, dt) for i in range(first, first + rows)])
-        _integrate(model, rho0, scheme, dt, noise, law, first=first, reduce=reduce, chunk=chunk)
+        _integrate(model, rho0, scheme, dt, noise, law, first=first, reduce=reduce)
 
 
 def ensemble_average(

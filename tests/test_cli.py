@@ -284,14 +284,14 @@ class TestCliCommands:
         real = bf.cli._simulate
 
         def poisoned(*args):
-            *head, reduce, chunk = args
+            *head, reduce = args
 
             def poisoning(start, rows):
                 if start == 0:
                     rows[0, 3, 0, 0] = np.nan
                 reduce(start, rows)
 
-            return real(*head, poisoning, chunk)
+            return real(*head, poisoning)
 
         monkeypatch.setattr("belfilt.cli._simulate", poisoned)
         out = tmp_path / "out"
@@ -758,6 +758,32 @@ class TestStreamedRuns:
         _chunked(monkeypatch, 3)
         with pytest.raises(bf.RecordFormatError, match="^declared steps = 12 but found 13 data rows$"):
             read_record(target)
+
+    def test_master_past_8000_steps_builds_one_propagator(self, tmp_path, monkeypatch):
+        # the shipped homodyne config at T = 9, 9 000 steps of dt = 1e-3:
+        # master steps every point with one one-step propagator, never one
+        # exponential a point, and agrees with the exponential at a third,
+        # two thirds and all of T
+        raw = json.loads((Path(bf.__file__).resolve().parents[2] / "configs" / "qubit_homodyne.json").read_text())
+        cfg_path = write_config(tmp_path, dict(raw, T=9.0))
+        cfg = load_config(cfg_path)
+        want = {k: bf.semigroup_evolve(cfg.rho0, cfg.model(), k * cfg.dt) for k in (3000, 6000, 9000)}
+        built, pointwise = [], []
+        real = bf.operators._propagator
+        monkeypatch.setattr(bf.operators, "_propagator", lambda *a: built.append(a[1]) or real(*a))
+        monkeypatch.setattr(bf.operators, "_states", lambda *a: pointwise.append(a))
+        assert run(["master", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+        assert built == [1e-3] and pointwise == []
+        lines = (tmp_path / "out" / "master.csv").read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+        columns = lines[header].split(",")
+        table = np.array([line.split(",") for line in lines[header + 1:]], dtype=float)
+        assert table.shape == (9001, len(columns))
+        for k, state in want.items():
+            for name, x in cfg.observables.items():
+                value = state.expectation(x)
+                assert abs(table[k, columns.index(f"re_{name}")] - value.real) <= 1e-12
+                assert abs(table[k, columns.index(f"im_{name}")] - value.imag) <= 1e-12
 
     def test_streamed_simulate_memory_does_not_grow_with_the_horizon(self, tmp_path, monkeypatch):
         # chunks of 64 steps at n = 8 hold 64 KiB of matrices; the whole

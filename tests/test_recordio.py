@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from belfilt import trajectories
 from belfilt.errors import RecordFormatError, ValidationError
 from belfilt.filters import MeasurementScheme
 from belfilt.recordio import (
@@ -281,3 +282,42 @@ class TestReadMetadata:
         target.write_text("# format: x\n# seed: 1\n")
         with pytest.raises(RecordFormatError, match="no CSV header row"):
             read_metadata(target)
+
+
+def _columns(rows):
+    return {"z": np.ones(rows)}
+
+
+# Writers handed columns of unequal length, which `_Table.write` refuses
+# with ValueError after the metadata and header lines are written: the
+# record's increments stop one step short of its steps, so that its last
+# piece fails after the pieces before it are written.
+FAILING_WRITERS = {
+    "record": lambda path: write_record(SimpleNamespace(scheme=MeasurementScheme.homodyne(), seed=0, dt=1e-3,
+                                                        steps=10, increments=np.zeros(9)), path),
+    "path": lambda path: write_path_csv(path, np.arange(3.0), _columns(2)),
+    "ensemble": lambda path: write_ensemble_csv(path, SimpleNamespace(
+        times=np.arange(3.0), means=_columns(2), stderrs_re=_columns(2), stderrs_im=_columns(2), n_trajectories=2)),
+    "master": lambda path: write_master_csv(path, np.arange(3.0), _columns(2)),
+}
+
+
+class TestLanding:
+    """Every table is written under a temporary name beside its target and
+    lands by os.replace only when whole (`recordio._landing`)."""
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh", "existing"])
+    @pytest.mark.parametrize("writer", list(FAILING_WRITERS))
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, writer, existing):
+        # records are written four rows a piece (`recordio._piece_rows`)
+        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", 4 * 128 * 2)
+        target = tmp_path / "table.csv"
+        if existing:
+            target.write_bytes(b"earlier bytes\n")
+        with pytest.raises(ValueError):
+            FAILING_WRITERS[writer](target)
+        assert [path.name for path in tmp_path.iterdir()] == (["table.csv"] if existing else [])
+        if existing:
+            assert target.read_bytes() == b"earlier bytes\n"
+        write_master_csv(target, [0.0], _columns(1))
+        assert [path.name for path in tmp_path.iterdir()] == ["table.csv"]

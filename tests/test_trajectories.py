@@ -846,7 +846,14 @@ class TestStackedEnsemble:
         # one law trajectory's rows are bounded by ENSEMBLE_BLOCK_BYTES, not
         # by its horizon: about 1 GB for 10**6 steps at n = 8 otherwise
         blocks = []
-        monkeypatch.setattr(trajectories, "_integrate", lambda *a, **kw: blocks.append((a[4].shape, kw["chunk"])))
+        real_loop = trajectories._integrate
+
+        def spy(*a, **kw):
+            buffer, likelihoods = real_loop(*a, **kw)
+            blocks.append((a[4].shape, buffer.shape[1] - 1))
+            return buffer, likelihoods
+
+        monkeypatch.setattr(trajectories, "_integrate", spy)
         model, rho0, observables = _random_ensemble_case(dim, 95)
         law = ControlLaw.from_expression("Y", model.hamiltonian, model.hamiltonian)
         ensemble_average(model, MeasurementScheme.homodyne(), observables, 2, 1, steps * 1e-3, 1e-3, rho0, law=law)
@@ -960,7 +967,7 @@ class TestErrorsNameTheirStep:
     @pytest.mark.parametrize("chunk", [1, 3, 7, None], ids=["K1", "K3", "K7", "Ksteps"])
     @pytest.mark.parametrize("rows", [1, 2, 3, 4])
     @pytest.mark.parametrize("case", ["collapse", "zero-rate", "jump-bound"])
-    def test_small_block_names_failing_row(self, case, rows, chunk):
+    def test_small_block_names_failing_row(self, case, rows, chunk, monkeypatch):
         # the block's last row fails at step 5 and its first, when another,
         # at step 6: the earliest step is named, with the error that row
         # raises alone, whichever chunk the step limit falls in
@@ -976,8 +983,15 @@ class TestErrorsNameTheirStep:
         noise = np.full((rows, 10), fill)
         noise[0, 6 - lag] = bad
         noise[-1, 5 - lag] = bad
+        if chunk is not None:
+            # budgets under which a reduced block steps row by row in chunks
+            # of `chunk` steps (`trajectories._row_chunk`)
+            monkeypatch.setattr(trajectories, "ENSEMBLE_CHUNK_STEPS", 1)
+            monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", 4 * rows * (chunk + 1) * model.dim**2 * 16)
+            assert trajectories._row_chunk(10, rows, model.dim) == chunk
+        reduce = None if chunk is None else (lambda start, part: None)
         with pytest.raises(error) as stacked:
-            trajectories._integrate(model, rho0, scheme, dt, noise.copy(), first=7, chunk=chunk)
+            trajectories._integrate(model, rho0, scheme, dt, noise.copy(), first=7, reduce=reduce)
         with pytest.raises(error) as alone:
             trajectories._integrate(model, rho0, scheme, dt, noise[-1:].copy(), first=6 + rows)
         assert str(stacked.value) == str(alone.value)
