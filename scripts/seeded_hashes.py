@@ -59,7 +59,10 @@ seed's random models, starts and observables at every dimension over as
 nested Python lists and int arrays, and hashes what the package builds and
 computes from them.  At each dimension, on the first seed's random model,
 "replay (empty record)" cases replay a zero-step homodyne record with the
-bks and zakai filters.
+bks and zakai filters.  One "csv formatter corpus" case hashes the bytes
+each CSV writer (write_record, write_path_csv, write_ensemble_csv and
+write_master_csv) puts in a file of formatter_corpus()'s values, chosen
+where a vectorized '%.17g' could go wrong.
 Each simulated, closed-loop and replayed path also hashes its path_health
 monitors (worst eigenvalue, trace and Hermiticity defects),
 taken on the normalized matrices as the CLI's simulate and filter commands
@@ -155,7 +158,10 @@ and unpinned alike.  Nor did handing master's grid to the semigroup loop as
 its step and step count, never tested for uniformity again: every line but
 "cli master (fine grid)" equals a run of this script on a checkout from
 before, pinned and unpinned alike; that one's uniformity test refused the
-grid, so that it took one exponential a point.
+grid, so that it took one exponential a point.  Nor did formatting every
+CSV table through one vectorized '%.17g' writer (recordio._csv_rows): every
+line, "csv formatter corpus" included, equals a run of this script on a
+checkout from before, pinned and unpinned alike.
 """
 
 from __future__ import annotations
@@ -165,8 +171,10 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -477,6 +485,51 @@ def config_cases(scratch: Path):
         yield f"config {path.name}", (*(("path", m) for m in matrices), ("config", repr(values)))
 
 
+def formatter_corpus() -> np.ndarray:
+    """Values where a vectorized '%.17g' could go wrong, each with both
+    signs: zeros, subnormals, the largest double, inf and nan; the ends of
+    the range the CSV writer computes digits for (1e-29 and 1e16) and of
+    fixed notation (1e-4 and 1e17); every power of ten from 1e-32 to 1e19
+    with its neighbouring doubles; 2^k for every k; exact and near ties of
+    the 17th digit; and seeded normals, scaled normals, bit patterns and a
+    time grid."""
+    values = [0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+              math.inf, math.nan, 1.0, 0.1, 99999.99999999999,
+              2.0**-25, 3 * 2.0**-25, 1234567890123456.75, 1234567890123456.25]  # exact ties
+    for edge in (1e16, 1e-29, 1e17, 1e-4, 1e-5):
+        values += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+    for k in range(-32, 20):
+        power = float(f"1e{k}")
+        below = math.nextafter(power, 0.0)
+        values += [power, below, math.nextafter(below, 0.0), math.nextafter(power, math.inf)]
+    values += [2.0**k for k in range(-1074, 1024)]
+    rng = np.random.default_rng(33)
+    digits, exponents = rng.integers(10**16, 10**17, size=500), rng.integers(-48, 2, size=500)
+    values += [float(f"{d}5e{k}") for d, k in zip(digits.tolist(), exponents.tolist())]
+    values += rng.normal(size=500).tolist()
+    values += (rng.normal(size=500) * 10.0 ** rng.uniform(-31, 18, size=500)).tolist()
+    values += rng.integers(0, 2**64, size=1000, dtype=np.uint64).view(np.float64).tolist()
+    values += (1e-3 * np.arange(1, 501)).tolist()
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def formatter_corpus_parts(scratch: Path):
+    """The "csv formatter corpus" case: the bytes each CSV writer puts in a
+    file of formatter_corpus()'s values (the record its finite ones)."""
+    values = formatter_corpus()
+    half = len(values) // 2
+    times = 1e-3 * np.arange(half)
+    series = {"a": values[:half] + 1j * values[half:], "b": values[::-2][:half]}
+    record = ObservationRecord(MeasurementScheme.homodyne(), 1e-3, values[np.isfinite(values)], seed=33)
+    summary = SimpleNamespace(times=times, means=series, stderrs_re={"a": values[half:], "b": values[:half]},
+                              stderrs_im={"a": values[::-1][:half], "b": values[1::2]}, n_trajectories=3)
+    return (("csv", csv_bytes(scratch, lambda p: write_record(record, p))),
+            ("csv", csv_bytes(scratch, lambda p: write_path_csv(p, times, series, likelihoods=values[:half]))),
+            ("csv", csv_bytes(scratch, lambda p: write_ensemble_csv(p, summary))),
+            ("csv", csv_bytes(scratch, lambda p: write_master_csv(p, times, series))))
+
+
 def csv_bytes(directory: Path, write) -> bytes:
     """The bytes write(path) puts in a file."""
     target = directory / "table.csv"
@@ -549,6 +602,7 @@ def cases(dims, seeds, horizon, dt, trajectories, scratch: Path):
     raised has the parts (error, type) and (error, message).  CSV files are
     written to `scratch` and read back as bytes."""
     yield from config_cases(scratch)
+    yield "csv formatter corpus", formatter_corpus_parts(scratch)
     inputs, err = attempt(lambda: listed_parts(seeds[0], dims))
     yield f"seed{seeds[0]} inputs (lists and int arrays)", err or inputs
     for seed in seeds:

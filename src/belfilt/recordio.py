@@ -3,16 +3,21 @@
 Every file starts with a metadata block of ``# key: value`` lines (format
 tag, package version, generator name, seed, config hash, scheme data)
 sufficient to reproduce the run, followed by a CSV header row and data.
-Floats are serialized with 17 significant digits, so read(write(x)) is
-bit-exact for binary64.  No timestamps: identical runs produce identical
-bytes.  Every table is written under a temporary name beside its target and
-lands by os.replace only when it is whole (`_landing`): a write that fails
-leaves no file, and a file already at the target keeps its bytes.
+Floats are serialized as ``'%.17g' % x`` writes them, 17 significant
+digits, so read(write(x)) is bit-exact for binary64.  The tables' values are
+formatted by one vectorized writer (`_csv_rows`) with the bytes of '%.17g':
+exact digits from double-double products, and '%.17g' itself for the few
+values they cannot settle (near-ties, values below 1e-29 or from 1e16, inf
+and nan).  No timestamps: identical runs produce identical bytes.  Every
+table is written under a temporary name beside its target and lands by
+os.replace only when it is whole (`_landing`): a write that fails leaves no
+file, and a file already at the target keeps its bytes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import threading
@@ -35,6 +40,207 @@ MASTER_FORMAT = "belfilt-master-v1"
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+# `_csv_rows` writes each value into a field of 13 four-byte words and keeps
+# the columns its layout needs.  Columns of a field:
+#
+#   1      '-'
+#   2      '0'          the integer part of 0.ddd, and a zero
+#   3-19   d0 .. d16    the integer digits (d0 alone in exponent notation)
+#   20     '.'
+#   24-26  '000'        zeros after the point of 10^-4 <= |x| < 10^-1
+#   27-43  d0 .. d16    the digits after the point
+#   44-47  'e-XX'
+#   48     ',' or '\n'
+#
+# The words come from one table (`_word_table`): 4-digit chunks '0000' to
+# '9999', the first word '0-0d' of a leading digit d, '.000', 'e-XX' by
+# exponent code and the two separators.  A field keeps the columns of the
+# row of `_mask_table` at its key (code, kept digits, sign), code being
+# E + 29 for the decimal exponent E of a value formatted here, _ZERO for a
+# zero and _FALLBACK for one formatted by '%.17g' itself, whose text fills
+# the field from column 0.
+_WORDS = 13
+_FIELD = 4 * _WORDS
+_E_BIAS, _ZERO, _FALLBACK = 29, 45, 46
+_KEPT = 26  # kept-digit slots of the mask table: 17 digits, or a fallback's up to 24 characters
+_FIRST, _POINT, _SUFFIX = 10000, 10010, 10011
+_SEPARATOR = _SUFFIX + _FALLBACK + 1
+
+
+@functools.cache
+def _powers_of_ten():
+    """10^j, j = 16 - E, by exponent code E + 29: the exact double-double
+    hi + lo, and the Veltkamp halves of hi."""
+    powers = [10**j for j in range(45, -1, -1)]
+    hi = np.array([float(v) for v in powers])
+    lo = np.array([float(v - int(h)) for v, h in zip(powers, hi.tolist())])
+    if any(int(h) + int(low) != v for v, h, low in zip(powers, hi.tolist(), lo.tolist())):
+        raise RuntimeError("10**j is not an exact double-double")
+    split = hi * 134217729.0  # 2^27 + 1
+    head = split - (split - hi)
+    return hi, lo, head, hi - head
+
+
+@functools.cache
+def _word_table():
+    """The words of the fields (see `_WORDS`), and the trailing zeros of
+    each 4-digit chunk."""
+    chunk = np.arange(10000)
+    digits = np.stack([chunk // 1000, chunk // 100 % 10, chunk // 10 % 10, chunk % 10], axis=1) + 48
+    first = digits[:10].copy()
+    first[:, 1] = 45
+    exponent = np.abs(np.arange(_FALLBACK + 1) - _E_BIAS)
+    suffix = np.stack([np.full_like(exponent, 101), np.full_like(exponent, 45),
+                       exponent // 10 % 10 + 48, exponent % 10 + 48], axis=1)
+    words = np.concatenate([digits, first, [[46, 48, 48, 48]], suffix, [[44, 0, 0, 0], [10, 0, 0, 0]]])
+    words = np.ascontiguousarray(words, dtype=np.uint8).view(np.uint32).ravel()
+    zeros = (chunk % 10 == 0).astype(np.intp) + (chunk % 100 == 0) + (chunk % 1000 == 0)
+    return words, zeros
+
+
+@functools.cache
+def _mask_table():
+    """The columns each field keeps, a row by key (code, kept digits, sign)."""
+    code = np.arange(_FALLBACK + 1)[:, None, None, None]
+    kept = np.arange(_KEPT)[None, :, None, None]
+    negative = np.arange(2)[None, None, :, None] == 1
+    k = np.arange(_FIELD)
+    e = code - _E_BIAS
+    fixed = (e <= 15) & (e >= 0)
+    scientific = e < -4
+    small = ~fixed & ~scientific & (code < _ZERO)  # 10^-4 <= |x| < 1
+    point = np.where(fixed, e + 1, 1)  # digits before the point
+    keep = np.zeros((_FALLBACK + 1, _KEPT, 2, _FIELD), bool)
+    keep |= (k == 48) | ((k == 1) & negative & (code != _FALLBACK))
+    keep |= (fixed | scientific) & (((k >= 3) & (k < 3 + point)) | ((k == 20) & (kept > point))
+                                    | ((k >= 27 + point) & (k < 27 + kept)))
+    keep |= scientific & (k >= 44) & (k < 48)
+    keep |= small & ((k == 2) | (k == 20) | ((k >= 28 + e) & (k < 27 + kept)))
+    keep |= (code == _ZERO) & (k == 2)
+    keep |= (code == _FALLBACK) & (k < kept)
+    return keep.reshape(-1, _FIELD)
+
+
+def _decimal(x: np.ndarray):
+    """The exponent code and the 17 digits of each value of the float array
+    `x`, as `'%.17g' % x` has them.
+
+    A finite x with 1e-29 <= |x| < 1e16 has the decimal exponent
+    E = floor(log10 |x|) in [-29, 15], code E + 29, and its digits are the
+    integer D nearest y = |x| 10^j, j = 16 - E.  10^j is the exact
+    double-double H + L, so y = p + e: p = fl(|x| H), and e is that
+    product's error, exact by Dekker's product of Veltkamp halves, plus
+    fl(|x| L).  The computed e is off by less than 1e-14, so D is exact when
+    the fraction of e lies more than 2^-30 from 1/2.  A zero has code _ZERO.
+    Every other value has code _FALLBACK, for '%.17g' to format: a near-tie
+    (exact ties included), a D outside [10^16, 10^17) or an E that log10
+    rounded up, a value out of range, inf and nan.  D is 10^16 where the
+    code is not an exponent's.
+    """
+    hi, lo, hi_head, hi_tail = _powers_of_ten()
+    a = np.abs(x)
+    fast = (a >= 1e-29) & (a < 1e16)
+    u = np.where(fast, a, 1.0)
+    code = np.log10(u)
+    np.floor(code, out=code)
+    code = code.astype(np.intp)
+    code += _E_BIAS
+    # y = p + e, from Dekker's product of u and H
+    p = u * hi.take(code)
+    head = u * 134217729.0
+    head -= head - u
+    tail = u - head
+    e = head * hi_head.take(code)
+    e -= p
+    e += head * hi_tail.take(code)
+    e += tail * hi_head.take(code)
+    tail *= hi_tail.take(code)
+    e += tail
+    u *= lo.take(code)
+    e += u
+    whole = np.floor(e)
+    e -= whole
+    digits = p.astype(np.int64)
+    digits += whole.astype(np.int64)
+    digits += e > 0.5
+    # at D = 10^16, E is too large when y < 10^16
+    edge = np.flatnonzero(digits == 10**16)
+    low = (p[edge] - 1e16) + (whole[edge] + e[edge]) < 0
+    e -= 0.5
+    ok = np.abs(e, out=e) > 2.0**-30
+    ok &= fast
+    ok &= digits >= 10**16
+    ok &= digits < 10**17
+    ok[edge[low]] = False
+    other = ~ok
+    code[other] = np.where(a[other] == 0, _ZERO, _FALLBACK)
+    digits[other] = 10**16
+    return code, digits
+
+
+def _piece_values() -> int:
+    """Values formatted at a time (`_csv_rows`): the block budget
+    `trajectories.ENSEMBLE_BLOCK_BYTES` over 1 KiB, 2048 at the default
+    budget, so that a piece's temporaries, about 180 bytes a value, stay
+    under a fifth of it."""
+    return max(1, trajectories.ENSEMBLE_BLOCK_BYTES // 1024)
+
+
+def _csv_rows(table: np.ndarray) -> str:
+    """The rows of the float table `table`, ``'%.17g' % x`` for each value
+    x, ',' between values and '\\n' after each row: each value's field
+    (`_fields`) cut to the columns its layout keeps."""
+    if not table.size:
+        return ""
+    fields, key = _fields(table.ravel(), table.shape[1])
+    return fields.ravel()[_mask_table().take(key, axis=0).ravel()].tobytes().decode("ascii")
+
+
+def _fields(x: np.ndarray, columns: int):
+    """The fields (see `_WORDS`) of the values `x` of a table of `columns`
+    columns, and the key of each field's row in the mask table: the digits
+    of `_decimal`, or the text of '%.17g' for a value it leaves to it."""
+    n = x.size
+    words, zeros = _word_table()
+    code, digits = _decimal(x)
+    # D as the chunks d0 | d1-d4 | d5-d8 | d9-d12 | d13-d16
+    upper = digits // 10**8
+    lower = digits - upper * 10**8
+    lead = upper // 10**8
+    upper -= lead * 10**8
+    c1 = upper // 10**4
+    c3 = lower // 10**4
+    chunks = (lead, c1, upper - c1 * 10**4, c3, lower - c3 * 10**4)
+    # kept digits: up to the last nonzero one, in the last nonzero chunk
+    nonzero = [chunk != 0 for chunk in chunks[1:]]
+    last = np.where(nonzero[3], 4, np.where(nonzero[2], 3, np.where(nonzero[1], 2, nonzero[0])))
+    final = lead
+    for chunk, used in zip(chunks[1:], nonzero):
+        final = np.where(used, chunk, final)
+    kept = 1 + 4 * last - zeros.take(final)
+    key = code * _KEPT
+    key += kept
+    key *= 2
+    key += np.signbit(x)
+    # the words of the fields, a column at a time
+    fields = np.empty((n, _WORDS), np.uint32)
+    fields[:, 0] = words.take(lead + _FIRST)
+    fields[:, 6] = words.take(lead)
+    for column, chunk in enumerate(chunks[1:], 1):
+        fields[:, column] = fields[:, 6 + column] = words.take(chunk)
+    fields[:, 5] = words[_POINT]
+    fields[:, 11] = words.take(code + _SUFFIX)
+    separators = np.full(columns, words[_SEPARATOR])
+    separators[-1] = words[_SEPARATOR + 1]
+    fields[:, 12].reshape(-1, columns)[:] = separators
+    fields = fields.view(np.uint8)
+    for i in np.flatnonzero(code == _FALLBACK).tolist():
+        text = ("%.17g" % x[i]).encode()
+        fields[i, : len(text)] = np.frombuffer(text, np.uint8)
+        key[i] = (_FALLBACK * _KEPT + len(text)) * 2
+    return fields, key
 
 
 def _metadata_lines(fmt: str, extra: dict) -> list:
@@ -95,19 +301,20 @@ class _Table:
     per entry of the columns in `data` at each `write(data)`, every value
     with 17 significant digits.
 
-    A chunk's body is one `%` over a row template repeated once per row:
-    `'%.17g' % x` gives the bytes of `_fmt(x)`, so the bytes do not depend
-    on where the table is cut into chunks.
+    A chunk is formatted `_piece_values()` values at a time by `_csv_rows`,
+    whose text is `'%.17g' % x` of each value, so the bytes do not depend
+    on where the table is cut into chunks or pieces.
     """
 
     def __init__(self, fh, meta_lines, columns):
         fh.write("\n".join(meta_lines + [",".join(columns)]) + "\n")
         self.text = fh.write
-        self.row = ",".join(["%.17g"] * len(columns)) + "\n"
 
     def write(self, data) -> None:
         table = np.column_stack([np.asarray(column, dtype=float) for column in data])
-        self.text((self.row * len(table)) % tuple(table.ravel().tolist()))
+        rows = max(1, _piece_values() // table.shape[1])
+        for lo in range(0, len(table), rows):
+            self.text(_csv_rows(table[lo : lo + rows]))
 
 
 @contextlib.contextmanager

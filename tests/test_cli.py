@@ -477,6 +477,37 @@ class TestCliCommands:
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
+THEORY = ("belfilt.conditioning", "belfilt.fock", "belfilt.ito")
+
+
+class TestLazyTheoryModules:
+    """conditioning, fock and ito load on first use of one of their names."""
+
+    def _fresh(self, code):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SCRIPTS.parent / "src"), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    def test_cli_import_loads_none_of_them(self):
+        loaded = self._fresh(f"import json, sys, belfilt.cli; print(json.dumps([m for m in {THEORY!r} "
+                             "if m in sys.modules]))")
+        assert loaded == []
+
+    def test_every_public_name_resolves_from_a_fresh_import(self):
+        names = self._fresh("import json, belfilt; print(json.dumps({name: type(getattr(belfilt, name)).__name__ "
+                            "for name in belfilt.__all__}))")
+        assert names == {name: type(getattr(bf, name)).__name__ for name in bf.__all__}
+        assert {"conditioning", "fock", "ito", "weyl_matrix", "ItoSpec", "conditional_expectation"} <= set(names)
+        assert set(names) <= set(dir(bf))
+
+    def test_submodules_and_unknown_names(self):
+        assert self._fresh("import json, belfilt; print(json.dumps([belfilt.fock.__name__, "
+                           "belfilt.ito.ito_product is belfilt.ito_product]))") == ["belfilt.fock", True]
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            bf.nope
+
 
 class TestShippedDemos:
     def _run(self, script, *args, cwd):

@@ -1,15 +1,21 @@
 """CSV tables against the per-row writers and reader they replaced."""
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from belfilt import trajectories
+from belfilt import recordio, trajectories
 from belfilt.errors import RecordFormatError, ValidationError
 from belfilt.filters import MeasurementScheme
 from belfilt.recordio import (
+    _FALLBACK,
+    _csv_rows,
+    _decimal,
     read_metadata,
     read_record,
     write_ensemble_csv,
@@ -132,6 +138,105 @@ class TestWritersMatchPerRowReference:
     def test_record_edge_values(self, tmp_path, dt):
         inc = np.array([-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0])
         rec = ObservationRecord(MeasurementScheme.imperfect(0.5, 1.0), dt, inc, seed=2)
+        assert_same_bytes(tmp_path, record_writer(write_record), record_writer(reference_write_record), rec)
+
+
+def percent_g(table):
+    """The text of `table` by one '%.17g' a value, as the writers wrote it
+    before `_csv_rows`."""
+    table = np.asarray(table, dtype=float)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def near_ties(rng, count):
+    """Doubles nearest 18-digit decimals ending in 5, across the exponents
+    the digits are computed for and a few beyond."""
+    digits = rng.integers(10**16, 10**17, size=count)
+    exponents = rng.integers(-48, 2, size=count)
+    return [float(f"{d}5e{k}") for d, k in zip(digits.tolist(), exponents.tolist())]
+
+
+def formatter_corpus():
+    """Values where a vectorized %.17g could go wrong."""
+    rng = np.random.default_rng(33)
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    values = [0.0, -0.0, tiny, -tiny, 2.2250738585072009e-308, 2.2250738585072014e-308, huge, -huge,
+              math.inf, -math.inf, math.nan, -math.nan, 1.0, 0.5, 0.1, 0.2, 0.3, 123.0, 99999.99999999999]
+    for edge in (1e16, 1e-29, 1e17, 1e-4, 1e-5):  # ends of the digit path and of fixed notation
+        values += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, math.inf)]
+    for k in range(-32, 20):  # powers of ten and their neighbours; below 10^k, log10 may round up
+        power = float(f"1e{k}")
+        below = math.nextafter(power, 0.0)
+        values += [power, below, math.nextafter(below, 0.0), math.nextafter(power, math.inf)]
+    values += [2.0**-k for k in range(1075)] + [2.0**k for k in range(1024)]
+    # exact ties of the 17th digit, rounded half to even: 2^-25 = 2.98023223876953125e-08
+    values += [2.0**-25, 3 * 2.0**-25, 1234567890123456.75, 1234567890123456.25]
+    values += near_ties(rng, 2000)
+    values += rng.normal(size=2000).tolist()
+    values += (rng.normal(size=2000) * 10.0 ** rng.uniform(-31, 18, size=2000)).tolist()
+    values += rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64).tolist()
+    values += (1e-3 * np.arange(2000)).tolist()
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+class TestCsvRowsMatchPercentG:
+    """`_csv_rows` against one '%.17g' a value."""
+
+    @pytest.mark.parametrize("columns", [1, 2, 5, 7])
+    def test_corpus(self, columns):
+        values = formatter_corpus()
+        table = values[: len(values) // columns * columns].reshape(-1, columns)
+        assert _csv_rows(table) == percent_g(table)
+
+    def test_empty_and_one_row_tables(self):
+        assert _csv_rows(np.empty((0, 3))) == ""
+        assert _csv_rows(np.array([[-1.25e-7, 0.0, 2.0**-25]])) == "-1.2499999999999999e-07,0,2.9802322387695312e-08\n"
+
+    @settings(max_examples=300)
+    @given(st.lists(st.floats(width=64) | st.integers(0, 2**64 - 1).map(
+        lambda bits: float(np.uint64(bits).view(np.float64))), min_size=1, max_size=60), st.integers(1, 4))
+    def test_any_floats(self, values, columns):
+        table = np.resize(np.array(values), (-(-len(values) // columns), columns))
+        assert _csv_rows(table) == percent_g(table)
+
+    @settings(max_examples=200)
+    @given(st.integers(10**16, 10**17 - 1), st.integers(-48, 4), st.booleans())
+    def test_near_ties(self, digits, exponent, negative):
+        value = float(f"{'-' if negative else ''}{digits}5e{exponent}")
+        table = np.array([[value, math.nextafter(value, 0.0), math.nextafter(value, math.inf)]])
+        assert _csv_rows(table) == percent_g(table)
+
+    def test_only_near_ties_and_values_out_of_range_fall_back(self):
+        # Values of the magnitudes the tables hold. Above about 1e12 a double
+        # has few bits after the point, so exact ties, which fall back, are
+        # common there; below, a near-tie is about 1 value in 2^29.
+        rng = np.random.default_rng(5)
+        scaled = rng.choice([-1.0, 1.0], 10_000) * rng.uniform(1, 10, 10_000) * 10.0 ** rng.integers(-29, 12, 10_000)
+        common = np.concatenate([rng.normal(size=10_000), 1e-3 * np.arange(10_000), np.arange(-500.0, 500.0), scaled])
+        code, _ = _decimal(common)
+        assert np.count_nonzero(code == _FALLBACK) == 0
+        code, _ = _decimal(np.array([0.0, 1e16, 1e17, 9.9e-30, 5e-324, math.inf, math.nan, 2.0**-25]))
+        assert code.tolist() == [recordio._ZERO] + [_FALLBACK] * 7
+
+
+class TestTablesCutAcrossPieces:
+    """Tables formatted `recordio._piece_values()` values at a time."""
+
+    @pytest.mark.parametrize("piece", [1, 2, 5, 7, 64])
+    def test_path_csv(self, tmp_path, monkeypatch, piece):
+        monkeypatch.setattr(trajectories, "ENSEMBLE_BLOCK_BYTES", 1024 * piece)
+        assert recordio._piece_values() == piece
+        values = formatter_corpus()[:900]
+        expectations = {"x": values[:300] + 1j * values[300:600], "z": values[600:]}
+        assert_same_bytes(tmp_path, write_path_csv, reference_write_path_csv, 1e-3 * np.arange(300), expectations,
+                          likelihoods=values[::-3])
+
+    def test_record_over_several_pieces(self, tmp_path):
+        inc = formatter_corpus()
+        inc = inc[np.isfinite(inc)][: 3 * recordio._piece_values() + 5]
+        rec = ObservationRecord(MeasurementScheme.homodyne(), 1e-3, inc, seed=4)
         assert_same_bytes(tmp_path, record_writer(write_record), record_writer(reference_write_record), rec)
 
 
